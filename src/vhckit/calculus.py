@@ -1,16 +1,18 @@
-"""Shared numerical kernels: differentiation, quadrature, ODE integration."""
+"""Shared numerical kernels: differentiation, quadrature, ODE integration.
+
+Every derivative in vhckit is taken by the operators below, by seeding dual
+numbers; fields must accept dual arguments (see ``vhckit.dual``)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad, solve_ivp
 
-from .dual import Dual, eps, real, seed
+from .dual import Dual, eps, seed
 
-DEFAULT_FD_STEP = 1e-6
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_ODE_TOL = 1e-10
 
@@ -23,110 +25,62 @@ class IntegrationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Evaluable map from a coordinate vector to a real scalar."""
-
-    fn: callable
-    arity: int
-    order: int = 2
-    supports_dual: bool = True
-
-    def __call__(self, x):
-        return self.fn(x)
+_NESTED = (list, tuple)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    fn: callable
-    arity: int
-    dim: int
-    order: int = 2
-    supports_dual: bool = True
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
-class MatrixField:
-    fn: callable
-    arity: int
-    shape: tuple
-    order: int = 2
-    supports_dual: bool = True
-
-    def __call__(self, x):
-        return self.fn(x)
+def _peel(v, part):
+    """Apply ``part`` to every entry of a scalar, vector, matrix or rank-3
+    value; the depth is read once, from the first entries."""
+    if not isinstance(v, _NESTED):
+        return part(v)
+    if not v or not isinstance(v[0], _NESTED):
+        return [part(c) for c in v]
+    if not v[0] or not isinstance(v[0][0], _NESTED):
+        return [[part(c) for c in row] for row in v]
+    return [[[part(c) for c in row] for row in mat] for mat in v]
 
 
-def _dual_ok(f):
-    return getattr(f, "supports_dual", True)
+def _eps2(v):
+    return eps(eps(v))
 
 
-def partial(f, x, i, h=DEFAULT_FD_STEP):
+def partial(f, x, i):
     """First partial derivative of a scalar-valued field at x."""
     if i >= len(x):
         raise DomainError(f"index {i} out of range for arity {len(x)}")
-    if _dual_ok(f):
-        return eps(f(seed(x, i)))
-    step = h * max(1.0, abs(x[i]))
-    xp, xm = list(x), list(x)
-    xp[i] += step
-    xm[i] -= step
-    return (f(xp) - f(xm)) / (2.0 * step)
+    return eps(f(seed(x, i)))
 
 
-def second_partial(f, x, i, j, h=DEFAULT_FD_STEP):
-    """Second partial derivative of a scalar-valued field at x."""
-    if _dual_ok(f):
-        xs = [Dual(Dual(c, 0.0), 0.0) for c in x]
-        if i == j:
-            xs[i] = Dual(Dual(x[i], 1.0), 1.0)
-        else:
-            xs[i] = Dual(Dual(x[i], 1.0), 0.0)
-            xs[j] = Dual(Dual(x[j], 0.0), 1.0)
-        return eps(eps(f(xs)))
-    step_j = (h ** 0.5) * max(1.0, abs(x[j]))
-    xp, xm = list(x), list(x)
-    xp[j] += step_j
-    xm[j] -= step_j
-    return (partial(f, xp, i, h) - partial(f, xm, i, h)) / (2.0 * step_j)
+def second_partial(f, x, i, j):
+    """Second partial derivative d_i d_j of a field at x; the field may be
+    scalar-, vector-, matrix- or rank-3-valued."""
+    xs = [Dual(Dual(c, 0.0), 0.0) for c in x]
+    if i == j:
+        xs[i] = Dual(Dual(x[i], 1.0), 1.0)
+    else:
+        xs[i] = Dual(Dual(x[i], 1.0), 0.0)
+        xs[j] = Dual(Dual(x[j], 0.0), 1.0)
+    return _peel(f(xs), _eps2)
 
 
-def gradient(f, x, h=DEFAULT_FD_STEP):
-    return [partial(f, x, i, h) for i in range(len(x))]
+def gradient(f, x):
+    return [partial(f, x, i) for i in range(len(x))]
 
 
-def vector_partial(f, x, i, h=DEFAULT_FD_STEP):
+def vector_partial(f, x, i):
     """Partial derivative of a vector-valued field: returns a list."""
-    if _dual_ok(f):
-        return [eps(c) for c in f(seed(x, i))]
-    step = h * max(1.0, abs(x[i]))
-    xp, xm = list(x), list(x)
-    xp[i] += step
-    xm[i] -= step
-    fp, fm = f(xp), f(xm)
-    return [(a - b) / (2.0 * step) for a, b in zip(fp, fm)]
+    return [eps(c) for c in f(seed(x, i))]
 
 
-def jacobian(f, x, h=DEFAULT_FD_STEP):
+def jacobian(f, x):
     """Jacobian of a vector field as rows-of-components [a][i] = df^a/dx^i."""
-    cols = [vector_partial(f, x, i, h) for i in range(len(x))]
+    cols = [vector_partial(f, x, i) for i in range(len(x))]
     return [list(row) for row in zip(*cols)]
 
 
-def matrix_partial(f, x, i, h=DEFAULT_FD_STEP):
-    """Partial derivative of a matrix-valued field: nested list."""
-    if _dual_ok(f):
-        return [[eps(v) for v in row] for row in f(seed(x, i))]
-    step = h * max(1.0, abs(x[i]))
-    xp, xm = list(x), list(x)
-    xp[i] += step
-    xm[i] -= step
-    fp, fm = f(xp), f(xm)
-    return [[(a - b) / (2.0 * step) for a, b in zip(rp, rm)]
-            for rp, rm in zip(fp, fm)]
+def matrix_partial(f, x, i):
+    """Partial derivative of a matrix- or rank-3-valued field: nested lists."""
+    return _peel(f(seed(x, i)), eps)
 
 
 def quad(f, a, b, tol=DEFAULT_QUAD_TOL):
@@ -147,16 +101,9 @@ class CurveSampler:
     t_start: float
     t_end: float
     breakpoints: tuple = ()
-    supports_dual: bool = True
 
     def __call__(self, t):
         return self.fn(t)
-
-    def point(self, t):
-        return self.fn(t)[0]
-
-    def velocity(self, t):
-        return self.fn(t)[1]
 
 
 def line_segment(p, q, t_start=0.0, t_end=1.0):
@@ -240,7 +187,7 @@ def integrate_ode(rhs, t0, x0, t1, method="rk45", tol=DEFAULT_ODE_TOL,
     ks = [np.asarray(rhs(t0, x0), dtype=float)]
     t, x = t0, x0
     for _ in range(n):
-        k1 = np.asarray(rhs(t, x), dtype=float)
+        k1 = ks[-1]
         k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1), dtype=float)
         k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2), dtype=float)
         k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
@@ -270,11 +217,3 @@ def integrate_ode(rhs, t0, x0, t1, method="rk45", tol=DEFAULT_ODE_TOL,
 
     return Trajectory(ts_arr, xs_arr, interpolant=interp)
 
-
-def transport_along(gamma_fn, t0, t1, rhs_matrix, v0, tol=DEFAULT_ODE_TOL):
-    """Integrate a linear time-varying system v' = A(t) v from t0 to t1."""
-    def rhs(t, v):
-        return rhs_matrix(t) @ v
-
-    traj = integrate_ode(rhs, t0, np.asarray(v0, dtype=float), t1, tol=tol)
-    return traj.end_state

@@ -273,7 +273,7 @@ def build_parser():
 
     ph = sub.add_parser("holonomy", help="generator loop transport maps")
     _add_common(ph)
-    ph.set_defaults(fn=cmd_holonomy, tol_default=1e-10)
+    ph.set_defaults(fn=cmd_holonomy)
 
     pp = sub.add_parser("portrait", help="classify a family of reduced orbits")
     _add_common(pp)

@@ -104,11 +104,6 @@ def real(x):
     return x
 
 
-def value(x):
-    """One-level value part (float for plain numbers)."""
-    return x.val if isinstance(x, Dual) else x
-
-
 def eps(x):
     """One-level derivative part (0.0 for plain numbers)."""
     return x.eps if isinstance(x, Dual) else 0.0

@@ -10,8 +10,8 @@ from operator import mul
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import CurveSampler, integrate_ode, quad, line_segment
-from .dual import Dual, eps as d_eps, real
+from .calculus import CurveSampler, integrate_ode, line_segment
+from .dual import Dual, real
 from .manifold import max_curvature_on_grid
 
 TWO_PI = 2.0 * math.pi
@@ -36,9 +36,6 @@ class TransportMap:
         if abs(np.linalg.det(self.matrix)) < 1e-12:
             raise ValueError("transport map must be invertible")
 
-    def inverse(self):
-        return TransportMap(np.linalg.inv(self.matrix), self.descriptor, self.tol)
-
 
 def _transport_rhs(gamma, path):
     # dX^k/dt = -Gamma^k_ij v^i X^j, one copy per transported column. The
@@ -56,18 +53,6 @@ def _transport_rhs(gamma, path):
     return rhs
 
 
-def parallel_transport(gamma, path, v0, tol=1e-10):
-    """Transport vector v0 along a CurveSampler under connection gamma."""
-    v = np.asarray(v0, dtype=float)
-    pieces = sorted(b for b in path.breakpoints
-                    if path.t_start < b < path.t_end)
-    knots = [path.t_start] + pieces + [path.t_end]
-    for a, b in zip(knots[:-1], knots[1:]):
-        traj = integrate_ode(_transport_rhs(gamma, path), a, v, b, tol=tol)
-        v = traj.end_state
-    return v
-
-
 def transport_matrix(gamma, path, dim, tol=1e-10):
     """Transport the full basis along a path: columns are transported e_i."""
     X = np.eye(dim)
@@ -80,20 +65,18 @@ def transport_matrix(gamma, path, dim, tol=1e-10):
     return X
 
 
-def loop_transport(gamma, loop, tol=1e-10):
-    """Transport map around a loop; segment maps compose right-to-left."""
-    dim = len(loop.base_point)
-    M = np.eye(dim)
-    for seg in loop.segments:
-        M = transport_matrix(gamma, seg, dim, tol=tol) @ M
-    return TransportMap(M, loop, tol)
-
-
-def path_transport_matrix(gamma, segments, dim, tol=1e-10):
+def _compose_transports(gamma, segments, dim, tol):
+    """Transport matrix along consecutive segments, composed right-to-left."""
     M = np.eye(dim)
     for seg in segments:
         M = transport_matrix(gamma, seg, dim, tol=tol) @ M
     return M
+
+
+def loop_transport(gamma, loop, tol=1e-10):
+    """Transport map around a loop; segment maps compose right-to-left."""
+    M = _compose_transports(gamma, loop.segments, len(loop.base_point), tol)
+    return TransportMap(M, loop, tol)
 
 
 def reverse_path(path):
@@ -105,7 +88,7 @@ def reverse_path(path):
         return point, [-v for v in vel]
 
     bps = tuple(t0 + t1 - b for b in path.breakpoints)
-    return CurveSampler(fn, t0, t1, bps, supports_dual=path.supports_dual)
+    return CurveSampler(fn, t0, t1, bps)
 
 
 class SmoothFromDerivative:
@@ -115,8 +98,6 @@ class SmoothFromDerivative:
     peeled one level at a time using ``deriv_fn`` via the chain rule, so the
     object can sit inside any differentiation pipeline.
     """
-
-    supports_dual = True
 
     def __init__(self, value_fn, deriv_fn):
         self.value_fn = value_fn
@@ -252,23 +233,6 @@ def _one_dim_fields(psi1, psi2, topology, tol):
         lambda x: PH(x),
         lambda x: -psi1_lift(x) * M_hat(x))
     return J, M_hat, P_hat
-
-
-def metrizability_1d(psi2, topology, tol=1e-10, decision_tol=1e-9):
-    """Metric half of the 1-D decision: always metrizable on R; on S1 iff
-    the loop integral of Psi2 vanishes."""
-    J, M_hat, _ = _one_dim_fields(None, psi2, topology, tol)
-    if topology == "S1":
-        loop = J.period_value
-        ok = abs(loop) < decision_tol
-    else:
-        loop = 0.0
-        ok = True
-    report = OneDimReport(metrizable=ok, lagrangian=False, topology=topology,
-                          M_hat=M_hat, int_psi2=loop)
-    if ok:
-        report.M = (lambda th: M_hat(circle_mod(th))) if topology == "S1" else M_hat
-    return report
 
 
 def lagrangian_1d(psi1, psi2, topology, tol=1e-10, decision_tol=1e-9):
@@ -454,7 +418,7 @@ def metric_by_transport(gamma, g0, theta0, target, path=None, tol=1e-10):
         segments = [path]
     else:
         segments = list(path)
-    P = path_transport_matrix(gamma, segments, d, tol=tol)
+    P = _compose_transports(gamma, segments, d, tol)
     Pinv = np.linalg.inv(P)
     return Pinv.T @ np.asarray(g0, dtype=float) @ Pinv
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .calculus import matrix_partial, vector_partial, partial
-from .dual import Dual, eps, real, seed
+from .calculus import matrix_partial
+from .dual import Dual, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,10 +49,6 @@ class Chart:
         return [list(p) for p in itertools.product(*axes)]
 
 
-def real_chart(dim, half_width=10.0):
-    return Chart(dim, (False,) * dim, ((-half_width, half_width),) * dim)
-
-
 class _FloatMemo:
     """Memoize evaluations at pure-float points (dual points pass through)."""
 
@@ -78,7 +74,6 @@ class ConnectionCoeffs(_FloatMemo):
     chart: Chart
     fn: callable
     symmetric: bool = True
-    supports_dual: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x):
@@ -90,7 +85,6 @@ class Tensor02Field(_FloatMemo):
     chart: Chart
     fn: callable
     symmetric: bool = True
-    supports_dual: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x):
@@ -143,47 +137,6 @@ def connection_from_metric(chart, D):
     return ConnectionCoeffs(chart, lambda x: christoffel_from_metric(D, x))
 
 
-def covariant_derivative(gamma, Y, Z, x):
-    """Components of nabla_Y Z at x."""
-    n = len(x)
-    G = gamma(x)
-    y = Y(x)
-    dz = [vector_partial(Z, x, i) for i in range(n)]
-    z = Z(x)
-    out = []
-    for k in range(n):
-        s = sum(y[i] * dz[i][k] for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                s = s + G[k][i][j] * y[i] * z[j]
-        out.append(s)
-    return out
-
-
-def geodesic_residual(gamma, curve, t, h=1e-6):
-    """Acceleration components of a curve under the connection at time t."""
-    if any(abs(t - b) < 1e-12 for b in curve.breakpoints):
-        raise ValueError(f"t={t} is a breakpoint of the curve")
-    point, vel = curve(t)
-    if curve.supports_dual:
-        _, vel_d = curve(Dual(t, 1.0))
-        acc = [eps(c) for c in vel_d]
-    else:
-        _, vp = curve(t + h)
-        _, vm = curve(t - h)
-        acc = [(a - b) / (2 * h) for a, b in zip(vp, vm)]
-    G = gamma(point)
-    n = len(point)
-    out = []
-    for k in range(n):
-        s = acc[k]
-        for i in range(n):
-            for j in range(n):
-                s = s + G[k][i][j] * vel[i] * vel[j]
-        out.append(s)
-    return out
-
-
 def curvature_coeffs(gamma, x):
     """Curvature endomorphism coefficients R[l][i][j][k].
 
@@ -192,7 +145,7 @@ def curvature_coeffs(gamma, x):
     """
     n = len(x)
     G = gamma(x)
-    dG = [_connection_partial(gamma, x, i) for i in range(n)]
+    dG = [matrix_partial(gamma, x, i) for i in range(n)]
     R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
         for i in range(n):
@@ -204,19 +157,6 @@ def curvature_coeffs(gamma, x):
                     R[l][i][j][k] = s
                     R[l][j][i][k] = -s
     return R
-
-
-def _connection_partial(gamma, x, i, h=1e-6):
-    if gamma.supports_dual:
-        Gd = gamma(seed(x, i))
-        return [[[eps(v) for v in row] for row in mat] for mat in Gd]
-    step = h * max(1.0, abs(x[i]))
-    xp, xm = list(x), list(x)
-    xp[i] += step
-    xm[i] -= step
-    Gp, Gm = gamma(xp), gamma(xm)
-    return [[[(a - b) / (2 * step) for a, b in zip(rp, rm)]
-             for rp, rm in zip(mp, mm)] for mp, mm in zip(Gp, Gm)]
 
 
 def ricci(gamma, x):

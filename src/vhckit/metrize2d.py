@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import dual as dm
-from .calculus import quad
+from .calculus import partial, quad, vector_partial
 from .dual import Dual, real
 from .holonomy import (PeriodicAntiderivative, SmoothFromDerivative,
                        WindowAntiderivative, circle_mod, cylinder_integrals)
@@ -142,14 +142,12 @@ def exactness_check(omega, chart, grid=None, loop_sections=3, tol=1e-6,
     n = chart.dim
     curl_max = 0.0
     for p in grid:
+        # domega[a][b] = d_a omega_b
+        domega = [[float(real(v)) for v in vector_partial(omega, p, a)]
+                  for a in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                def dcomp(a, b):
-                    xs = [Dual(c, 1.0 if k == a else 0.0)
-                          for k, c in enumerate(p)]
-                    out = omega(xs)[b]
-                    return float(real(out.eps)) if isinstance(out, Dual) else 0.0
-                curl_max = max(curl_max, abs(dcomp(i, j) - dcomp(j, i)))
+                curl_max = max(curl_max, abs(domega[i][j] - domega[j][i]))
     loop_max = 0.0
     axes = chart.grid_axes(n=loop_sections + 2)
     for i in range(n):
@@ -169,9 +167,11 @@ def exactness_check(omega, chart, grid=None, loop_sections=3, tol=1e-6,
 class LineIntegralField:
     """Potential f(x) = int_ref^x omega along the canonical axis-aligned path
     (periodic coordinates first). Dense quadratures are cached per leg, and
-    dual arguments are peeled with f'(x)[b] = omega(x) . b."""
+    dual arguments are peeled with f'(x)[b] = omega(x) . b. The leg cache is
+    cleared when it reaches ``_MAX_LEGS``: each distinct non-periodic
+    coordinate value adds a leg of dense output (tens of KB)."""
 
-    supports_dual = True
+    _MAX_LEGS = 64
 
     def __init__(self, omega, chart, ref, tol=1e-10):
         self.omega = omega
@@ -205,6 +205,8 @@ class LineIntegralField:
                tuple(round(c, 12) for j, c in enumerate(cur) if j != i))
         leg = self._legs.get(key)
         if leg is None:
+            if len(self._legs) >= self._MAX_LEGS:
+                self._legs.clear()
             fixed = list(cur)
 
             def comp(t):
@@ -381,11 +383,13 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
     ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     p = np.empty(grid_n)
     q = np.empty(grid_n)
+
+    def mu1_slope(t, a):
+        return float(real(partial(lambda x: mu1(x[0], a), [float(t)], 0)))
+
     for k, t in enumerate(ts):
-        d0 = mu1(Dual(float(t), 1.0), 0.0)
-        d1 = mu1(Dual(float(t), 1.0), 1.0)
-        p[k] = float(real(d0.eps))
-        q[k] = float(real(d1.eps)) - p[k]
+        p[k] = mu1_slope(t, 0.0)
+        q[k] = mu1_slope(t, 1.0) - p[k]
     a_best, residual = _minimax_linear(p, q)
     report = LagrangianReport(False, metrizable=metrizable, a=a_best,
                               closedness_residual=residual,

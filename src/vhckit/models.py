@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import dual as dm
-from .calculus import CurveSampler
+from .calculus import CurveSampler, partial
 from .holonomy import LoopDescriptor
 from .manifold import (Chart, ConnectionCoeffs, christoffel_from_metric_grad,
                        zero_connection)
@@ -224,8 +224,7 @@ def rho_prime(q2):
 
 
 def rho_second(q2):
-    d = rho_prime(dm.Dual(q2, 1.0))
-    return d.eps
+    return partial(lambda q: rho_prime(q[0]), [q2], 0)
 
 
 def double_pendulum_cart(case="a", gravity=9.81):

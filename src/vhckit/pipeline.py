@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .dual import Dual, real
+from .calculus import vector_partial
+from .dual import real
 from .holonomy import (FlatnessError, flat_metrizability, lagrangian_1d)
 from .manifold import max_curvature_on_grid
 from .metrize2d import (cylinder_lagrangian_search, exactness_check,
@@ -226,14 +227,9 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         for p in check_grid:
             w = [float(real(v)) for v in rec.omega(p)]
             nv = [float(real(v)) for v in nu(p)]
-
-            def dnu(a, b):
-                xs = [Dual(c, 1.0 if k == a else 0.0)
-                      for k, c in enumerate(p)]
-                out = nu(xs)[b]
-                return float(real(out.eps)) if isinstance(out, Dual) else 0.0
-
-            closed_max = max(closed_max, abs(dnu(0, 1) - dnu(1, 0)
+            d0nu1 = float(real(vector_partial(nu, p, 0)[1]))
+            d1nu0 = float(real(vector_partial(nu, p, 1)[0]))
+            closed_max = max(closed_max, abs(d0nu1 - d1nu0
                                              - (w[0] * nv[1] - w[1] * nv[0])))
         det["mu_closedness"] = closed_max
         if closed_max > 1e-6:

@@ -3,16 +3,15 @@ constrained dynamics, and constraint-enforcing feedback."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from . import linalg
-from .calculus import jacobian, vector_partial, gradient, second_partial
+from .calculus import jacobian, second_partial
 from .dual import real
-from .manifold import (Chart, ConnectionCoeffs, christoffel_from_metric,
-                       connection_from_metric)
+from .manifold import Chart, ConnectionCoeffs, connection_from_metric
 
 
 class RegularityError(RuntimeError):
@@ -68,42 +67,22 @@ class ConstraintParametrization:
     d2phi: callable = None      # [a][i][j]
 
     def __post_init__(self):
+        phi = self.phi
         if self.dphi is None:
-            phi = self.phi
-            object.__setattr__(
-                self, "dphi",
-                lambda th: [list(row) for row in
-                            zip(*[vector_partial(phi, list(th), i)
-                                  for i in range(len(th))])])
+            object.__setattr__(self, "dphi", lambda th: jacobian(phi, th))
         if self.d2phi is None:
-            object.__setattr__(self, "d2phi", _second_jacobian(self.phi))
+            def d2phi(th):
+                # [a][i][j] from the symmetric pairs i <= j
+                th = list(th)
+                d = len(th)
+                hess = [[None] * d for _ in range(d)]
+                for i in range(d):
+                    for j in range(i, d):
+                        hess[i][j] = hess[j][i] = second_partial(phi, th, i, j)
+                return [[[hij[a] for hij in hi] for hi in hess]
+                        for a in range(len(hess[0][0]))]
 
-
-def _second_jacobian(phi):
-    from .dual import Dual, eps
-
-    def d2(th):
-        th = list(th)
-        d = len(th)
-        probe = phi(th)
-        n = len(probe)
-        out = [[[0.0] * d for _ in range(d)] for _ in range(n)]
-        for i in range(d):
-            for j in range(i, d):
-                xs = [Dual(Dual(c, 0.0), 0.0) for c in th]
-                if i == j:
-                    xs[i] = Dual(Dual(th[i], 1.0), 1.0)
-                else:
-                    xs[i] = Dual(Dual(th[i], 1.0), 0.0)
-                    xs[j] = Dual(Dual(th[j], 0.0), 1.0)
-                vals = phi(xs)
-                for a in range(n):
-                    v = eps(eps(vals[a]))
-                    out[a][i][j] = v
-                    out[a][j][i] = v
-        return out
-
-    return d2
+            object.__setattr__(self, "d2phi", d2phi)
 
 
 def reduction_matrix(sys, par, theta):
@@ -152,12 +131,6 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
             best = margin
             worst = list(th)
     return RegularityReport(bool(best > tol), float(best), worst, tol)
-
-
-def projection_sigma(sys, par, theta, v):
-    """Reduced coordinates w of the projection of ambient tangent vector v."""
-    T = reduction_matrix(sys, par, theta)
-    return linalg.mat_vec(T, list(v))
 
 
 def induced_christoffels(sys, par, theta):

@@ -77,11 +77,20 @@ def test_matrix_partial():
     assert dM[1][1] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_fd_fallback_when_dual_unsupported():
-    def f(x):
-        return math.sin(x[0])      # math.sin rejects Dual inputs
-    f.supports_dual = False
-    assert partial(f, [0.4], 0) == pytest.approx(math.cos(0.4), abs=1e-8)
+def test_second_and_matrix_partial_of_nested_fields():
+    f = lambda x: [x[0] * x[0] * x[1], dm.sin(x[1])]
+    x = [0.7, 1.3]
+    assert second_partial(f, x, 0, 1) == pytest.approx([2 * x[0], 0.0],
+                                                       abs=1e-15)
+    assert second_partial(f, x, 1, 1) == pytest.approx(
+        [0.0, -math.sin(x[1])], rel=1e-12)
+    G = lambda x: [[[x[0] * x[1], 0.0], [dm.exp(x[1]), x[0]]]]
+    dG = matrix_partial(G, x, 1)
+    assert np.allclose(dG, [[[x[0], 0.0], [math.exp(x[1]), 0.0]]],
+                       rtol=1e-12, atol=0.0)
+    H = second_partial(G, x, 0, 1)
+    assert H[0][0][0] == pytest.approx(1.0, rel=1e-12)
+    assert H[0][1] == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
 def test_quad_against_simpson_doubling():
@@ -101,6 +110,37 @@ def test_integrate_ode_exponential_decay(method):
     traj = integrate_ode(lambda t, x: [-x[0]], 0.0, [1.0], 2.0,
                          method=method, tol=1e-12, step=1e-3)
     assert traj.end_state[0] == pytest.approx(math.exp(-2.0), abs=1e-8)
+
+
+def test_rk4_one_rhs_call_per_stage():
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return [x[1], -math.sin(x[0]) + 0.1 * t]
+
+    n = 16
+    traj = integrate_ode(rhs, 0.0, [0.3, 0.0], 2.0, method="rk4",
+                         step=2.0 / n)
+    # one evaluation at the start, then four stages per step: the first
+    # stage of a step is the derivative already taken at its start node
+    assert len(calls) == 1 + 4 * n
+    f = lambda t, x: np.asarray([x[1], -math.sin(x[0]) + 0.1 * t])
+    h = 2.0 / n
+    t, x = 0.0, np.asarray([0.3, 0.0])
+    for k in range(n):
+        k1 = f(t, x)
+        k2 = f(t + h / 2, x + h / 2 * k1)
+        k3 = f(t + h / 2, x + h / 2 * k2)
+        k4 = f(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        assert np.array_equal(traj.states[k + 1], x)
+    # values of the earlier five-evaluation step, bit for bit
+    assert traj.end_state.tolist() == [-0.012736009295940293,
+                                       -0.13115188536621425]
+    assert traj.at(1.3).tolist() == [0.11620629689641704,
+                                     -0.21387880419404573]
 
 
 def test_integrate_ode_harmonic_oscillator_dense():

@@ -13,10 +13,8 @@ from vhckit.holonomy import (CylinderStructureError, LoopDescriptor,
                              WindowAntiderivative, canonical_path_segments,
                              circle_mod, cylinder_integrals,
                              flat_metrizability, lagrangian_1d,
-                             loop_transport, metrizability_1d,
-                             metric_by_transport, parallel_transport,
-                             path_transport_matrix, reverse_path,
-                             transport_matrix)
+                             loop_transport, metric_by_transport,
+                             reverse_path, transport_matrix)
 from vhckit.manifold import (Chart, ConnectionCoeffs, connection_from_metric,
                              zero_connection)
 from vhckit.models import _coordinate_loop, get_model
@@ -34,7 +32,7 @@ def test_transport_flat_connection_is_identity():
     seg = line_segment([0.0, 0.0], [1.0, 1.5])
     M = transport_matrix(gamma, seg, 2)
     assert np.allclose(M, np.eye(2), atol=1e-12)
-    v = parallel_transport(gamma, seg, [0.3, -0.7])
+    v = transport_matrix(gamma, seg, 2) @ np.array([0.3, -0.7])
     assert np.allclose(v, [0.3, -0.7], atol=1e-12)
 
 
@@ -64,7 +62,8 @@ def test_transport_map_inverse_and_composition():
     p0, p1, p2 = [0.9, -0.4], [1.5, 0.6], [2.1, -0.2]
     s01 = line_segment(p0, p1)
     s12 = line_segment(p1, p2)
-    M = path_transport_matrix(conn.gammaC, (s01, s12), 2)
+    path = LoopDescriptor(tuple(p0), (s01, s12))
+    M = loop_transport(conn.gammaC, path).matrix
     M1 = transport_matrix(conn.gammaC, s01, 2)
     M2 = transport_matrix(conn.gammaC, s12, 2)
     assert np.allclose(M, M2 @ M1, atol=1e-10)
@@ -114,7 +113,7 @@ def test_one_dim_decision_alpha_non_metrizable():
     b = get_model("circle", alpha=0.3)
     from vhckit.vhc import psi_functions
     psi2 = lambda t: psi_functions(b.system, b.parametrization, [t])[1]
-    rep = metrizability_1d(psi2, "S1")
+    rep = lagrangian_1d(None, psi2, "S1")
     assert not rep.metrizable
     assert rep.int_psi2 == pytest.approx(-TWO_PI * math.tan(0.3), abs=1e-9)
 

@@ -10,7 +10,8 @@ import vhckit.dual as dm
 from vhckit.dual import real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
                              connection_from_metric, ricci)
-from vhckit.metrize2d import (_minimax_linear, cylinder_lagrangian_search,
+from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
+                              cylinder_lagrangian_search,
                               exactness_check, metric_from_ricci,
                               potential_from_oneform, recurrence_solve)
 from vhckit.models import get_model
@@ -70,6 +71,20 @@ def test_potential_from_oneform_recovers_function():
     f = potential_from_oneform(omega, chart, ref, tol=1e-12)
     for p in chart.grid(4):
         assert f(p) == pytest.approx(f_true(p) - f_true(ref), abs=1e-9)
+
+
+def test_line_integral_leg_cache_is_bounded():
+    chart = Chart(2, (False, False), ((-2.0, 2.0), (-2.0, 2.0)))
+    omega = lambda x: [x[1], x[0]]              # d(x0 * x1)
+    f = LineIntegralField(omega, chart, [0.0, 0.0], tol=1e-12)
+    cap = LineIntegralField._MAX_LEGS
+    count = cap + 20
+    for k in range(count):
+        x0 = -1.5 + 3.0 * k / count             # a new leg per point
+        assert f([x0, 0.5]) == pytest.approx(0.5 * x0, abs=1e-10)
+        assert len(f._legs) <= cap
+    # legs built again after a clear give the same potential
+    assert f([-1.5, 0.5]) == pytest.approx(-0.75, abs=1e-10)
 
 
 def test_metric_from_ricci_sphere_matches_gauge():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from vhckit.manifold import connection_from_metric
 from vhckit.models import MODEL_BUILDERS, get_model, rho
+from vhckit.vhc import ConstraintParametrization
 
 
 def test_model_registry():
@@ -76,3 +78,33 @@ def test_circle_parameter_override():
     b = get_model("circle", alpha=0.7)
     assert b.params["alpha"] == pytest.approx(0.7)
     assert b.expected["gammaC_111"] == pytest.approx(math.tan(0.7))
+
+
+def _seeded_points(chart, count, seed, margin=0.05):
+    rng = np.random.default_rng(seed)
+    lo = np.array([a for a, _ in chart.bounds], dtype=float)
+    hi = np.array([b for _, b in chart.bounds], dtype=float)
+    span = hi - lo
+    return [list(lo + margin * span + (1.0 - 2.0 * margin) * span
+                 * rng.random(chart.dim)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "dpc-a", "dpc-b"])
+def test_generic_phi_derivatives_match_hand_written(name):
+    b = get_model(name)
+    par = b.parametrization
+    generic = ConstraintParametrization(par.chart, par.phi)
+    for th in _seeded_points(par.chart, 20, seed=7):
+        np.testing.assert_allclose(generic.dphi(th), par.dphi(th),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(generic.d2phi(th), par.d2phi(th),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["dpc-a", "dpc-b"])
+def test_generic_christoffels_match_metric_gradient_shortcut(name):
+    sys_ = get_model(name).system
+    generic = connection_from_metric(sys_.chart, sys_.D)
+    for q in _seeded_points(sys_.chart, 20, seed=11):
+        np.testing.assert_allclose(generic(q), sys_.christoffels(q),
+                                   rtol=1e-12, atol=1e-12)
