@@ -141,39 +141,21 @@ class Trajectory:
         return np.asarray(self._interp(t), dtype=float)
 
 
-class GuardViolation(RuntimeError):
-    def __init__(self, t, state):
-        super().__init__(f"guard region left at t={t:g}")
-        self.t = t
-        self.state = state
-
-
 def integrate_ode(rhs, t0, x0, t1, method="rk45", tol=DEFAULT_ODE_TOL,
-                  max_step=np.inf, step=1e-3, guard=None, dense_points=None):
+                  max_step=np.inf, step=1e-3):
     """Integrate ``x' = rhs(t, x)`` from t0 to t1.
 
     method "rk45" is adaptive (scipy RK45/DOP853 class solver at tolerance
     ``tol``); "rk4" is fixed-step classical RK4 with step ``step`` and cubic
     Hermite interpolation between nodes (bit-stable goldens).
-    ``guard(state) -> float`` must stay positive; crossing zero aborts.
     """
     x0 = np.asarray(x0, dtype=float)
     if t1 == t0:
         traj = Trajectory([t0], [x0], interpolant=lambda t: x0)
         return traj
     if method == "rk45":
-        events = None
-        if guard is not None:
-            def g_event(t, y):
-                return guard(y)
-            g_event.terminal = True
-            g_event.direction = -1
-            events = [g_event]
         sol = solve_ivp(rhs, (t0, t1), x0, method="RK45", rtol=tol,
-                        atol=tol, max_step=max_step, dense_output=True,
-                        events=events, t_eval=dense_points)
-        if events and sol.t_events[0].size:
-            raise GuardViolation(sol.t_events[0][0], sol.y_events[0][0])
+                        atol=tol, max_step=max_step, dense_output=True)
         if not sol.success:
             raise IntegrationError(sol.message)
         return Trajectory(sol.t, sol.y.T, interpolant=sol.sol)
@@ -193,8 +175,6 @@ def integrate_ode(rhs, t0, x0, t1, method="rk45", tol=DEFAULT_ODE_TOL,
         k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t + h
-        if guard is not None and guard(x) <= 0.0:
-            raise GuardViolation(t, x)
         ts.append(t)
         xs.append(x)
         ks.append(np.asarray(rhs(t, x), dtype=float))

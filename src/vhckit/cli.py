@@ -21,7 +21,7 @@ from .holonomy import loop_transport
 from .manifold import Chart
 from .models import MODEL_BUILDERS, ModelBundle, get_model
 from .pipeline import (VERDICT_LAGRANGIAN, VERDICT_NOT_LAGRANGIAN, analyze)
-from .sim import export_csv, phase_portrait, simulate_constrained, simulate_full
+from .sim import csv_text, phase_portrait, simulate_constrained, simulate_full
 from .vhc import ConstraintParametrization, LagrangianControlSystem
 
 SCHEMA = "vhckit-report/1"
@@ -61,7 +61,7 @@ def _atomic_write(path, text):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -176,8 +176,8 @@ def cmd_simulate(args):
     if args.format == "csv":
         if not args.out:
             raise CliError("--format csv requires --out")
-        export_csv(traj, _out_path(args.out), columns=columns,
-                   n_samples=args.samples)
+        _atomic_write(args.out, csv_text(traj, columns=columns,
+                                         n_samples=args.samples))
     else:
         report = _base_report("simulate", bundle, args)
         report["t_final"] = args.t_final

@@ -4,12 +4,13 @@ flat connections and one-dimensional constraint manifolds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import dual as dm
 from .calculus import CurveSampler, integrate_ode, line_segment
 from .dual import Dual, real
 from .manifold import max_curvature_on_grid
@@ -109,28 +110,14 @@ class SmoothFromDerivative:
         return self.value_fn(float(x))
 
 
-class PeriodicAntiderivative:
-    """F(x) = int_0^x f(z) dz for f periodic with period 2*pi.
-
-    Solved densely once over one period; values elsewhere use
-    F(2*pi*k + s) = k*F(2*pi) + F(s).
-    """
-
-    def __init__(self, f, tol=1e-12):
-        self.f = f
-        sol = solve_ivp(lambda t, y: [f(t)], (0.0, TWO_PI), [0.0],
-                        method="DOP853", rtol=tol, atol=tol,
-                        dense_output=True)
-        if not sol.success:
-            raise RuntimeError(sol.message)
-        self._sol = sol.sol
-        self.period_value = float(sol.y[0, -1])
-
-    def __call__(self, x):
-        x = float(x)
-        k = math.floor(x / TWO_PI)
-        s = x - TWO_PI * k
-        return k * self.period_value + float(self._sol(s)[0])
+def _dense_solve(rhs, t0, t1, y0, tol, first_step=None):
+    """DOP853 solution of y' = rhs(t, y) from t0 to t1 (either direction),
+    with dense output; the one dense solve behind every antiderivative."""
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+                    dense_output=True, first_step=first_step)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol
 
 
 class WindowAntiderivative:
@@ -150,43 +137,57 @@ class WindowAntiderivative:
         self.extend(initial_window[1])
 
     def extend(self, x):
-        # Chunked growth, clipped to the domain bounds so the integrand is
-        # never sampled outside (or at) a chart boundary it was not built
-        # for. Near a finite bound the window overshoots most of the
-        # remaining gap so that repeated nearby queries do not each trigger
-        # a fresh solve.
-        while x > self._hi:
-            new_hi = self._hi + TWO_PI
-            if new_hi > self.bounds[1]:
-                new_hi = max(x, self.bounds[1]
-                             - 0.05 * (self.bounds[1] - self._hi))
-            sol = solve_ivp(lambda t, y: [self.f(t)], (self._hi, new_hi),
-                            [self(self._hi)], method="DOP853",
-                            rtol=self.tol, atol=self.tol, dense_output=True,
-                            first_step=0.125 * (new_hi - self._hi) or None)
-            self._sols.append(((self._hi, new_hi), sol.sol))
-            self._hi = new_hi
-        while x < self._lo:
-            new_lo = self._lo - TWO_PI
-            if new_lo < self.bounds[0]:
-                new_lo = min(x, self.bounds[0]
-                             + 0.05 * (self._lo - self.bounds[0]))
-            sol = solve_ivp(lambda t, y: [self.f(t)], (self._lo, new_lo),
-                            [self(self._lo)], method="DOP853",
-                            rtol=self.tol, atol=self.tol, dense_output=True,
-                            first_step=0.125 * (self._lo - new_lo) or None)
-            self._sols.append(((new_lo, self._lo), sol.sol))
-            self._lo = new_lo
+        # Chunked growth towards x, one period at a time, clipped to the
+        # domain bounds so the integrand is never sampled outside (or at) a
+        # chart boundary it was not built for. Near a finite bound the window
+        # overshoots most of the remaining gap so that repeated nearby
+        # queries do not each trigger a fresh solve.
+        while x > self._hi or x < self._lo:
+            up = x > self._hi
+            edge, bound = (self._hi, self.bounds[1]) if up else \
+                (self._lo, self.bounds[0])
+            new = edge + (TWO_PI if up else -TWO_PI)
+            if (new > bound) if up else (new < bound):
+                new = bound - 0.05 * (bound - edge)
+                new = max(x, new) if up else min(x, new)
+            sol = _dense_solve(lambda t, y: [self.f(t)], edge, new,
+                               [self._at(edge)], self.tol,
+                               first_step=0.125 * abs(new - edge))
+            self._sols.append((min(edge, new), max(edge, new), sol.sol))
+            if up:
+                self._hi = new
+            else:
+                self._lo = new
 
     def __call__(self, x):
-        x = float(x)
+        return self._at(float(x))
+
+    def _at(self, x):
         if x == self.x0:
             return 0.0
         self.extend(x)
-        for (a, b), s in self._sols:
-            if min(a, b) - 1e-12 <= x <= max(a, b) + 1e-12:
+        for a, b, s in self._sols:
+            if a - 1e-12 <= x <= b + 1e-12:
                 return float(s(x)[0])
         raise RuntimeError("window lookup failed")
+
+
+class PeriodicAntiderivative(WindowAntiderivative):
+    """F(x) = int_0^x f(z) dz for f periodic with period 2*pi.
+
+    Dense over the window [0, 2*pi]; values elsewhere use
+    F(2*pi*k + s) = k*F(2*pi) + F(s).
+    """
+
+    def __init__(self, f, tol=1e-12):
+        super().__init__(f, tol=tol)
+        self.period_value = self._at(TWO_PI)
+
+    def __call__(self, x):
+        x = float(x)
+        k = math.floor(x / TWO_PI)
+        s = min(max(x - TWO_PI * k, 0.0), TWO_PI)
+        return k * self.period_value + self._at(s)
 
 
 def circle_mod(x):
@@ -263,10 +264,7 @@ def lagrangian_1d(psi1, psi2, topology, tol=1e-10, decision_tol=1e-9):
 class FlatMetrizabilityReport:
     metrizable: bool
     g0: np.ndarray = None
-    transports: list = dc_field(default_factory=list)
-    nullspace_dim: int = 0
     max_curvature: float = 0.0
-    message: str = ""
 
     def __bool__(self):
         return self.metrizable
@@ -276,22 +274,13 @@ class FlatnessError(RuntimeError):
     pass
 
 
-def _sym_basis(d):
-    basis = []
-    for i in range(d):
-        for j in range(i, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-    return basis
+def flat_metrizability(gamma, grid=None, flat_tol=1e-8):
+    """Metrizability of a flat connection on a simply connected chart.
 
-
-def flat_metrizability(gamma, generators, grid=None, flat_tol=1e-8,
-                       tol=1e-10, spd_resolution=1e-2):
-    """Invariant SPD form under the generator transports of a flat connection.
-
-    Solves P^T G P - G = 0 over symmetric G for every generator transport P,
-    then searches the solution space for a positive definite element.
+    Raises FlatnessError unless the curvature is certified to vanish on the
+    grid. Flat transport on a simply connected chart does not depend on the
+    path, so every constant form at the base point extends to a parallel
+    metric; the report carries g0 = I.
     """
     if grid is None:
         grid = gamma.chart.grid()
@@ -299,95 +288,8 @@ def flat_metrizability(gamma, generators, grid=None, flat_tol=1e-8,
     if worst > flat_tol:
         raise FlatnessError(
             f"flatness certificate failed: max |R| = {worst:g} > {flat_tol:g}")
-    d = gamma.chart.dim
-    transports = [loop_transport(gamma, g, tol=tol) for g in generators]
-    basis = _sym_basis(d)
-    if transports:
-        # linear operator G -> (P^T G P - G for each generator), column per
-        # symmetric basis element
-        cols = []
-        for E in basis:
-            col = []
-            for tm in transports:
-                P = tm.matrix
-                img = P.T @ E @ P - E
-                col.extend(img[i, j] for i in range(d) for j in range(i, d))
-            cols.append(col)
-        A = np.asarray(cols, dtype=float).T
-        _, sv, Vt = np.linalg.svd(A)
-        rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
-        null = Vt[rank:].T
-    else:
-        null = np.eye(len(basis))
-    ns_dim = null.shape[1]
-    report = FlatMetrizabilityReport(False, transports=transports,
-                                     nullspace_dim=ns_dim, max_curvature=worst)
-    if ns_dim == 0:
-        report.message = "no invariant symmetric form"
-        return report
-
-    def to_matrix(coeffs):
-        G = np.zeros((d, d))
-        for c, E in zip(coeffs, basis):
-            G += c * E
-        return G
-
-    def invariance_residual(G):
-        return max(float(np.max(np.abs(tm.matrix.T @ G @ tm.matrix - G)))
-                   for tm in transports) if transports else 0.0
-
-    # prefer the identity when it is invariant
-    eye = np.eye(d)
-    if invariance_residual(eye) < 1e-8:
-        report.metrizable = True
-        report.g0 = eye
-        return report
-
-    best_G, best_min_eig = None, -np.inf
-    for c in _sphere_sweep(ns_dim, spd_resolution):
-        G = to_matrix(null @ c)
-        w = np.linalg.eigvalsh(G)
-        m = float(w[0] / max(abs(w[-1]), 1e-300))
-        if m > best_min_eig:
-            best_min_eig = m
-            best_G = G
-    if best_G is not None and best_min_eig > 1e-6:
-        G = best_G
-        if abs(G[0, 0]) > 1e-9:
-            G = G / G[0, 0]
-        report.metrizable = True
-        report.g0 = G
-    else:
-        report.message = "no invariant SPD form"
-    return report
-
-
-def _sphere_sweep(r, resolution):
-    """Deterministic sweep of unit-norm coefficient vectors in R^r."""
-    if r == 1:
-        yield np.array([1.0])
-        yield np.array([-1.0])
-        return
-    n = max(8, int(round(math.pi / max(resolution, 1e-3))))
-    if r == 2:
-        for k in range(2 * n):
-            a = math.pi * k / n
-            yield np.array([math.cos(a), math.sin(a)])
-        return
-    if r == 3:
-        for k1 in range(n):
-            b = math.pi * k1 / (n - 1)
-            for k2 in range(2 * n):
-                a = math.pi * k2 / n
-                yield np.array([math.sin(b) * math.cos(a),
-                                math.sin(b) * math.sin(a),
-                                math.cos(b)])
-        return
-    # higher dims: coarse random-but-seeded sweep
-    rng = np.random.default_rng(0)
-    for _ in range(20000):
-        v = rng.normal(size=r)
-        yield v / np.linalg.norm(v)
+    return FlatMetrizabilityReport(True, g0=np.eye(gamma.chart.dim),
+                                   max_curvature=worst)
 
 
 def canonical_path_segments(chart, start, target):
@@ -426,7 +328,8 @@ def metric_by_transport(gamma, g0, theta0, target, path=None, tol=1e-10):
 @dataclass
 class CylinderTransportData:
     """Primitives I1, I2 of the transport ODE on a cylinder R x S1 whose only
-    connection coefficients are Gamma^1_22(theta2) and Gamma^2_22(theta2)."""
+    connection coefficients are Gamma^1_22(theta2) and Gamma^2_22(theta2);
+    2pi-periodic, as they are built only for a trivial generator holonomy."""
 
     I1: object
     I2: object
@@ -440,6 +343,14 @@ class CylinderStructureError(RuntimeError):
     pass
 
 
+class GeneratorHolonomyError(CylinderStructureError):
+    """Transport around the periodic generator is not the identity."""
+
+    def __init__(self, I1_loop, I2_loop):
+        super().__init__("generator holonomy is not trivial")
+        self.loops = {"I1_loop": I1_loop, "I2_loop": I2_loop}
+
+
 def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
     """I1(t) = -int_0^t Gamma^2_22, I2(t) = int_0^t Gamma^1_22 exp(I1)."""
     chart = gamma.chart
@@ -448,10 +359,8 @@ def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
     lo, hi = chart.bounds[0]
     th1_samples = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 3)
     th2_samples = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    ref = {}
     for t2 in th2_samples:
         G0 = np.asarray(gamma([float(th1_samples[0]), float(t2)]), dtype=float)
-        ref[float(t2)] = G0
         for t1 in th1_samples[1:]:
             G = np.asarray(gamma([float(t1), float(t2)]), dtype=float)
             if np.max(np.abs(G - G0)) > structure_tol:
@@ -470,37 +379,12 @@ def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
     def rhs(t, y):
         return [-float(real(g2(t))), float(real(g1(t))) * math.exp(y[0])]
 
-    sol = solve_ivp(rhs, (0.0, TWO_PI), [0.0, 0.0], rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    dense = sol.sol
-    I1_loop = float(sol.y[0, -1])
-    I2_loop = float(sol.y[1, -1])
-
-    def I1_val(t):
-        t = float(t)
-        k = math.floor(t / TWO_PI)
-        s = t - TWO_PI * k
-        return k * I1_loop + float(dense(s)[0])
-
-    def I2_val(t):
-        t = float(t)
-        k = math.floor(t / TWO_PI)
-        s = t - TWO_PI * k
-        # I2(2*pi*k + s) = I2(2*pi*k) + exp(I1(2*pi*k)) * I2(s)
-        acc = 0.0
-        if k != 0:
-            # geometric accumulation of whole periods
-            e = math.exp(I1_loop)
-            if abs(I1_loop) < 1e-14:
-                acc = k * I2_loop
-            else:
-                acc = I2_loop * (e ** k - 1.0) / (e - 1.0) if k > 0 else \
-                    -I2_loop * (e ** k) * (e ** (-k) - 1.0) / (e - 1.0)
-        return acc + math.exp(k * I1_loop) * float(dense(s)[1])
-
-    I1 = SmoothFromDerivative(I1_val, lambda t: -g2(t))
-    from .dual import exp as dexp
-    I2 = SmoothFromDerivative(I2_val, lambda t: g1(t) * dexp(I1(t)))
+    sol = _dense_solve(rhs, 0.0, TWO_PI, [0.0, 0.0], tol)
+    I1_loop, I2_loop = float(sol.y[0, -1]), float(sol.y[1, -1])
+    if max(abs(I1_loop), abs(I2_loop)) >= 1e-7:
+        raise GeneratorHolonomyError(I1_loop, I2_loop)
+    I1 = SmoothFromDerivative(lambda t: float(sol.sol(circle_mod(t))[0]),
+                              lambda t: -g2(t))
+    I2 = SmoothFromDerivative(lambda t: float(sol.sol(circle_mod(t))[1]),
+                              lambda t: g1(t) * dm.exp(I1(t)))
     return CylinderTransportData(I1, I2, g1, g2, I1_loop, I2_loop)

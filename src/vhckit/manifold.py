@@ -73,7 +73,6 @@ class ConnectionCoeffs(_FloatMemo):
 
     chart: Chart
     fn: callable
-    symmetric: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x):
@@ -84,7 +83,6 @@ class ConnectionCoeffs(_FloatMemo):
 class Tensor02Field(_FloatMemo):
     chart: Chart
     fn: callable
-    symmetric: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x):

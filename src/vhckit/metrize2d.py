@@ -12,8 +12,9 @@ from scipy.optimize import minimize_scalar
 from . import dual as dm
 from .calculus import partial, quad, vector_partial
 from .dual import Dual, real
-from .holonomy import (PeriodicAntiderivative, SmoothFromDerivative,
-                       WindowAntiderivative, circle_mod, cylinder_integrals)
+from .holonomy import (GeneratorHolonomyError, PeriodicAntiderivative,
+                       SmoothFromDerivative, WindowAntiderivative, circle_mod,
+                       cylinder_integrals)
 from .manifold import (Tensor02Field, christoffel_from_metric, ricci,
                        total_cov_derivative_02)
 
@@ -316,6 +317,9 @@ def _minimax_linear(p, q):
     """Minimize max_i |p_i + a q_i| over a (convex piecewise linear)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not np.any(q):
+        # every a gives the same residual
+        return 0.0, float(np.max(np.abs(p)))
 
     def cost(a):
         return float(np.max(np.abs(p + a * q)))
@@ -351,10 +355,10 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
     out).
     """
     chart = conn.chart
-    cyl = cylinder_integrals(conn.gammaC, structure_tol=structure_tol)
-    # single-valued D_C on the cylinder needs I1, I2 periodic, which is the
-    # triviality of the generator-loop transport
-    metrizable = max(abs(cyl.I1_loop), abs(cyl.I2_loop)) < 1e-7
+    try:
+        cyl = cylinder_integrals(conn.gammaC, structure_tol=structure_tol)
+    except GeneratorHolonomyError as e:
+        return LagrangianReport(False, message=str(e), diagnostics=e.loops)
     lo, hi = chart.bounds[0]
     anchors = [lo + 0.25 * (hi - lo), 0.5 * (lo + hi), hi - 0.25 * (hi - lo)]
     anchor = anchors[1]
@@ -370,7 +374,7 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
         lam_dev = max(lam_dev, max(float(np.max(np.abs(v - vals[0])))
                                    for v in vals[1:]))
     if lam_dev > structure_tol:
-        return LagrangianReport(False, metrizable=metrizable,
+        return LagrangianReport(False, metrizable=True,
                                 message="reduced force depends on theta1",
                                 diagnostics={"lam_dev": lam_dev})
 
@@ -391,7 +395,7 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
         p[k] = mu1_slope(t, 0.0)
         q[k] = mu1_slope(t, 1.0) - p[k]
     a_best, residual = _minimax_linear(p, q)
-    report = LagrangianReport(False, metrizable=metrizable, a=a_best,
+    report = LagrangianReport(False, metrizable=True, a=a_best,
                               closedness_residual=residual,
                               diagnostics={"I1_loop": cyl.I1_loop,
                                            "I2_loop": cyl.I2_loop,

@@ -4,11 +4,12 @@ structure when they are."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .calculus import vector_partial
 from .dual import real
-from .holonomy import (FlatnessError, flat_metrizability, lagrangian_1d)
+from .holonomy import FlatnessError, flat_metrizability, lagrangian_1d
 from .manifold import max_curvature_on_grid
 from .metrize2d import (cylinder_lagrangian_search, exactness_check,
                         metric_from_ricci, potential_from_oneform,
@@ -68,7 +69,7 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
         return _analyze_1d(bundle, result, decision_tol, ode_tol)
     if d == 2:
         return _analyze_2d(bundle, result, grid_n, grid_margin, flat_tol,
-                           decision_tol, ode_tol, gauge_b)
+                           decision_tol, gauge_b)
     det["reason"] = f"reduced dimension {d} not supported (need 1 or 2)"
     return result
 
@@ -100,7 +101,7 @@ def _analyze_1d(bundle, result, decision_tol, ode_tol):
 
 
 def _analyze_2d(bundle, result, grid_n, grid_margin, flat_tol,
-                decision_tol, ode_tol, gauge_b):
+                decision_tol, gauge_b):
     sys, par = bundle.system, bundle.parametrization
     chart = par.chart
     det = result.details
@@ -110,21 +111,25 @@ def _analyze_2d(bundle, result, grid_n, grid_margin, flat_tol,
     det["max_curvature"] = max_R
     if max_R < flat_tol:
         det["curvature_class"] = "flat"
-        return _analyze_2d_flat(bundle, conn, result, decision_tol, ode_tol)
+        return _analyze_2d_flat(conn, result, decision_tol)
     det["curvature_class"] = "curved"
     return _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
                               decision_tol, gauge_b)
 
 
-def _analyze_2d_flat(bundle, conn, result, decision_tol, ode_tol):
+def _analyze_2d_flat(conn, result, decision_tol):
     chart = conn.chart
     det = result.details
     if chart.periodic == (False, True):
         report = cylinder_lagrangian_search(conn, tol=max(decision_tol, 1e-8))
         result.artifacts["cylinder"] = report
-        det["closedness_residual"] = report.closedness_residual
-        det["a"] = report.a
-        det["b"] = report.b
+        if math.isfinite(report.closedness_residual):
+            det["closedness_residual"] = report.closedness_residual
+            det["a"] = report.a
+            det["b"] = report.b
+        else:
+            # the search stopped before its frame search
+            det.update(report.diagnostics)
         result.metrizable = report.metrizable
         if report.lagrangian:
             result.verdict = VERDICT_LAGRANGIAN
@@ -137,18 +142,17 @@ def _analyze_2d_flat(bundle, conn, result, decision_tol, ode_tol):
     if chart.periodic == (False, False):
         # simply connected and flat: metrizable with trivial holonomy
         try:
-            flat = flat_metrizability(conn.gammaC, bundle.generators,
-                                      tol=ode_tol)
+            flat = flat_metrizability(conn.gammaC)
         except FlatnessError as e:
             result.verdict = VERDICT_UNSUPPORTED
             det["reason"] = str(e)
             return result
-        result.metrizable = flat.metrizable
+        result.metrizable = True
         result.artifacts["flat"] = flat
         lam_max = max(abs(float(real(v)))
                       for p in chart.grid(5) for v in conn.lam(p))
         det["max_lambda"] = lam_max
-        if flat.metrizable and lam_max < decision_tol:
+        if lam_max < decision_tol:
             result.verdict = VERDICT_LAGRANGIAN
             result.artifacts["g0"] = flat.g0
             result.artifacts["P_C"] = lambda th: 0.0

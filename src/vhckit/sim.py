@@ -4,6 +4,7 @@ loop, plus phase portraits and CSV export."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -11,8 +12,7 @@ import numpy as np
 
 from .calculus import integrate_ode, jacobian
 from .dual import real
-from .vhc import (constrained_rhs, orthogonality_check,
-                  restricted_structure, stabilizing_feedback)
+from .vhc import constrained_rhs, restricted_structure, stabilizing_feedback
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,8 +30,7 @@ def reduced_energy(metric, potential, theta, thdot):
 
 
 def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
-                         max_step=DEFAULT_MAX_STEP, method="rk45",
-                         guard=None, dense_points=None):
+                         max_step=DEFAULT_MAX_STEP, method="rk45"):
     """Integrate the reduced dynamics on the constraint manifold.
 
     When the inputs act orthogonally to the manifold the restricted
@@ -46,25 +45,25 @@ def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
         return list(s[d:]) + [float(real(a)) for a in acc]
 
     traj = integrate_ode(rhs, float(t_span[0]), state0, float(t_span[1]),
-                         method=method, tol=tol, max_step=max_step,
-                         guard=guard, dense_points=dense_points)
-    ok, _ = orthogonality_check(sys, par)
-    if ok:
+                         method=method, tol=tol, max_step=max_step)
+    try:
         metric, potential = restricted_structure(sys, par)
-        e0 = reduced_energy(metric, potential, traj.states[0][:d],
-                            traj.states[0][d:])
-        drift = 0.0
-        for s in traj.states:
-            drift = max(drift, abs(reduced_energy(metric, potential,
-                                                  s[:d], s[d:]) - e0))
-        traj.diagnostics["energy0"] = e0
-        traj.diagnostics["energy_drift"] = drift
+    except ValueError:
+        return traj
+    e0 = reduced_energy(metric, potential, traj.states[0][:d],
+                        traj.states[0][d:])
+    drift = 0.0
+    for s in traj.states:
+        drift = max(drift, abs(reduced_energy(metric, potential,
+                                              s[:d], s[d:]) - e0))
+    traj.diagnostics["energy0"] = e0
+    traj.diagnostics["energy_drift"] = drift
     return traj
 
 
 def simulate_full(sys, par, theta0, thdot0, t_span, gains=(100.0, 20.0),
                   tol=DEFAULT_SIM_TOL, max_step=DEFAULT_MAX_STEP,
-                  perturbation=None, dense_points=None):
+                  perturbation=None):
     """Closed-loop simulation of the full system under the constraint-
     enforcing feedback, started on (or near) the constraint manifold.
 
@@ -88,8 +87,7 @@ def simulate_full(sys, par, theta0, thdot0, t_span, gains=(100.0, 20.0),
         return list(qd) + [float(v) for v in acc]
 
     traj = integrate_ode(rhs, float(t_span[0]), q0 + qd0, float(t_span[1]),
-                         tol=tol, max_step=max_step,
-                         dense_points=dense_points)
+                         tol=tol, max_step=max_step)
     worst_h = 0.0
     worst_hd = 0.0
     if sys.h is not None:
@@ -141,8 +139,8 @@ def phase_portrait(sys, par, initial_conditions, t_final=20.0, coord=None,
     return orbits
 
 
-def export_csv(traj, path, columns=None, n_samples=None):
-    """Write a trajectory as CSV with 17 significant digits."""
+def csv_text(traj, columns=None, n_samples=None):
+    """A trajectory as CSV text with 17 significant digits."""
     states = traj.states
     times = traj.times
     if n_samples is not None:
@@ -152,8 +150,9 @@ def export_csv(traj, path, columns=None, n_samples=None):
     width = states.shape[1]
     if columns is None:
         columns = [f"x{i}" for i in range(width)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + list(columns))
-        for t, row in zip(times, states):
-            w.writerow([f"{float(t):.17g}"] + [f"{float(v):.17g}" for v in row])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t"] + list(columns))
+    for t, row in zip(times, states):
+        w.writerow([f"{float(t):.17g}"] + [f"{float(v):.17g}" for v in row])
+    return buf.getvalue()

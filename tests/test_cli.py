@@ -137,6 +137,21 @@ def test_out_file_atomic_write(tmp_path):
     assert not leftovers
 
 
+def test_csv_out_is_atomic(tmp_path, monkeypatch):
+    out = tmp_path / "traj.csv"
+    out.write_text("t,theta1,thetad1\n0,1,2\n")
+
+    def fail(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code = main(["simulate", "--model", "circle", "--param", "alpha=0.0",
+                 "--t-final", "0.5", "--format", "csv", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert out.read_text() == "t,theta1,thetad1\n0,1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
     code = main(["analyze", "--model", "circle", "--param", "alpha=0.0",

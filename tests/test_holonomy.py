@@ -8,7 +8,8 @@ import pytest
 
 from vhckit.calculus import line_segment, quad
 from vhckit.dual import Dual, eps, real
-from vhckit.holonomy import (CylinderStructureError, LoopDescriptor,
+from vhckit.holonomy import (CylinderStructureError, FlatnessError,
+                             GeneratorHolonomyError, LoopDescriptor,
                              PeriodicAntiderivative, SmoothFromDerivative,
                              WindowAntiderivative, canonical_path_segments,
                              circle_mod, cylinder_integrals,
@@ -72,7 +73,8 @@ def test_transport_map_inverse_and_composition():
 def test_periodic_antiderivative_vs_quad():
     f = lambda t: math.exp(math.sin(t)) - 1.0
     F = PeriodicAntiderivative(f, tol=1e-12)
-    for x in [0.5, 2.0, 5.0, TWO_PI + 1.0, -0.7 + 2 * TWO_PI]:
+    for x in [0.5, 2.0, 5.0, TWO_PI + 1.0, -0.7 + 2 * TWO_PI, -0.7,
+              -TWO_PI - 2.5]:
         assert F(x) == pytest.approx(quad(f, 0.0, x, tol=1e-12), abs=1e-9)
 
 
@@ -130,11 +132,22 @@ def test_one_dim_on_line_always_lagrangian():
 
 def test_flat_metrizability_zero_connection():
     gamma = zero_connection(_flat_chart())
-    rep = flat_metrizability(gamma, ())
+    rep = flat_metrizability(gamma)
     assert rep.metrizable
     g0 = np.asarray(rep.g0, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
     assert w[0] > 0.0
+
+
+def test_flat_metrizability_rejects_curved_connection():
+    def g(x):
+        import vhckit.dual as dm
+        e = dm.exp(x[0] * x[0])
+        return [[e, 0.0], [0.0, e]]
+
+    gamma = connection_from_metric(_flat_chart(), g)
+    with pytest.raises(FlatnessError, match="flatness certificate"):
+        flat_metrizability(gamma, grid=_flat_chart().grid(3))
 
 
 def test_metric_by_transport_recovers_metric():
@@ -185,6 +198,22 @@ def test_cylinder_integrals_reject_wrong_structure():
     gamma = ConnectionCoeffs(chart, bad)
     with pytest.raises(CylinderStructureError):
         cylinder_integrals(gamma)
+
+
+def test_cylinder_integrals_refuse_nontrivial_holonomy():
+    # Gamma^2_22 = 0.1 alone: I1 = -0.1 t is not 2pi-periodic, so its
+    # values cannot be read on one period
+    chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
+
+    def coeffs(x):
+        g = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+        g[1][1][1] = 0.1
+        return g
+
+    with pytest.raises(GeneratorHolonomyError, match="holonomy") as err:
+        cylinder_integrals(ConnectionCoeffs(chart, coeffs))
+    assert err.value.loops["I1_loop"] == pytest.approx(-0.2 * math.pi,
+                                                       rel=1e-9)
 
 
 def test_canonical_path_segments_reach_target():

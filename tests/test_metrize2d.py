@@ -1,6 +1,8 @@
 """Two-dimensional metrizability: Ricci recurrence, exactness, metric
 reconstruction, and the flat-cylinder Lagrangian search."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,8 +17,9 @@ from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
                               exactness_check, metric_from_ricci,
                               potential_from_oneform, recurrence_solve)
 from vhckit.models import get_model
-from vhckit.pipeline import analyze
-from vhckit.vhc import induced_connection
+from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
+from vhckit.sim import reduced_energy, simulate_constrained
+from vhckit.vhc import InducedConnection, induced_connection
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,9 +135,10 @@ def test_metric_levi_civita_round_trip_single():
 
 def test_minimax_linear_against_brute_force():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = rng.normal(size=40)
-        q = rng.normal(size=40)
+    inputs = [(rng.normal(size=40), rng.normal(size=40)) for _ in range(20)]
+    # q = 0: every frame value gives the same residual max |p|
+    inputs.append((rng.normal(size=40), np.zeros(40)))
+    for p, q in inputs:
         a, res = _minimax_linear(p, q)
         grid = np.linspace(a - 1.0, a + 1.0, 20001)
         brute = min(np.max(np.abs(p[None, :] + g * q[None, :]))
@@ -198,3 +202,85 @@ def test_cylinder_search_dpc_a_fails_closedness():
     assert not rep.lagrangian
     assert rep.metrizable
     assert rep.closedness_residual > 1.0
+
+
+def test_cylinder_search_refuses_nontrivial_holonomy():
+    # Gamma^2_22 = 0.1 alone: I1 = -0.1 t gains -0.2 pi per turn, so no
+    # metric built from the transports is single-valued on the cylinder
+    chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
+
+    def coeffs(x):
+        g = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+        g[1][1][1] = 0.1
+        return g
+
+    conn = InducedConnection(chart, ConnectionCoeffs(chart, coeffs),
+                             lambda th: [0.0, 0.0])
+    rep = cylinder_lagrangian_search(conn)
+    assert not rep.lagrangian and not rep.metrizable
+    assert "holonomy" in rep.message
+    assert rep.diagnostics["I1_loop"] == pytest.approx(-0.2 * math.pi,
+                                                       rel=1e-9)
+    assert rep.D_C is None
+    # the pipeline reports the loops in place of frame values it never
+    # computed, and the report stays strict JSON
+    res = _analyze_2d_flat(conn, AnalysisResult("synthetic", "unsupported",
+                                                 False), 1e-8)
+    assert res.verdict == "not-lagrangian" and "holonomy" in res.details["reason"]
+    assert res.details["I1_loop"] == rep.diagnostics["I1_loop"]
+    assert "closedness_residual" not in res.details and "a" not in res.details
+    json.dumps(res.to_dict(), allow_nan=False)
+
+
+def test_dpc_b_with_cart_spring_report_is_strict_json():
+    # a spring on the cart makes the reduced force depend on theta1, so the
+    # search stops before its frame search
+    b = get_model("dpc-b")
+    sys = b.system
+
+    def gradP(q):
+        g = list(sys.gradP(q))
+        g[0] = g[0] + q[0]
+        return g
+
+    spring = dataclasses.replace(
+        sys, P=lambda q: sys.P(q) + 0.5 * q[0] * q[0], gradP=gradP)
+    res = analyze(dataclasses.replace(b, system=spring))
+    assert res.verdict == "not-lagrangian"
+    assert res.details["reason"] == "reduced force depends on theta1"
+    assert res.details["lam_dev"] > 1e-3
+    assert "closedness_residual" not in res.details
+    json.dumps(res.to_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("model", ["dpc-a", "dpc-b"])
+def test_dpc_without_gravity_is_lagrangian(model):
+    # zero reduced force: every frame value closes the force one-form, and
+    # the reconstructed energy is conserved along the reduced flow
+    b = get_model(model, gravity=0.0)
+    res = analyze(b)
+    assert res.verdict == "lagrangian"
+    assert res.details["closedness_residual"] == 0.0
+    traj = simulate_constrained(b.system, b.parametrization, [0.0, 0.5],
+                                [0.4, 1.0], (0.0, 3.0))
+    D_C, P_C = res.artifacts["D_C"], res.artifacts["P_C"]
+    energy = [reduced_energy(D_C, P_C, s[:2], s[2:]) for s in traj.states]
+    assert (max(energy) - min(energy)) / abs(energy[0]) < 1e-9
+
+
+def test_dpc_b_structure_is_periodic_in_theta2():
+    res = analyze(get_model("dpc-b"))
+    D_C, P_C = res.artifacts["D_C"], res.artifacts["P_C"]
+    worst_d = worst_p = 0.0
+    for t in np.linspace(-3.0, 9.0, 13):
+        for th1 in (-1.0, 0.4):
+            a = np.asarray([[float(real(v)) for v in row]
+                            for row in D_C([th1, float(t)])])
+            b = np.asarray([[float(real(v)) for v in row]
+                            for row in D_C([th1, float(t) + TWO_PI])])
+            worst_d = max(worst_d, float(np.max(np.abs(a - b))))
+            worst_p = max(worst_p, abs(float(real(P_C([th1, float(t)])))
+                                       - float(real(P_C([th1, float(t)
+                                                         + TWO_PI])))))
+    assert worst_d < 1e-9
+    assert worst_p < 1e-6

@@ -8,7 +8,7 @@ import pytest
 
 from vhckit.calculus import Trajectory
 from vhckit.models import get_model
-from vhckit.sim import (classify_orbit, export_csv, phase_portrait,
+from vhckit.sim import (classify_orbit, csv_text, phase_portrait,
                         reduced_energy, simulate_constrained, simulate_full)
 
 TWO_PI = 2.0 * math.pi
@@ -29,6 +29,29 @@ def test_circle_geodesic_constant_speed():
     # free particle on the circle: theta(t) = 1.3 t
     assert traj.end_state[0] == pytest.approx(6.5, abs=1e-8)
     assert traj.end_state[1] == pytest.approx(1.3, abs=1e-10)
+    assert traj.diagnostics["energy_drift"] < 1e-10
+
+
+def test_orthogonality_checked_once_per_simulation(monkeypatch):
+    import vhckit.vhc as vhc_mod
+    b = get_model("circle", alpha=0.0)
+    calls = []
+    check = vhc_mod.orthogonality_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(vhc_mod, "orthogonality_check", counted)
+    traj = simulate_constrained(b.system, b.parametrization, [0.2], [1.1],
+                                (0.0, 1.0))
+    assert len(calls) == 1
+    # the energy diagnostics are those of the checked restricted structure
+    metric, potential = vhc_mod.restricted_structure(b.system,
+                                                     b.parametrization)
+    e0 = reduced_energy(metric, potential, traj.states[0][:1],
+                        traj.states[0][1:])
+    assert traj.diagnostics["energy0"] == e0
     assert traj.diagnostics["energy_drift"] < 1e-10
 
 
@@ -86,7 +109,8 @@ def test_export_csv_roundtrip(tmp_path):
     traj = simulate_constrained(b.system, b.parametrization, [0.0], [1.0],
                                 (0.0, 1.0))
     path = tmp_path / "traj.csv"
-    export_csv(traj, str(path), columns=["theta", "thetad"], n_samples=11)
+    path.write_text(csv_text(traj, columns=["theta", "thetad"], n_samples=11),
+                    newline="")
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "theta", "thetad"]
