@@ -36,6 +36,25 @@ class CliError(RuntimeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR, not argparse's 2 (unsupported)."""
+
+    def error(self, message):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _positive(cast):
+    """argparse type: ``cast`` of the text, finite and greater than zero."""
+    def parse(text):
+        value = cast(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {cast.__name__} > 0, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _parse_param(text):
     if "=" not in text:
         raise CliError(f"--param expects key=value, got {text!r}")
@@ -123,7 +142,6 @@ def bundle_from_config(cfg, overrides=None):
         m=int(cfg["m"]), h=h)
     par = ConstraintParametrization(chart, phi=phi)
     return ModelBundle(cfg.get("name", "custom"), system, par,
-                       topology=cfg.get("topology", ""),
                        params=constants)
 
 
@@ -240,13 +258,13 @@ def _add_common(p):
     p.add_argument("--config", help="JSON file describing a custom model")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="model parameter override (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_positive(float), default=1e-9,
                    help="decision / integration tolerance")
     p.add_argument("--out", help="output file (atomic write); stdout if omitted")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vhckit",
         description="Geometry of virtual holonomic constraints: analyze the "
                     "reduced dynamics, simulate, and inspect holonomy.")
@@ -256,7 +274,8 @@ def build_parser():
 
     pa = sub.add_parser("analyze", help="decide metrizability / Lagrangianness")
     _add_common(pa)
-    pa.add_argument("--grid", type=int, default=7, help="grid points per axis")
+    pa.add_argument("--grid", type=_positive(int), default=7,
+                    help="grid points per axis")
     pa.set_defaults(fn=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="integrate reduced or full dynamics")
@@ -267,7 +286,7 @@ def build_parser():
     ps.add_argument("--full", action="store_true",
                     help="simulate the full closed loop instead of reduced")
     ps.add_argument("--format", choices=("json", "csv"), default="json")
-    ps.add_argument("--samples", type=int, default=None,
+    ps.add_argument("--samples", type=_positive(int), default=None,
                     help="resample the trajectory at N uniform times (csv)")
     ps.set_defaults(fn=cmd_simulate)
 
@@ -285,9 +304,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=_sys.stderr)

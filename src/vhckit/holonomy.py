@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import dual as dm
-from .calculus import CurveSampler, integrate_ode, line_segment
+from .calculus import CurveSampler, integrate_ode
 from .dual import Dual, real
 from .manifold import max_curvature_on_grid
 
@@ -66,17 +66,12 @@ def transport_matrix(gamma, path, dim, tol=1e-10):
     return X
 
 
-def _compose_transports(gamma, segments, dim, tol):
-    """Transport matrix along consecutive segments, composed right-to-left."""
-    M = np.eye(dim)
-    for seg in segments:
-        M = transport_matrix(gamma, seg, dim, tol=tol) @ M
-    return M
-
-
 def loop_transport(gamma, loop, tol=1e-10):
     """Transport map around a loop; segment maps compose right-to-left."""
-    M = _compose_transports(gamma, loop.segments, len(loop.base_point), tol)
+    dim = len(loop.base_point)
+    M = np.eye(dim)
+    for seg in loop.segments:
+        M = transport_matrix(gamma, seg, dim, tol=tol) @ M
     return TransportMap(M, loop, tol)
 
 
@@ -201,8 +196,6 @@ class OneDimReport:
     metrizable: bool
     lagrangian: bool
     topology: str
-    M_hat: object = None        # callable on R
-    P_hat: object = None
     M: object = None            # callable on Theta (set when lagrangian)
     P_C: object = None
     int_psi2: float = 0.0
@@ -211,18 +204,13 @@ class OneDimReport:
 
 def _one_dim_fields(psi1, psi2, topology, tol):
     """Shared construction of M_hat / P_hat for Theta in {R, S1}."""
-    if topology == "S1":
-        p2 = lambda x: float(real(psi2(circle_mod(x))))
-        p1 = lambda x: float(real(psi1(circle_mod(x)))) if psi1 else 0.0
-        psi2_lift = lambda x: psi2(circle_mod(x))
-        psi1_lift = (lambda x: psi1(circle_mod(x))) if psi1 else (lambda x: 0.0)
-        J = PeriodicAntiderivative(p2, tol=tol)
-    else:
-        p2 = lambda x: float(real(psi2(x)))
-        p1 = lambda x: float(real(psi1(x))) if psi1 else 0.0
-        psi2_lift = psi2
-        psi1_lift = psi1 if psi1 else (lambda x: 0.0)
-        J = WindowAntiderivative(p2, tol=tol)
+    lift = circle_mod if topology == "S1" else (lambda x: x)
+    psi2_lift = lambda x: psi2(lift(x))
+    psi1_lift = (lambda x: psi1(lift(x))) if psi1 else (lambda x: 0.0)
+    p2 = lambda x: float(real(psi2_lift(x)))
+    p1 = lambda x: float(real(psi1_lift(x)))
+    J = (PeriodicAntiderivative if topology == "S1" else
+         WindowAntiderivative)(p2, tol=tol)
     M_hat = SmoothFromDerivative(
         lambda x: math.exp(-2.0 * J(x)),
         lambda x: -2.0 * psi2_lift(x) * M_hat(x) if isinstance(x, Dual)
@@ -251,7 +239,6 @@ def lagrangian_1d(psi1, psi2, topology, tol=1e-10, decision_tol=1e-9):
         metr = True
         lag = True
     report = OneDimReport(metrizable=metr, lagrangian=lag, topology=topology,
-                          M_hat=M_hat, P_hat=P_hat,
                           int_psi2=int_psi2, int_psi1M=int_psi1M)
     if metr:
         report.M = (lambda th: M_hat(circle_mod(th))) if topology == "S1" else M_hat
@@ -292,39 +279,6 @@ def flat_metrizability(gamma, grid=None, flat_tol=1e-8):
                                    max_curvature=worst)
 
 
-def canonical_path_segments(chart, start, target):
-    """Axis-aligned path from start to target: periodic legs first."""
-    start = list(map(float, start))
-    target = list(map(float, target))
-    order = [i for i in range(chart.dim) if chart.periodic[i]] + \
-            [i for i in range(chart.dim) if not chart.periodic[i]]
-    segs = []
-    cur = list(start)
-    for i in order:
-        if cur[i] != target[i]:
-            nxt = list(cur)
-            nxt[i] = target[i]
-            segs.append(line_segment(cur, nxt))
-            cur = nxt
-    return segs
-
-
-def metric_by_transport(gamma, g0, theta0, target, path=None, tol=1e-10):
-    """Bilinear form at ``target`` obtained by transporting g0 from theta0."""
-    d = gamma.chart.dim
-    if path is None:
-        segments = canonical_path_segments(gamma.chart, theta0, target)
-    elif isinstance(path, LoopDescriptor):
-        segments = list(path.segments)
-    elif isinstance(path, CurveSampler):
-        segments = [path]
-    else:
-        segments = list(path)
-    P = _compose_transports(gamma, segments, d, tol)
-    Pinv = np.linalg.inv(P)
-    return Pinv.T @ np.asarray(g0, dtype=float) @ Pinv
-
-
 @dataclass
 class CylinderTransportData:
     """Primitives I1, I2 of the transport ODE on a cylinder R x S1 whose only
@@ -333,8 +287,6 @@ class CylinderTransportData:
 
     I1: object
     I2: object
-    g1: object      # Gamma^1_22 as a function of theta2
-    g2: object      # Gamma^2_22 as a function of theta2
     I1_loop: float
     I2_loop: float
 
@@ -387,4 +339,4 @@ def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
                               lambda t: -g2(t))
     I2 = SmoothFromDerivative(lambda t: float(sol.sol(circle_mod(t))[1]),
                               lambda t: g1(t) * dm.exp(I1(t)))
-    return CylinderTransportData(I1, I2, g1, g2, I1_loop, I2_loop)
+    return CylinderTransportData(I1, I2, I1_loop, I2_loop)

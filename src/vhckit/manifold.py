@@ -23,14 +23,6 @@ class Chart:
     periodic: tuple
     bounds: tuple  # per-coordinate (lo, hi); (0, 2*pi) for periodic coords
 
-    def wrap(self, x):
-        """Reduce periodic coordinates mod 2*pi."""
-        out = list(x)
-        for i, per in enumerate(self.periodic):
-            if per:
-                out[i] = out[i] % TWO_PI
-        return out
-
     def grid_axes(self, n=17, margin=1e-3):
         axes = []
         for i in range(self.dim):

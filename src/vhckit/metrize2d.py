@@ -3,6 +3,7 @@ and the cylinder search for Lagrangian structures of flat connections."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -27,100 +28,89 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class RecurrenceData:
-    """Least-squares recurrence one-form for the Ricci tensor."""
+    """Ricci recurrence nabla Ric = omega (x) Ric, tested on a grid."""
 
     omega: object            # callable: point -> [w_1, ..., w_n]
     ric: object              # Tensor02Field
-    residual: float          # max |nabla Ric - omega (x) Ric| over the grid
-    definite: int            # +1, -1 definite, 0 otherwise
+    residual: float          # max |nabla Ric - omega (x) Ric|, det Ric != 0
+    definite: int            # +1, -1: definite, one sign on the grid; else 0
     recurrent: bool
     min_ric_norm: float = 0.0
+    indefinite: bool = False  # det Ric < 0 somewhere, which no metric has
 
 
 def ricci_field(gamma):
     return Tensor02Field(gamma.chart, lambda x: ricci(gamma, x))
 
 
-def recurrence_omega(gamma, ric=None):
-    """Pointwise closed-form solution of nabla Ric = omega (x) Ric.
+def _recurrence_at(gamma, ric, x):
+    """Ric, nabla Ric and the recurrence one-form omega at x.
 
-    omega_i = sum_jk (nabla Ric)_ijk Ric_jk / sum_jk Ric_jk^2, which is the
-    exact solution whenever the recurrence holds and the least-squares
-    projection otherwise. Dual inputs propagate.
+    omega_i = sum_jk (nabla Ric)_ijk Ric_jk / |Ric|^2 is the exact solution of
+    nabla Ric = omega (x) Ric whenever the recurrence holds and the
+    least-squares projection otherwise; it is None where Ric vanishes. Dual
+    inputs propagate.
     """
-    if ric is None:
-        ric = ricci_field(gamma)
+    n = len(x)
+    R = ric(x)
+    dR = total_cov_derivative_02(gamma, ric, x)
+    norm2 = sum(R[j][k] * R[j][k] for j in range(n) for k in range(n))
+    if real(norm2) == 0.0:
+        return R, dR, None
+    return R, dR, [sum(dR[i][j][k] * R[j][k] for j in range(n)
+                       for k in range(n)) / norm2 for i in range(n)]
 
+
+def recurrence_solve(gamma, grid=None, tol=1e-7):
+    """Test nabla Ric = omega (x) Ric on a grid and read the sign of Ric there.
+
+    In 2-D every metric has Ric = K g, so an indefinite Ric rules a metric
+    out, while a Ric that vanishes or changes sign is a case the recurrence
+    test does not decide (``definite`` is 0 and ``indefinite`` False). The
+    residual is taken where Ric is nondegenerate.
+    """
+    if grid is None:
+        grid = gamma.chart.grid()
+    ric = ricci_field(gamma)
     memo = {}
 
     def omega(x):
-        n = len(x)
         plain = not any(isinstance(c, Dual) for c in x)
-        if plain:
-            key = tuple(float(c) for c in x)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        R = ric(x)
-        dR = total_cov_derivative_02(gamma, ric, x)
-        denom = sum(R[j][k] * R[j][k] for j in range(n) for k in range(n))
-        w = [sum(dR[i][j][k] * R[j][k] for j in range(n) for k in range(n))
-             / denom for i in range(n)]
+        key = tuple(map(float, x)) if plain else None
+        if key in memo:
+            return memo[key]
+        w = _recurrence_at(gamma, ric, x)[2]
+        if w is None:
+            raise ValueError(f"Ricci tensor vanishes at {x}; the "
+                             "recurrence one-form is undefined there")
         if plain:
             if len(memo) >= 4096:
                 memo.clear()
             memo[key] = w
         return w
 
-    return omega
-
-
-def definiteness(ric, grid, tol=1e-12):
-    """Sign of the Ricci tensor on a grid: +1, -1, or 0 when indefinite or
-    degenerate anywhere."""
-    sign = None
+    worst, min_norm, indefinite, signs = 0.0, math.inf, False, set()
     for p in grid:
-        R = np.asarray([[float(real(v)) for v in row] for row in ric(p)])
-        w = np.linalg.eigvalsh(0.5 * (R + R.T))
-        if w[0] > tol:
-            s = 1
-        elif w[-1] < -tol:
-            s = -1
+        R, dR, w = _recurrence_at(gamma, ric, p)
+        R = np.asarray([[float(real(v)) for v in row] for row in R])
+        min_norm = min(min_norm, float(np.linalg.norm(R)))
+        ev = np.linalg.eigvalsh(0.5 * (R + R.T))
+        if ev[0] > 1e-12:
+            signs.add(1)
+        elif ev[-1] < -1e-12:
+            signs.add(-1)
+        elif ev[0] < -1e-12 and ev[-1] > 1e-12:
+            indefinite = True
         else:
-            return 0
-        if sign is None:
-            sign = s
-        elif sign != s:
-            return 0
-    return sign if sign is not None else 0
-
-
-def recurrence_solve(gamma, grid=None, tol=1e-7):
-    """Test nabla Ric = omega (x) Ric on a grid and return the data."""
-    if grid is None:
-        grid = gamma.chart.grid()
-    ric = ricci_field(gamma)
-    omega = recurrence_omega(gamma, ric)
-    worst = 0.0
-    min_norm = math.inf
-    for p in grid:
-        n = len(p)
-        R = [[float(real(v)) for v in row] for row in ric(p)]
-        dR = total_cov_derivative_02(gamma, ric, p)
-        denom = sum(v * v for row in R for v in row)
-        w = [float(real(sum(dR[i][j][k] * R[j][k]
-                            for j in range(n) for k in range(n)))) / denom
-             for i in range(n)]
-        min_norm = min(min_norm, math.sqrt(denom))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    worst = max(worst, abs(float(real(dR[i][j][k]))
-                                           - w[i] * R[j][k]))
-    defn = definiteness(ric, grid)
+            signs.add(0)        # Ric is degenerate here
+            continue
+        w = [float(real(v)) for v in w]
+        for i, j, k in itertools.product(range(len(p)), repeat=3):
+            worst = max(worst, abs(float(real(dR[i][j][k])) - w[i] * R[j][k]))
+    definite = signs.pop() if len(signs) == 1 and 0 not in signs else 0
     return RecurrenceData(omega=omega, ric=ric, residual=worst,
-                          definite=defn, recurrent=worst < tol,
-                          min_ric_norm=min_norm)
+                          definite=definite, recurrent=worst < tol,
+                          min_ric_norm=min_norm, indefinite=indefinite)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +216,6 @@ class LineIntegralField:
         return leg
 
 
-def potential_from_oneform(omega, chart, ref, tol=1e-10):
-    """Anchored potential with f(ref) = 0; run exactness_check first."""
-    return LineIntegralField(omega, chart, ref, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Metric reconstruction from a recurrent definite Ricci tensor
 
@@ -258,7 +243,7 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
     if not rec.recurrent or rec.definite == 0:
         return MetricReport(False, message="Ricci not definite and recurrent")
     sign = rec.definite
-    f = potential_from_oneform(rec.omega, gamma.chart, ref, tol=tol)
+    f = LineIntegralField(rec.omega, gamma.chart, ref, tol=tol)
 
     def g_fn(x):
         scale = sign * dm.exp(-f(x) + b)
@@ -268,22 +253,13 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
     g = Tensor02Field(gamma.chart, g_fn)
     if check_grid is None:
         check_grid = gamma.chart.grid(n=5)
-    max_ng = 0.0
-    max_dev = 0.0
-    n = gamma.chart.dim
+    max_ng = max_dev = 0.0
     for p in check_grid:
-        ng = total_cov_derivative_02(gamma, g, p)
-        for blk in ng:
-            for row in blk:
-                for v in row:
-                    max_ng = max(max_ng, abs(float(real(v))))
-        Gm = christoffel_from_metric(g, p)
-        Gc = gamma(p)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    max_dev = max(max_dev, abs(float(real(Gm[k][i][j]))
-                                               - float(real(Gc[k][i][j]))))
+        ng = np.asarray(total_cov_derivative_02(gamma, g, p), dtype=float)
+        dev = (np.asarray(christoffel_from_metric(g, p), dtype=float)
+               - np.asarray(gamma(p), dtype=float))
+        max_ng = max(max_ng, float(np.max(np.abs(ng))))
+        max_dev = max(max_dev, float(np.max(np.abs(dev))))
     ok = max_ng < check_tol and max_dev < check_tol
     return MetricReport(ok, g=g, f=f, sign=sign, b=b,
                         max_nabla_g=max_ng, max_gamma_dev=max_dev,
@@ -378,22 +354,30 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
                                 message="reduced force depends on theta1",
                                 diagnostics={"lam_dev": lam_dev})
 
-    I1, I2 = cyl.I1, cyl.I2
+    def frame(t, a, b=None):
+        # D_C[0][1] and D_C[1][1] at theta2 = t: the frame [[1, a], [a, b]]
+        # at theta2 = 0, carried by the transport; [1][1] only when b is given
+        e1 = dm.exp(-cyl.I1(t))
+        i2 = cyl.I2(t)
+        off = e1 * (i2 + a)
+        if b is None:
+            return off, None
+        return off, e1 * e1 * (i2 * i2 + 2.0 * a * i2 + b)
 
-    def mu1(t, a):
+    def mu(t, a, b=None):
+        # the force one-form mu = D_C lambda at theta2 = t; mu_2 only when b
+        # is given
         lam = lam_at(t)
-        return lam[0] + dm.exp(-I1(t)) * (I2(t) + a) * lam[1]
-
-    ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    p = np.empty(grid_n)
-    q = np.empty(grid_n)
+        off, low = frame(t, a, b)
+        mu1 = lam[0] + off * lam[1]
+        return mu1, (None if b is None else off * lam[0] + low * lam[1])
 
     def mu1_slope(t, a):
-        return float(real(partial(lambda x: mu1(x[0], a), [float(t)], 0)))
+        return float(real(partial(lambda x: mu(x[0], a)[0], [float(t)], 0)))
 
-    for k, t in enumerate(ts):
-        p[k] = mu1_slope(t, 0.0)
-        q[k] = mu1_slope(t, 1.0) - p[k]
+    ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    p = np.array([mu1_slope(t, 0.0) for t in ts])
+    q = np.array([mu1_slope(t, 1.0) for t in ts]) - p
     a_best, residual = _minimax_linear(p, q)
     report = LagrangianReport(False, metrizable=True, a=a_best,
                               closedness_residual=residual,
@@ -405,56 +389,42 @@ def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
         return report
 
     a = a_best
-    c = float(np.mean([float(real(mu1(float(t), a))) for t in ts]))
+    c = float(np.mean([float(real(mu(float(t), a)[0])) for t in ts]))
 
-    # mu_2(t; b) = e^{-I1}(I2+a) lam_1 + e^{-2 I1}(I2^2 + 2 a I2 + b) lam_2;
-    # exactness needs the loop integral of mu_2 to vanish, linear in b
-    def mu2_parts(t):
-        lam = [float(real(v)) for v in lam_at(t)]
-        e1 = math.exp(-float(real(I1(t))))
-        i2 = float(real(I2(t)))
-        base = e1 * (i2 + a) * lam[0] + e1 * e1 * (i2 * i2 + 2.0 * a * i2) * lam[1]
-        slope = e1 * e1 * lam[1]
-        return base, slope
+    # mu_2 is affine in b, so its generator period is A + b B; exactness
+    # needs that period to vanish. mu_2 at b = 0 and b = 1, taken together,
+    # gives both integrands.
+    def mu2_affine(t):
+        m0, m1 = mu(t, a, np.array([0.0, 1.0]))[1]
+        return m0, m1 - m0
 
-    A = quad(lambda t: mu2_parts(t)[0], 0.0, TWO_PI, tol=quad_tol)
-    B = quad(lambda t: mu2_parts(t)[1], 0.0, TWO_PI, tol=quad_tol)
-    scale_B = quad(lambda t: abs(mu2_parts(t)[1]), 0.0, TWO_PI, tol=1e-8)
+    A = quad(lambda t: mu2_affine(t)[0], 0.0, TWO_PI, tol=quad_tol)
+    B = quad(lambda t: mu2_affine(t)[1], 0.0, TWO_PI, tol=quad_tol)
+    scale_B = quad(lambda t: abs(mu2_affine(t)[1]), 0.0, TWO_PI, tol=1e-8)
     if abs(B) > 1e-8 * max(scale_B, 1.0):
-        # the generator period of mu_2 is linear in b with nonzero slope
-        b = -A / B
-        exact_ok = True
+        b = -A / B              # the period has nonzero slope in b
     elif abs(A) < max(tol, 1e-8):
-        # b drops out of the period; any SPD choice works
-        b = a * a + 1.0
-        exact_ok = True
+        b = a * a + 1.0         # b drops out of the period; any SPD b works
     else:
         report.message = "force one-form has nonzero period around the generator"
         return report
     spd_ok = b - a * a > 1e-12
-    report.b, report.exact_ok, report.spd_ok = b, exact_ok, spd_ok
+    report.b, report.exact_ok, report.spd_ok = b, True, spd_ok
     report.mu1_const = c
     if not spd_ok:
         report.message = "invariant form is not positive definite"
         return report
 
     def D_C(theta):
-        t = theta[1]
-        e1 = dm.exp(-I1(t))
-        i2 = I2(t)
-        off = e1 * (i2 + a)
-        low = e1 * e1 * (i2 * i2 + 2.0 * a * i2 + b)
+        off, low = frame(theta[1], a, b)
         return [[1.0, off], [off, low]]
 
-    def mu2_smooth(t):
-        lam = lam_at(t)
-        e1 = dm.exp(-I1(t))
-        i2 = I2(t)
-        return e1 * (i2 + a) * lam[0] + e1 * e1 * (i2 * i2 + 2.0 * a * i2 + b) * lam[1]
+    def mu2(t):
+        return mu(t, a, b)[1]
 
-    V_dense = PeriodicAntiderivative(lambda t: float(real(mu2_smooth(t))),
-                                     tol=quad_tol)
-    V = SmoothFromDerivative(V_dense, mu2_smooth)
+    V = SmoothFromDerivative(
+        PeriodicAntiderivative(lambda t: float(real(mu2(t))), tol=quad_tol),
+        mu2)
 
     def P_C(theta):
         return c * theta[0] + V(theta[1])

@@ -22,7 +22,6 @@ class ModelBundle:
     system: LagrangianControlSystem
     parametrization: ConstraintParametrization
     generators: tuple = ()          # LoopDescriptor fundamental-group loops
-    topology: str = ""              # reduced-space type: S1, RxS1, or box
     params: dict = dc_field(default_factory=dict)
     expected: dict = dc_field(default_factory=dict)
 
@@ -88,7 +87,7 @@ def circle_particle(alpha=0.0):
     }
     return ModelBundle("circle", system, par,
                        generators=(_coordinate_loop([0.0], 0, "s1"),),
-                       topology="S1", params={"alpha": alpha},
+                       params={"alpha": alpha},
                        expected=expected)
 
 
@@ -201,8 +200,8 @@ def sphere_mass():
         "metrizable": True,
         "lagrangian": True,
     }
-    return ModelBundle("sphere", system, par, generators=(),
-                       topology="box", params={}, expected=expected)
+    return ModelBundle("sphere", system, par, generators=(), params={},
+                       expected=expected)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,6 @@ def double_pendulum_cart(case="a", gravity=9.81):
     }
     return ModelBundle(f"dpc-{case}", system, par,
                        generators=(_coordinate_loop([0.0, 0.0], 1, "s1"),),
-                       topology="RxS1",
                        params={"case": case, "gravity": G},
                        expected=expected)
 

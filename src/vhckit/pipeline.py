@@ -11,9 +11,8 @@ from .calculus import vector_partial
 from .dual import real
 from .holonomy import FlatnessError, flat_metrizability, lagrangian_1d
 from .manifold import max_curvature_on_grid
-from .metrize2d import (cylinder_lagrangian_search, exactness_check,
-                        metric_from_ricci, potential_from_oneform,
-                        recurrence_solve)
+from .metrize2d import (LineIntegralField, cylinder_lagrangian_search,
+                        exactness_check, metric_from_ricci, recurrence_solve)
 from .vhc import check_regularity, induced_connection, orthogonality_check
 
 VERDICT_LAGRANGIAN = "lagrangian"
@@ -34,8 +33,14 @@ class AnalysisResult:
                 "metrizable": self.metrizable, "details": self.details}
 
 
-def _topology_1d(chart):
-    return "S1" if chart.periodic[0] else "R"
+def _decided(result, verdict, reason):
+    result.verdict = verdict
+    result.details["reason"] = reason
+    return result
+
+
+def _max_lambda(conn, grid):
+    return max(abs(float(real(v))) for p in grid for v in conn.lam(p))
 
 
 def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
@@ -46,6 +51,11 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
     "not-lagrangian" (obstruction recorded in details), or "unsupported"
     (outside the implemented theory; see details["reason"]).
     """
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    if not (math.isfinite(decision_tol) and decision_tol > 0):
+        raise ValueError("decision_tol must be a positive finite number, "
+                         f"got {decision_tol}")
     sys, par = bundle.system, bundle.parametrization
     chart = par.chart
     d = chart.dim
@@ -53,31 +63,30 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
     det = result.details
     det["reduced_dim"] = d
 
-    reg = check_regularity(sys, par, grid=chart.grid(grid_n, grid_margin))
+    grid = chart.grid(grid_n, grid_margin)
+    reg = check_regularity(sys, par, grid=grid)
     det["regular"] = bool(reg)
     det["min_singular_value"] = reg.min_singular_value
     if not reg:
-        result.verdict = VERDICT_UNSUPPORTED
-        det["reason"] = "constraint parametrization is not regular"
-        return result
-    ortho, worst = orthogonality_check(
-        sys, par, grid=chart.grid(grid_n, grid_margin))
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        "constraint parametrization is not regular")
+    ortho, worst = orthogonality_check(sys, par, grid=grid)
     det["orthogonal_inputs"] = bool(ortho)
     det["max_dphiT_B"] = worst
 
     if d == 1:
         return _analyze_1d(bundle, result, decision_tol, ode_tol)
     if d == 2:
-        return _analyze_2d(bundle, result, grid_n, grid_margin, flat_tol,
+        return _analyze_2d(bundle, result, grid, grid_margin, flat_tol,
                            decision_tol, gauge_b)
-    det["reason"] = f"reduced dimension {d} not supported (need 1 or 2)"
-    return result
+    return _decided(result, VERDICT_UNSUPPORTED,
+                    f"reduced dimension {d} not supported (need 1 or 2)")
 
 
 def _analyze_1d(bundle, result, decision_tol, ode_tol):
     from .vhc import psi_functions
     sys, par = bundle.system, bundle.parametrization
-    topology = _topology_1d(par.chart)
+    topology = "S1" if par.chart.periodic[0] else "R"
     psi1 = lambda t: psi_functions(sys, par, [t])[0]
     psi2 = lambda t: psi_functions(sys, par, [t])[1]
     report = lagrangian_1d(psi1, psi2, topology, tol=ode_tol,
@@ -88,31 +97,25 @@ def _analyze_1d(bundle, result, decision_tol, ode_tol):
     det["int_psi1_M"] = report.int_psi1M
     result.metrizable = report.metrizable
     result.artifacts["one_dim"] = report
-    if report.lagrangian:
-        result.verdict = VERDICT_LAGRANGIAN
-        result.artifacts["M"] = report.M
-        result.artifacts["P_C"] = report.P_C
-    else:
-        result.verdict = VERDICT_NOT_LAGRANGIAN
-        det["reason"] = ("loop integral of Psi2 does not vanish"
-                         if not report.metrizable else
-                         "reconstructed potential is not periodic")
+    if not report.lagrangian:
+        return _decided(result, VERDICT_NOT_LAGRANGIAN,
+                        "loop integral of Psi2 does not vanish"
+                        if not report.metrizable else
+                        "reconstructed potential is not periodic")
+    result.verdict = VERDICT_LAGRANGIAN
+    result.artifacts.update(M=report.M, P_C=report.P_C)
     return result
 
 
-def _analyze_2d(bundle, result, grid_n, grid_margin, flat_tol,
-                decision_tol, gauge_b):
-    sys, par = bundle.system, bundle.parametrization
-    chart = par.chart
-    det = result.details
-    conn = induced_connection(sys, par)
-    grid = chart.grid(grid_n, grid_margin)
+def _analyze_2d(bundle, result, grid, grid_margin, flat_tol, decision_tol,
+                gauge_b):
+    conn = induced_connection(bundle.system, bundle.parametrization)
     max_R = max_curvature_on_grid(conn.gammaC, grid)
-    det["max_curvature"] = max_R
+    result.details["max_curvature"] = max_R
     if max_R < flat_tol:
-        det["curvature_class"] = "flat"
+        result.details["curvature_class"] = "flat"
         return _analyze_2d_flat(conn, result, decision_tol)
-    det["curvature_class"] = "curved"
+    result.details["curvature_class"] = "curved"
     return _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
                               decision_tol, gauge_b)
 
@@ -131,39 +134,29 @@ def _analyze_2d_flat(conn, result, decision_tol):
             # the search stopped before its frame search
             det.update(report.diagnostics)
         result.metrizable = report.metrizable
-        if report.lagrangian:
-            result.verdict = VERDICT_LAGRANGIAN
-            result.artifacts["D_C"] = report.D_C
-            result.artifacts["P_C"] = report.P_C
-        else:
-            result.verdict = VERDICT_NOT_LAGRANGIAN
-            det["reason"] = report.message
+        if not report.lagrangian:
+            return _decided(result, VERDICT_NOT_LAGRANGIAN, report.message)
+        result.verdict = VERDICT_LAGRANGIAN
+        result.artifacts.update(D_C=report.D_C, P_C=report.P_C)
         return result
-    if chart.periodic == (False, False):
-        # simply connected and flat: metrizable with trivial holonomy
-        try:
-            flat = flat_metrizability(conn.gammaC)
-        except FlatnessError as e:
-            result.verdict = VERDICT_UNSUPPORTED
-            det["reason"] = str(e)
-            return result
-        result.metrizable = True
-        result.artifacts["flat"] = flat
-        lam_max = max(abs(float(real(v)))
-                      for p in chart.grid(5) for v in conn.lam(p))
-        det["max_lambda"] = lam_max
-        if lam_max < decision_tol:
-            result.verdict = VERDICT_LAGRANGIAN
-            result.artifacts["g0"] = flat.g0
-            result.artifacts["P_C"] = lambda th: 0.0
-        else:
-            result.verdict = VERDICT_UNSUPPORTED
-            det["reason"] = ("flat simply-connected case with nonzero "
-                             "reduced force not implemented")
+    if chart.periodic != (False, False):
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        "unsupported reduced topology for the flat case")
+    # simply connected and flat: metrizable with trivial holonomy
+    try:
+        flat = flat_metrizability(conn.gammaC)
+    except FlatnessError as e:
+        return _decided(result, VERDICT_UNSUPPORTED, str(e))
+    result.metrizable = True
+    result.artifacts["flat"] = flat
+    det["max_lambda"] = _max_lambda(conn, chart.grid(5))
+    if det["max_lambda"] < decision_tol:
+        result.verdict = VERDICT_LAGRANGIAN
+        result.artifacts.update(g0=flat.g0, P_C=lambda th: 0.0)
         return result
-    result.verdict = VERDICT_UNSUPPORTED
-    det["reason"] = "unsupported reduced topology for the flat case"
-    return result
+    return _decided(result, VERDICT_UNSUPPORTED,
+                    "flat simply-connected case with nonzero reduced force "
+                    "not implemented")
 
 
 def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
@@ -171,24 +164,25 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
     chart = conn.chart
     det = result.details
     if any(chart.periodic):
-        result.verdict = VERDICT_UNSUPPORTED
-        det["reason"] = "curved non-simply-connected case not implemented"
-        return result
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        "curved non-simply-connected case not implemented")
     rec = recurrence_solve(conn.gammaC, grid=grid, tol=1e-7)
     det["recurrence_residual"] = rec.residual
     det["ricci_definite"] = rec.definite
     result.artifacts["recurrence"] = rec
-    if not rec.recurrent or rec.definite == 0:
-        result.verdict = VERDICT_NOT_LAGRANGIAN
-        det["reason"] = "Ricci tensor is not definite and recurrent"
-        return result
+    if rec.indefinite or not rec.recurrent:
+        return _decided(result, VERDICT_NOT_LAGRANGIAN,
+                        "Ricci tensor is not definite and recurrent")
+    if rec.definite == 0:
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        "Ricci tensor vanishes or changes sign on the grid; "
+                        "the recurrence test needs it definite")
     ex = exactness_check(rec.omega, chart, grid=chart.grid(5, grid_margin))
     det["omega_curl_max"] = ex.curl_max
     det["omega_loop_max"] = ex.loop_max
     if not ex.exact:
-        result.verdict = VERDICT_NOT_LAGRANGIAN
-        det["reason"] = "recurrence one-form is not exact"
-        return result
+        return _decided(result, VERDICT_NOT_LAGRANGIAN,
+                        "recurrence one-form is not exact")
     if gauge_b is None:
         gauge_b = bundle.expected.get("gauge_b", 0.0)
     ref = bundle.expected.get(
@@ -200,9 +194,8 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
     det["max_gamma_dev"] = metric.max_gamma_dev
     result.artifacts["metric"] = metric
     if not metric.ok:
-        result.verdict = VERDICT_UNSUPPORTED
-        det["reason"] = "metric verification failed: " + metric.message
-        return result
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        "metric verification failed: " + metric.message)
     result.metrizable = True
 
     def mu(x):
@@ -211,10 +204,8 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         return [sum(g[i][j] * lam[j] for j in range(2)) for i in range(2)]
 
     check_grid = chart.grid(5, grid_margin)
-    lam_max = max(abs(float(real(v))) for p in check_grid
-                  for v in conn.lam(p))
-    det["max_lambda"] = lam_max
-    if lam_max < decision_tol:
+    det["max_lambda"] = _max_lambda(conn, check_grid)
+    if det["max_lambda"] < decision_tol:
         result.artifacts["P_C"] = lambda th: 0.0
         det["potential"] = "zero"
     else:
@@ -237,10 +228,9 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
                                              - (w[0] * nv[1] - w[1] * nv[0])))
         det["mu_closedness"] = closed_max
         if closed_max > 1e-6:
-            result.verdict = VERDICT_NOT_LAGRANGIAN
-            det["reason"] = "force one-form g(lambda, .) is not exact"
-            return result
-        result.artifacts["P_C"] = potential_from_oneform(mu, chart, ref)
+            return _decided(result, VERDICT_NOT_LAGRANGIAN,
+                            "force one-form g(lambda, .) is not exact")
+        result.artifacts["P_C"] = LineIntegralField(mu, chart, ref)
     result.verdict = VERDICT_LAGRANGIAN
     result.artifacts["D_C"] = metric.g
     return result

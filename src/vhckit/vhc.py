@@ -273,14 +273,12 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     if sys.h is None:
         raise ValueError("system has no constraint function h")
     q, qdot = list(q), list(qdot)
-    n, m = sys.n, sys.m
+    n = sys.n
     kp, kd = gains
-    hval = list(sys.h(q))
-    dh = jacobian(sys.h, q)                       # m x n
+    dh = np.asarray(jacobian(sys.h, q), dtype=float)     # m x n
     D = np.asarray(sys.D(q), dtype=float)
     B = np.asarray(sys.B(q), dtype=float)
-    Dinv_B = np.linalg.solve(D, B)
-    b = np.asarray(dh, dtype=float) @ Dinv_B      # m x m
+    b = dh @ np.linalg.solve(D, B)                      # m x m
     if abs(np.linalg.det(b)) < 1e-12:
         raise RegularityError("decoupling matrix dh D^{-1} B singular")
     G = sys.gamma(q)
@@ -288,13 +286,13 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
                            for i in range(n) for j in range(n))
                        for k in range(n)])
     drift = -quad - np.linalg.solve(D, np.asarray(sys.gradP(q), dtype=float))
-    rhs = np.empty(m)
-    for r in range(m):
-        hess = [[second_partial(lambda xx, r=r: sys.h(xx)[r], q, i, j)
-                 for j in range(n)] for i in range(n)]
-        qHq = float(np.asarray(qdot) @ np.asarray(hess) @ np.asarray(qdot))
-        hd = float(np.asarray(dh[r]) @ np.asarray(qdot))
-        rhs[r] = -kp * hval[r] - kd * hd - qHq - float(np.asarray(dh[r]) @ drift)
+    # qdot^T hess(h_r) qdot is the second derivative of s -> h_r(q + s qdot)
+    # at s = 0: one directional second_partial for every component
+    qHq = second_partial(
+        lambda s: sys.h([qi + s[0] * vi for qi, vi in zip(q, qdot)]),
+        [0.0], 0, 0)
+    rhs = (-kp * np.asarray(sys.h(q), dtype=float) - kd * (dh @ qdot)
+           - np.asarray(qHq, dtype=float) - dh @ drift)
     return np.linalg.solve(b, rhs)
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from vhckit.cli import (EXIT_ERROR, EXIT_NOT_LAGRANGIAN, EXIT_OK,
                         EXIT_UNSUPPORTED, SCHEMA, bundle_from_config, main)
+from vhckit.models import get_model
+from vhckit.pipeline import analyze
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -49,6 +51,34 @@ UNSUPPORTED_CONFIG = {
     "h": ["q4"],
     "m": 1,
 }
+
+
+def _conformal_config(name, conformal):
+    # ambient (x, y, z) with D = diag(c, c, 1), B = e3 and phi = (s, t, 0):
+    # the reduced dynamics are the geodesics of c(s, t) (ds^2 + dt^2)
+    return {
+        "name": name,
+        "ambient": {"dim": 3, "periodic": [False] * 3,
+                    "bounds": [[-2.0, 2.0]] * 3},
+        "reduced": {"dim": 2, "periodic": [False, False],
+                    "bounds": [[-0.5, 0.5], [-0.5, 0.5]]},
+        "variables": ["x", "y", "z"],
+        "theta_variables": ["s", "t"],
+        "D": [[conformal, "0", "0"], ["0", conformal, "0"], ["0", "0", "1"]],
+        "P": "0",
+        "B": [["0"], ["0"], ["1"]],
+        "Bperp": [["1", "0", "0"], ["0", "1", "0"]],
+        "phi": ["s", "t", "0"],
+        "h": ["z"],
+        "m": 1,
+    }
+
+
+# Gauss curvature -6 s e^{-2 s^3}: zero on s = 0 and of both signs
+SIGN_CHANGE_CONFIG = _conformal_config("gauss-sign-change", "exp(2*x*x*x)")
+# Gauss curvature -(0.6 cos s + 0.4 cos t) e^{2(0.6 cos s + 0.4 cos t)} < 0
+NEGATIVE_CONFIG = _conformal_config(
+    "gauss-negative", "exp(-2*(0.6*cos(x) + 0.4*cos(y)))")
 
 
 def _write_config(tmp_path, cfg):
@@ -185,6 +215,61 @@ def test_simulate_csv_requires_out(capsys):
 def test_simulate_bad_ic_dimension(capsys):
     code = main(["simulate", "--model", "circle", "--theta0", "1,2"])
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("grid", [5, 6, 7, 9])
+def test_sign_changing_curvature_is_unsupported(tmp_path, capsys, grid):
+    # Lagrangian, but outside what the Ricci recurrence test decides; on
+    # odd grids s = 0, where Ric vanishes, is a grid point
+    path = _write_config(tmp_path, SIGN_CHANGE_CONFIG)
+    code = main(["analyze", "--config", path, "--grid", str(grid)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNSUPPORTED
+    assert out["verdict"] == "unsupported"
+    assert "changes sign" in out["details"]["reason"]
+
+
+def test_negative_curvature_is_lagrangian(tmp_path, capsys):
+    code = main(["analyze", "--config", _write_config(tmp_path, NEGATIVE_CONFIG)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert out["verdict"] == "lagrangian"
+    assert out["details"]["ricci_definite"] == -1
+
+
+@pytest.mark.parametrize("argv,named", [
+    ([], "required"),
+    (["bogus"], "invalid choice"),
+    (["analyze", "--model", "circle", "--bogus"], "--bogus"),
+    (["analyze", "--model", "circle", "--grid", "abc"], "--grid"),
+    (["analyze", "--model", "dpc-b", "--grid", "0"], "--grid"),
+    (["analyze", "--model", "circle", "--tol", "0"], "--tol"),
+    (["analyze", "--model", "circle", "--tol", "-1"], "--tol"),
+    (["simulate", "--model", "circle", "--format", "csv", "--out", "t.csv",
+      "--samples", "0"], "--samples"),
+], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
+        "grid-0", "tol-0", "tol-negative", "samples-0"])
+def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid_n": 0}, {"decision_tol": 0.0}, {"decision_tol": -1.0},
+    {"decision_tol": math.nan}, {"decision_tol": math.inf}])
+def test_analyze_rejects_bad_grid_and_tol(kwargs):
+    with pytest.raises(ValueError):
+        analyze(get_model("circle"), **kwargs)
 
 
 def test_holonomy_circle_scalar(capsys):

@@ -11,11 +11,10 @@ from vhckit.dual import Dual, eps, real
 from vhckit.holonomy import (CylinderStructureError, FlatnessError,
                              GeneratorHolonomyError, LoopDescriptor,
                              PeriodicAntiderivative, SmoothFromDerivative,
-                             WindowAntiderivative, canonical_path_segments,
-                             circle_mod, cylinder_integrals,
-                             flat_metrizability, lagrangian_1d,
-                             loop_transport, metric_by_transport,
-                             reverse_path, transport_matrix)
+                             WindowAntiderivative, circle_mod,
+                             cylinder_integrals, flat_metrizability,
+                             lagrangian_1d, loop_transport, reverse_path,
+                             transport_matrix)
 from vhckit.manifold import (Chart, ConnectionCoeffs, connection_from_metric,
                              zero_connection)
 from vhckit.models import _coordinate_loop, get_model
@@ -150,30 +149,6 @@ def test_flat_metrizability_rejects_curved_connection():
         flat_metrizability(gamma, grid=_flat_chart().grid(3))
 
 
-def test_metric_by_transport_recovers_metric():
-    # transporting g0 along paths of the Levi-Civita connection of a known
-    # metric reproduces that metric
-    chart = _flat_chart()
-
-    def g(x):
-        import vhckit.dual as dm
-        e = dm.exp(0.4 * dm.sin(x[0]) + 0.3 * x[1])
-        return [[e, 0.0], [0.0, e]]
-
-    gamma = connection_from_metric(chart, g)
-    theta0 = [0.0, 0.0]
-    target = [0.8, -0.5]
-    g0 = [[float(v) for v in row] for row in g(theta0)]
-    gt = metric_by_transport(gamma, g0, theta0, target)
-    expect = g(target)
-    ratio = float(gt[0][0]) / float(expect[0][0])
-    for i in range(2):
-        for j in range(2):
-            assert float(gt[i][j]) == pytest.approx(
-                ratio * float(expect[i][j]), abs=1e-8)
-    assert ratio == pytest.approx(1.0, abs=1e-8)
-
-
 def test_cylinder_integrals_dpc_loops_close():
     b = get_model("dpc-b")
     conn = induced_connection(b.system, b.parametrization)
@@ -214,17 +189,6 @@ def test_cylinder_integrals_refuse_nontrivial_holonomy():
         cylinder_integrals(ConnectionCoeffs(chart, coeffs))
     assert err.value.loops["I1_loop"] == pytest.approx(-0.2 * math.pi,
                                                        rel=1e-9)
-
-
-def test_canonical_path_segments_reach_target():
-    chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
-    segs = canonical_path_segments(chart, [0.0, 0.0], [1.0, 2.0])
-    end = [0.0, 0.0]
-    for seg in segs:
-        p, _ = seg(seg.t_end)
-        end = p
-    assert end[0] == pytest.approx(1.0)
-    assert end[1] % TWO_PI == pytest.approx(2.0)
 
 
 def test_coordinate_loop_descriptor():

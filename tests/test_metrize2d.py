@@ -15,7 +15,7 @@ from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
 from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
                               cylinder_lagrangian_search,
                               exactness_check, metric_from_ricci,
-                              potential_from_oneform, recurrence_solve)
+                              recurrence_solve)
 from vhckit.models import get_model
 from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
@@ -71,7 +71,7 @@ def test_potential_from_oneform_recovers_function():
     omega = lambda x: [dm.cos(x[0]) * dm.exp(x[1]),
                        dm.sin(x[0]) * dm.exp(x[1])]
     ref = [0.2, -0.3]
-    f = potential_from_oneform(omega, chart, ref, tol=1e-12)
+    f = LineIntegralField(omega, chart, ref, tol=1e-12)
     for p in chart.grid(4):
         assert f(p) == pytest.approx(f_true(p) - f_true(ref), abs=1e-9)
 
@@ -131,6 +131,38 @@ def test_metric_levi_civita_round_trip_single():
         ratios.append(float(real(got[0][0])) / float(real(want[0][0])))
         assert float(real(got[0][1])) == pytest.approx(0.0, abs=1e-8)
     assert np.std(ratios) < 1e-8
+
+
+def test_recurrence_sign_changing_curvature_is_undecided():
+    # e^{2 s^3}(ds^2 + dt^2) has Gauss curvature -6 s e^{-2 s^3}: Ric = K g
+    # vanishes on s = 0 (a point of the odd grid) and changes sign there
+    chart = Chart(2, (False, False), ((-0.5, 0.5), (-0.5, 0.5)))
+
+    def g(x):
+        e = dm.exp(2.0 * x[0] * x[0] * x[0])
+        return [[e, 0.0], [0.0, e]]
+
+    rec = recurrence_solve(connection_from_metric(chart, g), chart.grid(7))
+    assert rec.recurrent and rec.residual < 1e-12
+    assert rec.definite == 0 and not rec.indefinite
+    assert rec.min_ric_norm == 0.0
+    with pytest.raises(ValueError, match="vanishes"):
+        rec.omega([0.0, 0.1])
+
+
+def test_recurrence_indefinite_ricci():
+    # Gamma^1_22 = -s, Gamma^2_11 = t: Ric = [[1, st], [st, -1]] is
+    # indefinite, which no metric connection has
+    chart = Chart(2, (False, False), ((-0.5, 0.5), (-0.5, 0.5)))
+
+    def coeffs(x):
+        G = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+        G[0][1][1] = -x[0]
+        G[1][0][0] = x[1]
+        return G
+
+    rec = recurrence_solve(ConnectionCoeffs(chart, coeffs), chart.grid(5))
+    assert rec.indefinite and rec.definite == 0
 
 
 def test_minimax_linear_against_brute_force():

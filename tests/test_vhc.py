@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import vhckit.vhc
+from vhckit.calculus import jacobian, second_partial
 from vhckit.models import get_model
 from vhckit.vhc import (ConstraintParametrization, check_regularity,
                         constrained_rhs, induced_christoffels,
@@ -111,6 +113,51 @@ def test_constrained_rhs_matches_full_closed_loop():
                        for a in range(2) for bb in range(2))
             pred = sum(dphi[i][k] * acc[k] for k in range(2)) + curv
             assert qdd[i] == pytest.approx(pred, abs=1e-9)
+
+
+def _feedback_reference(sys, q, qd, gains):
+    # tau from the full Hessian of every h_r: hdd = dh qdd + qd^T hess(h_r) qd
+    kp, kd = gains
+    n = sys.n
+    dh = np.asarray(jacobian(sys.h, q), dtype=float)
+    D = np.asarray(sys.D(q), dtype=float)
+    G = sys.gamma(q)
+    drift = -np.asarray([sum(G[k][i][j] * qd[i] * qd[j] for i in range(n)
+                             for j in range(n)) for k in range(n)],
+                        dtype=float) \
+        - np.linalg.solve(D, np.asarray(sys.gradP(q), dtype=float))
+    rhs = []
+    for r in range(sys.m):
+        hess = np.asarray([[second_partial(lambda x: sys.h(x)[r], q, i, j)
+                            for j in range(n)] for i in range(n)], dtype=float)
+        rhs.append(-kp * sys.h(q)[r] - kd * dh[r] @ qd - qd @ hess @ qd
+                   - dh[r] @ drift)
+    decoupling = dh @ np.linalg.solve(D, np.asarray(sys.B(q), dtype=float))
+    return np.linalg.solve(decoupling, rhs)
+
+
+@pytest.mark.parametrize("name", ["dpc-a", "dpc-b"])
+def test_feedback_matches_hessian_reference(name, monkeypatch):
+    b = get_model(name)
+    sys = b.system
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return second_partial(*args)
+
+    monkeypatch.setattr(vhckit.vhc, "second_partial", counted)
+    rng = np.random.default_rng(17)
+    for k in range(4):
+        theta = [rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)]
+        q = [float(v) for v in b.parametrization.phi(theta)]
+        q[2] += rng.uniform(-0.1, 0.1)          # off the constraint too
+        qd = rng.normal(size=sys.n)
+        gains = (16.0, 8.0) if k % 2 else (0.0, 0.0)
+        tau = stabilizing_feedback(sys, q, qd, gains=gains)
+        ref = _feedback_reference(sys, q, qd, gains)
+        np.testing.assert_allclose(tau, ref, rtol=1e-12, atol=0.0)
+        assert len(calls) == k + 1
 
 
 def test_induced_connection_bundle():
