@@ -282,7 +282,8 @@ def build_parser():
     _add_common(ps)
     ps.add_argument("--theta0", help="comma-separated initial coordinates")
     ps.add_argument("--thdot0", help="comma-separated initial velocities")
-    ps.add_argument("--t-final", type=float, default=10.0, dest="t_final")
+    ps.add_argument("--t-final", type=_positive(float), default=10.0,
+                    dest="t_final")
     ps.add_argument("--full", action="store_true",
                     help="simulate the full closed loop instead of reduced")
     ps.add_argument("--format", choices=("json", "csv"), default="json")
@@ -297,8 +298,9 @@ def build_parser():
     pp = sub.add_parser("portrait", help="classify a family of reduced orbits")
     _add_common(pp)
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--count", type=int, default=8)
-    pp.add_argument("--t-final", type=float, default=20.0, dest="t_final")
+    pp.add_argument("--count", type=_positive(int), default=8)
+    pp.add_argument("--t-final", type=_positive(float), default=20.0,
+                    dest="t_final")
     pp.set_defaults(fn=cmd_portrait)
     return parser
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import dual as dm
-from .calculus import partial, quad, vector_partial
+from .calculus import partial, quad
 from .dual import Dual, real
 from .holonomy import (GeneratorHolonomyError, PeriodicAntiderivative,
                        SmoothFromDerivative, WindowAntiderivative, circle_mod,
@@ -30,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 class RecurrenceData:
     """Ricci recurrence nabla Ric = omega (x) Ric, tested on a grid."""
 
-    omega: object            # callable: point -> [w_1, ..., w_n]
     ric: object              # Tensor02Field
     residual: float          # max |nabla Ric - omega (x) Ric|, det Ric != 0
     definite: int            # +1, -1: definite, one sign on the grid; else 0
@@ -72,23 +71,6 @@ def recurrence_solve(gamma, grid=None, tol=1e-7):
     if grid is None:
         grid = gamma.chart.grid()
     ric = ricci_field(gamma)
-    memo = {}
-
-    def omega(x):
-        plain = not any(isinstance(c, Dual) for c in x)
-        key = tuple(map(float, x)) if plain else None
-        if key in memo:
-            return memo[key]
-        w = _recurrence_at(gamma, ric, x)[2]
-        if w is None:
-            raise ValueError(f"Ricci tensor vanishes at {x}; the "
-                             "recurrence one-form is undefined there")
-        if plain:
-            if len(memo) >= 4096:
-                memo.clear()
-            memo[key] = w
-        return w
-
     worst, min_norm, indefinite, signs = 0.0, math.inf, False, set()
     for p in grid:
         R, dR, w = _recurrence_at(gamma, ric, p)
@@ -108,51 +90,29 @@ def recurrence_solve(gamma, grid=None, tol=1e-7):
         for i, j, k in itertools.product(range(len(p)), repeat=3):
             worst = max(worst, abs(float(real(dR[i][j][k])) - w[i] * R[j][k]))
     definite = signs.pop() if len(signs) == 1 and 0 not in signs else 0
-    return RecurrenceData(omega=omega, ric=ric, residual=worst,
-                          definite=definite, recurrent=worst < tol,
-                          min_ric_norm=min_norm, indefinite=indefinite)
+    return RecurrenceData(ric=ric, residual=worst, definite=definite,
+                          recurrent=worst < tol, min_ric_norm=min_norm,
+                          indefinite=indefinite)
 
 
 # ---------------------------------------------------------------------------
-# Exactness of one-forms and line-integral potentials
+# Exactness of the recurrence one-form and line-integral potentials
+#
+# Tracing nabla Ric = omega (x) Ric with Ric^{-1} gives, in 2-D,
+#     omega_i = 1/2 d_i log det Ric - trGamma_i,   trGamma_i = Gamma^m_{im},
+# so omega needs no derivative of Ric, and for a torsion-free Gamma its curl
+# d_0 omega_1 - d_1 omega_0 is Ric_01 - Ric_10: the log-det term is exact.
 
 
-@dataclass
-class ExactnessReport:
-    exact: bool
-    curl_max: float
-    loop_max: float
-
-
-def exactness_check(omega, chart, grid=None, loop_sections=3, tol=1e-6,
-                    quad_tol=1e-10):
-    """Closedness (dual-derivative curl on the grid) plus vanishing loop
-    integrals around every periodic coordinate."""
-    if grid is None:
-        grid = chart.grid()
-    n = chart.dim
+def exactness_check(rec, grid, tol=1e-6):
+    """(exact, curl_max): the recurrence one-form is closed on the grid iff
+    the Ricci tensor is symmetric there, with curl_max = max |Ric_01 - Ric_10|.
+    A curved chart is simply connected here, so closed means exact."""
     curl_max = 0.0
     for p in grid:
-        # domega[a][b] = d_a omega_b
-        domega = [[float(real(v)) for v in vector_partial(omega, p, a)]
-                  for a in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                curl_max = max(curl_max, abs(domega[i][j] - domega[j][i]))
-    loop_max = 0.0
-    axes = chart.grid_axes(n=loop_sections + 2)
-    for i in range(n):
-        if not chart.periodic[i]:
-            continue
-        sections = [[ax[k] for ax in axes] for k in range(1, loop_sections + 1)]
-        for base in sections:
-            def comp(t):
-                p = list(base)
-                p[i] = t
-                return float(real(omega(p)[i]))
-            loop_max = max(loop_max, abs(quad(comp, 0.0, TWO_PI, tol=quad_tol)))
-    return ExactnessReport(curl_max < tol and loop_max < tol,
-                           curl_max, loop_max)
+        R = rec.ric(p)
+        curl_max = max(curl_max, abs(float(real(R[0][1] - R[1][0]))))
+    return curl_max < tol, curl_max
 
 
 class LineIntegralField:
@@ -224,7 +184,6 @@ class LineIntegralField:
 class MetricReport:
     ok: bool
     g: object = None                 # Tensor02Field
-    f: object = None                 # recurrence potential
     sign: int = 0
     b: float = 0.0
     max_nabla_g: float = 0.0
@@ -237,17 +196,33 @@ class MetricReport:
 
 def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
                       check_tol=1e-6, tol=1e-10):
-    """Candidate metric g = sign * exp(-f + b) * Ric with f the anchored
-    potential of the recurrence one-form; verified by parallelism of g and
-    agreement of its Levi-Civita connection with gamma."""
+    """Candidate metric g = sign * exp(-f + b) * Ric with df = omega and
+    f(ref) = 0, that is f = 1/2 log(det Ric / det Ric(ref)) - int_ref^x
+    trGamma; verified by parallelism of g and agreement of its Levi-Civita
+    connection with gamma."""
     if not rec.recurrent or rec.definite == 0:
         return MetricReport(False, message="Ricci not definite and recurrent")
     sign = rec.definite
-    f = LineIntegralField(rec.omega, gamma.chart, ref, tol=tol)
+
+    def trace(x):
+        G = gamma(x)
+        return [G[0][i][0] + G[1][i][1] for i in range(2)]
+
+    def log_det(x, R):
+        det = R[0][0] * R[1][1] - R[0][1] * R[1][0]
+        if real(det) <= 0.0:
+            raise ValueError("Ricci tensor vanishes or degenerates at "
+                             f"{[float(real(c)) for c in x]}; the "
+                             "recurrence one-form is undefined there")
+        return dm.log(det)
+
+    t = LineIntegralField(trace, gamma.chart, ref, tol=tol)
+    log_det_ref = log_det(ref, rec.ric(ref))
 
     def g_fn(x):
-        scale = sign * dm.exp(-f(x) + b)
         R = rec.ric(x)
+        f = 0.5 * (log_det(x, R) - log_det_ref) - t(x)
+        scale = sign * dm.exp(-f + b)
         return [[scale * v for v in row] for row in R]
 
     g = Tensor02Field(gamma.chart, g_fn)
@@ -261,7 +236,7 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
         max_ng = max(max_ng, float(np.max(np.abs(ng))))
         max_dev = max(max_dev, float(np.max(np.abs(dev))))
     ok = max_ng < check_tol and max_dev < check_tol
-    return MetricReport(ok, g=g, f=f, sign=sign, b=b,
+    return MetricReport(ok, g=g, sign=sign, b=b,
                         max_nabla_g=max_ng, max_gamma_dev=max_dev,
                         message="" if ok else "verification residual too large")
 

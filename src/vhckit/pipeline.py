@@ -177,10 +177,11 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         return _decided(result, VERDICT_UNSUPPORTED,
                         "Ricci tensor vanishes or changes sign on the grid; "
                         "the recurrence test needs it definite")
-    ex = exactness_check(rec.omega, chart, grid=chart.grid(5, grid_margin))
-    det["omega_curl_max"] = ex.curl_max
-    det["omega_loop_max"] = ex.loop_max
-    if not ex.exact:
+    # no periodic coordinate, so no loop integral: closed is exact
+    exact, det["omega_curl_max"] = exactness_check(
+        rec, chart.grid(5, grid_margin))
+    det["omega_loop_max"] = 0.0
+    if not exact:
         return _decided(result, VERDICT_NOT_LAGRANGIAN,
                         "recurrence one-form is not exact")
     if gauge_b is None:
@@ -209,23 +210,11 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         result.artifacts["P_C"] = lambda th: 0.0
         det["potential"] = "zero"
     else:
-        # mu = exp(-f+b) nu with nu = sign * Ric lam, so d(mu) = 0 iff
-        # d(nu) = omega ^ nu; checking the latter avoids evaluating the
-        # potential f entirely.
-        def nu(x):
-            R = rec.ric(x)
-            lam = conn.lam(x)
-            return [rec.definite * sum(R[i][j] * lam[j] for j in range(2))
-                    for i in range(2)]
-
         closed_max = 0.0
         for p in check_grid:
-            w = [float(real(v)) for v in rec.omega(p)]
-            nv = [float(real(v)) for v in nu(p)]
-            d0nu1 = float(real(vector_partial(nu, p, 0)[1]))
-            d1nu0 = float(real(vector_partial(nu, p, 1)[0]))
-            closed_max = max(closed_max, abs(d0nu1 - d1nu0
-                                             - (w[0] * nv[1] - w[1] * nv[0])))
+            d0mu1 = float(real(vector_partial(mu, p, 0)[1]))
+            d1mu0 = float(real(vector_partial(mu, p, 1)[0]))
+            closed_max = max(closed_max, abs(d0mu1 - d1mu0))
         det["mu_closedness"] = closed_max
         if closed_max > 1e-6:
             return _decided(result, VERDICT_NOT_LAGRANGIAN,

@@ -237,6 +237,37 @@ def test_negative_curvature_is_lagrangian(tmp_path, capsys):
     assert out["details"]["ricci_definite"] == -1
 
 
+def _mu_config(name, **fields):
+    # NEGATIVE_CONFIG's metric with a reduced force: P alone gives
+    # lambda = grad P on the (x, y) block
+    return dict(NEGATIVE_CONFIG, name=name, **fields)
+
+
+def test_exact_force_on_negative_curvature_is_lagrangian(tmp_path, capsys):
+    cfg = _mu_config("gauss-negative-force", P="x*y + 0.3*x")
+    code = main(["analyze", "--config", _write_config(tmp_path, cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert out["verdict"] == "lagrangian"
+    assert out["details"]["max_lambda"] > 0.1
+    assert out["details"]["mu_closedness"] < 1e-10
+
+
+def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
+    # a tilted input B = (1, 0, 1) leaves a force one-form g(lambda, .)
+    # that is not closed
+    cfg = _mu_config("gauss-negative-tilted", P="y*z",
+                     B=[["1"], ["0"], ["1"]],
+                     Bperp=[["1", "0", "-1"], ["0", "1", "0"]])
+    code = main(["analyze", "--config", _write_config(tmp_path, cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NOT_LAGRANGIAN
+    assert out["verdict"] == "not-lagrangian"
+    assert (out["details"]["reason"]
+            == "force one-form g(lambda, .) is not exact")
+    assert out["details"]["mu_closedness"] > 1.0
+
+
 @pytest.mark.parametrize("argv,named", [
     ([], "required"),
     (["bogus"], "invalid choice"),
@@ -247,8 +278,15 @@ def test_negative_curvature_is_lagrangian(tmp_path, capsys):
     (["analyze", "--model", "circle", "--tol", "-1"], "--tol"),
     (["simulate", "--model", "circle", "--format", "csv", "--out", "t.csv",
       "--samples", "0"], "--samples"),
+    (["portrait", "--model", "circle", "--count", "0", "--out", "p.json"],
+     "--count"),
+    (["portrait", "--model", "circle", "--count", "-2", "--out", "p.json"],
+     "--count"),
+    (["simulate", "--model", "circle", "--t-final", "-1", "--out", "s.json"],
+     "--t-final"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
-        "grid-0", "tol-0", "tol-negative", "samples-0"])
+        "grid-0", "tol-0", "tol-negative", "samples-0", "count-0",
+        "count-negative", "t-final-negative"])
 def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
     assert main(argv) == EXIT_ERROR

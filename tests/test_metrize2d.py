@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import vhckit.dual as dm
+from vhckit.calculus import partial
 from vhckit.dual import real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
                              connection_from_metric, ricci)
 from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
-                              cylinder_lagrangian_search,
+                              _recurrence_at, cylinder_lagrangian_search,
                               exactness_check, metric_from_ricci,
                               recurrence_solve)
 from vhckit.models import get_model
@@ -39,30 +40,118 @@ def test_recurrence_sphere_closed_forms():
     assert rec.definite == 1
     assert rec.residual < 1e-10
     for p in grid[::6]:
-        w = [float(real(v)) for v in rec.omega(p)]
+        w = [float(real(v))
+             for v in _recurrence_at(conn.gammaC, rec.ric, p)[2]]
         expect = b.expected["omega"](p)
         assert w[0] == pytest.approx(float(expect[0]), abs=1e-9)
         assert w[1] == pytest.approx(float(expect[1]), abs=1e-12)
 
 
-def test_exactness_check_detects_non_closed_form():
+def test_omega_is_half_log_det_ricci_minus_trace_on_sphere():
+    # tracing nabla Ric = omega (x) Ric with Ric^{-1}: omega_i =
+    # 1/2 d_i log det Ric - Gamma^m_{im}, wherever the recurrence holds
+    b, conn = _sphere_conn()
+    grid = b.chart.grid(5, 1e-2)
+    rec = recurrence_solve(conn.gammaC, grid)
+
+    def log_det(x):
+        R = rec.ric(x)
+        return dm.log(R[0][0] * R[1][1] - R[0][1] * R[1][0])
+
+    for p in grid:
+        w = _recurrence_at(conn.gammaC, rec.ric, p)[2]
+        G = conn.gammaC(p)
+        for i in range(2):
+            expect = (0.5 * partial(log_det, p, i)
+                      - sum(G[m][i][m] for m in range(2)))
+            assert float(real(w[i])) == pytest.approx(float(expect), abs=1e-10)
+
+
+def _sym_ricci(sp, X, G):
+    """Ric[i][j] = sum_k R^k_{kij}, with R^l_{ijk} as in
+    manifold.curvature_coeffs."""
+    def R(l, i, j, k):
+        return (sp.diff(G[l][j][k], X[i]) - sp.diff(G[l][i][k], X[j])
+                + sum(G[m][j][k] * G[l][i][m] - G[m][i][k] * G[l][j][m]
+                      for m in range(2)))
+    return [[sum(R(k, k, i, j) for k in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+def test_trace_identities_symbolic():
+    # an oracle independent of the dual-number kernels for the two
+    # identities the curved 2-D path rests on
+    sp = pytest.importorskip("sympy")
+    X = sp.symbols("x y")
+
+    def tr(G):
+        return [G[0][i][0] + G[1][i][1] for i in range(2)]
+
+    # the symbolic Ricci tensor is manifold.ricci's: compare at a point for
+    # a concrete torsion-free connection
+    def concrete(x):
+        return [[[(k + 1) * x[0] * x[1] + (i + j + 1) * x[1] * x[1]
+                  + (2 * k - i - j) * x[0] for j in range(2)]
+                 for i in range(2)] for k in range(2)]
+
     chart = Chart(2, (False, False), ((-1.0, 1.0), (-1.0, 1.0)))
-    closed = lambda x: [x[1], x[0]]            # d(xy)
-    not_closed = lambda x: [-x[1], x[0]]       # curl = 2
-    ok = exactness_check(closed, chart, grid=chart.grid(5))
-    bad = exactness_check(not_closed, chart, grid=chart.grid(5))
-    assert ok.exact and ok.curl_max < 1e-10
-    assert not bad.exact and bad.curl_max == pytest.approx(2.0, rel=1e-9)
+    p = [0.3, -0.7]
+    got = ricci(ConnectionCoeffs(chart, concrete), p)
+    want = _sym_ricci(sp, X, concrete(X))
+    for i in range(2):
+        for j in range(2):
+            assert float(real(got[i][j])) == pytest.approx(
+                float(want[i][j].subs(dict(zip(X, p)))), abs=1e-12)
+
+    # curl omega = Ric_01 - Ric_10 for a generic torsion-free connection:
+    # omega = 1/2 d log det Ric - trGamma, and the log-det term is exact
+    G = [[[sp.Function("G%d%d%d" % ((k,) + tuple(sorted((i, j)))))(*X)
+           for j in range(2)] for i in range(2)] for k in range(2)]
+    Ric = _sym_ricci(sp, X, G)
+    t = tr(G)
+    curl = -(sp.diff(t[1], X[0]) - sp.diff(t[0], X[1]))
+    assert sp.simplify(Ric[0][1] - Ric[1][0] - curl) == 0
+
+    # nabla Ric = omega (x) Ric with omega = 1/2 d log det Ric - trGamma for
+    # the Levi-Civita connection of a conformal metric e^{2u} (dx^2 + dy^2)
+    u = sp.Function("u")(*X)
+    g = sp.exp(2 * u) * sp.eye(2)
+    gi = g.inv()
+    G = [[[sum(gi[k, l] * (sp.diff(g[j, l], X[i]) + sp.diff(g[i, l], X[j])
+                           - sp.diff(g[i, j], X[l])) for l in range(2)) / 2
+           for j in range(2)] for i in range(2)] for k in range(2)]
+    Ric = _sym_ricci(sp, X, G)
+    t = tr(G)
+    det = Ric[0][0] * Ric[1][1] - Ric[0][1] * Ric[1][0]
+    for i in range(2):
+        w = sp.diff(sp.log(det), X[i]) / 2 - t[i]
+        for j in range(2):
+            for k in range(2):
+                # (nabla Ric)_ijk as in manifold.total_cov_derivative_02
+                nab = sp.diff(Ric[j][k], X[i]) - sum(
+                    G[m][i][j] * Ric[m][k] + G[m][i][k] * Ric[j][m]
+                    for m in range(2))
+                assert sp.simplify(nab - w * Ric[j][k]) == 0
 
 
-def test_exactness_check_periodic_loop_integral():
-    chart = Chart(2, (False, True), ((-1.0, 1.0), (0.0, TWO_PI)))
-    # closed but not exact on the cylinder: omega = dtheta2
-    omega = lambda x: [0.0, 1.0]
-    rep = exactness_check(omega, chart, grid=chart.grid(4))
-    assert rep.curl_max < 1e-12
-    assert rep.loop_max == pytest.approx(TWO_PI, rel=1e-10)
-    assert not rep.exact
+def test_exactness_check_detects_non_closed_form():
+    # torsion-free, Gamma^0_00 = y alone: trGamma = (y, 0), so the
+    # recurrence one-form has curl 1, and Ric = [[0, 0], [-1, 0]]
+    chart = Chart(2, (False, False), ((-1.0, 1.0), (-1.0, 1.0)))
+
+    def coeffs(x):
+        G = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+        G[0][0][0] = x[1]
+        return G
+
+    grid = chart.grid(5)
+    rec = recurrence_solve(ConnectionCoeffs(chart, coeffs), grid)
+    exact, curl = exactness_check(rec, grid)
+    assert not exact and curl == pytest.approx(1.0, rel=1e-12)
+    b, conn = _sphere_conn()
+    grid = b.chart.grid(5, 1e-2)
+    exact, curl = exactness_check(recurrence_solve(conn.gammaC, grid), grid)
+    assert exact and curl < 1e-10
 
 
 def test_potential_from_oneform_recovers_function():
@@ -142,12 +231,16 @@ def test_recurrence_sign_changing_curvature_is_undecided():
         e = dm.exp(2.0 * x[0] * x[0] * x[0])
         return [[e, 0.0], [0.0, e]]
 
-    rec = recurrence_solve(connection_from_metric(chart, g), chart.grid(7))
+    gamma = connection_from_metric(chart, g)
+    rec = recurrence_solve(gamma, chart.grid(7))
     assert rec.recurrent and rec.residual < 1e-12
     assert rec.definite == 0 and not rec.indefinite
     assert rec.min_ric_norm == 0.0
+    assert _recurrence_at(gamma, rec.ric, [0.0, 0.1])[2] is None
+    # the metric candidate refuses a point where det Ric = 0
     with pytest.raises(ValueError, match="vanishes"):
-        rec.omega([0.0, 0.1])
+        metric_from_ricci(gamma, dataclasses.replace(rec, definite=1),
+                          [0.0, 0.1])
 
 
 def test_recurrence_indefinite_ricci():
