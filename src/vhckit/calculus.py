@@ -1,11 +1,11 @@
 """Shared numerical kernels: differentiation, quadrature, ODE integration.
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
-numbers; fields must accept dual arguments (see ``vhckit.dual``)."""
+numbers; fields must accept dual arguments (see ``vhckit.dual``). Every
+ODE is solved by ``integrate_ode``, the one call to scipy's ``solve_ivp``."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +14,6 @@ from scipy.integrate import quad as _scipy_quad, solve_ivp
 from .dual import Dual, eps, seed
 
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_ODE_TOL = 1e-10
 
 
 class DomainError(ValueError):
@@ -141,59 +140,26 @@ class Trajectory:
         return np.asarray(self._interp(t), dtype=float)
 
 
-def integrate_ode(rhs, t0, x0, t1, method="rk45", tol=DEFAULT_ODE_TOL,
-                  max_step=np.inf, step=1e-3):
-    """Integrate ``x' = rhs(t, x)`` from t0 to t1.
+def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
+                  first_step=None):
+    """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with an
+    adaptive scipy solver at rtol = atol = ``tol``, keeping dense output.
 
-    method "rk45" is adaptive (scipy RK45/DOP853 class solver at tolerance
-    ``tol``); "rk4" is fixed-step classical RK4 with step ``step`` and cubic
-    Hermite interpolation between nodes (bit-stable goldens).
+    This is the package's one ODE primitive. Each caller keeps the method
+    that makes the fewest counted RHS calls on its work: the simulations
+    (at ``max_step`` 1e-2) and parallel transport use RK45, and the
+    antiderivatives of ``holonomy`` use DOP853. A right-hand side that is
+    not finite at the start raises ``IntegrationError``; scipy would take a
+    NaN first step and never leave its step loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if t1 == t0:
-        traj = Trajectory([t0], [x0], interpolant=lambda t: x0)
-        return traj
-    if method == "rk45":
-        sol = solve_ivp(rhs, (t0, t1), x0, method="RK45", rtol=tol,
-                        atol=tol, max_step=max_step, dense_output=True)
-        if not sol.success:
-            raise IntegrationError(sol.message)
-        return Trajectory(sol.t, sol.y.T, interpolant=sol.sol)
-    if method != "rk4":
-        raise ValueError(f"unknown integration method {method!r}")
-
-    n = max(1, int(math.ceil(abs(t1 - t0) / step)))
-    h = (t1 - t0) / n
-    ts = [t0]
-    xs = [x0]
-    ks = [np.asarray(rhs(t0, x0), dtype=float)]
-    t, x = t0, x0
-    for _ in range(n):
-        k1 = ks[-1]
-        k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1), dtype=float)
-        k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        ts.append(t)
-        xs.append(x)
-        ks.append(np.asarray(rhs(t, x), dtype=float))
-    ts_arr = np.asarray(ts)
-    xs_arr = np.asarray(xs)
-    ks_arr = np.asarray(ks)
-
-    def interp(tq):
-        tq = float(tq)
-        i = int(np.clip(np.searchsorted(ts_arr, tq) - 1, 0, n - 1)) \
-            if h > 0 else int(np.clip(np.searchsorted(-ts_arr, -tq) - 1, 0, n - 1))
-        s = (tq - ts_arr[i]) / h
-        x0_, x1_ = xs_arr[i], xs_arr[i + 1]
-        d0, d1 = ks_arr[i] * h, ks_arr[i + 1] * h
-        h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-        h10 = s ** 3 - 2 * s ** 2 + s
-        h01 = -2 * s ** 3 + 3 * s ** 2
-        h11 = s ** 3 - s ** 2
-        return h00 * x0_ + h10 * d0 + h01 * x1_ + h11 * d1
-
-    return Trajectory(ts_arr, xs_arr, interpolant=interp)
-
+        return Trajectory([t0], [x0], interpolant=lambda t: x0)
+    if not np.all(np.isfinite(np.asarray(rhs(t0, x0), dtype=float))):
+        raise IntegrationError(f"right-hand side is not finite at t = {t0:g}")
+    sol = solve_ivp(rhs, (t0, t1), x0, method=method, rtol=tol, atol=tol,
+                    max_step=max_step, first_step=first_step,
+                    dense_output=True)
+    if not sol.success:
+        raise IntegrationError(sol.message)
+    return Trajectory(sol.t, sol.y.T, interpolant=sol.sol)

@@ -1,5 +1,10 @@
 """Parallel transport, holonomy over loops, and metrizability decisions for
-flat connections and one-dimensional constraint manifolds."""
+flat connections and one-dimensional constraint manifolds.
+
+Transport and the antiderivatives (``WindowAntiderivative``,
+``PeriodicAntiderivative``, ``cylinder_integrals``) all solve their ODEs with
+``calculus.integrate_ode``: transport with RK45, one solve per path piece,
+and the antiderivatives with DOP853 and dense output."""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import dual as dm
 from .calculus import CurveSampler, integrate_ode
@@ -55,14 +59,24 @@ def _transport_rhs(gamma, path):
 
 
 def transport_matrix(gamma, path, dim, tol=1e-10):
-    """Transport the full basis along a path: columns are transported e_i."""
+    """Transport the full basis along a path: columns are transported e_i.
+
+    Each piece [a, b] between the path's breakpoints is integrated on its
+    own, with the path sampled at t clamped to [nextafter(a, b),
+    nextafter(b, a)]. A piecewise sampler returns the next piece's velocity
+    at a knot, and ``reverse_path`` moves that sample to a piece's left end;
+    the clamp keeps both ends on the piece, so the adaptive solver sees a
+    smooth right-hand side and rejects no steps at the knot.
+    """
     X = np.eye(dim)
     pieces = sorted(b for b in path.breakpoints
                     if path.t_start < b < path.t_end)
     knots = [path.t_start] + pieces + [path.t_end]
     for a, b in zip(knots[:-1], knots[1:]):
-        traj = integrate_ode(_transport_rhs(gamma, path), a, X.ravel(), b, tol=tol)
-        X = traj.end_state.reshape(dim, dim)
+        lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+        rhs = _transport_rhs(gamma, lambda t: path(min(max(t, lo), hi)))
+        X = integrate_ode(rhs, a, X.ravel(), b, tol).end_state
+        X = X.reshape(dim, dim)
     return X
 
 
@@ -105,16 +119,6 @@ class SmoothFromDerivative:
         return self.value_fn(float(x))
 
 
-def _dense_solve(rhs, t0, t1, y0, tol, first_step=None):
-    """DOP853 solution of y' = rhs(t, y) from t0 to t1 (either direction),
-    with dense output; the one dense solve behind every antiderivative."""
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True, first_step=first_step)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return sol
-
-
 class WindowAntiderivative:
     """F(x) = int_x0^x f(z) dz on the real line, dense over a growing window."""
 
@@ -145,10 +149,11 @@ class WindowAntiderivative:
             if (new > bound) if up else (new < bound):
                 new = bound - 0.05 * (bound - edge)
                 new = max(x, new) if up else min(x, new)
-            sol = _dense_solve(lambda t, y: [self.f(t)], edge, new,
-                               [self._at(edge)], self.tol,
-                               first_step=0.125 * abs(new - edge))
-            self._sols.append((min(edge, new), max(edge, new), sol.sol))
+            traj = integrate_ode(lambda t, y: [self.f(t)], edge,
+                                 [self._at(edge)], new, self.tol,
+                                 method="DOP853",
+                                 first_step=0.125 * abs(new - edge))
+            self._sols.append((min(edge, new), max(edge, new), traj.at))
             if up:
                 self._hi = new
             else:
@@ -331,12 +336,12 @@ def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
     def rhs(t, y):
         return [-float(real(g2(t))), float(real(g1(t))) * math.exp(y[0])]
 
-    sol = _dense_solve(rhs, 0.0, TWO_PI, [0.0, 0.0], tol)
-    I1_loop, I2_loop = float(sol.y[0, -1]), float(sol.y[1, -1])
+    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, tol, method="DOP853")
+    I1_loop, I2_loop = (float(v) for v in traj.end_state)
     if max(abs(I1_loop), abs(I2_loop)) >= 1e-7:
         raise GeneratorHolonomyError(I1_loop, I2_loop)
-    I1 = SmoothFromDerivative(lambda t: float(sol.sol(circle_mod(t))[0]),
+    I1 = SmoothFromDerivative(lambda t: float(traj.at(circle_mod(t))[0]),
                               lambda t: -g2(t))
-    I2 = SmoothFromDerivative(lambda t: float(sol.sol(circle_mod(t))[1]),
+    I2 = SmoothFromDerivative(lambda t: float(traj.at(circle_mod(t))[1]),
                               lambda t: g1(t) * dm.exp(I1(t)))
     return CylinderTransportData(I1, I2, I1_loop, I2_loop)

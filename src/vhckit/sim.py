@@ -30,7 +30,7 @@ def reduced_energy(metric, potential, theta, thdot):
 
 
 def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
-                         max_step=DEFAULT_MAX_STEP, method="rk45"):
+                         max_step=DEFAULT_MAX_STEP):
     """Integrate the reduced dynamics on the constraint manifold.
 
     When the inputs act orthogonally to the manifold the restricted
@@ -45,7 +45,7 @@ def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
         return list(s[d:]) + [float(real(a)) for a in acc]
 
     traj = integrate_ode(rhs, float(t_span[0]), state0, float(t_span[1]),
-                         method=method, tol=tol, max_step=max_step)
+                         tol, max_step=max_step)
     try:
         metric, potential = restricted_structure(sys, par)
     except ValueError:
@@ -87,7 +87,7 @@ def simulate_full(sys, par, theta0, thdot0, t_span, gains=(100.0, 20.0),
         return list(qd) + [float(v) for v in acc]
 
     traj = integrate_ode(rhs, float(t_span[0]), q0 + qd0, float(t_span[1]),
-                         tol=tol, max_step=max_step)
+                         tol, max_step=max_step)
     worst_h = 0.0
     worst_hd = 0.0
     if sys.h is not None:

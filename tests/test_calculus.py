@@ -1,14 +1,16 @@
 """Derivative, quadrature, and ODE utilities against independent oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vhckit import dual as dm
-from vhckit.calculus import (Trajectory, gradient, integrate_ode, jacobian,
-                             line_segment, matrix_partial, partial, quad,
-                             second_partial, vector_partial)
+from vhckit import calculus, dual as dm
+from vhckit.calculus import (IntegrationError, Trajectory, gradient,
+                             integrate_ode, jacobian, line_segment,
+                             matrix_partial, partial, quad, second_partial,
+                             vector_partial)
 
 
 def simpson_doubling(f, a, b, tol=1e-12, max_iter=22):
@@ -105,42 +107,32 @@ def test_quad_exact_polynomial():
                                                                   rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
 def test_integrate_ode_exponential_decay(method):
-    traj = integrate_ode(lambda t, x: [-x[0]], 0.0, [1.0], 2.0,
-                         method=method, tol=1e-12, step=1e-3)
+    traj = integrate_ode(lambda t, x: [-x[0]], 0.0, [1.0], 2.0, 1e-12,
+                         method=method)
     assert traj.end_state[0] == pytest.approx(math.exp(-2.0), abs=1e-8)
 
 
-def test_rk4_one_rhs_call_per_stage():
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_integrate_ode_rejects_non_finite_start(method):
+    # scipy takes a NaN first step from a NaN derivative and never returns
     calls = []
 
     def rhs(t, x):
         calls.append(t)
-        return [x[1], -math.sin(x[0]) + 0.1 * t]
+        return [x[0] * math.nan]
 
-    n = 16
-    traj = integrate_ode(rhs, 0.0, [0.3, 0.0], 2.0, method="rk4",
-                         step=2.0 / n)
-    # one evaluation at the start, then four stages per step: the first
-    # stage of a step is the derivative already taken at its start node
-    assert len(calls) == 1 + 4 * n
-    f = lambda t, x: np.asarray([x[1], -math.sin(x[0]) + 0.1 * t])
-    h = 2.0 / n
-    t, x = 0.0, np.asarray([0.3, 0.0])
-    for k in range(n):
-        k1 = f(t, x)
-        k2 = f(t + h / 2, x + h / 2 * k1)
-        k3 = f(t + h / 2, x + h / 2 * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        assert np.array_equal(traj.states[k + 1], x)
-    # values of the earlier five-evaluation step, bit for bit
-    assert traj.end_state.tolist() == [-0.012736009295940293,
-                                       -0.13115188536621425]
-    assert traj.at(1.3).tolist() == [0.11620629689641704,
-                                     -0.21387880419404573]
+    with pytest.raises(IntegrationError, match="not finite at t = 0.5"):
+        integrate_ode(rhs, 0.5, [1.0], 2.0, 1e-10, method=method)
+    assert calls == [0.5]
+
+
+def test_solve_ivp_is_called_only_in_calculus():
+    src = Path(calculus.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py")
+                   if "solve_ivp" in p.read_text())
+    assert users == ["calculus.py"]
 
 
 def test_integrate_ode_harmonic_oscillator_dense():

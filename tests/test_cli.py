@@ -217,6 +217,16 @@ def test_simulate_bad_ic_dimension(capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--full"], ["analyze"]],
+                         ids=["simulate-full", "analyze"])
+def test_non_finite_potential_is_an_integration_error(tmp_path, capsys, argv):
+    # inf - inf: a NaN force; the full simulation used to hang in scipy
+    cfg = dict(CIRCLE_CONFIG, P="(1e308*10 - 1e308*10)*q1")
+    code = main(argv + ["--config", _write_config(tmp_path, cfg)])
+    assert code == EXIT_ERROR
+    assert "IntegrationError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [5, 6, 7, 9])
 def test_sign_changing_curvature_is_unsupported(tmp_path, capsys, grid):
     # Lagrangian, but outside what the Ricci recurrence test decides; on

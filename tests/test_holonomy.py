@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vhckit.calculus import line_segment, quad
+from vhckit.calculus import CurveSampler, line_segment, quad
 from vhckit.dual import Dual, eps, real
 from vhckit.holonomy import (CylinderStructureError, FlatnessError,
                              GeneratorHolonomyError, LoopDescriptor,
@@ -67,6 +67,41 @@ def test_transport_map_inverse_and_composition():
     M1 = transport_matrix(conn.gammaC, s01, 2)
     M2 = transport_matrix(conn.gammaC, s12, 2)
     assert np.allclose(M, M2 @ M1, atol=1e-10)
+
+
+def test_transport_integrates_each_piece_inside_its_interval():
+    # The sampler returns the next piece's velocity at each knot, as a
+    # piecewise path does; reverse_path moves that sample to the left end.
+    b = get_model("sphere")
+    conn = induced_connection(b.system, b.parametrization)
+    calls = [0]
+
+    def gamma(x):
+        calls[0] += 1
+        return conn.gammaC(x)
+
+    points = [[0.9, -0.4], [1.5, 0.6], [2.1, -0.2], [0.9, -0.4]]
+
+    def fn(t):
+        i = min(int(t), 2)
+        p, q = points[i], points[i + 1]
+        return ([a + (t - i) * (c - a) for a, c in zip(p, q)],
+                [c - a for a, c in zip(p, q)])
+
+    poly = CurveSampler(fn, 0.0, 3.0, breakpoints=(1.0, 2.0))
+    segs = [line_segment(p, q) for p, q in zip(points[:-1], points[1:])]
+    for whole, parts in ((poly, segs),
+                         (reverse_path(poly),
+                          [reverse_path(s) for s in reversed(segs)])):
+        calls[0] = 0
+        M = np.eye(2)
+        for s in parts:
+            M = transport_matrix(gamma, s, 2) @ M
+        per_segment = calls[0]
+        calls[0] = 0
+        M_whole = transport_matrix(gamma, whole, 2)
+        assert float(np.max(np.abs(M_whole - M))) < 1e-10
+        assert calls[0] <= 1.5 * per_segment
 
 
 def test_periodic_antiderivative_vs_quad():
