@@ -82,9 +82,8 @@ def simulate_full(sys, par, theta0, thdot0, t_span, gains=(100.0, 20.0),
 
     def rhs(t, s):
         q, qd = list(s[:n]), list(s[n:])
-        tau = stabilizing_feedback(sys, q, qd, gains=gains)
-        acc = sys.full_rhs(q, qd, tau)
-        return list(qd) + [float(v) for v in acc]
+        _, qdd = stabilizing_feedback(sys, q, qd, gains=gains)
+        return list(qd) + [float(v) for v in qdd]
 
     traj = integrate_ode(rhs, float(t_span[0]), q0 + qd0, float(t_span[1]),
                          tol, max_step=max_step)

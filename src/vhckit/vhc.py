@@ -44,18 +44,6 @@ class LagrangianControlSystem:
     def gamma(self, x):
         return self.connection()(x)
 
-    def full_rhs(self, q, qdot, tau):
-        """Acceleration qdd for the full system under input tau."""
-        n = self.n
-        G = self.gamma(list(q))
-        quad = [sum(G[k][i][j] * qdot[i] * qdot[j]
-                    for i in range(n) for j in range(n)) for k in range(n)]
-        D = np.asarray(self.D(list(q)), dtype=float)
-        forcing = np.asarray(linalg.mat_vec(self.B(list(q)), list(tau)), dtype=float) \
-            if self.m > 0 else np.zeros(n)
-        rhs = forcing - np.asarray(self.gradP(list(q)), dtype=float)
-        return np.linalg.solve(D, rhs) - np.asarray(quad)
-
 
 @dataclass(frozen=True)
 class ConstraintParametrization:
@@ -266,26 +254,31 @@ def psi_functions(sys, par, theta):
 def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     """Input-output linearizing feedback for the output e = h(q).
 
-    Returns tau solving  hdd = -Kp h - Kd hd  along the closed loop. With
-    gains (0, 0) and an on-constraint state this is the unique feedback
-    rendering the constraint manifold invariant.
+    Returns (tau, qdd): tau solves  hdd = -Kp h - Kd hd  along the closed
+    loop, and qdd is the full system's acceleration under tau, from one
+    stacked solve D^{-1} [B | gradP]. With gains (0, 0) and an on-constraint
+    state tau is the unique feedback rendering the constraint manifold
+    invariant.
     """
     if sys.h is None:
         raise ValueError("system has no constraint function h")
     q, qdot = list(q), list(qdot)
-    n = sys.n
+    n, m = sys.n, sys.m
     kp, kd = gains
     dh = np.asarray(jacobian(sys.h, q), dtype=float)     # m x n
     D = np.asarray(sys.D(q), dtype=float)
-    B = np.asarray(sys.B(q), dtype=float)
-    b = dh @ np.linalg.solve(D, B)                      # m x m
+    Dinv_BP = np.linalg.solve(D, np.column_stack(
+        [np.asarray(sys.B(q), dtype=float),
+         np.asarray(sys.gradP(q), dtype=float)]))
+    DinvB = Dinv_BP[:, :m]
+    b = dh @ DinvB                                      # m x m
     if abs(np.linalg.det(b)) < 1e-12:
         raise RegularityError("decoupling matrix dh D^{-1} B singular")
     G = sys.gamma(q)
     quad = np.asarray([sum(G[k][i][j] * qdot[i] * qdot[j]
                            for i in range(n) for j in range(n))
                        for k in range(n)])
-    drift = -quad - np.linalg.solve(D, np.asarray(sys.gradP(q), dtype=float))
+    drift = -quad - Dinv_BP[:, m]
     # qdot^T hess(h_r) qdot is the second derivative of s -> h_r(q + s qdot)
     # at s = 0: one directional second_partial for every component
     qHq = second_partial(
@@ -293,7 +286,8 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
         [0.0], 0, 0)
     rhs = (-kp * np.asarray(sys.h(q), dtype=float) - kd * (dh @ qdot)
            - np.asarray(qHq, dtype=float) - dh @ drift)
-    return np.linalg.solve(b, rhs)
+    tau = np.linalg.solve(b, rhs)
+    return tau, drift + DinvB @ tau
 
 
 def orthogonality_check(sys, par, grid=None, tol=1e-9):

@@ -227,6 +227,22 @@ def test_non_finite_potential_is_an_integration_error(tmp_path, capsys, argv):
     assert "IntegrationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    {"P": "q1" + "+q1" * 3000},
+    {"P": "9**9**6*q1"},
+    {"P": "10**400*q1"},
+    {"P": "sin(q1, q2)"},
+    {"P": "q1**True"},
+    {"P": "k*q1", "constants": {"k": "2"}},
+], ids=["deep-nesting", "int-power", "beyond-float", "arity", "bool",
+        "string-constant"])
+def test_hostile_expression_exits_1_at_load(tmp_path, capsys, fields):
+    cfg = dict(CIRCLE_CONFIG, **fields)
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg)])
+    assert code == EXIT_ERROR
+    assert "ExpressionError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [5, 6, 7, 9])
 def test_sign_changing_curvature_is_unsupported(tmp_path, capsys, grid):
     # Lagrangian, but outside what the Ricci recurrence test decides; on

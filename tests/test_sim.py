@@ -1,11 +1,14 @@
 """Reduced and full simulations, orbit classification, CSV export."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import vhckit.sim
+import vhckit.vhc
 from vhckit.calculus import Trajectory
 from vhckit.models import get_model
 from vhckit.sim import (classify_orbit, csv_text, phase_portrait,
@@ -68,6 +71,27 @@ def test_full_simulation_keeps_constraint_dpc():
                          (0.0, 2.0), gains=(16.0, 8.0))
     assert traj.diagnostics["max_h"] < 1e-7
     assert traj.diagnostics["max_hdot"] < 1e-6
+
+
+def test_full_simulation_evaluates_D_once_per_rhs_call(monkeypatch):
+    # the closed loop's D^{-1}B, D^{-1}gradP and qdd come from one solve
+    b = get_model("dpc-b")
+    counts = {"D": 0, "feedback": 0}
+
+    def D(q):
+        counts["D"] += 1
+        return b.system.D(q)
+
+    def feedback(*args, **kwargs):
+        counts["feedback"] += 1
+        return vhckit.vhc.stabilizing_feedback(*args, **kwargs)
+
+    monkeypatch.setattr(vhckit.sim, "stabilizing_feedback", feedback)
+    sys_ = dataclasses.replace(b.system, D=D)
+    simulate_full(sys_, b.parametrization, [0.0, 2.5], [0.2, 0.5], (0.0, 0.2),
+                  gains=(16.0, 8.0))
+    assert counts["feedback"] > 0
+    assert counts["D"] == counts["feedback"]
 
 
 def test_full_simulation_matches_reduced_on_constraint():

@@ -105,8 +105,7 @@ def test_constrained_rhs_matches_full_closed_loop():
         d2phi = par.d2phi(theta)
         qd = [sum(dphi[i][k] * thdot[k] for k in range(2))
               for i in range(sys.n)]
-        tau = stabilizing_feedback(sys, q, qd, gains=(0.0, 0.0))
-        qdd = [float(v) for v in sys.full_rhs(q, qd, tau)]
+        _, qdd = stabilizing_feedback(sys, q, qd, gains=(0.0, 0.0))
         # qdd = dphi thdd + d2phi[thdot, thdot]
         for i in range(sys.n):
             curv = sum(float(d2phi[i][a][bb]) * thdot[a] * thdot[bb]
@@ -116,24 +115,26 @@ def test_constrained_rhs_matches_full_closed_loop():
 
 
 def _feedback_reference(sys, q, qd, gains):
-    # tau from the full Hessian of every h_r: hdd = dh qdd + qd^T hess(h_r) qd
+    # tau from the full Hessian of every h_r: hdd = dh qdd + qd^T hess(h_r) qd,
+    # and qdd from its own solve D qdd = B tau - gradP - D quad
     kp, kd = gains
     n = sys.n
     dh = np.asarray(jacobian(sys.h, q), dtype=float)
     D = np.asarray(sys.D(q), dtype=float)
+    B = np.asarray(sys.B(q), dtype=float)
+    gradP = np.asarray(sys.gradP(q), dtype=float)
     G = sys.gamma(q)
-    drift = -np.asarray([sum(G[k][i][j] * qd[i] * qd[j] for i in range(n)
-                             for j in range(n)) for k in range(n)],
-                        dtype=float) \
-        - np.linalg.solve(D, np.asarray(sys.gradP(q), dtype=float))
+    quad = np.asarray([sum(G[k][i][j] * qd[i] * qd[j] for i in range(n)
+                           for j in range(n)) for k in range(n)], dtype=float)
+    drift = -quad - np.linalg.solve(D, gradP)
     rhs = []
     for r in range(sys.m):
         hess = np.asarray([[second_partial(lambda x: sys.h(x)[r], q, i, j)
                             for j in range(n)] for i in range(n)], dtype=float)
         rhs.append(-kp * sys.h(q)[r] - kd * dh[r] @ qd - qd @ hess @ qd
                    - dh[r] @ drift)
-    decoupling = dh @ np.linalg.solve(D, np.asarray(sys.B(q), dtype=float))
-    return np.linalg.solve(decoupling, rhs)
+    tau = np.linalg.solve(dh @ np.linalg.solve(D, B), rhs)
+    return tau, np.linalg.solve(D, B @ tau - gradP) - quad
 
 
 @pytest.mark.parametrize("name", ["dpc-a", "dpc-b"])
@@ -154,9 +155,10 @@ def test_feedback_matches_hessian_reference(name, monkeypatch):
         q[2] += rng.uniform(-0.1, 0.1)          # off the constraint too
         qd = rng.normal(size=sys.n)
         gains = (16.0, 8.0) if k % 2 else (0.0, 0.0)
-        tau = stabilizing_feedback(sys, q, qd, gains=gains)
-        ref = _feedback_reference(sys, q, qd, gains)
-        np.testing.assert_allclose(tau, ref, rtol=1e-12, atol=0.0)
+        tau, qdd = stabilizing_feedback(sys, q, qd, gains=gains)
+        ref_tau, ref_qdd = _feedback_reference(sys, q, qd, gains)
+        np.testing.assert_allclose(tau, ref_tau, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(qdd, ref_qdd, rtol=1e-12, atol=1e-12)
         assert len(calls) == k + 1
 
 
