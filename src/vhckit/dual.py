@@ -64,14 +64,18 @@ class Dual:
         if isinstance(n, int):
             if n == 0:
                 return Dual(1.0, 0.0)
-            if n == 2:
-                return self * self
             if n < 0:
                 return 1.0 / (self ** (-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
+            # square-and-multiply: log2(n) products, and the same products
+            # as repeated multiplication for n <= 3
+            out, base = None, self
+            while True:
+                if n & 1:
+                    out = base if out is None else base * out
+                n >>= 1
+                if not n:
+                    return out
+                base = base * base
         return exp(n * log(self))
 
     def __abs__(self):

@@ -87,23 +87,8 @@ def christoffel_from_metric(D, x):
     Gamma[k][i][j] = 1/2 sum_l g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
     n = len(x)
-    g = D(x)
-    ginv = linalg.inverse(g)
+    ginv = linalg.inverse(D(x))
     dg = [matrix_partial(D, x, l) for l in range(n)]
-    return _christoffel_kernel(g, ginv, dg, n)
-
-
-def christoffel_from_metric_grad(D, dD, x):
-    """Same as christoffel_from_metric with an explicit metric gradient.
-
-    dD(x) must return the list [d_l g] of partial-derivative matrices.
-    """
-    n = len(x)
-    g = D(x)
-    return _christoffel_kernel(g, linalg.inverse(g), dD(x), n)
-
-
-def _christoffel_kernel(g, ginv, dg, n):
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for i in range(n):
@@ -117,10 +102,32 @@ def _christoffel_kernel(g, ginv, dg, n):
     return gamma
 
 
-def zero_connection(chart):
-    n = chart.dim
-    zeros = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    return ConnectionCoeffs(chart, lambda x: zeros)
+def first_kind(dD, pairs):
+    """First-kind Christoffels of D contracted with each (v, w) in ``pairs``,
+    from the metric gradient dD = [d_i D]:
+
+        Gamma_{l,ij} v^i w^j,  Gamma_{l,ij} = 1/2 (d_i D_jl + d_j D_il - d_l D_ij).
+
+    This is D Gamma(v, w) for the Levi-Civita Christoffels Gamma of D, so no
+    D^{-1} is needed. Returns one {l: value} per pair, over the components
+    that a nonzero entry of dD reaches. dD is scanned once; plain-zero
+    entries add no work (a Dual is always truthy), so a plain-zero gradient
+    gives empty maps.
+    """
+    # g = d_i D_jl enters Gamma_{l,ij}, Gamma_{l,ji} and -Gamma_{i,jl}
+    terms = [(i, j, l, 0.5 * g) for i, dDi in enumerate(dD)
+             for j, row in enumerate(dDi) if any(row)
+             for l, g in enumerate(row) if g]
+    out = []
+    for v, w in pairs:
+        f = {}
+        for i, j, l, h in terms:
+            t = h * (v[i] * w[j] + v[j] * w[i])
+            f[l] = f[l] + t if l in f else t
+            t = h * v[j] * w[l]
+            f[i] = f[i] - t if i in f else -t
+        out.append(f)
+    return out
 
 
 def connection_from_metric(chart, D):

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field as dc_field
 from . import dual as dm
 from .calculus import CurveSampler, partial
 from .holonomy import LoopDescriptor
-from .manifold import (Chart, ConnectionCoeffs, christoffel_from_metric_grad,
-                       zero_connection)
+from .manifold import Chart
 from .vhc import ConstraintParametrization, LagrangianControlSystem
 
 TWO_PI = 2.0 * math.pi
@@ -28,6 +27,13 @@ class ModelBundle:
     @property
     def chart(self):
         return self.parametrization.chart
+
+
+def _zero_gradient(n):
+    """Metric gradient [d_l D] of a constant metric: plain zeros, which
+    ``manifold.first_kind`` skips."""
+    zeros = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    return lambda q: zeros
 
 
 def _coordinate_loop(base, i, tag=""):
@@ -68,7 +74,7 @@ def circle_particle(alpha=0.0):
         Bperp=lambda q: [[cb * q[0] - sb * q[1], sb * q[0] + cb * q[1]]],
         m=1,
         h=lambda q: [0.5 * (q[0] * q[0] + q[1] * q[1] - 1.0)],
-        christoffels=zero_connection(q_chart),
+        dD=_zero_gradient(2),
     )
     chart = Chart(1, (True,), ((0.0, TWO_PI),))
     par = ConstraintParametrization(
@@ -163,7 +169,7 @@ def sphere_mass():
         gradP=lambda q: [0.0, 0.0, 0.0],
         B=B, Bperp=Bperp, m=1,
         h=lambda q: [0.5 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] - 1.0)],
-        christoffels=zero_connection(q_chart),
+        dD=_zero_gradient(3),
     )
     chart = Chart(2, (False, False), ((0.0, math.pi), (-math.pi, math.pi)))
     def dphi(th):
@@ -269,9 +275,7 @@ def double_pendulum_cart(case="a", gravity=9.81):
 
     system = LagrangianControlSystem(
         chart=q_chart, D=D, P=P, gradP=gradP, B=B, Bperp=Bperp, m=1,
-        h=lambda q: [q[2] - rho(q[1])],
-        christoffels=ConnectionCoeffs(
-            q_chart, lambda q: christoffel_from_metric_grad(D, dD, q)),
+        h=lambda q: [q[2] - rho(q[1])], dD=dD,
     )
     chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
     par = ConstraintParametrization(

@@ -9,9 +9,9 @@ from operator import mul
 import numpy as np
 
 from . import linalg
-from .calculus import jacobian, second_partial
+from .calculus import jacobian, matrix_partial, second_partial
 from .dual import real
-from .manifold import Chart, ConnectionCoeffs, connection_from_metric
+from .manifold import Chart, ConnectionCoeffs, first_kind
 
 
 class RegularityError(RuntimeError):
@@ -30,19 +30,17 @@ class LagrangianControlSystem:
     Bperp: callable             # left annihilator field, (n-m) x n
     m: int
     h: callable = None          # optional constraint function, m components
-    christoffels: ConnectionCoeffs = None   # optional analytic shortcut
+    dD: callable = None         # optional analytic metric gradient [d_l D]
 
     @property
     def n(self):
         return self.chart.dim
 
-    def connection(self):
-        if self.christoffels is not None:
-            return self.christoffels
-        return connection_from_metric(self.chart, self.D)
-
-    def gamma(self, x):
-        return self.connection()(x)
+    def metric_grad(self, x):
+        """[d_l D] at x: the analytic dD, else one matrix_partial per axis."""
+        if self.dD is not None:
+            return self.dD(x)
+        return [matrix_partial(self.D, x, l) for l in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,21 @@ class ConstraintParametrization:
             object.__setattr__(self, "d2phi", d2phi)
 
 
-def reduction_matrix(sys, par, theta):
-    """T(theta) = (Bperp D dphi)^{-1} Bperp D at x = phi(theta)."""
+def reduction_matrix(sys, par, theta, forces=()):
+    """T(theta) = (Bperp D dphi)^{-1} Bperp D at x = phi(theta).
+
+    Each ambient covector f in ``forces``, a {component: value} map at x,
+    appends the column (Bperp D dphi)^{-1} Bperp f from the same solve.
+    """
     x = par.phi(list(theta))
     D = sys.D(x)
     Bp = sys.Bperp(x)
     dphi = par.dphi(list(theta))
     BpD = linalg.mat_mul(Bp, D)
     A = linalg.mat_mul(BpD, dphi)
+    if forces:
+        BpD = [row + [sum(bp[l] * v for l, v in f.items()) for f in forces]
+               for row, bp in zip(BpD, Bp)]
     try:
         return linalg.solve(A, BpD)
     except linalg.SingularMatrixError as e:
@@ -124,34 +129,33 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
 def induced_christoffels(sys, par, theta):
     """Christoffels of the induced connection on the reduced chart.
 
-    GammaC[k][i][j] = sum_a T[k][a] * (d2phi^a_ij + dphi_i^T Gamma^a dphi_j).
+    GammaC[:, i, j] = A^{-1} Bperp (D d2phi_ij + Gamma1(dphi_i, dphi_j)) with
+    A = Bperp D dphi and Gamma1 the first-kind Christoffels of D: T d2phi_ij
+    for the reduction matrix T, plus the Gamma1 columns of T's solve.
     """
     theta = list(theta)
     x = par.phi(theta)
-    T = reduction_matrix(sys, par, theta)
     dphi = par.dphi(theta)
     d2phi = par.d2phi(theta)
-    G = sys.gamma(x)
+    dD = sys.metric_grad(x)
     n = sys.n
     d = len(theta)
-    # flat ambient metrics give plain-zero Christoffels; skip their terms
-    # rather than multiply zeros through nested duals (a Dual is always
-    # truthy, so only plain zeros drop out)
-    terms = [[(b, c, g) for b, row in enumerate(Ga) if any(row)
-              for c, g in enumerate(row) if g] for Ga in G]
+    cols = list(zip(*dphi))
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    # a flat ambient metric gives plain-zero Gamma1: T's columns alone
+    forces = first_kind(dD, [(cols[i], cols[j]) for i, j in pairs])
+    if not any(forces):
+        forces = ()
+    X = reduction_matrix(sys, par, theta, forces)
     out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            col = []
-            for a in range(n):
-                s = d2phi[a][i][j]
-                for b, c, g in terms[a]:
-                    s = s + g * dphi[b][i] * dphi[c][j]
-                col.append(s)
-            for k in range(d):
-                v = sum(map(mul, T[k], col))
-                out[k][i][j] = v
-                out[k][j][i] = v
+    for p, (i, j) in enumerate(pairs):
+        col = [d2phi[a][i][j] for a in range(n)]
+        for k in range(d):
+            v = sum(map(mul, X[k], col))          # T[k] . d2phi_ij
+            if forces:
+                v = v + X[k][n + p]
+            out[k][i][j] = v
+            out[k][j][i] = v
     return out
 
 
@@ -188,20 +192,19 @@ def induced_connection(sys, par):
 def constrained_rhs(sys, par, state):
     """Reduced accelerations: thdd^k = -GammaC^k_ij thd^i thd^j - lambda^k.
 
-    Contracted form: thdd = -A^{-1} (Bperp D c + Bperp gradP) with A the
-    reduction system matrix and c the ambient acceleration of the lifted
-    curve, so only one d x d solve is needed per evaluation.
+    Contracted form: thdd = -A^{-1} Bperp (D c + Gamma1(u, u) + gradP) with A
+    the reduction system matrix, u = dphi thd the lifted velocity, c the
+    curvature term d2phi[thd, thd] of the lift and Gamma1 the first-kind
+    Christoffels of D, so one d x d solve is needed per evaluation.
     """
     d = par.chart.dim
     theta, thdot = list(state[:d]), list(state[d:])
     x = par.phi(theta)
     dphi = par.dphi(theta)
     d2phi = par.d2phi(theta)
-    D = sys.D(x)
     Bp = sys.Bperp(x)
-    BpD = linalg.mat_mul(Bp, D)
+    BpD = linalg.mat_mul(Bp, sys.D(x))
     A = linalg.mat_mul(BpD, dphi)
-    G = sys.gamma(x)
     n = sys.n
     u = [sum(dphi[a][i] * thdot[i] for i in range(d)) for a in range(n)]
     c = []
@@ -210,13 +213,12 @@ def constrained_rhs(sys, par, state):
         for i in range(d):
             for j in range(d):
                 s = s + d2phi[a][i][j] * thdot[i] * thdot[j]
-        for b in range(n):
-            for e in range(n):
-                s = s + G[a][b][e] * u[b] * u[e]
         c.append(s)
-    gradP = sys.gradP(x)
+    f = list(sys.gradP(x))
+    for l, v in first_kind(sys.metric_grad(x), [(u, u)])[0].items():
+        f[l] = f[l] + v
     w = [sum(BpD[k][a] * c[a] for a in range(n))
-         + sum(Bp[k][a] * gradP[a] for a in range(n)) for k in range(d)]
+         + sum(Bp[k][a] * f[a] for a in range(n)) for k in range(d)]
     try:
         sol = linalg.solve(A, w)
     except linalg.SingularMatrixError as e:
@@ -236,16 +238,15 @@ def psi_functions(sys, par, theta):
     D = sys.D(x)
     dphi = [row[0] for row in par.dphi(theta)]
     d2phi = [mat[0][0] for mat in par.d2phi(theta)]
-    G = sys.gamma(x)
     n = sys.n
     BpD = [sum(Bp[i] * D[i][a] for i in range(n)) for a in range(n)]
     den = sum(BpD[a] * dphi[a] for a in range(n))
     if abs(real(den)) < 1e-14:
         raise RegularityError("Bperp D phi' vanished")
+    # Bperp (D phi'' + Gamma1(phi', phi'))
     num2 = sum(BpD[a] * d2phi[a] for a in range(n))
-    for a in range(n):
-        num2 = num2 + BpD[a] * sum(G[a][b][c] * dphi[b] * dphi[c]
-                                   for b in range(n) for c in range(n))
+    for l, v in first_kind(sys.metric_grad(x), [(dphi, dphi)])[0].items():
+        num2 = num2 + Bp[l] * v
     gp = sys.gradP(x)
     num1 = sum(Bp[i] * gp[i] for i in range(n))
     return (-num1 / den, -num2 / den)
@@ -255,30 +256,29 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     """Input-output linearizing feedback for the output e = h(q).
 
     Returns (tau, qdd): tau solves  hdd = -Kp h - Kd hd  along the closed
-    loop, and qdd is the full system's acceleration under tau, from one
-    stacked solve D^{-1} [B | gradP]. With gains (0, 0) and an on-constraint
-    state tau is the unique feedback rendering the constraint manifold
-    invariant.
+    loop  D qdd = B tau - gradP - Gamma1(qd, qd)  (Gamma1 the first-kind
+    Christoffels of D), and qdd is the full system's acceleration under tau,
+    from one stacked solve D^{-1} [B | gradP + Gamma1(qd, qd)]. With gains
+    (0, 0) and an on-constraint state tau is the unique feedback rendering
+    the constraint manifold invariant.
     """
     if sys.h is None:
         raise ValueError("system has no constraint function h")
     q, qdot = list(q), list(qdot)
-    n, m = sys.n, sys.m
+    m = sys.m
     kp, kd = gains
     dh = np.asarray(jacobian(sys.h, q), dtype=float)     # m x n
     D = np.asarray(sys.D(q), dtype=float)
-    Dinv_BP = np.linalg.solve(D, np.column_stack(
-        [np.asarray(sys.B(q), dtype=float),
-         np.asarray(sys.gradP(q), dtype=float)]))
-    DinvB = Dinv_BP[:, :m]
+    f = np.array(sys.gradP(q), dtype=float)
+    for l, v in first_kind(sys.metric_grad(q), [(qdot, qdot)])[0].items():
+        f[l] += v
+    Dinv_Bf = np.linalg.solve(D, np.column_stack(
+        [np.asarray(sys.B(q), dtype=float), f]))
+    DinvB = Dinv_Bf[:, :m]
     b = dh @ DinvB                                      # m x m
     if abs(np.linalg.det(b)) < 1e-12:
         raise RegularityError("decoupling matrix dh D^{-1} B singular")
-    G = sys.gamma(q)
-    quad = np.asarray([sum(G[k][i][j] * qdot[i] * qdot[j]
-                           for i in range(n) for j in range(n))
-                       for k in range(n)])
-    drift = -quad - Dinv_BP[:, m]
+    drift = -Dinv_Bf[:, m]
     # qdot^T hess(h_r) qdot is the second derivative of s -> h_r(q + s qdot)
     # at s = 0: one directional second_partial for every component
     qHq = second_partial(

@@ -2,12 +2,14 @@
 oracles, including nesting and the lifted-seeding regression."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vhckit import dual as dm
 from vhckit.dual import Dual, eps, real, seed
+from vhckit.expr import compile_expression
 
 FD = 1e-6
 
@@ -125,3 +127,28 @@ def test_integer_power_derivative():
     x = 1.3
     assert eps(Dual(x, 1.0) ** 5) == pytest.approx(5.0 * x ** 4, rel=1e-12)
     assert abs(Dual(-x, 1.0)).val == pytest.approx(x)
+
+
+def test_small_integer_powers_are_repeated_products():
+    # n <= 3 keeps the exact products of repeated multiplication
+    for a in (Dual(1.3, 0.7), Dual(Dual(-0.9, 1.0), Dual(0.4, 0.0))):
+        for n, ref in ((0, Dual(1.0, 0.0)), (1, a), (2, a * a),
+                       (3, (a * a) * a), (-2, 1.0 / (a * a))):
+            p = a ** n
+            assert (real(p), real(eps(p))) == (real(ref), real(eps(ref)))
+        assert real(eps(eps(a ** 3))) == real(eps(eps((a * a) * a)))
+
+
+def test_large_integer_power_is_logarithmic():
+    # an exponent that reads a variable is not folded at compile time, so a
+    # large one must cost log2(n) products, not n
+    f = compile_expression("q1**1000000", ["q1"])
+    x = 1.0 + 1e-7
+    t0 = time.process_time()
+    p = f([Dual(x, 1.0)])
+    assert time.process_time() - t0 < 0.01
+    assert real(p) == pytest.approx(math.pow(x, 1e6), rel=1e-9)
+    assert eps(p) == pytest.approx(1e6 * math.pow(x, 999999), rel=1e-9)
+    q = Dual(x, 1.0) ** -1000001
+    assert real(q) == pytest.approx(math.pow(x, -1000001), rel=1e-9)
+    assert eps(q) == pytest.approx(-1000001 * math.pow(x, -1000002), rel=1e-9)

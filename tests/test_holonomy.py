@@ -15,8 +15,7 @@ from vhckit.holonomy import (CylinderStructureError, FlatnessError,
                              cylinder_integrals, flat_metrizability,
                              lagrangian_1d, loop_transport, reverse_path,
                              transport_matrix)
-from vhckit.manifold import (Chart, ConnectionCoeffs, connection_from_metric,
-                             zero_connection)
+from vhckit.manifold import Chart, ConnectionCoeffs, connection_from_metric
 from vhckit.models import _coordinate_loop, get_model
 from vhckit.vhc import induced_connection
 
@@ -25,6 +24,12 @@ TWO_PI = 2.0 * math.pi
 
 def _flat_chart():
     return Chart(2, (False, False), ((-2.0, 2.0), (-2.0, 2.0)))
+
+
+def zero_connection(chart):
+    zeros = [[[0.0] * chart.dim for _ in range(chart.dim)]
+             for _ in range(chart.dim)]
+    return ConnectionCoeffs(chart, lambda x: zeros)
 
 
 def test_transport_flat_connection_is_identity():

@@ -2,18 +2,25 @@
 feedback, validated on the bundled models and by structural identities."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vhckit.linalg
 import vhckit.vhc
 from vhckit.calculus import jacobian, second_partial
+from vhckit.cli import bundle_from_config
+from vhckit.manifold import connection_from_metric, first_kind
 from vhckit.models import get_model
 from vhckit.vhc import (ConstraintParametrization, check_regularity,
                         constrained_rhs, induced_christoffels,
                         induced_connection, orthogonality_check,
                         psi_functions, reduced_potential, reduction_matrix,
                         restricted_structure, stabilizing_feedback)
+
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, -0.4])
@@ -123,7 +130,7 @@ def _feedback_reference(sys, q, qd, gains):
     D = np.asarray(sys.D(q), dtype=float)
     B = np.asarray(sys.B(q), dtype=float)
     gradP = np.asarray(sys.gradP(q), dtype=float)
-    G = sys.gamma(q)
+    G = connection_from_metric(sys.chart, sys.D)(q)
     quad = np.asarray([sum(G[k][i][j] * qd[i] * qd[j] for i in range(n)
                            for j in range(n)) for k in range(n)], dtype=float)
     drift = -quad - np.linalg.solve(D, gradP)
@@ -172,3 +179,88 @@ def test_induced_connection_bundle():
                                               abs=1e-12)
     lam = conn.lam(th)
     assert float(lam[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def _dpc_bundle(name):
+    # dpc-a, dpc-b, or their JSON config twins, whose metric gradient is the
+    # generic matrix_partial one
+    if name.endswith("-config"):
+        # run_path executes the file without writing under perfbench/
+        configs = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]
+        return bundle_from_config(configs[name[:-len("-config")]])
+    return get_model(name)
+
+
+DPC_NAMES = ["dpc-a", "dpc-b", "dpc-a-config", "dpc-b-config"]
+
+
+def _second_kind_rhs(sys, par, theta, thdot):
+    # thdd = -T (d2phi[thd, thd] + Gamma(u, u)) - lambda with Gamma the
+    # second-kind Christoffels of D, T the reduction matrix, u = dphi thd
+    x = par.phi(theta)
+    dphi = np.asarray(par.dphi(theta), dtype=float)
+    d2phi = np.asarray(par.d2phi(theta), dtype=float)
+    G = np.asarray(connection_from_metric(sys.chart, sys.D)(x), dtype=float)
+    D = np.asarray(sys.D(x), dtype=float)
+    Bp = np.asarray(sys.Bperp(x), dtype=float)
+    u = dphi @ thdot
+    acc = (np.einsum("aij,i,j->a", d2phi, thdot, thdot)
+           + np.einsum("abc,b,c->a", G, u, u))
+    T = np.linalg.solve(Bp @ D @ dphi, Bp @ D)
+    lam = np.linalg.solve(Bp @ D @ dphi,
+                          Bp @ np.asarray(sys.gradP(x), dtype=float))
+    return -T @ acc - lam
+
+
+@pytest.mark.parametrize("name", DPC_NAMES)
+def test_first_kind_contraction_is_metric_times_second_kind(name):
+    sys = _dpc_bundle(name).system
+    gamma = connection_from_metric(sys.chart, sys.D)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        q = [rng.uniform(lo, hi) for lo, hi in sys.chart.bounds]
+        v, w = list(rng.normal(size=sys.n)), list(rng.normal(size=sys.n))
+        D = np.asarray(sys.D(q), dtype=float)
+        ref = D @ np.einsum("kij,i,j->k", np.asarray(gamma(q), dtype=float),
+                            v, w)
+        # the contraction is symmetric in (v, w)
+        g1, g1_swapped = first_kind(sys.metric_grad(q), [(v, w), (w, v)])
+        got = [g1.get(l, 0.0) for l in range(sys.n)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            [g1_swapped.get(l, 0.0) for l in range(sys.n)], got,
+            rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", DPC_NAMES)
+def test_constrained_rhs_matches_second_kind_reference(name):
+    b = _dpc_bundle(name)
+    sys, par = b.system, b.parametrization
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        theta = [rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)]
+        thdot = rng.normal(size=2)
+        acc = constrained_rhs(sys, par, theta + list(thdot))
+        np.testing.assert_allclose(
+            np.asarray(acc, dtype=float),
+            _second_kind_rhs(sys, par, theta, thdot), rtol=1e-12, atol=1e-12)
+
+
+def test_dpc_b_dynamics_invert_no_matrix(monkeypatch):
+    # the first-kind Christoffels need no D^{-1}: neither the reduced right-
+    # hand side nor the closed-loop feedback inverts a matrix
+    calls = []
+    inverse = vhckit.linalg.inverse
+
+    def counted(A):
+        calls.append(A)
+        return inverse(A)
+
+    monkeypatch.setattr(vhckit.linalg, "inverse", counted)
+    b = get_model("dpc-b")
+    sys, par = b.system, b.parametrization
+    constrained_rhs(sys, par, [0.3, 1.1, 0.5, -0.7])
+    assert calls == []
+    q = [float(v) for v in par.phi([-0.2, 2.5])]
+    stabilizing_feedback(sys, q, [0.4, -0.3, 0.8], gains=(16.0, 8.0))
+    assert calls == []
