@@ -33,17 +33,22 @@ def solve(A, B):
     """Solve A X = B. ``B`` may be a vector or a matrix (list of rows)."""
     n = len(A)
     vector = not isinstance(B[0], (list, tuple))
-    rhs = [[b] for b in B] if vector else [list(row) for row in B]
+    # rows of rhs are replaced, never changed in place: a shallow copy will do
+    rhs = [[b] for b in B] if vector else list(B)
     a = [list(row) for row in A]
+    invs = [None] * n
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(real(a[r][col])))
+        piv = col           # partial pivoting: first row of largest |real|
+        for r in range(col + 1, n):
+            if abs(real(a[r][col])) > abs(real(a[piv][col])):
+                piv = r
         if real(a[piv][col]) == 0.0:
             raise SingularMatrixError("singular matrix in solve()")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             rhs[col], rhs[piv] = rhs[piv], rhs[col]
         prow, prhs = a[col], rhs[col]
-        inv = 1.0 / prow[col]
+        inv = invs[col] = 1.0 / prow[col]
         for r in range(col + 1, n):
             row = a[r]
             f = row[col] * inv
@@ -54,12 +59,10 @@ def solve(A, B):
             rhs[r] = [v - f * w for v, w in zip(rhs[r], prhs)]
     x = [None] * n
     for r in range(n - 1, -1, -1):
-        row = a[r]
-        s = rhs[r]
+        row, s, inv = a[r], rhs[r], invs[r]
         for k in range(r + 1, n):
             ark = row[k]
             s = [u - ark * w for u, w in zip(s, x[k])]
-        inv = 1.0 / row[r]
         x[r] = [u * inv for u in s]
     if vector:
         return [row[0] for row in x]

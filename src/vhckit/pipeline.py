@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .calculus import vector_partial
 from .dual import real
@@ -87,10 +88,10 @@ def _analyze_1d(bundle, result, decision_tol, ode_tol):
     from .vhc import psi_functions
     sys, par = bundle.system, bundle.parametrization
     topology = "S1" if par.chart.periodic[0] else "R"
-    psi1 = lambda t: psi_functions(sys, par, [t])[0]
-    psi2 = lambda t: psi_functions(sys, par, [t])[1]
-    report = lagrangian_1d(psi1, psi2, topology, tol=ode_tol,
-                           decision_tol=decision_tol)
+    # one solve gives Psi1 and Psi2, which are read at many of the same points
+    psi = lru_cache(maxsize=256)(lambda t: psi_functions(sys, par, [t]))
+    report = lagrangian_1d(lambda t: psi(t)[0], lambda t: psi(t)[1],
+                           topology, tol=ode_tol, decision_tol=decision_tol)
     det = result.details
     det["topology"] = topology
     det["int_psi2"] = report.int_psi2

@@ -111,7 +111,7 @@ class Orbit:
     trajectory: object
 
 
-def classify_orbit(traj, coord, dim):
+def classify_orbit(traj, coord):
     """Rotating when the lifted displacement of the periodic coordinate
     exceeds a full turn, rocking otherwise."""
     vals = traj.states[:, coord]
@@ -124,17 +124,16 @@ def phase_portrait(sys, par, initial_conditions, t_final=20.0, coord=None,
                    tol=DEFAULT_SIM_TOL, max_step=DEFAULT_MAX_STEP):
     """Simulate a family of reduced initial conditions and classify each
     orbit of the (periodic) portrait coordinate."""
-    d = par.chart.dim
     if coord is None:
-        periodic = [i for i in range(d) if par.chart.periodic[i]]
-        coord = periodic[0] if periodic else d - 1
+        periodic = [i for i, p in enumerate(par.chart.periodic) if p]
+        coord = periodic[0] if periodic else par.chart.dim - 1
     orbits = []
     for theta0, thdot0 in initial_conditions:
         traj = simulate_constrained(sys, par, theta0, thdot0,
                                     (0.0, t_final), tol=tol,
                                     max_step=max_step)
         orbits.append(Orbit(list(theta0), list(thdot0),
-                            classify_orbit(traj, coord, d), traj))
+                            classify_orbit(traj, coord), traj))
     return orbits
 
 

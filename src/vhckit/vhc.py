@@ -71,26 +71,43 @@ class ConstraintParametrization:
             object.__setattr__(self, "d2phi", d2phi)
 
 
-def reduction_matrix(sys, par, theta, forces=()):
-    """T(theta) = (Bperp D dphi)^{-1} Bperp D at x = phi(theta).
-
-    Each ambient covector f in ``forces``, a {component: value} map at x,
-    appends the column (Bperp D dphi)^{-1} Bperp f from the same solve.
-    """
-    x = par.phi(list(theta))
-    D = sys.D(x)
-    Bp = sys.Bperp(x)
-    dphi = par.dphi(list(theta))
-    BpD = linalg.mat_mul(Bp, D)
-    A = linalg.mat_mul(BpD, dphi)
-    if forces:
-        BpD = [row + [sum(bp[l] * v for l, v in f.items()) for f in forces]
-               for row, bp in zip(BpD, Bp)]
+def reduction_matrix(sys, par, theta, columns):
+    """X = A^{-1} Bperp (D c_k + f_k), A = Bperp D dphi, at x = phi(theta):
+    the one projection of ambient data onto the reduced chart. ``columns(x,
+    dphi)`` lists a pair (c_k, f_k) per column of X, an ambient vector and an
+    ambient covector, either of which may be None. x, dphi, D and Bperp are
+    evaluated once, and A is solved once."""
+    theta = list(theta)
+    x = par.phi(theta)
+    dphi = par.dphi(theta)
+    cols = columns(x, dphi)
+    D_cols = list(zip(*sys.D(x)))
+    dphi_cols = list(zip(*dphi))
+    A, rhs = [], []
+    for bp in sys.Bperp(x):
+        bpd = [sum(map(mul, bp, col)) for col in D_cols]
+        A.append([sum(map(mul, bpd, col)) for col in dphi_cols])
+        rhs.append([sum(map(mul, bp, f)) if c is None
+                    else sum(map(mul, bpd, c)) if f is None
+                    else sum(map(mul, bpd, c)) + sum(map(mul, bp, f))
+                    for c, f in cols])
     try:
-        return linalg.solve(A, BpD)
+        return linalg.solve(A, rhs)
     except linalg.SingularMatrixError as e:
         raise RegularityError(
             f"(Bperp D dphi) singular at theta={[real(t) for t in theta]}") from e
+
+
+def _connection_columns(sys, par, theta, x, dphi, pairs):
+    """The GammaC columns (d2phi_ij, Gamma1(dphi_i, dphi_j)) for the pairs
+    (i, j); Gamma1 is None for a plain-zero metric gradient."""
+    d2phi = par.d2phi(theta)
+    cols = list(zip(*dphi))
+    forces = first_kind(sys.metric_grad(x),
+                        [(cols[i], cols[j]) for i, j in pairs])
+    return [([a[i][j] for a in d2phi],
+             [f.get(l, 0.0) for l in range(len(x))] if f else None)
+            for (i, j), f in zip(pairs, forces)]
 
 
 @dataclass
@@ -130,48 +147,25 @@ def induced_christoffels(sys, par, theta):
     """Christoffels of the induced connection on the reduced chart.
 
     GammaC[:, i, j] = A^{-1} Bperp (D d2phi_ij + Gamma1(dphi_i, dphi_j)) with
-    A = Bperp D dphi and Gamma1 the first-kind Christoffels of D: T d2phi_ij
-    for the reduction matrix T, plus the Gamma1 columns of T's solve.
+    A = Bperp D dphi: one reduction_matrix column per pair i <= j.
     """
-    theta = list(theta)
-    x = par.phi(theta)
-    dphi = par.dphi(theta)
-    d2phi = par.d2phi(theta)
-    dD = sys.metric_grad(x)
-    n = sys.n
     d = len(theta)
-    cols = list(zip(*dphi))
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    # a flat ambient metric gives plain-zero Gamma1: T's columns alone
-    forces = first_kind(dD, [(cols[i], cols[j]) for i, j in pairs])
-    if not any(forces):
-        forces = ()
-    X = reduction_matrix(sys, par, theta, forces)
+    X = reduction_matrix(
+        sys, par, theta,
+        lambda x, dphi: _connection_columns(sys, par, theta, x, dphi, pairs))
     out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
-    for p, (i, j) in enumerate(pairs):
-        col = [d2phi[a][i][j] for a in range(n)]
-        for k in range(d):
-            v = sum(map(mul, X[k], col))          # T[k] . d2phi_ij
-            if forces:
-                v = v + X[k][n + p]
-            out[k][i][j] = v
-            out[k][j][i] = v
+    for k in range(d):
+        for p, (i, j) in enumerate(pairs):
+            out[k][i][j] = out[k][j][i] = X[k][p]
     return out
 
 
 def reduced_potential(sys, par, theta):
     """lambda(theta) = (Bperp D dphi)^{-1} Bperp gradP at x = phi(theta)."""
-    theta = list(theta)
-    x = par.phi(theta)
-    Bp = sys.Bperp(x)
-    BpD = linalg.mat_mul(Bp, sys.D(x))
-    A = linalg.mat_mul(BpD, par.dphi(theta))
-    rhs = linalg.mat_vec(Bp, sys.gradP(x))
-    try:
-        return linalg.solve(A, rhs)
-    except linalg.SingularMatrixError as e:
-        raise RegularityError(
-            f"(Bperp D dphi) singular at theta={[real(t) for t in theta]}") from e
+    X = reduction_matrix(sys, par, theta,
+                         lambda x, dphi: [(None, sys.gradP(x))])
+    return [row[0] for row in X]
 
 
 @dataclass(frozen=True)
@@ -192,64 +186,37 @@ def induced_connection(sys, par):
 def constrained_rhs(sys, par, state):
     """Reduced accelerations: thdd^k = -GammaC^k_ij thd^i thd^j - lambda^k.
 
-    Contracted form: thdd = -A^{-1} Bperp (D c + Gamma1(u, u) + gradP) with A
-    the reduction system matrix, u = dphi thd the lifted velocity, c the
-    curvature term d2phi[thd, thd] of the lift and Gamma1 the first-kind
-    Christoffels of D, so one d x d solve is needed per evaluation.
+    Contracted form: thdd = -A^{-1} Bperp (D c + Gamma1(u, u) + gradP), the
+    single reduction_matrix column (c, Gamma1(u, u) + gradP), with u = dphi
+    thd the lifted velocity, c the curvature term d2phi[thd, thd] of the lift
+    and Gamma1 the first-kind Christoffels of D.
     """
     d = par.chart.dim
     theta, thdot = list(state[:d]), list(state[d:])
-    x = par.phi(theta)
-    dphi = par.dphi(theta)
-    d2phi = par.d2phi(theta)
-    Bp = sys.Bperp(x)
-    BpD = linalg.mat_mul(Bp, sys.D(x))
-    A = linalg.mat_mul(BpD, dphi)
-    n = sys.n
-    u = [sum(dphi[a][i] * thdot[i] for i in range(d)) for a in range(n)]
-    c = []
-    for a in range(n):
-        s = 0.0
-        for i in range(d):
-            for j in range(d):
-                s = s + d2phi[a][i][j] * thdot[i] * thdot[j]
-        c.append(s)
-    f = list(sys.gradP(x))
-    for l, v in first_kind(sys.metric_grad(x), [(u, u)])[0].items():
-        f[l] = f[l] + v
-    w = [sum(BpD[k][a] * c[a] for a in range(n))
-         + sum(Bp[k][a] * f[a] for a in range(n)) for k in range(d)]
-    try:
-        sol = linalg.solve(A, w)
-    except linalg.SingularMatrixError as e:
-        raise RegularityError(
-            f"(Bperp D dphi) singular at theta={[real(t) for t in theta]}"
-        ) from e
-    return [-v for v in sol]
+
+    def columns(x, dphi):
+        u = linalg.mat_vec(dphi, thdot)
+        c = [sum(h[i][j] * thdot[i] * thdot[j]
+                 for i in range(d) for j in range(d))
+             for h in par.d2phi(theta)]
+        f = list(sys.gradP(x))
+        for l, v in first_kind(sys.metric_grad(x), [(u, u)])[0].items():
+            f[l] = f[l] + v
+        return [(c, f)]
+
+    return [-row[0] for row in reduction_matrix(sys, par, theta, columns)]
 
 
 def psi_functions(sys, par, theta):
-    """(Psi1, Psi2) of the scalar constrained dynamics thdd = Psi1 + Psi2 thd^2."""
+    """(Psi1, Psi2) of the scalar constrained dynamics thdd = Psi1 + Psi2 thd^2:
+    (-lambda, -GammaC) from one reduction_matrix solve of both columns."""
     if par.chart.dim != 1:
         raise ValueError("psi_functions requires degree of underactuation 1")
-    theta = list(theta)
-    x = par.phi(theta)
-    Bp = sys.Bperp(x)[0]
-    D = sys.D(x)
-    dphi = [row[0] for row in par.dphi(theta)]
-    d2phi = [mat[0][0] for mat in par.d2phi(theta)]
-    n = sys.n
-    BpD = [sum(Bp[i] * D[i][a] for i in range(n)) for a in range(n)]
-    den = sum(BpD[a] * dphi[a] for a in range(n))
-    if abs(real(den)) < 1e-14:
-        raise RegularityError("Bperp D phi' vanished")
-    # Bperp (D phi'' + Gamma1(phi', phi'))
-    num2 = sum(BpD[a] * d2phi[a] for a in range(n))
-    for l, v in first_kind(sys.metric_grad(x), [(dphi, dphi)])[0].items():
-        num2 = num2 + Bp[l] * v
-    gp = sys.gradP(x)
-    num1 = sum(Bp[i] * gp[i] for i in range(n))
-    return (-num1 / den, -num2 / den)
+    (lam, gam), = reduction_matrix(
+        sys, par, theta,
+        lambda x, dphi: [(None, sys.gradP(x))] + _connection_columns(
+            sys, par, theta, x, dphi, [(0, 0)]))
+    return (-lam, -gam)
 
 
 def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):

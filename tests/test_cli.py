@@ -4,6 +4,7 @@ models, and output plumbing."""
 import json
 import math
 import os
+import runpy
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from vhckit.models import get_model
 from vhckit.pipeline import analyze
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
 CIRCLE_CONFIG = {
     "name": "circle-config",
@@ -118,6 +120,18 @@ def test_analyze_circle_lagrangian(tmp_path, capsys):
 
 def test_analyze_circle_not_lagrangian(capsys):
     code = main(["analyze", "--model", "circle", "--param", "alpha=0.3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NOT_LAGRANGIAN
+    assert out["verdict"] == "not-lagrangian"
+
+
+def test_analyze_config_circle_tiny_annihilator(tmp_path, capsys):
+    # regularity is scale-free: Bperp scaled by 1e-15 is the same regular
+    # constraint, so the verdict is the unscaled one
+    cfg = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["circle"]
+    cfg = dict(cfg, constants={"alpha": 0.3},
+               Bperp=[[f"1e-15*({e})" for e in row] for row in cfg["Bperp"]])
+    code = main(["analyze", "--config", _write_config(tmp_path, cfg)])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_NOT_LAGRANGIAN
     assert out["verdict"] == "not-lagrangian"

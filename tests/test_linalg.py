@@ -2,9 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vhckit import linalg
 from vhckit.dual import Dual, eps, real
+
+entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def systems(draw):
+    """A well-conditioned n x n system (n <= 3, diagonally dominant) with a
+    vector right-hand side (k = None) or k <= 6 columns, and one-level dual
+    perturbations Adot, bdot of the same shapes."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.one_of(st.none(), st.integers(1, 6)))
+    shape = (n,) if k is None else (n, k)
+
+    def array(shape):
+        return np.asarray(draw(st.lists(entries, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))
+                          ).reshape(shape)
+
+    A = array((n, n)) + 4.0 * np.eye(n)
+    return A, array(shape), array((n, n)), array(shape)
 
 
 def test_solve_matches_numpy_random():
@@ -56,3 +78,73 @@ def test_solve_derivative_through_duals():
     for i in range(2):
         assert real(x[i]) == pytest.approx(x0[i], rel=1e-12)
         assert eps(x[i]) == pytest.approx(dx[i], rel=1e-10)
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_oracle_numpy(system):
+    A, b, _, _ = system
+    ours = np.asarray(linalg.solve(A.tolist(), b.tolist()))
+    ref = np.linalg.solve(A, b)
+    assert ours.shape == ref.shape
+    np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_solve_oracle_dual_tangent(system):
+    # x = A^{-1} b at duals A + eps Adot, b + eps bdot: the eps part of x is
+    # A^{-1} (bdot - Adot x)
+    A, b, Adot, bdot = system
+    lift = np.vectorize(Dual, otypes=[object])
+    X = np.asarray(linalg.solve(lift(A, Adot).tolist(), lift(b, bdot).tolist()))
+    x = np.linalg.solve(A, b)
+    xdot = np.linalg.solve(A, bdot - Adot @ x)
+    np.testing.assert_allclose(np.vectorize(real)(X).astype(float), x,
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(np.vectorize(eps)(X).astype(float), xdot,
+                               rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0]],
+    [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.5, 0.0, 4.0]],
+    [[Dual(0.0, 1.0), Dual(1.0, 0.0)], [Dual(0.0, 2.0), Dual(3.0, 0.0)]],
+])
+def test_solve_zero_pivot_column_is_singular(A):
+    # a column whose real parts are all zero leaves no pivot, whatever the
+    # dual parts
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(A, [1.0] * len(A))
+
+
+# outputs of the elimination as it was before its pivot search became a
+# plain loop, as float.hex: the loop picks the same pivots and makes the
+# same operations in the same order, so the results are bit-identical
+PINNED = [
+    ([[0.7]], [[0.3, -1.9]],
+     [["0x1.b6db6db6db6dbp-2", "-0x1.5b6db6db6db6ep+1"]]),
+    ([[0.1, 2.0], [3.0, 0.7]], [0.3, -0.5],           # a row swap
+     ["-0x1.a1e381f152749p-3", "0x1.48182ce5aa85dp-3"]),
+    ([[2.0, 0.3, -0.1], [0.2, -3.0, 0.5], [4.1, 0.4, 2.5]],
+     [[1.0, -2.0], [0.3, 0.7], [-1.1, 5.0]],
+     [["0x1.ec1659afaf356p-2", "-0x1.be47532621b6dp-1"],
+      ["-0x1.0ff08d11144eep-2", "0x1.17692ec635783p-2"],
+      ["-0x1.2f84a95e632eep+0", "0x1.b162d1cbab794p+1"]]),
+]
+
+
+@pytest.mark.parametrize("A, B, expected", PINNED)
+def test_solve_pinned_bits(A, B, expected):
+    got = linalg.solve(A, B)
+    as_hex = [[v.hex() for v in row] if isinstance(row, list) else row.hex()
+              for row in got]
+    assert as_hex == expected
+
+
+def test_solve_pinned_bits_dual():
+    A = [[Dual(2.0, 0.3), Dual(1.0, -0.2)], [Dual(0.5, 1.0), Dual(3.0, 0.0)]]
+    B = [Dual(1.0, 0.5), Dual(-2.0, 0.1)]
+    got = [(x.val.hex(), x.eps.hex()) for x in linalg.solve(A, B)]
+    assert got == [("0x1.d1745d1745d18p-1", "0x1.745d1745d1745p-3"),
+                   ("-0x1.a2e8ba2e8ba2fp-1", "-0x1.3333333333334p-2")]

@@ -114,8 +114,8 @@ def test_classify_orbit_synthetic():
     rotating = Trajectory(times=np.linspace(0, 1, 5),
                           states=np.asarray([[7.0 * t, 0.0]
                                              for t in np.linspace(0, 1, 5)]))
-    assert classify_orbit(rocking, 0, 2) == "rocking"
-    assert classify_orbit(rotating, 0, 2) == "rotating"
+    assert classify_orbit(rocking, 0) == "rocking"
+    assert classify_orbit(rotating, 0) == "rotating"
 
 
 def test_phase_portrait_dpc_kinds():

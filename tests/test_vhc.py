@@ -32,33 +32,65 @@ def test_circle_induced_christoffel(alpha):
 
 
 def test_reduction_matrix_left_inverse_of_dphi():
-    # T = (Bperp D dphi)^{-1} Bperp D satisfies T dphi = I
+    # T = (Bperp D dphi)^{-1} Bperp D satisfies T dphi = I: the columns
+    # c_k = dphi_k give T dphi
     b = get_model("sphere")
     for th in [[0.7, 0.3], [1.9, -1.0], [2.4, 2.0]]:
-        T = reduction_matrix(b.system, b.parametrization, th)
-        dphi = b.parametrization.dphi(th)
-        TD = np.asarray(T, dtype=float) @ np.asarray(dphi, dtype=float)
-        assert np.allclose(TD, np.eye(2), atol=1e-12)
+        TD = reduction_matrix(
+            b.system, b.parametrization, th,
+            lambda x, dphi: [(list(col), None) for col in zip(*dphi)])
+        assert np.allclose(np.asarray(TD, dtype=float), np.eye(2), atol=1e-12)
 
 
-def test_annihilator_scaling_invariance():
-    # Rescaling the rows of Bperp must leave the induced objects unchanged.
-    base = get_model("sphere")
-    scaled = get_model("sphere")
+@pytest.mark.parametrize("name, kw, factor, th", [
+    pytest.param("sphere", {}, 3.0, [1.2, 0.4], id="sphere-x3"),
+    pytest.param("circle", {"alpha": 0.3}, 1e-15, [1.2], id="circle-x1e-15"),
+])
+def test_annihilator_scaling_invariance(name, kw, factor, th):
+    # Rescaling the rows of Bperp must leave the induced objects unchanged,
+    # however small the scale: regularity is a property of A, not of |A|.
+    base = get_model(name, **kw)
+    scaled = get_model(name, **kw)
     orig_bp = scaled.system.Bperp
     object.__setattr__(scaled.system, "Bperp",
-                       lambda q: [[3.0 * v for v in row]
+                       lambda q: [[factor * v for v in row]
                                   for row in orig_bp(q)])
-    th = [1.2, 0.4]
+    d = len(th)
     g1 = induced_christoffels(base.system, base.parametrization, th)
     g2 = induced_christoffels(scaled.system, scaled.parametrization, th)
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
                 assert g1[k][i][j] == pytest.approx(g2[k][i][j], abs=1e-12)
     l1 = reduced_potential(base.system, base.parametrization, th)
     l2 = reduced_potential(scaled.system, scaled.parametrization, th)
-    assert l1[0] == pytest.approx(l2[0], abs=1e-12)
+    assert l1 == pytest.approx(l2, abs=1e-12)
+    if d == 1:
+        p1 = psi_functions(base.system, base.parametrization, th)
+        p2 = psi_functions(scaled.system, scaled.parametrization, th)
+        assert p1 == pytest.approx(p2, abs=1e-12)
+
+
+def test_induced_christoffels_evaluates_phi_and_dphi_once():
+    # one reduction solve per call: phi and dphi are evaluated once, not once
+    # by induced_christoffels and again by reduction_matrix
+    par = _dpc_bundle("dpc-b-config").parametrization
+    calls = {"phi": 0, "dphi": 0}
+
+    def counted(name):
+        fn = getattr(par, name)
+
+        def wrapped(th):
+            calls[name] += 1
+            return fn(th)
+
+        return wrapped
+
+    wrapped = ConstraintParametrization(par.chart, counted("phi"),
+                                        counted("dphi"), par.d2phi)
+    sys = _dpc_bundle("dpc-b-config").system
+    induced_christoffels(sys, wrapped, [0.3, 1.1])
+    assert calls == {"phi": 1, "dphi": 1}
 
 
 @pytest.mark.parametrize("name", ["circle", "sphere", "dpc-a", "dpc-b"])
@@ -97,6 +129,23 @@ def test_psi_functions_circle():
         psi1, psi2 = psi_functions(b.system, b.parametrization, [th])
         assert float(psi2) == pytest.approx(-math.tan(0.3), abs=1e-11)
         assert float(psi1) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_analyze_1d_solves_each_point_once(alpha, monkeypatch):
+    # Psi1 and Psi2 come from one solve: the 1-D decision reads both at many
+    # of the same points and must not solve any point twice
+    from vhckit.pipeline import analyze
+    points = []
+    psi = vhckit.vhc.psi_functions
+
+    def counted(sys, par, theta):
+        points.append(float(theta[0]))
+        return psi(sys, par, theta)
+
+    monkeypatch.setattr(vhckit.vhc, "psi_functions", counted)
+    analyze(get_model("circle", alpha=alpha))
+    assert points and len(points) == len(set(points))
 
 
 def test_constrained_rhs_matches_full_closed_loop():
