@@ -1,10 +1,11 @@
-"""Parallel transport, holonomy over loops, and metrizability decisions for
-flat connections and one-dimensional constraint manifolds.
+"""Parallel transport, holonomy over loops, and the metrizability decision
+for one-dimensional constraint manifolds.
 
-Transport and the antiderivatives (``WindowAntiderivative``,
-``PeriodicAntiderivative``, ``cylinder_integrals``) all solve their ODEs with
-``calculus.integrate_ode``: transport with RK45, one solve per path piece,
-and the antiderivatives with DOP853 and dense output."""
+Transport and the antiderivatives all solve their ODEs with
+``calculus.integrate_ode``: ``transport_matrix`` with RK45, one solve per
+path piece, and the dense solves (``WindowAntiderivative``,
+``PeriodicAntiderivative`` and, unless told otherwise, ``axis_transport``)
+with DOP853."""
 
 from __future__ import annotations
 
@@ -14,10 +15,8 @@ from operator import mul
 
 import numpy as np
 
-from . import dual as dm
 from .calculus import CurveSampler, integrate_ode
 from .dual import Dual, real
-from .manifold import max_curvature_on_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,8 +213,8 @@ def _one_dim_fields(psi1, psi2, topology, tol):
     psi1_lift = (lambda x: psi1(lift(x))) if psi1 else (lambda x: 0.0)
     p2 = lambda x: float(real(psi2_lift(x)))
     p1 = lambda x: float(real(psi1_lift(x)))
-    J = (PeriodicAntiderivative if topology == "S1" else
-         WindowAntiderivative)(p2, tol=tol)
+    J = (PeriodicAntiderivative(p2, tol=tol) if topology == "S1" else
+         WindowAntiderivative(p2, tol=tol))
     M_hat = SmoothFromDerivative(
         lambda x: math.exp(-2.0 * J(x)),
         lambda x: -2.0 * psi2_lift(x) * M_hat(x) if isinstance(x, Dual)
@@ -252,96 +251,41 @@ def lagrangian_1d(psi1, psi2, topology, tol=1e-10, decision_tol=1e-9):
     return report
 
 
-@dataclass
-class FlatMetrizabilityReport:
-    metrizable: bool
-    g0: np.ndarray = None
-    max_curvature: float = 0.0
+def axis_transport(gamma, points, axis, lo, hi, tol=1e-12, method="DOP853",
+                   first_step=None, carry=None):
+    """Dense transport of the basis along coordinate ``axis``, from s = lo
+    to hi, through each of ``points`` in one solve: a Trajectory whose state
+    holds, per point, the flattened Y(s) with Y(lo) = I, followed by the
+    integrals from lo of ``carry(p, Y)`` when it is given. With
+    ``first_step`` the leg length, legs on which the connection and
+    ``carry`` are constant take one step."""
+    d = len(points[0])
+    vel = [1.0 if i == axis else 0.0 for i in range(d)]
 
-    def __bool__(self):
-        return self.metrizable
+    def on(q, s):
+        return [s if i == axis else c for i, c in enumerate(q)]
 
+    legs = [(q, _transport_rhs(gamma, lambda s, q=q: (on(q, s), vel)))
+            for q in points]
+    y0 = np.eye(d).ravel()
+    if carry is not None:
+        y0 = np.concatenate([y0, 0.0 * carry(points[0], np.eye(d))])
 
-class FlatnessError(RuntimeError):
-    pass
+    def rhs(s, y):
+        out = []
+        for (q, leg), yq in zip(legs, y.reshape(len(points), -1)):
+            out.append(leg(s, yq[:d * d]))
+            if carry is not None:
+                out.append(carry(on(q, s), yq[:d * d].reshape(d, d)))
+        return np.concatenate(out)
 
-
-def flat_metrizability(gamma, grid=None, flat_tol=1e-8):
-    """Metrizability of a flat connection on a simply connected chart.
-
-    Raises FlatnessError unless the curvature is certified to vanish on the
-    grid. Flat transport on a simply connected chart does not depend on the
-    path, so every constant form at the base point extends to a parallel
-    metric; the report carries g0 = I.
-    """
-    if grid is None:
-        grid = gamma.chart.grid()
-    worst = max_curvature_on_grid(gamma, grid)
-    if worst > flat_tol:
-        raise FlatnessError(
-            f"flatness certificate failed: max |R| = {worst:g} > {flat_tol:g}")
-    return FlatMetrizabilityReport(True, g0=np.eye(gamma.chart.dim),
-                                   max_curvature=worst)
-
-
-@dataclass
-class CylinderTransportData:
-    """Primitives I1, I2 of the transport ODE on a cylinder R x S1 whose only
-    connection coefficients are Gamma^1_22(theta2) and Gamma^2_22(theta2);
-    2pi-periodic, as they are built only for a trivial generator holonomy."""
-
-    I1: object
-    I2: object
-    I1_loop: float
-    I2_loop: float
+    return integrate_ode(rhs, lo, np.tile(y0, len(points)), hi, tol,
+                         method=method, first_step=first_step)
 
 
-class CylinderStructureError(RuntimeError):
-    pass
-
-
-class GeneratorHolonomyError(CylinderStructureError):
-    """Transport around the periodic generator is not the identity."""
-
-    def __init__(self, I1_loop, I2_loop):
-        super().__init__("generator holonomy is not trivial")
-        self.loops = {"I1_loop": I1_loop, "I2_loop": I2_loop}
-
-
-def cylinder_integrals(gamma, grid_n=15, structure_tol=1e-8, tol=1e-12):
-    """I1(t) = -int_0^t Gamma^2_22, I2(t) = int_0^t Gamma^1_22 exp(I1)."""
-    chart = gamma.chart
-    if chart.dim != 2 or chart.periodic != (False, True):
-        raise CylinderStructureError("expected a chart of type R x S1")
-    lo, hi = chart.bounds[0]
-    th1_samples = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 3)
-    th2_samples = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    for t2 in th2_samples:
-        G0 = np.asarray(gamma([float(th1_samples[0]), float(t2)]), dtype=float)
-        for t1 in th1_samples[1:]:
-            G = np.asarray(gamma([float(t1), float(t2)]), dtype=float)
-            if np.max(np.abs(G - G0)) > structure_tol:
-                raise CylinderStructureError(
-                    "connection coefficients depend on theta1")
-        mask = np.zeros_like(G0, dtype=bool)
-        mask[0, 1, 1] = mask[1, 1, 1] = True
-        if np.max(np.abs(G0[~mask])) > structure_tol:
-            raise CylinderStructureError(
-                "connection has coefficients outside Gamma^k_22")
-
-    anchor = float(th1_samples[0])
-    g1 = lambda t: gamma([anchor, circle_mod(t)])[0][1][1]
-    g2 = lambda t: gamma([anchor, circle_mod(t)])[1][1][1]
-
-    def rhs(t, y):
-        return [-float(real(g2(t))), float(real(g1(t))) * math.exp(y[0])]
-
-    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, tol, method="DOP853")
-    I1_loop, I2_loop = (float(v) for v in traj.end_state)
-    if max(abs(I1_loop), abs(I2_loop)) >= 1e-7:
-        raise GeneratorHolonomyError(I1_loop, I2_loop)
-    I1 = SmoothFromDerivative(lambda t: float(traj.at(circle_mod(t))[0]),
-                              lambda t: -g2(t))
-    I2 = SmoothFromDerivative(lambda t: float(traj.at(circle_mod(t))[1]),
-                              lambda t: g1(t) * dm.exp(I1(t)))
-    return CylinderTransportData(I1, I2, I1_loop, I2_loop)
+def cylinder_integrals(gamma, point, axis, tol=1e-12, carry=None):
+    """Dense transport once around the periodic generator ``axis``, from
+    coordinate 0 through ``point`` (with ``carry`` as in
+    ``axis_transport``); its end state starts with the generator holonomy."""
+    return axis_transport(gamma, [point], axis, 0.0, TWO_PI, tol,
+                          carry=carry)

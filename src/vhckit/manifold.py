@@ -82,23 +82,20 @@ class Tensor02Field(_FloatMemo):
 
 
 def christoffel_from_metric(D, x):
-    """Christoffels of the Levi-Civita connection of metric field D at x.
-
-    Gamma[k][i][j] = 1/2 sum_l g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
-    """
+    """Christoffels of the Levi-Civita connection of metric field D at x:
+    Gamma[k][i][j] = sum_l g^{kl} Gamma_{l,ij}, the first kind from
+    ``first_kind``."""
     n = len(x)
     ginv = linalg.inverse(D(x))
-    dg = [matrix_partial(D, x, l) for l in range(n)]
+    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    first = first_kind([matrix_partial(D, x, l) for l in range(n)],
+                       [(eye[i], eye[j]) for i, j in pairs])
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                s = 0.0
-                for l in range(n):
-                    s = s + ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                s = 0.5 * s
-                gamma[k][i][j] = s
-                gamma[k][j][i] = s
+    for (i, j), f in zip(pairs, first):
+        for k in range(n):
+            gamma[k][i][j] = gamma[k][j][i] = sum(
+                (ginv[k][l] * v for l, v in f.items()), 0.0)
     return gamma
 
 

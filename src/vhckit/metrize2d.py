@@ -1,21 +1,20 @@
-"""Metrizability of two-dimensional curved connections via Ricci recurrence,
-and the cylinder search for Lagrangian structures of flat connections."""
+"""Metrizability of two-dimensional connections: Ricci recurrence for curved
+ones, and parallel metrics from transport for flat ones."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog
 
 from . import dual as dm
-from .calculus import partial, quad
+from .calculus import quad, vector_partial
 from .dual import Dual, real
-from .holonomy import (GeneratorHolonomyError, PeriodicAntiderivative,
-                       SmoothFromDerivative, WindowAntiderivative, circle_mod,
-                       cylinder_integrals)
+from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
 from .manifold import (Tensor02Field, christoffel_from_metric, ricci,
                        total_cov_derivative_02)
 
@@ -242,170 +241,359 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
 
 
 # ---------------------------------------------------------------------------
-# Cylinder search for flat connections on R x S1
+# Parallel metrics of flat connections
+#
+# For a flat torsion-free connection every parallel metric is
+# g = P^{-T} S P^{-1}, with S a constant form at a base point and P the
+# transport from it (Eisenhart & Veblen, PNAS 8, 1922). With S = [[1, a],
+# [a, b]], each decision below is linear in (1, a, b).
+
+_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]],       # s00, a, b
+                   [[0.0, 1.0], [1.0, 0.0]],
+                   [[0.0, 0.0], [0.0, 1.0]]])
+
+
+def _forms(W):
+    """W^T E W for each basis form E of (1, a, b)."""
+    return np.einsum("ki,ekl,lj->eij", W, _BASIS, W)
+
+
+def _inv2(y):
+    """Inverse of the 2x2 matrix with rows y[0:2], y[2:4]."""
+    a, b, c, d = y[:4]
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def _lagrange(u, n):
+    """Lagrange weights at u of the nodes 0, ..., n - 1."""
+    d = u - np.arange(n)
+    if not d.all():
+        return (d == 0).astype(float)
+    c = [(-1) ** (n - 1 - j) * math.comb(n - 1, j) for j in range(n)]
+    return np.prod(d) / d * c / math.factorial(n - 1)
+
+
+class ParallelFrame:
+    """Transport P of a flat connection on a 2-D chart with at most one
+    periodic coordinate, from ``base`` along the canonical path of
+    ``LineIntegralField`` (the periodic axis first), read at x mod 2 pi on a
+    periodic axis: single-valued for every form the holonomy preserves.
+
+    Each piece of the path is a dense leg from base[axis] (``legs``) that
+    also carries the integrals F of (Y^{-T} E Y^{-1} lambda)_axis for the
+    basis forms E, Y the transport: the potential of mu = g lambda along a
+    leg is tr(G K), K = [[F0, F1/2], [F1/2, F2]], for the metric G at its
+    start. A periodic first axis is the generator, solved once around by
+    ``cylinder_integrals`` (DOP853, 1e-12): without F for the holonomy and
+    the verdict's reads, and with F, the first time D_C or P_C is read."""
+
+    NODES = 256       # generator nodes per period of the interpolated legs
+
+    def __init__(self, conn):
+        self.conn, self.chart, self.cache = conn, conn.chart, {}
+        per = self.chart.periodic
+        self.order = sorted(range(2), key=lambda i: not per[i])
+        self.base = [0.0 if p else 0.5 * (lo + hi)
+                     for p, (lo, hi) in zip(per, self.chart.bounds)]
+        # the grid's span on each coordinate
+        self.span = [(0.0, TWO_PI) if p else (lo + 1e-2 * max(1.0, hi - lo),
+                                              hi - 1e-2 * max(1.0, hi - lo))
+                     for p, (lo, hi) in zip(per, self.chart.bounds)]
+        i0 = self.order[0]
+        self.nodes = [[k * TWO_PI / self.NODES if i == i0 else c
+                       for i, c in enumerate(self.base)]
+                      for k in range(self.NODES)]
+        self.holonomy = None
+        if per[i0]:
+            self.generator = cylinder_integrals(conn.gammaC, self.base, i0).at
+            self.holonomy = self.generator(TWO_PI).reshape(2, 2)
+
+    def reduce(self, x):
+        x = [float(c) for c in x]
+        if self.holonomy is not None:
+            x[self.order[0]] %= TWO_PI
+        return x
+
+    def inverse(self, x):
+        """P(x)^{-1} at a float point."""
+        x = self.reduce(x)
+        i0, i1 = self.order
+        y0 = self.generator(x[i0]) if self.holonomy is not None else \
+            self.legs(i0, [self.base], x[i0])[0]
+        return _inv2(y0) @ _inv2(self.legs(i1, [x], x[i1])[0])
+
+    def legs(self, axis, points, s):
+        """States at s, a row per point, of the dense legs along ``axis``
+        through ``points`` (in one solve) from base[axis]: Y (flattened),
+        then F. A periodic axis is solved once around, any other to the
+        grid's edge on the side of s, or to s beyond it; so a state depends
+        on s and the line alone. Beyond 64 single legs off the first axis,
+        those are dropped."""
+        lo, hi = self.span[axis]
+        b = self.base[axis]
+        end = TWO_PI if self.chart.periodic[axis] else \
+            hi if b < s <= hi else lo if lo <= s < b else s
+        key = (axis, end, tuple(round(p[1 - axis], 12) for p in points))
+        at = self.cache.get(key)
+        if at is None and s == b:
+            return np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                           (len(points), 1))
+        if at is None:
+            if len(self.cache) > 64 + self.NODES // 4:
+                self.cache = {k: v for k, v in self.cache.items()
+                              if k[0] == self.order[0] or len(k[2]) > 1}
+
+            def carry(p, Y):
+                lam = [float(real(v)) for v in self.conn.lam(p)]
+                return _forms(_inv2(Y.ravel()))[:, axis] @ lam
+
+            at = cylinder_integrals(self.conn.gammaC, points[0], axis,
+                                    carry=carry).at \
+                if self.chart.periodic[axis] else \
+                axis_transport(self.conn.gammaC, points, axis, b, end, 1e-10,
+                               method="RK45", first_step=abs(end - b),
+                               carry=carry).at
+            self.cache[key] = at
+        return at(s).reshape(len(points), -1)
+
+    def off_axis(self, x):
+        """State at x of the leg from the first axis. On a cylinder inside
+        the grid's span: the legs through the 10 nearest of 256 generator
+        nodes (solved in blocks of 8) interpolated at degree 9 in the
+        generator coordinate, where that is within 1e-8 (relative) of
+        degree 8."""
+        i0, i1 = self.order
+        lo, hi = self.span[i1]
+        if self.holonomy is not None and lo <= x[i1] <= hi:
+            u = x[i0] * self.NODES / TWO_PI
+            k = np.arange(math.floor(u) - 4, math.floor(u) + 6)
+            blocks = {j // 8: None for j in k % self.NODES}
+            for q in blocks:
+                blocks[q] = self.legs(i1, self.nodes[8 * q:8 * q + 8], x[i1])
+            Z = np.array([blocks[j // 8][j % 8] for j in k % self.NODES])
+            z = _lagrange(u - k[0], 10) @ Z
+            if np.max(np.abs(z - _lagrange(u - k[0], 9) @ Z[:9])) <= \
+                    1e-8 * max(1.0, float(np.max(np.abs(z)))):
+                return z
+        return self.legs(i1, [x], x[i1])[0]
+
+    def fields(self, S):
+        """(D_C, P_C) for the base form S: g = P^{-T} S P^{-1}, and the
+        potential of mu = g lambda from the base point. Duals are peeled
+        with nabla g = 0, d_i g_jk = Gamma^m_ij g_mk + Gamma^m_ik g_jm, and
+        with d P_C = mu."""
+        S = np.asarray(S, dtype=float)
+        i0, last = self.order[0], {}
+
+        def K(z):
+            return np.array([[z[4], z[5] / 2], [z[5] / 2, z[6]]])
+
+        def evaluate(x):
+            # the last point is kept: D_C and P_C are read together
+            key = tuple(float(c) for c in x)
+            if last.get("x") != key:
+                r = self.reduce(key)
+                z0 = self.legs(i0, [self.base], r[i0])[0]
+                K0 = K(z0)
+                if self.holonomy is not None and key[i0] // TWO_PI:
+                    K0 = K0 + key[i0] // TWO_PI * K(
+                        self.legs(i0, [self.base], TWO_PI)[0])
+                W0, z = _inv2(z0), self.off_axis(r)
+                G, W = W0.T @ S @ W0, _inv2(z)
+                last.update(x=key, g=(W.T @ G @ W).tolist(),
+                            P=float(np.sum(S * K0) + np.sum(G * K(z))))
+            return last
+
+        def peel(x):
+            return ([c.val if isinstance(c, Dual) else c for c in x],
+                    [c.eps if isinstance(c, Dual) else 0.0 for c in x])
+
+        def D_C(x):
+            if not any(isinstance(c, Dual) for c in x):
+                return evaluate(x)["g"]
+            a, b = peel(x)
+            G, Gam = D_C(a), self.conn.gammaC(a)
+            return [[Dual(G[j][k], sum(
+                b[i] * (Gam[m][i][j] * G[m][k] + Gam[m][i][k] * G[j][m])
+                for i in range(2) for m in range(2)))
+                for k in range(2)] for j in range(2)]
+
+        def P_C(x):
+            if not any(isinstance(c, Dual) for c in x):
+                return evaluate(x)["P"]
+            a, b = peel(x)
+            G, lam = D_C(a), self.conn.lam(a)
+            return Dual(P_C(a), sum(b[i] * G[i][j] * lam[j]
+                                    for i in range(2) for j in range(2)))
+
+        return D_C, P_C
+
+
+def _form_rows(conn, frame, points, axis):
+    """Coefficients of (1, a, b) at each point in the closedness residual
+    (g nabla_1 lambda)_0 - (g nabla_0 lambda)_1 of mu = g lambda, which is
+    d_1 mu_0 - d_0 mu_1 since nabla g = 0, and in mu_axis."""
+    closed, mu = [], []
+    for p in points:
+        G = np.asarray(conn.gammaC(p), dtype=float)
+        lam = np.array([float(real(v)) for v in conn.lam(p)])
+        nab = [np.array([float(real(d)) for d in vector_partial(conn.lam, p, i)])
+               + G[:, i, :] @ lam for i in range(2)]
+        g = _forms(frame.inverse(p))
+        closed.append(g[:, 0] @ nab[1] - g[:, 1] @ nab[0])
+        mu.append(g[:, axis] @ lam)
+    return np.array(closed), np.array(mu)
 
 
 @dataclass
 class LagrangianReport:
     lagrangian: bool
     metrizable: bool = False
+    supported: bool = True
     a: float = 0.0
     b: float = 0.0
-    mu1_const: float = 0.0
     closedness_residual: float = math.inf
-    spd_ok: bool = False
-    exact_ok: bool = False
     D_C: object = None           # callable theta -> 2x2 metric
     P_C: object = None           # callable theta -> potential
     diagnostics: dict = dc_field(default_factory=dict)
     message: str = ""
 
-    def __bool__(self):
-        return self.lagrangian
-
 
 def _minimax_linear(p, q):
-    """Minimize max_i |p_i + a q_i| over a (convex piecewise linear)."""
+    """min over y of max_i |p_i + (q y)_i|, with one column of q per unknown
+    (or a vector for one unknown): (y, the minimum), from the linear
+    program min t subject to -t <= p + q y <= t."""
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not np.any(q):
-        # every a gives the same residual
-        return 0.0, float(np.max(np.abs(p)))
-
-    def cost(a):
-        return float(np.max(np.abs(p + a * q)))
-
-    scale = max(1.0, float(np.max(np.abs(p))) / max(1e-12, float(np.max(np.abs(q)))))
-    res = minimize_scalar(cost, bracket=(-scale, 0.0, scale), method="golden",
-                          options={"xtol": 1e-14})
-    best_a, best = float(res.x), float(res.fun)
-    # polish with crossing candidates of the active lines
-    idx = np.argsort(np.abs(p + best_a * q))[-8:]
-    for i in idx:
-        for j in idx:
-            denom = q[i] + q[j]
-            if abs(denom) > 1e-14:
-                a = -(p[i] + p[j]) / denom
-                if cost(a) < best:
-                    best_a, best = float(a), cost(a)
-        if abs(q[i]) > 1e-14:
-            a = -p[i] / q[i]
-            if cost(a) < best:
-                best_a, best = float(a), cost(a)
-    return best_a, best
+    Q = np.asarray(q, dtype=float).reshape(len(p), -1)
+    k, one = Q.shape[1], np.ones((len(p), 1))
+    res = linprog(np.r_[np.zeros(k), 1.0], A_ub=np.block([[Q, -one], [-Q, -one]]),
+                  b_ub=np.r_[-p, p], bounds=[(None, None)] * k + [(0, None)],
+                  method="highs")
+    y = res.x[:k]
+    return (float(y[0]) if np.ndim(q) == 1 else y), float(np.max(np.abs(p + Q @ y)))
 
 
-def cylinder_lagrangian_search(conn, grid_n=256, tol=1e-8,
-                               structure_tol=1e-8, quad_tol=1e-10):
-    """Lagrangian structure (D_C, P_C) for a flat cylinder connection.
+_NOT_ON_GRID = "force one-form is not closed on the grid"
+_DEFAULT = ", at a default frame value that no stage pins"
 
-    The transports pin the metric up to the frame values [[1, a], [a, b]];
-    closedness of the force one-form is linear in ``a``, so the minimax
-    residual over one period decides existence. ``b`` is then fixed by
-    exactness around the periodic generator (or chosen freely when it drops
-    out).
+
+def cylinder_lagrangian_search(conn, grid, tol=1e-8):
+    """Lagrangian structure (D_C, P_C) of a flat connection on a 2-D chart
+    with at most one periodic coordinate (the name predates the simply
+    connected case). The parallel metrics are P^{-T} S P^{-1} with
+    S = [[1, a], [a, b]] at the base point, and three linear stages pin S:
+
+    1. holonomy: H^T S H = S around the periodic generator, by least
+       squares against the 1e-7 loop threshold;
+    2. closedness of mu = g lambda: minimax over 256 samples of the
+       generator through the base point, then over ``grid`` for the
+       parameters those leave free (only ``grid`` when no coordinate is
+       periodic); not supported when it moves a and b only along a line;
+    3. period: the loop integral A + b B of mu along the generator.
+
+    A parameter that no stage pins takes a = 0, b = a^2 + 1, and ``grid``
+    is checked again; a failure that may turn on such a value is not
+    supported.
     """
-    chart = conn.chart
-    try:
-        cyl = cylinder_integrals(conn.gammaC, structure_tol=structure_tol)
-    except GeneratorHolonomyError as e:
-        return LagrangianReport(False, message=str(e), diagnostics=e.loops)
-    lo, hi = chart.bounds[0]
-    anchors = [lo + 0.25 * (hi - lo), 0.5 * (lo + hi), hi - 0.25 * (hi - lo)]
-    anchor = anchors[1]
+    frame = ParallelFrame(conn)
+    i0, periodic = frame.order[0], frame.holonomy is not None
+    x, free = np.array([1.0, 0.0, 0.0]), [False, True, True]
+    report = LagrangianReport(False)
 
-    def lam_at(t):
-        return conn.lam([anchor, circle_mod(t)])
+    def moving(rows, floor):
+        # the free parameters that move ``rows`` by more than floor
+        return [k for k in (1, 2) if free[k]
+                and np.max(np.abs(rows[:, k])) > floor]
 
-    # the reduced force must not depend on theta1 for the ansatz to close
-    lam_dev = 0.0
-    for t2 in np.linspace(0.0, TWO_PI, 7, endpoint=False):
-        vals = [np.asarray([float(real(v)) for v in conn.lam([a, float(t2)])])
-                for a in anchors]
-        lam_dev = max(lam_dev, max(float(np.max(np.abs(v - vals[0])))
-                                   for v in vals[1:]))
-    if lam_dev > structure_tol:
-        return LagrangianReport(False, metrizable=True,
-                                message="reduced force depends on theta1",
-                                diagnostics={"lam_dev": lam_dev})
+    def pin(ks, values):
+        x[ks] = values
+        for k in ks:
+            free[k] = False
 
-    def frame(t, a, b=None):
-        # D_C[0][1] and D_C[1][1] at theta2 = t: the frame [[1, a], [a, b]]
-        # at theta2 = 0, carried by the transport; [1][1] only when b is given
-        e1 = dm.exp(-cyl.I1(t))
-        i2 = cyl.I2(t)
-        off = e1 * (i2 + a)
-        if b is None:
-            return off, None
-        return off, e1 * e1 * (i2 * i2 + 2.0 * a * i2 + b)
+    def tie_break():
+        a = 0.0 if free[1] else x[1]
+        return np.array([1.0, a, a * a + 1.0 if free[2] else x[2]])
 
-    def mu(t, a, b=None):
-        # the force one-form mu = D_C lambda at theta2 = t; mu_2 only when b
-        # is given
-        lam = lam_at(t)
-        off, low = frame(t, a, b)
-        mu1 = lam[0] + off * lam[1]
-        return mu1, (None if b is None else off * lam[0] + low * lam[1])
+    def on_generator(t):
+        return [t if i == i0 else c for i, c in enumerate(frame.base)]
 
-    def mu1_slope(t, a):
-        return float(real(partial(lambda x: mu(x[0], a)[0], [float(t)], 0)))
+    if periodic:
+        H = frame.holonomy
+        L = np.array([(H.T @ E @ H - E)[[0, 0, 1], [0, 1, 1]]
+                      for E in _BASIS]).T
+        ks = moving(L, 1e-7)
+        pin(ks, np.linalg.lstsq(L[:, ks], -L @ x, rcond=None)[0])
+        S = tie_break()
+        if np.max(np.abs(L @ x)) >= 1e-7 or S[2] - S[1] * S[1] <= 1e-12:
+            report.message = "generator holonomy preserves no positive " \
+                             "definite form"
+            report.diagnostics = {"holonomy": H.tolist()}
+            return report
+    report.metrizable = True
 
-    ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    p = np.array([mu1_slope(t, 0.0) for t in ts])
-    q = np.array([mu1_slope(t, 1.0) for t in ts]) - p
-    a_best, residual = _minimax_linear(p, q)
-    report = LagrangianReport(False, metrizable=True, a=a_best,
-                              closedness_residual=residual,
-                              diagnostics={"I1_loop": cyl.I1_loop,
-                                           "I2_loop": cyl.I2_loop,
-                                           "lam_dev": lam_dev})
-    if residual >= tol:
-        report.message = "no frame value a closes the force one-form"
-        return report
+    # closedness: the generator samples, then the grid for the parameters
+    # they leave free (one pass over the grid on a plane)
+    anchor = [on_generator(float(t)) for t in np.linspace(
+        0.0, TWO_PI, 256, endpoint=False)] if periodic else grid
+    residual, noise = 0.0, None
+    for stage, points in enumerate([anchor, grid] if periodic else [grid]):
+        R, M = _form_rows(conn, frame, points, i0)
+        if noise is None:   # scale of the b-period, from its integrand
+            noise = TWO_PI * float(np.mean(np.abs(M[:, 2])))
+        ks = moving(R, tol)
+        if len(ks) == 2:
+            sv = np.linalg.svd(R[:, ks], compute_uv=False)
+            if sv[1] <= 1e-9 * sv[0]:
+                report.supported = False
+                report.message = "closedness of the force one-form leaves " \
+                                 "a line of frame values (a, b)"
+                return report
+        pin(ks, _minimax_linear(R @ x, R[:, ks])[0])
+        report.a, report.b = float(x[1]), float(x[2])
+        residual = max(residual, float(np.max(np.abs(R @ x))))
+        report.closedness_residual = residual
+        if residual >= tol:
+            report.message = ("no frame value %s closes the force one-form" % (
+                {(1,): "a", (2,): "b"}.get(tuple(ks), "(a, b)"))
+                if stage == 0 else _NOT_ON_GRID)
+            return report
 
-    a = a_best
-    c = float(np.mean([float(real(mu(float(t), a)[0])) for t in ts]))
+    # a parameter set to its default below is one no closedness row moves;
+    # a verdict that might turn on its value is not supported
+    defaulted = free[1]
+    if periodic:
+        pin([1], tie_break()[1])      # a is fixed before the period
 
-    # mu_2 is affine in b, so its generator period is A + b B; exactness
-    # needs that period to vanish. mu_2 at b = 0 and b = 1, taken together,
-    # gives both integrands.
-    def mu2_affine(t):
-        m0, m1 = mu(t, a, np.array([0.0, 1.0]))[1]
-        return m0, m1 - m0
+        @lru_cache(maxsize=None)
+        def mu_row(t):
+            p = on_generator(t)
+            lam = [float(real(v)) for v in conn.lam(p)]
+            return _forms(frame.inverse(p))[:, i0] @ lam
 
-    A = quad(lambda t: mu2_affine(t)[0], 0.0, TWO_PI, tol=quad_tol)
-    B = quad(lambda t: mu2_affine(t)[1], 0.0, TWO_PI, tol=quad_tol)
-    scale_B = quad(lambda t: abs(mu2_affine(t)[1]), 0.0, TWO_PI, tol=1e-8)
-    if abs(B) > 1e-8 * max(scale_B, 1.0):
-        b = -A / B              # the period has nonzero slope in b
-    elif abs(A) < max(tol, 1e-8):
-        b = a * a + 1.0         # b drops out of the period; any SPD b works
-    else:
-        report.message = "force one-form has nonzero period around the generator"
-        return report
-    spd_ok = b - a * a > 1e-12
-    report.b, report.exact_ok, report.spd_ok = b, True, spd_ok
-    report.mu1_const = c
-    if not spd_ok:
+        x0 = x * [1.0, 1.0, 0.0 if free[2] else 1.0]
+        A = quad(lambda t: mu_row(t) @ x0, 0.0, TWO_PI, tol=1e-10)
+        B = quad(lambda t: mu_row(t)[2], 0.0, TWO_PI, tol=1e-10) \
+            if free[2] else 0.0
+        if abs(B) > 1e-8 * max(noise, 1.0):
+            pin([2], -A / B)
+        elif abs(A) >= max(tol, 1e-8):
+            report.supported = not defaulted
+            report.message = "force one-form has nonzero period around " \
+                             "the generator" + _DEFAULT * defaulted
+            return report
+    defaulted = defaulted or free[2]
+    x = tie_break()
+    report.a, report.b = float(x[1]), float(x[2])
+    if x[2] - x[1] * x[1] <= 1e-12:
         report.message = "invariant form is not positive definite"
         return report
-
-    def D_C(theta):
-        off, low = frame(theta[1], a, b)
-        return [[1.0, off], [off, low]]
-
-    def mu2(t):
-        return mu(t, a, b)[1]
-
-    V = SmoothFromDerivative(
-        PeriodicAntiderivative(lambda t: float(real(mu2(t))), tol=quad_tol),
-        mu2)
-
-    def P_C(theta):
-        return c * theta[0] + V(theta[1])
-
+    # the grid again, at the defaults
+    report.closedness_residual = residual = max(
+        residual, float(np.max(np.abs(R @ x))))
+    if residual >= tol:
+        report.supported = not defaulted
+        report.message = _NOT_ON_GRID + _DEFAULT * defaulted
+        return report
     report.lagrangian = True
-    report.D_C = D_C
-    report.P_C = P_C
-    report.diagnostics["mu2_loop_after_b"] = A + b * B
+    report.D_C, report.P_C = frame.fields([[1.0, x[1]], [x[1], x[2]]])
     return report

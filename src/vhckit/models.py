@@ -124,12 +124,6 @@ def _sphere_omega(th):
     return [4.0 * s * c / (c * c + 1.0), 0.0 * th[0]]
 
 
-def _sphere_f(th):
-    """Recurrence potential anchored to 0 at theta1 = pi/2."""
-    s = dm.sin(th[0])
-    return -4.0 * dm.atanh(s * s / (s * s - 4.0)) - 4.0 * math.atanh(1.0 / 3.0)
-
-
 def _sphere_nabla_ric(th):
     s, c = dm.sin(th[0]), dm.cos(th[0])
     sin2 = 2.0 * s * c
@@ -199,7 +193,6 @@ def sphere_mass():
         "ric": _sphere_ric,
         "nabla_ric": _sphere_nabla_ric,
         "omega": _sphere_omega,
-        "f": _sphere_f,
         "D_C": _sphere_DC,
         "gauge_b": -2.0 * math.log(2.0),
         "gauge_ref": (0.5 * math.pi, 0.0),

@@ -8,13 +8,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .calculus import vector_partial
+from .calculus import IntegrationError, vector_partial
 from .dual import real
-from .holonomy import FlatnessError, flat_metrizability, lagrangian_1d
+from .holonomy import lagrangian_1d
 from .manifold import max_curvature_on_grid
 from .metrize2d import (LineIntegralField, cylinder_lagrangian_search,
                         exactness_check, metric_from_ricci, recurrence_solve)
-from .vhc import check_regularity, induced_connection, orthogonality_check
+from .vhc import (ORTHOGONALITY_TOL, RegularityError, check_regularity,
+                  induced_connection)
 
 VERDICT_LAGRANGIAN = "lagrangian"
 VERDICT_NOT_LAGRANGIAN = "not-lagrangian"
@@ -38,10 +39,6 @@ def _decided(result, verdict, reason):
     result.verdict = verdict
     result.details["reason"] = reason
     return result
-
-
-def _max_lambda(conn, grid):
-    return max(abs(float(real(v))) for p in grid for v in conn.lam(p))
 
 
 def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
@@ -71,15 +68,20 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
     if not reg:
         return _decided(result, VERDICT_UNSUPPORTED,
                         "constraint parametrization is not regular")
-    ortho, worst = orthogonality_check(sys, par, grid=grid)
-    det["orthogonal_inputs"] = bool(ortho)
-    det["max_dphiT_B"] = worst
+    det["orthogonal_inputs"] = reg.max_dphiT_B < ORTHOGONALITY_TOL
+    det["max_dphiT_B"] = reg.max_dphiT_B
 
-    if d == 1:
-        return _analyze_1d(bundle, result, decision_tol, ode_tol)
-    if d == 2:
-        return _analyze_2d(bundle, result, grid, grid_margin, flat_tol,
-                           decision_tol, gauge_b)
+    try:
+        if d == 1:
+            return _analyze_1d(bundle, result, decision_tol, ode_tol)
+        if d == 2:
+            return _analyze_2d(bundle, result, grid, grid_margin, flat_tol,
+                               decision_tol, gauge_b)
+    except (RegularityError, IntegrationError) as e:
+        # a field that is singular between grid points, or an ODE that
+        # cannot pass it: outside what the grid certified
+        return _decided(result, VERDICT_UNSUPPORTED,
+                        f"{type(e).__name__} in a decision stage: {e}")
     return _decided(result, VERDICT_UNSUPPORTED,
                     f"reduced dimension {d} not supported (need 1 or 2)")
 
@@ -115,49 +117,35 @@ def _analyze_2d(bundle, result, grid, grid_margin, flat_tol, decision_tol,
     result.details["max_curvature"] = max_R
     if max_R < flat_tol:
         result.details["curvature_class"] = "flat"
-        return _analyze_2d_flat(conn, result, decision_tol)
+        return _analyze_2d_flat(conn, result, grid, decision_tol)
     result.details["curvature_class"] = "curved"
     return _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
                               decision_tol, gauge_b)
 
 
-def _analyze_2d_flat(conn, result, decision_tol):
-    chart = conn.chart
+def _analyze_2d_flat(conn, result, grid, decision_tol):
     det = result.details
-    if chart.periodic == (False, True):
-        report = cylinder_lagrangian_search(conn, tol=max(decision_tol, 1e-8))
-        result.artifacts["cylinder"] = report
-        if math.isfinite(report.closedness_residual):
-            det["closedness_residual"] = report.closedness_residual
-            det["a"] = report.a
-            det["b"] = report.b
-        else:
-            # the search stopped before its frame search
-            det.update(report.diagnostics)
-        result.metrizable = report.metrizable
-        if not report.lagrangian:
-            return _decided(result, VERDICT_NOT_LAGRANGIAN, report.message)
-        result.verdict = VERDICT_LAGRANGIAN
-        result.artifacts.update(D_C=report.D_C, P_C=report.P_C)
-        return result
-    if chart.periodic != (False, False):
+    if all(conn.chart.periodic):
         return _decided(result, VERDICT_UNSUPPORTED,
-                        "unsupported reduced topology for the flat case")
-    # simply connected and flat: metrizable with trivial holonomy
-    try:
-        flat = flat_metrizability(conn.gammaC)
-    except FlatnessError as e:
-        return _decided(result, VERDICT_UNSUPPORTED, str(e))
-    result.metrizable = True
-    result.artifacts["flat"] = flat
-    det["max_lambda"] = _max_lambda(conn, chart.grid(5))
-    if det["max_lambda"] < decision_tol:
-        result.verdict = VERDICT_LAGRANGIAN
-        result.artifacts.update(g0=flat.g0, P_C=lambda th: 0.0)
-        return result
-    return _decided(result, VERDICT_UNSUPPORTED,
-                    "flat simply-connected case with nonzero reduced force "
-                    "not implemented")
+                        "flat case with two periodic coordinates not "
+                        "implemented")
+    report = cylinder_lagrangian_search(conn, grid,
+                                        tol=max(decision_tol, 1e-8))
+    result.artifacts["flat"] = report
+    if math.isfinite(report.closedness_residual):
+        det["closedness_residual"] = report.closedness_residual
+        det["a"] = report.a
+        det["b"] = report.b
+    else:
+        # the search stopped before its closedness stage
+        det.update(report.diagnostics)
+    result.metrizable = report.metrizable
+    if not report.lagrangian:
+        return _decided(result, VERDICT_NOT_LAGRANGIAN if report.supported
+                        else VERDICT_UNSUPPORTED, report.message)
+    result.verdict = VERDICT_LAGRANGIAN
+    result.artifacts.update(D_C=report.D_C, P_C=report.P_C)
+    return result
 
 
 def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
@@ -206,7 +194,8 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         return [sum(g[i][j] * lam[j] for j in range(2)) for i in range(2)]
 
     check_grid = chart.grid(5, grid_margin)
-    det["max_lambda"] = _max_lambda(conn, check_grid)
+    det["max_lambda"] = max(abs(float(real(v)))
+                            for p in check_grid for v in conn.lam(p))
     if det["max_lambda"] < decision_tol:
         result.artifacts["P_C"] = lambda th: 0.0
         det["potential"] = "zero"

@@ -14,6 +14,10 @@ from .dual import real
 from .manifold import Chart, ConnectionCoeffs, first_kind
 
 
+# max |dphi^T B| below which the inputs count as orthogonal to C
+ORTHOGONALITY_TOL = 1e-9
+
+
 class RegularityError(RuntimeError):
     """The matrix (Bperp D dphi) is singular: the VHC is not regular there."""
 
@@ -116,17 +120,20 @@ class RegularityReport:
     min_singular_value: float
     worst_theta: list
     tol: float
+    max_dphiT_B: float = 0.0     # orthogonality of the inputs to C
 
     def __bool__(self):
         return self.regular
 
 
 def check_regularity(sys, par, grid=None, tol=1e-8):
-    """Smallest scaled singular value of [dphi | D^{-1} B] over a grid."""
+    """Smallest scaled singular value of [dphi | D^{-1} B] over a grid, and
+    from the same evaluations max |dphi^T B|."""
     if grid is None:
         grid = par.chart.grid()
     best = np.inf
     worst = None
+    ortho = 0.0
     for th in grid:
         x = par.phi(list(th))
         D = np.asarray(sys.D(x), dtype=float)
@@ -140,7 +147,8 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
         if margin < best:
             best = margin
             worst = list(th)
-    return RegularityReport(bool(best > tol), float(best), worst, tol)
+        ortho = max(ortho, float(np.max(np.abs(dphi.T @ B))))
+    return RegularityReport(bool(best > tol), float(best), worst, tol, ortho)
 
 
 def induced_christoffels(sys, par, theta):
@@ -257,7 +265,7 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     return tau, drift + DinvB @ tau
 
 
-def orthogonality_check(sys, par, grid=None, tol=1e-9):
+def orthogonality_check(sys, par, grid=None, tol=ORTHOGONALITY_TOL):
     """True iff dphi^T B vanishes on the grid (control forces orthogonal to C)."""
     if grid is None:
         grid = par.chart.grid()

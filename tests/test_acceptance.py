@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from vhckit import dual as dm
-from vhckit.calculus import CurveSampler, line_segment
-from vhckit.dual import Dual, real
-from vhckit.holonomy import (circle_mod, cylinder_integrals, lagrangian_1d,
-                             loop_transport, reverse_path, transport_matrix)
+from vhckit.calculus import (CurveSampler, integrate_ode, line_segment,
+                             vector_partial)
+from vhckit.dual import real
+from vhckit.holonomy import (lagrangian_1d, loop_transport, reverse_path,
+                             transport_matrix)
 from vhckit.manifold import (Chart, christoffel_from_metric,
                              connection_from_metric, max_curvature_on_grid,
                              total_cov_derivative_02)
@@ -218,19 +219,38 @@ def test_criterion_04_dpc_flat_holonomy(dpc_a, dpc_b):
 
 
 def _closedness_residual_at(conn, a, grid_n=256):
-    """Sup-norm of d(mu_1)/d(theta2) for the frame value a (cylinder case)."""
-    cyl = cylinder_integrals(conn.gammaC)
+    """Sup-norm of d(mu_1)/d(theta2) for the frame value a, by the transport
+    integrals of a cylinder whose only connection coefficients are
+    Gamma^k_22(theta2), as on dpc: I1 = -int Gamma^2_22 and
+    I2 = int Gamma^1_22 exp(I1) give D_C[0][1] = exp(-I1) (I2 + a), so
+    mu_1 = lambda_1 + exp(-I1) (I2 + a) lambda_2. An oracle independent of
+    the pipeline's transport and closedness rows."""
     lo, hi = conn.chart.bounds[0]
     anchor = 0.5 * (lo + hi)
 
-    def mu1(t):
-        lam = conn.lam([anchor, circle_mod(t)])
-        return lam[0] + dm.exp(-cyl.I1(t)) * (cyl.I2(t) + a) * lam[1]
+    def g(t):
+        G = np.asarray(conn.gammaC([anchor, t]), dtype=float)
+        assert np.count_nonzero(G) == np.count_nonzero(G[:, 1, 1])
+        return G[0, 1, 1], G[1, 1, 1]
 
+    def rhs(t, y):
+        g1, g2 = g(t)
+        return [-g2, g1 * math.exp(y[0])]
+
+    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, 1e-12,
+                         method="DOP853")
     worst = 0.0
     for t in np.linspace(0.0, TWO_PI, grid_n, endpoint=False):
-        d = mu1(Dual(float(t), 1.0))
-        worst = max(worst, abs(float(real(d.eps))))
+        t = float(t)
+        I1, I2 = traj.at(t)
+        g1, g2 = g(t)
+        lam = [float(real(v)) for v in conn.lam([anchor, t])]
+        dlam = [float(real(v)) for v in vector_partial(conn.lam, [anchor, t], 1)]
+        # d/dt of exp(-I1) (I2 + a) is exp(-I1) (g2 (I2 + a) + g1 exp(I1))
+        e = math.exp(-I1)
+        d = dlam[0] + e * ((g2 * (I2 + a) + g1 * math.exp(I1)) * lam[1]
+                           + (I2 + a) * dlam[1])
+        worst = max(worst, abs(d))
     return worst
 
 

@@ -7,12 +7,14 @@ import os
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vhckit.cli import (EXIT_ERROR, EXIT_NOT_LAGRANGIAN, EXIT_OK,
                         EXIT_UNSUPPORTED, SCHEMA, bundle_from_config, main)
 from vhckit.models import get_model
 from vhckit.pipeline import analyze
+from vhckit.vhc import induced_connection
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
@@ -81,6 +83,69 @@ SIGN_CHANGE_CONFIG = _conformal_config("gauss-sign-change", "exp(2*x*x*x)")
 # Gauss curvature -(0.6 cos s + 0.4 cos t) e^{2(0.6 cos s + 0.4 cos t)} < 0
 NEGATIVE_CONFIG = _conformal_config(
     "gauss-negative", "exp(-2*(0.6*cos(x) + 0.4*cos(y)))")
+
+
+def _flat_config(name, thetas, reduced, phi, B, Bperp, P):
+    # ambient R^3 with D = I: one input B, its annihilator Bperp
+    return {
+        "name": name,
+        "ambient": {"dim": 3, "periodic": [False] * 3,
+                    "bounds": [[-3.0, 3.0]] * 3},
+        "reduced": reduced,
+        "variables": ["q1", "q2", "q3"],
+        "theta_variables": thetas,
+        "D": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "P": P, "B": B, "Bperp": Bperp, "phi": phi, "m": 1,
+    }
+
+
+# r in (0.5, 2), t periodic: the base point of the flat solver is (1.25, 0)
+_RING = {"dim": 2, "periodic": [False, True],
+         "bounds": [[0.5, 2.0], [0.0, 2.0 * math.pi]]}
+_SQUARE = {"dim": 2, "periodic": [False, False],
+           "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}
+_E3 = ([["0"], ["0"], ["1"]], [["1", "0", "0"], ["0", "1", "0"]])
+
+
+def _cone(c):
+    # the flat cone z = c r, pushed along its normal: the geodesics of
+    # (1 + c^2) dr^2 + r^2 dt^2 under the potential c r. The generator
+    # holonomy is a rotation by 2 pi (1 - 1/sqrt(1 + c^2)): -I for
+    # c = sqrt(3), elliptic with trace 2 cos(2 pi (1 - 1/sqrt 2)) for c = 1
+    return _flat_config(f"cone-{c:g}", ["r", "t"], _RING,
+                        ["r*cos(t)", "r*sin(t)", f"{c!r}*r"],
+                        [[f"-{c!r}*q1"], [f"-{c!r}*q2"], [f"q3/{c!r}"]],
+                        [["q1", "q2", "q3"], ["-q2", "q1", "0"]], "q3")
+
+
+def _saddle(P):
+    # the graph z = t1 t2 / 2 pushed along e3: Gamma_C = 0, lambda = the
+    # (q1, q2) part of grad P
+    return _flat_config("saddle", ["t1", "t2"], _SQUARE,
+                        ["t1", "t2", "t1*t2/2"], *_E3, P)
+
+
+# config, exit code
+FLAT_CASES = {
+    # a particle in the plane under a linear potential, in polar coordinates
+    "annulus": (_flat_config("annulus", ["r", "t"], _RING,
+                             ["r*cos(t)", "r*sin(t)", "0"], *_E3, "q1"),
+                EXIT_OK),
+    # the same plane in spiral coordinates, under a potential whose force
+    # and closedness rows vanish on the generator r = 1.25: only the grid
+    # pins the frame value, (a, b) = (k r0^2, r0^2) / (1 + k^2 r0^2)
+    "spiral": (_flat_config("spiral", ["r", "t"], _RING,
+                            ["r*cos(t + 0.5*r)", "r*sin(t + 0.5*r)", "0"],
+                            *_E3, "(q1*q1 + q2*q2 - 1.5625)**3"), EXIT_OK),
+    "cone-sqrt3": (_cone(math.sqrt(3.0)), EXIT_OK),
+    "cone-1": (_cone(1.0), EXIT_OK),
+    "saddle-exact": (_saddle("q1*q1 + q2"), EXIT_OK),
+    # closedness pins b = 1 and leaves a free
+    "saddle-pins-b": (_saddle("q1*q2"), EXIT_OK),
+    "saddle-not-closed": (_saddle("q1*q3"), EXIT_NOT_LAGRANGIAN),
+    # closedness leaves the line 2a + b = 1: a known limit
+    "saddle-line": (_saddle("q1*q2 + q1*q1"), EXIT_UNSUPPORTED),
+}
 
 
 def _write_config(tmp_path, cfg):
@@ -231,14 +296,22 @@ def test_simulate_bad_ic_dimension(capsys):
     assert code == EXIT_ERROR
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--full"], ["analyze"]],
+@pytest.mark.parametrize("argv, want", [(["simulate", "--full"], EXIT_ERROR),
+                                        (["analyze"], EXIT_UNSUPPORTED)],
                          ids=["simulate-full", "analyze"])
-def test_non_finite_potential_is_an_integration_error(tmp_path, capsys, argv):
-    # inf - inf: a NaN force; the full simulation used to hang in scipy
+def test_non_finite_potential_is_an_integration_error(tmp_path, capsys, argv,
+                                                      want):
+    # inf - inf: a NaN force; the full simulation used to hang in scipy.
+    # analyze meets it inside a decision stage, which ends as unsupported
+    # with the error in the reason
     cfg = dict(CIRCLE_CONFIG, P="(1e308*10 - 1e308*10)*q1")
     code = main(argv + ["--config", _write_config(tmp_path, cfg)])
-    assert code == EXIT_ERROR
-    assert "IntegrationError" in capsys.readouterr().err
+    assert code == want
+    out = capsys.readouterr()
+    if want == EXIT_ERROR:
+        assert "IntegrationError" in out.err
+    else:
+        assert "IntegrationError" in json.loads(out.out)["details"]["reason"]
 
 
 @pytest.mark.parametrize("fields", [
@@ -395,3 +468,110 @@ def test_golden_reports(model, expect_code, tmp_path):
     golden = json.loads((GOLDEN_DIR / f"{model}.json").read_text())
     assert _approx_equal(got, golden), (
         f"report for {model} deviates from the pinned golden file")
+
+
+@pytest.mark.parametrize("case", list(FLAT_CASES))
+def test_flat_config_verdicts(tmp_path, capsys, case):
+    cfg, want = FLAT_CASES[case]
+    code = main(["analyze", "--config", _write_config(tmp_path, cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == want, out["details"]
+    assert out["details"]["curvature_class"] == "flat"
+    if case == "saddle-not-closed":
+        assert out["details"]["closedness_residual"] > 0.1
+    if case == "saddle-line":
+        assert "line of frame values" in out["details"]["reason"]
+
+
+def _fd(f, x, i, h=1e-4):
+    xp, xm = list(x), list(x)
+    xp[i] += h
+    xm[i] -= h
+    return (np.asarray(f(xp), dtype=float)
+            - np.asarray(f(xm), dtype=float)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("case", [c for c, (_, code) in FLAT_CASES.items()
+                                  if code == EXIT_OK])
+def test_flat_config_structure(case):
+    # D_C is SPD and parallel, mu = D_C lambda is closed and P_C is its
+    # potential: each checked by central differences, apart from the
+    # solver's own formulas
+    bundle = bundle_from_config(FLAT_CASES[case][0])
+    res = analyze(bundle)
+    D_C, P_C = res.artifacts["D_C"], res.artifacts["P_C"]
+    conn = induced_connection(bundle.system, bundle.parametrization)
+
+    def mu(x):
+        return np.asarray(D_C(x)) @ np.asarray(conn.lam(x), dtype=float)
+
+    worst = {"nabla": 0.0, "closed": 0.0, "potential": 0.0}
+    for x in bundle.chart.grid(3, 0.2):
+        g = np.asarray(D_C(x))
+        assert np.linalg.eigvalsh(g)[0] > 0.0
+        G = np.asarray(conn.gammaC(x), dtype=float)
+        dg = [_fd(D_C, x, i) for i in range(2)]
+        for i in range(2):
+            nabla = dg[i] - G[:, i, :].T @ g - g @ G[:, i, :]
+            worst["nabla"] = max(worst["nabla"], float(np.max(np.abs(nabla))))
+        worst["closed"] = max(worst["closed"], abs(
+            _fd(mu, x, 0)[1] - _fd(mu, x, 1)[0]))
+        worst["potential"] = max(worst["potential"], max(
+            abs(float(_fd(P_C, x, i)) - mu(x)[i]) for i in range(2)))
+    assert max(worst.values()) < 1e-6, worst
+    a, b = res.details["a"], res.details["b"]
+    r0 = 1.25
+    if case.startswith("cone"):
+        # the invariant form is the induced metric diag(1 + c^2, r0^2) at
+        # the base point, so b = r0^2 / (1 + c^2)
+        c2 = 3.0 if case == "cone-sqrt3" else 1.0
+        assert abs(a) < 1e-8 and b == pytest.approx(r0 * r0 / (1.0 + c2),
+                                                    abs=1e-8)
+    if case == "spiral":
+        k2 = 0.25 * r0 * r0
+        assert (a, b) == (pytest.approx(0.5 * r0 * r0 / (1.0 + k2), abs=1e-8),
+                          pytest.approx(r0 * r0 / (1.0 + k2), abs=1e-8))
+    if case == "saddle-pins-b":
+        assert (a, b) == (0.0, pytest.approx(1.0, abs=1e-12))
+
+
+def test_pole_between_grid_points_is_unsupported(tmp_path, capsys):
+    # theta1 in (-0.5, pi): the pole theta1 = 0 falls between grid points,
+    # so regularity passes, and the line integral of trace Gamma through it
+    # fails inside a decision stage
+    cfg = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"]
+    cfg = dict(cfg, reduced=dict(cfg["reduced"], bounds=[[-0.5, math.pi],
+                                                         [-math.pi, math.pi]]))
+    code = main(["analyze", "--config", _write_config(tmp_path, cfg),
+                 "--grid", "5"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNSUPPORTED
+    assert out["details"]["regular"] is True
+    assert out["details"]["reason"].startswith("IntegrationError")
+
+
+_STABLE = [("circle", {"alpha": 0.0}, "lagrangian"),
+           ("circle", {"alpha": 0.3}, "not-lagrangian"),
+           ("sphere", {}, "lagrangian"),
+           ("dpc-a", {}, "not-lagrangian"),
+           ("dpc-b", {}, "lagrangian")] + [
+    (case, None, {EXIT_OK: "lagrangian", EXIT_NOT_LAGRANGIAN: "not-lagrangian",
+                  EXIT_UNSUPPORTED: "unsupported"}[code])
+    for case, (_, code) in FLAT_CASES.items()]
+
+
+@pytest.mark.parametrize("name, params, want", _STABLE,
+                         ids=[f"{n}{'-' + str(p['alpha']) if p else ''}"
+                              for n, p, _ in _STABLE])
+def test_verdicts_are_stable_under_grid_and_tolerance(name, params, want):
+    # the default grid (7) and tolerance (1e-9) are pinned by the goldens
+    # and the verdict tests above
+    def bundle():
+        if params is None:
+            return bundle_from_config(FLAT_CASES[name][0])
+        return get_model(name, **params)
+
+    runs = [{"grid_n": n} for n in (3, 5, 9, 11)] + [
+        {"decision_tol": tol} for tol in (1e-8, 1e-10)]
+    verdicts = [analyze(bundle(), **kw).verdict for kw in runs]
+    assert verdicts == [want] * len(runs), list(zip(runs, verdicts))

@@ -8,14 +8,12 @@ import pytest
 
 from vhckit.calculus import CurveSampler, line_segment, quad
 from vhckit.dual import Dual, eps, real
-from vhckit.holonomy import (CylinderStructureError, FlatnessError,
-                             GeneratorHolonomyError, LoopDescriptor,
-                             PeriodicAntiderivative, SmoothFromDerivative,
-                             WindowAntiderivative, circle_mod,
-                             cylinder_integrals, flat_metrizability,
+from vhckit.holonomy import (LoopDescriptor, PeriodicAntiderivative,
+                             SmoothFromDerivative, WindowAntiderivative,
+                             axis_transport, circle_mod, cylinder_integrals,
                              lagrangian_1d, loop_transport, reverse_path,
                              transport_matrix)
-from vhckit.manifold import Chart, ConnectionCoeffs, connection_from_metric
+from vhckit.manifold import Chart, ConnectionCoeffs
 from vhckit.models import _coordinate_loop, get_model
 from vhckit.vhc import induced_connection
 
@@ -169,55 +167,28 @@ def test_one_dim_on_line_always_lagrangian():
     assert dM == pytest.approx(-2.0 * math.sin(x) * rep.M(x), rel=1e-5)
 
 
-def test_flat_metrizability_zero_connection():
-    gamma = zero_connection(_flat_chart())
-    rep = flat_metrizability(gamma)
-    assert rep.metrizable
-    g0 = np.asarray(rep.g0, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
-    assert w[0] > 0.0
-
-
-def test_flat_metrizability_rejects_curved_connection():
-    def g(x):
-        import vhckit.dual as dm
-        e = dm.exp(x[0] * x[0])
-        return [[e, 0.0], [0.0, e]]
-
-    gamma = connection_from_metric(_flat_chart(), g)
-    with pytest.raises(FlatnessError, match="flatness certificate"):
-        flat_metrizability(gamma, grid=_flat_chart().grid(3))
+def test_axis_transport_trivial_leg_is_one_step():
+    # with first_step the leg length, a leg on which the connection
+    # vanishes is one DOP853 step
+    traj = axis_transport(zero_connection(_flat_chart()), [[0.3, -0.2]], 1,
+                          -1.5, 1.5, first_step=3.0)
+    assert len(traj.times) == 2
+    assert np.array_equal(traj.end_state, np.eye(2).ravel())
 
 
 def test_cylinder_integrals_dpc_loops_close():
     b = get_model("dpc-b")
     conn = induced_connection(b.system, b.parametrization)
-    cyl = cylinder_integrals(conn.gammaC)
-    assert abs(cyl.I1_loop) < 1e-9
-    assert abs(cyl.I2_loop) < 1e-9
-    # I1' = -Gamma^2_22 along the fiber
-    t = 1.3
-    d = cyl.I1(Dual(t, 1.0))
-    g = conn.gammaC([0.0, t])
-    assert eps(d) == pytest.approx(-float(g[1][1][1]), abs=1e-9)
+    traj = cylinder_integrals(conn.gammaC, [0.0, 0.0], 1)
+    assert np.max(np.abs(traj.end_state - np.eye(2).ravel())) < 1e-9
+    # the dense transport agrees with an independent RK45 transport
+    Y = traj.at(1.3).reshape(2, 2)
+    M = transport_matrix(conn.gammaC, line_segment([0.0, 0.0], [0.0, 1.3]), 2)
+    assert np.max(np.abs(Y - M)) < 1e-8
 
 
-def test_cylinder_integrals_reject_wrong_structure():
-    chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
-
-    def bad(x):
-        g = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
-        g[0][0][0] = 1.0          # disallowed entry for a flat cylinder frame
-        return g
-
-    gamma = ConnectionCoeffs(chart, bad)
-    with pytest.raises(CylinderStructureError):
-        cylinder_integrals(gamma)
-
-
-def test_cylinder_integrals_refuse_nontrivial_holonomy():
-    # Gamma^2_22 = 0.1 alone: I1 = -0.1 t is not 2pi-periodic, so its
-    # values cannot be read on one period
+def test_cylinder_integrals_generator_holonomy():
+    # Gamma^2_22 = 0.1 alone: the generator holonomy is diag(1, e^{-0.2 pi})
     chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
 
     def coeffs(x):
@@ -225,10 +196,10 @@ def test_cylinder_integrals_refuse_nontrivial_holonomy():
         g[1][1][1] = 0.1
         return g
 
-    with pytest.raises(GeneratorHolonomyError, match="holonomy") as err:
-        cylinder_integrals(ConnectionCoeffs(chart, coeffs))
-    assert err.value.loops["I1_loop"] == pytest.approx(-0.2 * math.pi,
-                                                       rel=1e-9)
+    H = cylinder_integrals(ConnectionCoeffs(chart, coeffs), [0.0, 0.0],
+                           1).end_state.reshape(2, 2)
+    assert math.log(H[1][1]) == pytest.approx(-0.2 * math.pi, rel=1e-9)
+    assert H[0][0] == 1.0 and H[0][1] == 0.0 and H[1][0] == 0.0
 
 
 def test_coordinate_loop_descriptor():

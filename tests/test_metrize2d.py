@@ -1,5 +1,5 @@
 """Two-dimensional metrizability: Ricci recurrence, exactness, metric
-reconstruction, and the flat-cylinder Lagrangian search."""
+reconstruction, and parallel metrics of flat connections."""
 
 import dataclasses
 import json
@@ -10,7 +10,7 @@ import pytest
 
 import vhckit.dual as dm
 from vhckit.calculus import partial
-from vhckit.dual import real
+from vhckit.dual import Dual, eps, real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
                              connection_from_metric, ricci)
 from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
@@ -274,21 +274,58 @@ def test_minimax_linear_against_brute_force():
 def test_cylinder_search_dpc_b():
     b = get_model("dpc-b")
     conn = induced_connection(b.system, b.parametrization)
-    rep = cylinder_lagrangian_search(conn)
+    rep = cylinder_lagrangian_search(conn, b.chart.grid(7, 1e-2))
     assert rep.lagrangian and rep.metrizable
     assert rep.a == pytest.approx(A_STAR, abs=1e-9)
     assert rep.closedness_residual < 1e-8
     assert rep.b == pytest.approx(A_STAR ** 2 + 1.0, abs=1e-9)
-    assert rep.spd_ok and rep.exact_ok
-    # D_C is symmetric positive definite around the cylinder
+    # D_C is symmetric positive definite around the cylinder, and the base
+    # form is [[1, a], [a, b]] at theta = (0, 0)
     for t in np.linspace(0.0, TWO_PI, 7, endpoint=False):
         M = np.asarray([[float(real(v)) for v in row]
                         for row in rep.D_C([0.0, float(t)])])
         assert np.linalg.eigvalsh(M)[0] > 0.0
-    # the potential is independent of theta1 up to the linear term
+    assert np.allclose(rep.D_C([0.0, 0.0]), [[1.0, rep.a], [rep.a, rep.b]],
+                       atol=1e-12)
+    # the cart force mu_1 = (D_C lambda)_1 is constant, so P_C is linear in
+    # theta1
+    mu1 = (np.asarray(rep.D_C([0.0, 1.0])) @ np.asarray(
+        conn.lam([0.0, 1.0])))[0]
     p0 = float(real(rep.P_C([0.0, 1.0])))
     p1 = float(real(rep.P_C([1.0, 1.0])))
-    assert p1 - p0 == pytest.approx(rep.mu1_const, abs=1e-9)
+    assert p1 - p0 == pytest.approx(mu1, abs=1e-9)
+    # dual arguments: d D_C from nabla g = 0 and d P_C = mu, against
+    # central differences off the generator
+    x, h = [0.7, 1.3], 1e-5
+    for i in range(2):
+        xd = [Dual(c, float(i == j)) for j, c in enumerate(x)]
+        xp, xm = list(x), list(x)
+        xp[i] += h
+        xm[i] -= h
+        fd = (np.asarray(rep.D_C(xp)) - np.asarray(rep.D_C(xm))) / (2 * h)
+        got = np.array([[eps(v) for v in row] for row in rep.D_C(xd)])
+        assert np.max(np.abs(got - fd)) < 1e-6
+        assert eps(rep.P_C(xd)) == pytest.approx(
+            (rep.P_C(xp) - rep.P_C(xm)) / (2 * h), abs=1e-6)
+
+
+def test_flat_fields_do_not_depend_on_read_history():
+    # D_C and P_C at a point are the same whether it is read first or after
+    # hundreds of other reads, inside and outside the grid's span (the cart
+    # span is (-1.96, 1.96))
+    b = get_model("dpc-b")
+    conn = induced_connection(b.system, b.parametrization)
+    grid = b.chart.grid(7, 1e-2)
+    points = [[0.7, 1.3], [-1.2, 4.0], [3.1, 2.2]]
+    first = []
+    for x in points:
+        rep = cylinder_lagrangian_search(conn, grid)
+        first.append((rep.D_C(x), rep.P_C(x)))
+    rep = cylinder_lagrangian_search(conn, grid)
+    rng = np.random.default_rng(3)
+    for x in rng.uniform([-3.5, -7.0], [3.5, 7.0], size=(300, 2)):
+        rep.D_C(list(x)), rep.P_C(list(x))
+    assert [(rep.D_C(x), rep.P_C(x)) for x in points] == first
 
 
 def _induced_metric(bundle, th):
@@ -323,15 +360,16 @@ def test_cylinder_frame_is_cart_momentum_dpc_b():
 def test_cylinder_search_dpc_a_fails_closedness():
     b = get_model("dpc-a")
     conn = induced_connection(b.system, b.parametrization)
-    rep = cylinder_lagrangian_search(conn)
+    rep = cylinder_lagrangian_search(conn, b.chart.grid(7, 1e-2))
     assert not rep.lagrangian
     assert rep.metrizable
     assert rep.closedness_residual > 1.0
 
 
 def test_cylinder_search_refuses_nontrivial_holonomy():
-    # Gamma^2_22 = 0.1 alone: I1 = -0.1 t gains -0.2 pi per turn, so no
-    # metric built from the transports is single-valued on the cylinder
+    # Gamma^2_22 = 0.1 alone: the generator holonomy diag(1, e^{-0.2 pi})
+    # preserves only the degenerate forms diag(s, 0), so no metric built
+    # from the transports is single-valued on the cylinder
     chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
 
     def coeffs(x):
@@ -341,25 +379,40 @@ def test_cylinder_search_refuses_nontrivial_holonomy():
 
     conn = InducedConnection(chart, ConnectionCoeffs(chart, coeffs),
                              lambda th: [0.0, 0.0])
-    rep = cylinder_lagrangian_search(conn)
+    rep = cylinder_lagrangian_search(conn, chart.grid(3))
     assert not rep.lagrangian and not rep.metrizable
     assert "holonomy" in rep.message
-    assert rep.diagnostics["I1_loop"] == pytest.approx(-0.2 * math.pi,
-                                                       rel=1e-9)
+    H = rep.diagnostics["holonomy"]
+    assert math.log(H[1][1]) == pytest.approx(-0.2 * math.pi, rel=1e-9)
     assert rep.D_C is None
-    # the pipeline reports the loops in place of frame values it never
+    # the pipeline reports the holonomy in place of frame values it never
     # computed, and the report stays strict JSON
     res = _analyze_2d_flat(conn, AnalysisResult("synthetic", "unsupported",
-                                                 False), 1e-8)
+                                                 False), chart.grid(3), 1e-8)
     assert res.verdict == "not-lagrangian" and "holonomy" in res.details["reason"]
-    assert res.details["I1_loop"] == rep.diagnostics["I1_loop"]
+    assert res.details["holonomy"] == H
     assert "closedness_residual" not in res.details and "a" not in res.details
     json.dumps(res.to_dict(), allow_nan=False)
 
 
+def test_flat_search_zero_connection_plane():
+    # a flat plane with Gamma = 0 and no force: every constant form is
+    # parallel, and the tie-break gives D_C = I, P_C = 0
+    chart = Chart(2, (False, False), ((-2.0, 2.0), (-2.0, 2.0)))
+    zeros = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+    conn = InducedConnection(chart, ConnectionCoeffs(chart, lambda x: zeros),
+                             lambda th: [0.0, 0.0])
+    rep = cylinder_lagrangian_search(conn, chart.grid(3))
+    assert rep.lagrangian and rep.metrizable
+    assert (rep.a, rep.b, rep.closedness_residual) == (0.0, 1.0, 0.0)
+    assert rep.D_C([1.2, -0.7]) == [[1.0, 0.0], [0.0, 1.0]]
+    assert rep.P_C([1.2, -0.7]) == 0.0
+
+
 def test_dpc_b_with_cart_spring_report_is_strict_json():
-    # a spring on the cart makes the reduced force depend on theta1, so the
-    # search stops before its frame search
+    # a spring on the cart makes the reduced force depend on theta1: the
+    # closedness rows then move both a and b, and no pair closes the force
+    # one-form
     b = get_model("dpc-b")
     sys = b.system
 
@@ -371,10 +424,10 @@ def test_dpc_b_with_cart_spring_report_is_strict_json():
     spring = dataclasses.replace(
         sys, P=lambda q: sys.P(q) + 0.5 * q[0] * q[0], gradP=gradP)
     res = analyze(dataclasses.replace(b, system=spring))
-    assert res.verdict == "not-lagrangian"
-    assert res.details["reason"] == "reduced force depends on theta1"
-    assert res.details["lam_dev"] > 1e-3
-    assert "closedness_residual" not in res.details
+    assert res.verdict == "not-lagrangian" and res.metrizable
+    assert res.details["reason"] == \
+        "no frame value (a, b) closes the force one-form"
+    assert res.details["closedness_residual"] > 1e-3
     json.dumps(res.to_dict(), allow_nan=False)
 
 
