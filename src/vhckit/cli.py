@@ -16,7 +16,9 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .expr import compile_expression, compile_matrix, compile_vector
+from .calculus import gradient
+from .expr import (compile_expression, compile_matrix, compile_matrix_gradient,
+                   compile_vector, compile_vector_derivatives)
 from .holonomy import loop_transport
 from .manifold import Chart
 from .models import MODEL_BUILDERS, ModelBundle, get_model
@@ -111,36 +113,83 @@ def _load_bundle(args):
     return get_model(args.model, **params)
 
 
+def _required(cfg, key):
+    if key not in cfg:
+        raise CliError(f"config key {key!r} is missing")
+    return cfg[key]
+
+
 def _chart_from_config(cfg, key):
-    sec = cfg[key]
-    return Chart(int(sec["dim"]), tuple(bool(p) for p in sec["periodic"]),
-                 tuple((float(a), float(b)) for a, b in sec["bounds"]))
+    sec = _required(cfg, key)
+    try:
+        dim, periodic, bounds = sec["dim"], sec["periodic"], sec["bounds"]
+        if (type(dim) is int and dim >= 1 and len(periodic) == dim
+                and len(bounds) == dim and all(len(b) == 2 for b in bounds)):
+            return Chart(dim, tuple(bool(p) for p in periodic),
+                         tuple((float(a), float(b)) for a, b in bounds))
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise CliError(f"config key {key!r}: expected dim d >= 1, d periodic "
+                   f"flags and d bounds [lo, hi]")
+
+
+def _strings(value, count):
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(s, str) for s in value))
+
+
+def _strings_of(cfg, key, rows, cols=None):
+    """cfg[key]: a list of ``rows`` strings, or of ``rows`` lists of ``cols``
+    strings."""
+    value = _required(cfg, key)
+    if cols is None:
+        if not _strings(value, rows):
+            raise CliError(f"config key {key!r}: expected a list of {rows} "
+                           f"strings")
+    elif not (isinstance(value, list) and len(value) == rows
+              and all(_strings(row, cols) for row in value)):
+        raise CliError(f"config key {key!r}: expected {rows} rows of {cols} "
+                       f"strings")
+    return value
 
 
 def bundle_from_config(cfg, overrides=None):
-    """ModelBundle from a JSON dict with expression-string entries."""
-    constants = dict(cfg.get("constants", {}))
-    if overrides:
-        constants.update(overrides)
+    """ModelBundle from a JSON dict with expression-string entries. Shapes
+    are checked against the charts and ``m`` before anything is compiled;
+    the derivatives dphi, d2phi and dD are compiled with the fields."""
+    constants = cfg.get("constants", {})
+    if not isinstance(constants, dict):
+        raise CliError("config key 'constants': expected an object of "
+                       "name: number")
+    constants = {**constants, **(overrides or {})}
     q_chart = _chart_from_config(cfg, "ambient")
     chart = _chart_from_config(cfg, "reduced")
-    qv = list(cfg["variables"])
-    tv = list(cfg["theta_variables"])
-    if len(qv) != q_chart.dim or len(tv) != chart.dim:
-        raise CliError("variable lists do not match chart dimensions")
-    D = compile_matrix(cfg["D"], qv, constants)
-    P = compile_expression(cfg.get("P", "0"), qv, constants)
-    B = compile_matrix(cfg["B"], qv, constants)
-    Bperp = compile_matrix(cfg["Bperp"], qv, constants)
-    phi = compile_vector(cfg["phi"], tv, constants)
-    h = compile_vector(cfg["h"], qv, constants) if "h" in cfg else None
+    n, d = q_chart.dim, chart.dim
+    m = _required(cfg, "m")
+    if not (type(m) is int and 1 <= m < n and d == n - m):
+        raise CliError(f"config key 'm': expected an int with n - m equal to "
+                       f"the reduced dim {d} (n = {n}), got {m!r}")
+    qv = _strings_of(cfg, "variables", n)
+    tv = _strings_of(cfg, "theta_variables", d)
+    D = _strings_of(cfg, "D", n, n)
+    B = _strings_of(cfg, "B", n, m)
+    Bperp = _strings_of(cfg, "Bperp", n - m, n)
+    phi = _strings_of(cfg, "phi", n)
+    h = _strings_of(cfg, "h", m) if "h" in cfg else None
+    if not isinstance(cfg.get("P", ""), str):
+        raise CliError("config key 'P': expected a string")
 
-    from .calculus import gradient
-    gradP = lambda q: gradient(P, list(q))
+    P = compile_expression(cfg.get("P", "0"), qv, constants)
+    dphi, d2phi = compile_vector_derivatives(phi, tv, constants)
     system = LagrangianControlSystem(
-        chart=q_chart, D=D, P=P, gradP=gradP, B=B, Bperp=Bperp,
-        m=int(cfg["m"]), h=h)
-    par = ConstraintParametrization(chart, phi=phi)
+        chart=q_chart, D=compile_matrix(D, qv, constants), P=P,
+        gradP=lambda q: gradient(P, list(q)),
+        B=compile_matrix(B, qv, constants),
+        Bperp=compile_matrix(Bperp, qv, constants), m=m,
+        h=None if h is None else compile_vector(h, qv, constants),
+        dD=compile_matrix_gradient(D, qv, constants))
+    par = ConstraintParametrization(
+        chart, phi=compile_vector(phi, tv, constants), dphi=dphi, d2phi=d2phi)
     return ModelBundle(cfg.get("name", "custom"), system, par,
                        params=constants)
 

@@ -78,6 +78,10 @@ class Dual:
                 base = base * base
         return exp(n * log(self))
 
+    def __rpow__(self, base):
+        # base ** x for a plain base: exp(x log base), as in __pow__
+        return exp(self * log(base))
+
     def __abs__(self):
         return -self if real(self) < 0.0 else self
 

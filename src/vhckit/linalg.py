@@ -30,11 +30,10 @@ def transpose(A):
 
 
 def solve(A, B):
-    """Solve A X = B. ``B`` may be a vector or a matrix (list of rows)."""
+    """Solve A X = B for a matrix B (list of rows)."""
     n = len(A)
-    vector = not isinstance(B[0], (list, tuple))
     # rows of rhs are replaced, never changed in place: a shallow copy will do
-    rhs = [[b] for b in B] if vector else list(B)
+    rhs = list(B)
     a = [list(row) for row in A]
     invs = [None] * n
     for col in range(n):
@@ -64,8 +63,6 @@ def solve(A, B):
             ark = row[k]
             s = [u - ark * w for u, w in zip(s, x[k])]
         x[r] = [u * inv for u in s]
-    if vector:
-        return [row[0] for row in x]
     return x
 
 

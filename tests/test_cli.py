@@ -314,15 +314,24 @@ def test_non_finite_potential_is_an_integration_error(tmp_path, capsys, argv,
         assert "IntegrationError" in json.loads(out.out)["details"]["reason"]
 
 
+def _balanced_sum(terms):
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return f"({_balanced_sum(terms[:mid])} + {_balanced_sum(terms[mid:])})"
+
+
 @pytest.mark.parametrize("fields", [
     {"P": "q1" + "+q1" * 3000},
+    {"phi": [_balanced_sum([f"sin(t*{k})" for k in range(1, 3000)]),
+             "sin(t)"]},
     {"P": "9**9**6*q1"},
     {"P": "10**400*q1"},
     {"P": "sin(q1, q2)"},
     {"P": "q1**True"},
     {"P": "k*q1", "constants": {"k": "2"}},
-], ids=["deep-nesting", "int-power", "beyond-float", "arity", "bool",
-        "string-constant"])
+], ids=["deep-nesting", "too-many-operations", "int-power", "beyond-float",
+        "arity", "bool", "string-constant"])
 def test_hostile_expression_exits_1_at_load(tmp_path, capsys, fields):
     cfg = dict(CIRCLE_CONFIG, **fields)
     code = main(["simulate", "--config", _write_config(tmp_path, cfg)])
@@ -406,6 +415,49 @@ def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+def _sphere_twin(**fields):
+    cfg = dict(runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"])
+    for key, value in fields.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("fields,key", [
+    ({"D": None}, "D"),
+    ({"Bperp": None}, "Bperp"),
+    ({"D": [["1", "0"], ["0", "1"]]}, "D"),
+    ({"phi": ["sin(t1)*cos(t2)", "cos(t1)"]}, "phi"),
+    ({"D": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]}, "D"),
+    ({"Bperp": [["-q2", "q1", "0"]]}, "Bperp"),
+    ({"m": 2}, "m"),
+    ({"ambient": {"dim": 3, "periodic": [False] * 3,
+                  "bounds": [[-2.0, 2.0]] * 2}}, "ambient"),
+    ({"phi": "sin(t1)*cos(t2)"}, "phi"),
+], ids=["D-missing", "Bperp-missing", "D-2x2", "phi-2-entries", "D-ragged",
+        "Bperp-1-row", "m-2-one-column-B", "bounds-2-of-3", "phi-string"])
+def test_bad_config_shape_exits_1(fields, key, tmp_path, capsys):
+    # each shape is checked before anything is compiled: a CliError that
+    # names the key, never a traceback through the catch-all or a verdict
+    path = _write_config(tmp_path, _sphere_twin(**fields))
+    assert main(["analyze", "--config", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config key {key!r}")
+    assert not captured.out
+
+
+def test_constant_base_power_matches_exp_log(tmp_path, capsys):
+    # 2**q3 takes its derivative through Dual.__rpow__
+    verdicts = []
+    for P in ("2**q3", "exp(q3*log(2))"):
+        path = _write_config(tmp_path, _sphere_twin(P=P))
+        code = main(["analyze", "--config", path])
+        verdicts.append((code, json.loads(capsys.readouterr().out)["verdict"]))
+    assert verdicts[0] == verdicts[1] == (EXIT_OK, "lagrangian")
 
 
 def test_help_exits_0(capsys):

@@ -34,6 +34,15 @@ def test_arithmetic_values():
     assert real(a ** 3) == 8.0
 
 
+def test_constant_base_power():
+    # c ** x = exp(x log c), the non-int branch of __pow__ seen from the base
+    d = 2 ** Dual(0.7, 1.0)
+    assert real(d) == pytest.approx(2.0 ** 0.7, rel=1e-15)
+    assert eps(d) == pytest.approx(2.0 ** 0.7 * math.log(2.0), rel=1e-15)
+    with pytest.raises(ValueError):
+        (-2.0) ** Dual(0.5, 1.0)
+
+
 @given(finite)
 @settings(max_examples=50, deadline=None)
 def test_product_and_chain_rule(x):

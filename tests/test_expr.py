@@ -1,6 +1,7 @@
 """Whitelisted expression evaluator: correctness, duals, constant folding,
-rejection of anything outside the arithmetic subset, and the compiled
-closures against a reference tree walk."""
+rejection of anything outside the arithmetic subset, the compiled programs
+against a reference tree walk, and the derivatives compiled at load against
+dual numbers."""
 
 import ast
 import math
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vhckit.expr
+from vhckit.calculus import partial, second_partial
 from vhckit.dual import Dual, eps, real
-from vhckit.expr import (_CONSTS, _FUNCS, ExpressionError, compile_expression,
-                         compile_matrix, compile_vector)
+from vhckit.expr import (_CONSTS, _FUNCS, MAX_OPERATIONS, ExpressionError,
+                         compile_expression, compile_matrix,
+                         compile_matrix_gradient, compile_vector,
+                         compile_vector_derivatives)
 
 
 def test_basic_evaluation():
@@ -192,3 +196,128 @@ def test_compiled_matches_reference_tree_walk(src, x, y, c):
         got = _outcome(lambda: f(values))
         want = _outcome(lambda: _reference(tree, env))
         assert _same(got, want), (src, values, got, want)
+
+
+# -- derivatives compiled at load against dual numbers ------------------------
+
+def _floats(fn):
+    """The flattened floats fn returns, or the type of what it raises; a
+    complex entry counts as a TypeError."""
+    out = _outcome(fn)
+    if isinstance(out, type):
+        return out
+    flat = []
+    stack = [out]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif not isinstance(v, float):
+            return TypeError
+        else:
+            flat.append(v)
+    return flat
+
+
+def _nearby(v):
+    """v moved by one and by two ulps along each coordinate, both ways."""
+    out = []
+    for i in range(len(v)):
+        for to in (math.inf, -math.inf):
+            u = list(v)
+            for _ in range(2):
+                u[i] = math.nextafter(u[i], to)
+                out.append(list(u))
+    return out
+
+
+def _fails(out):
+    return isinstance(out, type) or any(v != v for v in out)
+
+
+def _agrees(got, want, near):
+    """Whether the compiled result ``got`` agrees with the dual result
+    ``want`` at a point, given the dual results ``near`` it."""
+    # Dual numbers also evaluate the terms whose tangent is zero, and so can
+    # fail where the derivative exists (the slope of sqrt(y) at y = 0 while
+    # x moves); the compiled rules drop those terms.
+    if _fails(want):
+        return True
+    # Near a singular point the two round differently: acos(x/x) at x = 1.9
+    # has dual slope -3.9e-9 in x, as x*(1/x) is not 1, while the compiled
+    # slope divides by sqrt(1 - x/x) = 0. So the compiled result may fail
+    # only where the dual one fails within two ulps.
+    if _fails(got):
+        return any(_fails(w) for w in near)
+    # Otherwise they are equal to 1e-10 relative, up to the dual's rounding
+    # noise, read from how far it moves within two ulps (y/(x*y) at
+    # y = 1e-12 has dual slope 8.9e-5 in y, where the exact one is 0).
+    noise = max([abs(a - b) for w in near if not _fails(w)
+                 for a, b in zip(w, want)], default=0.0)
+    return all(math.isclose(g, w, rel_tol=1e-10, abs_tol=1e-12 + 10.0 * noise)
+               for g, w in zip(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.recursive(_LEAF, _extend, max_leaves=8), x=_finite, y=_finite,
+       c=st.sampled_from([2, 1.5, -0.75]))
+def test_compiled_derivatives_match_dual_partials(src, x, y, c):
+    f = compile_expression(src, ["x", "y"], {"c": c})
+    df, d2f = compile_vector_derivatives([src], ["x", "y"], {"c": c})
+    for program, reference in [
+            (df, lambda v: [partial(f, v, i) for i in range(2)]),
+            (d2f, lambda v: [[second_partial(f, v, i, j) for j in range(2)]
+                             for i in range(2)])]:
+        got = _floats(lambda: program([x, y])[0])
+        want = _floats(lambda: reference([x, y]))
+        near = [_floats(lambda: reference(u)) for u in _nearby([x, y])]
+        assert _agrees(got, want, near), (src, x, y, got, want)
+
+
+def test_matrix_gradient_layout():
+    dM = compile_matrix_gradient([["x*y", "sin(y)"], ["2", "x**3"]],
+                                 ["x", "y"])
+    assert dM([2.0, 0.5]) == [[[0.5, 0.0], [0.0, 12.0]],
+                              [[2.0, math.cos(0.5)], [0.0, 0.0]]]
+
+
+def test_shared_subexpressions_are_evaluated_once(monkeypatch):
+    calls = []
+
+    def cos(v):
+        calls.append(v)
+        return math.cos(v)
+
+    monkeypatch.setitem(vhckit.expr._FUNCS, "cos", cos)
+    v = compile_vector(["cos(x)*y", "cos(x) + y*cos(x)", "cos(y)"],
+                       ["x", "y"])
+    assert v([0.5, 2.0]) == [math.cos(0.5) * 2.0,
+                             math.cos(0.5) + 2.0 * math.cos(0.5),
+                             math.cos(2.0)]
+    assert calls == [0.5, 2.0]                  # cos(x) once, cos(y) once
+    # d/dx sin(x)**2 = 2 sin(x) cos(x): one cos(x) per call, in the first
+    # and the second derivative alike
+    df, d2f = compile_vector_derivatives(["sin(x)*sin(x)"], ["x"])
+    calls.clear()
+    assert df([0.3]) == [[2.0 * (math.sin(0.3) * math.cos(0.3))]]
+    assert calls == [0.3]
+    calls.clear()
+    d2f([0.3])
+    assert calls == [0.3]
+
+
+def test_program_size_is_bounded():
+    def balanced(terms):
+        if len(terms) == 1:
+            return terms[0]
+        mid = len(terms) // 2
+        return f"({balanced(terms[:mid])} + {balanced(terms[mid:])})"
+
+    src = balanced([f"x*{k}" for k in range(1, MAX_OPERATIONS // 2)])
+    with pytest.raises(ExpressionError, match="operations"):
+        compile_expression(src, ["x"])
+    # the derivatives of a field count against the same bound
+    small = balanced([f"sin(x*{k})" for k in range(1, MAX_OPERATIONS // 5)])
+    compile_expression(small, ["x"])
+    with pytest.raises(ExpressionError, match="operations"):
+        compile_vector_derivatives([small], ["x"])

@@ -1,13 +1,18 @@
 """Built-in model bundles: constraint consistency and closed-form data."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vhckit.calculus import matrix_partial
+from vhckit.cli import bundle_from_config
 from vhckit.models import MODEL_BUILDERS, get_model, rho
 from vhckit.vhc import ConstraintParametrization
+
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
 
 def test_model_registry():
@@ -113,3 +118,23 @@ def test_generic_metric_gradient_matches_shortcut(name):
         # skip, so the flat ambient path builds no dual terms
         assert all(type(v) is float and v == 0.0 for mat in sys_.dD(q)
                    for row in mat for v in row)
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "dpc-a", "dpc-b"])
+def test_config_twin_derivatives_match_built_in(name):
+    # the config twin's dD, dphi and d2phi, compiled at load, against the
+    # built-in model's hand-written ones; every entry a plain float
+    twin = bundle_from_config(runpy.run_path(str(CONFIGS_PY))["CONFIGS"][name])
+    built = get_model(name)
+    checks = [(twin.system.dD, built.system.dD, built.system.chart),
+              (twin.parametrization.dphi, built.parametrization.dphi,
+               built.chart),
+              (twin.parametrization.d2phi, built.parametrization.d2phi,
+               built.chart)]
+    for compiled, hand, chart in checks:
+        for x in _seeded_points(chart, 20, seed=11):
+            got = compiled(x)
+            np.testing.assert_allclose(got, np.asarray(hand(x), dtype=float),
+                                       rtol=1e-12, atol=1e-12)
+            assert all(type(v) is float
+                       for v in np.asarray(got, dtype=object).ravel())
