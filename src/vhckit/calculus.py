@@ -120,7 +120,8 @@ def line_segment(p, q, t_start=0.0, t_end=1.0):
 
 
 class Trajectory:
-    """Dense ODE solution with interpolation at arbitrary times."""
+    """ODE solution at the solver's nodes or at requested times, with
+    interpolation at arbitrary times when dense output was kept."""
 
     def __init__(self, times, states, interpolant=None, diagnostics=None):
         self.times = np.asarray(times, dtype=float)
@@ -129,28 +130,28 @@ class Trajectory:
         self.diagnostics = diagnostics if diagnostics is not None else {}
 
     @property
-    def t_end(self):
-        return float(self.times[-1])
-
-    @property
     def end_state(self):
         return self.states[-1].copy()
 
     def at(self, t):
+        if self._interp is None:
+            raise ValueError("trajectory kept no dense output to interpolate")
         return np.asarray(self._interp(t), dtype=float)
 
 
 def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
-                  first_step=None):
+                  first_step=None, dense=True, t_eval=None):
     """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with an
-    adaptive scipy solver at rtol = atol = ``tol``, keeping dense output.
+    adaptive scipy solver at rtol = atol = ``tol``, keeping the nodes (or the
+    states at ``t_eval``) and, if ``dense``, the interpolant.
 
     This is the package's one ODE primitive. Each caller keeps the method
-    that makes the fewest counted RHS calls on its work: the simulations
-    (at ``max_step`` 1e-2) and parallel transport use RK45, and the
-    antiderivatives of ``holonomy`` use DOP853. A right-hand side that is
-    not finite at the start raises ``IntegrationError``; scipy would take a
-    NaN first step and never leave its step loop.
+    that makes the fewest counted RHS calls on its work: parallel transport
+    uses RK45, and the simulations and the antiderivatives of ``holonomy``
+    use DOP853. Only the simulations drop the interpolant, which costs
+    DOP853 three more RHS calls per step. A right-hand side that is not
+    finite at the start raises ``IntegrationError``; scipy would take a NaN
+    first step and never leave its step loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if t1 == t0:
@@ -159,7 +160,7 @@ def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
         raise IntegrationError(f"right-hand side is not finite at t = {t0:g}")
     sol = solve_ivp(rhs, (t0, t1), x0, method=method, rtol=tol, atol=tol,
                     max_step=max_step, first_step=first_step,
-                    dense_output=True)
+                    dense_output=dense, t_eval=t_eval)
     if not sol.success:
         raise IntegrationError(sol.message)
     return Trajectory(sol.t, sol.y.T, interpolant=sol.sol)

@@ -33,6 +33,8 @@ EXIT_ERROR = 1
 EXIT_UNSUPPORTED = 2
 EXIT_NOT_LAGRANGIAN = 3
 
+CSV_SPACING = 1e-2      # simulated seconds between rows without --samples
+
 
 class CliError(RuntimeError):
     pass
@@ -156,7 +158,7 @@ def _strings_of(cfg, key, rows, cols=None):
 def bundle_from_config(cfg, overrides=None):
     """ModelBundle from a JSON dict with expression-string entries. Shapes
     are checked against the charts and ``m`` before anything is compiled;
-    the derivatives dphi, d2phi and dD are compiled with the fields."""
+    phi and D are parsed once each, with dphi, d2phi and dD."""
     constants = cfg.get("constants", {})
     if not isinstance(constants, dict):
         raise CliError("config key 'constants': expected an object of "
@@ -180,16 +182,15 @@ def bundle_from_config(cfg, overrides=None):
         raise CliError("config key 'P': expected a string")
 
     P = compile_expression(cfg.get("P", "0"), qv, constants)
-    dphi, d2phi = compile_vector_derivatives(phi, tv, constants)
+    phi, dphi, d2phi = compile_vector_derivatives(phi, tv, constants)
+    D, dD = compile_matrix_gradient(D, qv, constants)
     system = LagrangianControlSystem(
-        chart=q_chart, D=compile_matrix(D, qv, constants), P=P,
+        chart=q_chart, D=D, P=P,
         gradP=lambda q: gradient(P, list(q)),
         B=compile_matrix(B, qv, constants),
         Bperp=compile_matrix(Bperp, qv, constants), m=m,
-        h=None if h is None else compile_vector(h, qv, constants),
-        dD=compile_matrix_gradient(D, qv, constants))
-    par = ConstraintParametrization(
-        chart, phi=compile_vector(phi, tv, constants), dphi=dphi, d2phi=d2phi)
+        h=None if h is None else compile_vector(h, qv, constants), dD=dD)
+    par = ConstraintParametrization(chart, phi=phi, dphi=dphi, d2phi=d2phi)
     return ModelBundle(cfg.get("name", "custom"), system, par,
                        params=constants)
 
@@ -230,21 +231,27 @@ def cmd_simulate(args):
     theta0 = _parse_vec(args.theta0, d, "--theta0")
     thdot0 = _parse_vec(args.thdot0, d, "--thdot0")
     span = (0.0, args.t_final)
-    if args.full:
-        traj = simulate_full(bundle.system, bundle.parametrization,
-                             theta0, thdot0, span, tol=args.tol)
-        columns = [f"q{i+1}" for i in range(bundle.system.n)] + \
-                  [f"qd{i+1}" for i in range(bundle.system.n)]
-    else:
-        traj = simulate_constrained(bundle.system, bundle.parametrization,
-                                    theta0, thdot0, span, tol=args.tol)
-        columns = [f"theta{i+1}" for i in range(d)] + \
-                  [f"thetad{i+1}" for i in range(d)]
+    t_eval = None
     if args.format == "csv":
         if not args.out:
             raise CliError("--format csv requires --out")
-        _atomic_write(args.out, csv_text(traj, columns=columns,
-                                         n_samples=args.samples))
+        t_eval = np.linspace(0.0, args.t_final, args.samples or
+                             math.ceil(args.t_final / CSV_SPACING) + 1)
+    elif args.samples is not None:
+        raise CliError("--samples needs --format csv")
+    if args.full:
+        traj = simulate_full(bundle.system, bundle.parametrization, theta0,
+                             thdot0, span, tol=args.tol, t_eval=t_eval)
+        names = ("q", "qd")
+    else:
+        traj = simulate_constrained(bundle.system, bundle.parametrization,
+                                    theta0, thdot0, span, tol=args.tol,
+                                    t_eval=t_eval)
+        names = ("theta", "thetad")
+    half = traj.states.shape[1] // 2
+    columns = [f"{name}{i+1}" for name in names for i in range(half)]
+    if args.format == "csv":
+        _atomic_write(args.out, csv_text(traj, columns=columns))
     else:
         report = _base_report("simulate", bundle, args)
         report["t_final"] = args.t_final
@@ -337,7 +344,8 @@ def build_parser():
                     help="simulate the full closed loop instead of reduced")
     ps.add_argument("--format", choices=("json", "csv"), default="json")
     ps.add_argument("--samples", type=_positive(int), default=None,
-                    help="resample the trajectory at N uniform times (csv)")
+                    help="csv rows at N uniform times (default: every "
+                         f"{CSV_SPACING:g} s of simulated time)")
     ps.set_defaults(fn=cmd_simulate)
 
     ph = sub.add_parser("holonomy", help="generator loop transport maps")

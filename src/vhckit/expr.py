@@ -410,10 +410,11 @@ def compile_matrix(sources, variables, constants=None):
 
 
 def compile_vector_derivatives(sources, variables, constants=None):
-    """Programs ``(df, d2f)`` of a vector field of expression strings, with
-    ``df[a][i]`` = d_i f_a and ``d2f[a][i][j]`` = d_i d_j f_a (the forms of
-    ``ConstraintParametrization.dphi`` and ``d2phi``). Each pair i <= j is
-    built once, as d_i of d_j f, the order of ``calculus.second_partial``."""
+    """Programs ``(f, df, d2f)`` of a vector field of expression strings,
+    parsed once, with ``df[a][i]`` = d_i f_a and ``d2f[a][i][j]`` =
+    d_i d_j f_a (the forms of ``ConstraintParametrization.phi``, ``dphi``
+    and ``d2phi``). Each pair i <= j is built once, as d_i of d_j f, the
+    order of ``calculus.second_partial``."""
     prog = _Program(variables, constants)
     dims = range(len(prog.index))
     f = [prog.parse(s) for s in sources]
@@ -423,13 +424,15 @@ def compile_vector_derivatives(sources, variables, constants=None):
         for j in dims:
             for i in range(j + 1):
                 d2f[a][i][j] = d2f[a][j][i] = prog.derivative(dfa[j], i)
-    return prog.program(df), prog.program(d2f)
+    return prog.program(f), prog.program(df), prog.program(d2f)
 
 
 def compile_matrix_gradient(sources, variables, constants=None):
-    """Program of the gradient ``[l][i][j]`` = d_l M_ij of a matrix field of
-    expression strings (the form of ``LagrangianControlSystem.dD``)."""
+    """Programs ``(M, dM)`` of a matrix field of expression strings, parsed
+    once, with the gradient ``dM[l][i][j]`` = d_l M_ij (the forms of
+    ``LagrangianControlSystem.D`` and ``dD``)."""
     prog = _Program(variables, constants)
     rows = [[prog.parse(s) for s in row] for row in sources]
-    return prog.program([[[prog.derivative(m, l) for m in row] for row in rows]
-                         for l in range(len(prog.index))])
+    return prog.program(rows), prog.program(
+        [[[prog.derivative(m, l) for m in row] for row in rows]
+         for l in range(len(prog.index))])

@@ -127,10 +127,6 @@ def first_kind(dD, pairs):
     return out
 
 
-def connection_from_metric(chart, D):
-    return ConnectionCoeffs(chart, lambda x: christoffel_from_metric(D, x))
-
-
 def curvature_coeffs(gamma, x):
     """Curvature endomorphism coefficients R[l][i][j][k].
 

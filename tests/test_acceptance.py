@@ -19,8 +19,7 @@ from vhckit.dual import real
 from vhckit.holonomy import (lagrangian_1d, loop_transport, reverse_path,
                              transport_matrix)
 from vhckit.manifold import (Chart, christoffel_from_metric,
-                             connection_from_metric, max_curvature_on_grid,
-                             total_cov_derivative_02)
+                             max_curvature_on_grid, total_cov_derivative_02)
 from vhckit.metrize2d import (metric_from_ricci, recurrence_solve,
                               ricci_field)
 from vhckit.models import get_model
@@ -29,6 +28,8 @@ from vhckit.sim import (phase_portrait, reduced_energy, simulate_constrained,
                         simulate_full)
 from vhckit.vhc import (constrained_rhs, induced_christoffels,
                         induced_connection, psi_functions)
+
+from oracles import connection_from_metric
 
 TWO_PI = 2.0 * math.pi
 

@@ -147,6 +147,17 @@ def test_integrate_ode_harmonic_oscillator_dense():
     assert traj.times[0] == 0.0
 
 
+def test_integrate_ode_without_dense_output_keeps_nodes_only():
+    grid = np.linspace(0.0, math.pi, 5)
+    traj = integrate_ode(lambda t, x: [x[1], -x[0]], 0.0, [1.0, 0.0],
+                         math.pi, tol=1e-12, method="DOP853", dense=False,
+                         t_eval=grid)
+    assert np.array_equal(traj.times, grid)
+    assert traj.states[2] == pytest.approx([0.0, -1.0], abs=1e-9)
+    with pytest.raises(ValueError, match="no dense output"):
+        traj.at(1.0)
+
+
 def test_line_segment_endpoints_and_velocity():
     seg = line_segment([0.0, 1.0], [2.0, -1.0])
     p0, v0 = seg(0.0)

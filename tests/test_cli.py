@@ -286,6 +286,21 @@ def test_simulate_json_and_csv(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_simulate_csv_rows_every_hundredth_second(tmp_path):
+    # without --samples, one row per 0.01 s of simulated time, both ends
+    # included: what the old 1e-2 step cap gave
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", "--model", "circle", "--thdot0", "1.0",
+                 "--t-final", "0.5", "--format", "csv", "--out",
+                 str(csv_path)])
+    assert code == EXIT_OK
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    times = [float(r.split(",")[0]) for r in rows]
+    assert times == pytest.approx(np.linspace(0.0, 0.5, 51).tolist(),
+                                  abs=1e-15)
+    assert float(rows[-1].split(",")[1]) == pytest.approx(0.5, abs=1e-8)
+
+
 def test_simulate_csv_requires_out(capsys):
     code = main(["simulate", "--model", "circle", "--format", "csv"])
     assert code == EXIT_ERROR
@@ -400,6 +415,8 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
     (["analyze", "--model", "circle", "--tol", "-1"], "--tol"),
     (["simulate", "--model", "circle", "--format", "csv", "--out", "t.csv",
       "--samples", "0"], "--samples"),
+    (["simulate", "--model", "circle", "--samples", "5", "--out", "s.json"],
+     "--samples"),
     (["portrait", "--model", "circle", "--count", "0", "--out", "p.json"],
      "--count"),
     (["portrait", "--model", "circle", "--count", "-2", "--out", "p.json"],
@@ -407,7 +424,8 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
     (["simulate", "--model", "circle", "--t-final", "-1", "--out", "s.json"],
      "--t-final"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
-        "grid-0", "tol-0", "tol-negative", "samples-0", "count-0",
+        "grid-0", "tol-0", "tol-negative", "samples-0", "samples-not-csv",
+        "count-0",
         "count-negative", "t-final-negative"])
 def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
@@ -627,3 +645,22 @@ def test_verdicts_are_stable_under_grid_and_tolerance(name, params, want):
         {"decision_tol": tol} for tol in (1e-8, 1e-10)]
     verdicts = [analyze(bundle(), **kw).verdict for kw in runs]
     assert verdicts == [want] * len(runs), list(zip(runs, verdicts))
+
+
+# orbit kinds of `portrait --seed 0..2` to T = 20, "-" rocking and "O"
+# rotating; these are the kinds of the earlier RK45 runs under a 1e-2 step
+# cap, so the step policy moves no orbit across the 2 pi line. The dpc
+# portraits keep the first 4 of the default 8 orbits (the same starts), for
+# time; the other 4 are rocking too.
+@pytest.mark.parametrize("model, kinds", [
+    ("circle", ["OOOOOOOO", "OOOOO-O-", "OOOOOOOO"]),
+    ("dpc-a", ["-O--", "----", "----"]),
+    ("dpc-b", ["-O--", "----", "----"]),
+])
+def test_portrait_orbit_kinds_are_pinned(model, kinds, capsys):
+    for seed, want in enumerate(kinds):
+        assert main(["portrait", "--model", model, "--seed", str(seed),
+                     "--count", str(len(want))]) == EXIT_OK
+        orbits = json.loads(capsys.readouterr().out)["orbits"]
+        assert "".join("O" if o["kind"] == "rotating" else "-"
+                       for o in orbits) == want

@@ -263,7 +263,10 @@ def _agrees(got, want, near):
        c=st.sampled_from([2, 1.5, -0.75]))
 def test_compiled_derivatives_match_dual_partials(src, x, y, c):
     f = compile_expression(src, ["x", "y"], {"c": c})
-    df, d2f = compile_vector_derivatives([src], ["x", "y"], {"c": c})
+    value, df, d2f = compile_vector_derivatives([src], ["x", "y"], {"c": c})
+    # the field's own program, parsed with its derivatives, is f
+    assert _same(_outcome(lambda: value([x, y])[0]),
+                 _outcome(lambda: f([x, y])))
     for program, reference in [
             (df, lambda v: [partial(f, v, i) for i in range(2)]),
             (d2f, lambda v: [[second_partial(f, v, i, j) for j in range(2)]
@@ -275,8 +278,9 @@ def test_compiled_derivatives_match_dual_partials(src, x, y, c):
 
 
 def test_matrix_gradient_layout():
-    dM = compile_matrix_gradient([["x*y", "sin(y)"], ["2", "x**3"]],
-                                 ["x", "y"])
+    M, dM = compile_matrix_gradient([["x*y", "sin(y)"], ["2", "x**3"]],
+                                    ["x", "y"])
+    assert M([2.0, 0.5]) == [[1.0, math.sin(0.5)], [2, 8.0]]
     assert dM([2.0, 0.5]) == [[[0.5, 0.0], [0.0, 12.0]],
                               [[2.0, math.cos(0.5)], [0.0, 0.0]]]
 
@@ -297,7 +301,7 @@ def test_shared_subexpressions_are_evaluated_once(monkeypatch):
     assert calls == [0.5, 2.0]                  # cos(x) once, cos(y) once
     # d/dx sin(x)**2 = 2 sin(x) cos(x): one cos(x) per call, in the first
     # and the second derivative alike
-    df, d2f = compile_vector_derivatives(["sin(x)*sin(x)"], ["x"])
+    _, df, d2f = compile_vector_derivatives(["sin(x)*sin(x)"], ["x"])
     calls.clear()
     assert df([0.3]) == [[2.0 * (math.sin(0.3) * math.cos(0.3))]]
     assert calls == [0.3]

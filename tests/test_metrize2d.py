@@ -12,7 +12,7 @@ import vhckit.dual as dm
 from vhckit.calculus import partial
 from vhckit.dual import Dual, eps, real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
-                             connection_from_metric, ricci)
+                             ricci)
 from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
                               _recurrence_at, cylinder_lagrangian_search,
                               exactness_check, metric_from_ricci,
@@ -21,6 +21,8 @@ from vhckit.models import get_model
 from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
 from vhckit.vhc import InducedConnection, induced_connection
+
+from oracles import connection_from_metric
 
 TWO_PI = 2.0 * math.pi
 

@@ -128,13 +128,34 @@ def test_phase_portrait_dpc_kinds():
     assert "rotating" in kinds
 
 
+def test_phase_portrait_kinds_are_pinned(dpc_a, dpc_b, sphere):
+    # the kinds of the earlier RK45 runs under a 1e-2 step cap, in order:
+    # criterion 11's starts, and the sphere (no periodic coordinate, so
+    # the last one) from starts drawn as `vhckit portrait` draws them but
+    # off the pole theta1 = 0
+    ics = [([0.0, math.pi], [0.0, 0.5]), ([0.0, 0.0], [0.0, 6.0])]
+    for bundle in (dpc_a, dpc_b):
+        orbits = phase_portrait(bundle.system, bundle.parametrization, ics,
+                                t_final=10.0, coord=1, max_step=0.1)
+        assert [o.kind for o in orbits] == ["rocking", "rotating"]
+    for seed, want in enumerate(["OOOOOOOO", "OOOOO-O-", "OOOOOOOO"]):
+        rng = np.random.default_rng(seed)
+        ics = []
+        for _ in range(8):
+            theta2 = float(rng.uniform(0.0, TWO_PI))
+            ics.append(([1.0, theta2], [0.0, float(rng.uniform(-3.0, 3.0))]))
+        orbits = phase_portrait(sphere.system, sphere.parametrization, ics,
+                                tol=1e-9)
+        assert "".join("O" if o.kind == "rotating" else "-"
+                       for o in orbits) == want
+
+
 def test_export_csv_roundtrip(tmp_path):
     b = get_model("circle", alpha=0.0)
     traj = simulate_constrained(b.system, b.parametrization, [0.0], [1.0],
-                                (0.0, 1.0))
+                                (0.0, 1.0), t_eval=np.linspace(0.0, 1.0, 11))
     path = tmp_path / "traj.csv"
-    path.write_text(csv_text(traj, columns=["theta", "thetad"], n_samples=11),
-                    newline="")
+    path.write_text(csv_text(traj, columns=["theta", "thetad"]), newline="")
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "theta", "thetad"]
@@ -142,3 +163,39 @@ def test_export_csv_roundtrip(tmp_path):
     # 17 significant digits survive a float round trip exactly
     assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-8)
     assert float(rows[-1][0]) == 1.0
+
+
+# RHS calls to T = 20 (T = 2 for the closed loop) at the default tol and
+# step policy, DOP853 without a step cap. Each run is pinned to a 1.5x window,
+# which RK45 (57, 1,317 and 2,967 calls) and the old policy, RK45 under a
+# 1e-2 step cap (12,027, 12,009 and 2,967), fall outside. DOP853 with dense
+# output (138, 876 and 1,653) stays inside; ``at`` catches it.
+@pytest.mark.parametrize("name, theta0, thdot0, full, calls", [
+    ("circle", [0.0], [0.0], False, 111),
+    ("sphere", [1.0, 0.2], [0.0, 0.5], False, 723),
+    ("dpc-b", [0.0, 0.0], [0.0, 1.0], True, 1371),
+], ids=["circle", "sphere", "dpc-b-full"])
+def test_simulations_step_by_accuracy(name, theta0, thdot0, full, calls,
+                                      monkeypatch):
+    counts = {"rhs": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["rhs"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vhckit.sim, "constrained_rhs",
+                        counted(vhckit.sim.constrained_rhs))
+    monkeypatch.setattr(vhckit.sim, "stabilizing_feedback",
+                        counted(vhckit.sim.stabilizing_feedback))
+    b = get_model(name)
+    if full:
+        traj = simulate_full(b.system, b.parametrization, theta0, thdot0,
+                             (0.0, 2.0))
+    else:
+        traj = simulate_constrained(b.system, b.parametrization, theta0,
+                                    thdot0, (0.0, 20.0))
+    assert calls / 1.5 < counts["rhs"] < 1.5 * calls
+    with pytest.raises(ValueError, match="no dense output"):
+        traj.at(1.0)

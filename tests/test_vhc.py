@@ -12,13 +12,15 @@ import vhckit.linalg
 import vhckit.vhc
 from vhckit.calculus import jacobian, second_partial
 from vhckit.cli import bundle_from_config
-from vhckit.manifold import connection_from_metric, first_kind
+from vhckit.manifold import first_kind
 from vhckit.models import get_model
 from vhckit.vhc import (ConstraintParametrization, check_regularity,
                         constrained_rhs, induced_christoffels,
                         induced_connection, orthogonality_check,
                         psi_functions, reduced_potential, reduction_matrix,
                         restricted_structure, stabilizing_feedback)
+
+from oracles import connection_from_metric
 
 CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
