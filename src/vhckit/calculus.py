@@ -147,11 +147,13 @@ def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
 
     This is the package's one ODE primitive. Each caller keeps the method
     that makes the fewest counted RHS calls on its work: parallel transport
-    uses RK45, and the simulations and the antiderivatives of ``holonomy``
-    use DOP853. Only the simulations drop the interpolant, which costs
-    DOP853 three more RHS calls per step. A right-hand side that is not
-    finite at the start raises ``IntegrationError``; scipy would take a NaN
-    first step and never leave its step loop.
+    uses RK45 (DOP853 once around a generator), on a Chebyshev sample of
+    the connection where that converges (see ``holonomy``), and the
+    simulations and the antiderivatives of ``holonomy`` use DOP853. Only
+    the simulations drop the interpolant, which costs DOP853 three more RHS
+    calls per step. A right-hand side that is not finite at the start
+    raises ``IntegrationError``; scipy would take a NaN first step and
+    never leave its step loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if t1 == t0:

@@ -7,6 +7,7 @@ implemented theory, 1 usage or runtime error."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .calculus import gradient
+from .calculus import IntegrationError, gradient
 from .expr import (compile_expression, compile_matrix, compile_matrix_gradient,
                    compile_vector, compile_vector_derivatives)
 from .holonomy import loop_transport
@@ -24,7 +25,8 @@ from .manifold import Chart
 from .models import MODEL_BUILDERS, ModelBundle, get_model
 from .pipeline import (VERDICT_LAGRANGIAN, VERDICT_NOT_LAGRANGIAN, analyze)
 from .sim import csv_text, phase_portrait, simulate_constrained, simulate_full
-from .vhc import ConstraintParametrization, LagrangianControlSystem
+from .vhc import (ConstraintParametrization, LagrangianControlSystem,
+                  RegularityError)
 
 SCHEMA = "vhckit-report/1"
 
@@ -219,10 +221,28 @@ def cmd_analyze(args):
 
 
 def _parse_vec(text, dim, name):
-    vals = [float(v) for v in text.split(",")] if text else [0.0] * dim
+    if not text:
+        return [0.0] * dim
+    vals = []
+    for entry in text.split(","):
+        try:
+            vals.append(float(entry))
+        except ValueError:
+            raise CliError(f"{name}: {entry!r} is not a number") from None
     if len(vals) != dim:
         raise CliError(f"{name} needs {dim} comma-separated values")
     return vals
+
+
+@contextlib.contextmanager
+def _simulation_from(theta0, thdot0):
+    """A simulation that fails on a singular or non-finite state is a
+    CliError that names its start."""
+    try:
+        yield
+    except (RegularityError, IntegrationError) as e:
+        raise CliError(f"cannot simulate from theta0={theta0}, "
+                       f"thdot0={thdot0}: {type(e).__name__}: {e}") from e
 
 
 def cmd_simulate(args):
@@ -239,15 +259,17 @@ def cmd_simulate(args):
                              math.ceil(args.t_final / CSV_SPACING) + 1)
     elif args.samples is not None:
         raise CliError("--samples needs --format csv")
-    if args.full:
-        traj = simulate_full(bundle.system, bundle.parametrization, theta0,
-                             thdot0, span, tol=args.tol, t_eval=t_eval)
-        names = ("q", "qd")
-    else:
-        traj = simulate_constrained(bundle.system, bundle.parametrization,
-                                    theta0, thdot0, span, tol=args.tol,
-                                    t_eval=t_eval)
-        names = ("theta", "thetad")
+    with _simulation_from(theta0, thdot0):
+        if args.full:
+            traj = simulate_full(bundle.system, bundle.parametrization,
+                                 theta0, thdot0, span, tol=args.tol,
+                                 t_eval=t_eval)
+        else:
+            traj = simulate_constrained(bundle.system,
+                                        bundle.parametrization, theta0,
+                                        thdot0, span, tol=args.tol,
+                                        t_eval=t_eval)
+    names = ("q", "qd") if args.full else ("theta", "thetad")
     half = traj.states.shape[1] // 2
     columns = [f"{name}{i+1}" for name in names for i in range(half)]
     if args.format == "csv":
@@ -286,19 +308,25 @@ def cmd_holonomy(args):
 
 
 def cmd_portrait(args):
+    """Orbits from seeded draws of the first periodic coordinate (else the
+    last) and its velocity; every other coordinate starts at 0 if periodic,
+    else at its chart midpoint, off the chart's bounds."""
     bundle = _load_bundle(args)
-    d = bundle.chart.dim
+    chart = bundle.chart
+    d = chart.dim
+    i = next((k for k in range(d) if chart.periodic[k]), d - 1)
     rng = np.random.default_rng(args.seed)
-    ics = []
+    orbits = []
     for _ in range(args.count):
-        theta0 = [0.0] * d
+        theta0 = [0.0 if p else 0.5 * (lo + hi)
+                  for p, (lo, hi) in zip(chart.periodic, chart.bounds)]
         thdot0 = [0.0] * d
-        i = next((k for k in range(d) if bundle.chart.periodic[k]), d - 1)
         theta0[i] = float(rng.uniform(0.0, 2.0 * math.pi))
         thdot0[i] = float(rng.uniform(-3.0, 3.0))
-        ics.append((theta0, thdot0))
-    orbits = phase_portrait(bundle.system, bundle.parametrization, ics,
-                            t_final=args.t_final, tol=args.tol)
+        with _simulation_from(theta0, thdot0):
+            orbits += phase_portrait(bundle.system, bundle.parametrization,
+                                     [(theta0, thdot0)],
+                                     t_final=args.t_final, tol=args.tol)
     report = _base_report("portrait", bundle, args)
     report["seed"] = args.seed
     report["orbits"] = [{

@@ -5,20 +5,32 @@ Transport and the antiderivatives all solve their ODEs with
 ``calculus.integrate_ode``: ``transport_matrix`` with RK45, one solve per
 path piece, and the dense solves (``WindowAntiderivative``,
 ``PeriodicAntiderivative`` and, unless told otherwise, ``axis_transport``)
-with DOP853."""
+with DOP853. Transport reads the connection from a sample: the coefficient
+A(t) = -Gamma(p(t))(v(t)) of each path piece (each leg of
+``axis_transport``) is analytic on every model's pieces, so it is sampled
+once at nested Chebyshev-Lobatto nodes and the solver integrates its
+barycentric interpolant. A piece whose Chebyshev coefficients do not
+converge by the last level of ``CHEB_LEVELS`` (a kink, a near-singular
+chart edge) is integrated on Gamma at every right-hand side instead."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
+from scipy.fft import dct
 
 from .calculus import CurveSampler, integrate_ode
 from .dual import Dual, real
 
 TWO_PI = 2.0 * math.pi
+
+# Transport samples each path piece's coefficient at n + 1 nested
+# Chebyshev-Lobatto nodes, n from this ladder, until the tail of its
+# Chebyshev coefficients is below CHEB_TAIL (relative to max(1, max |A|)).
+CHEB_LEVELS = (16, 32, 64, 128, 256)
+CHEB_TAIL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -41,19 +53,69 @@ class TransportMap:
             raise ValueError("transport map must be invertible")
 
 
-def _transport_rhs(gamma, path):
-    # dX^k/dt = -Gamma^k_ij v^i X^j, one copy per transported column. The
-    # dimensions are tiny (1-3), so plain Python loops beat array machinery.
-    def rhs(t, X):
+def _coefficient(gamma, path):
+    """A(t) with X' = A(t) X the transport along ``path``:
+    A^k_j = -Gamma^k_ij v^i at (point, v) = path(t)."""
+    def A(t):
         point, vel = path(t)
         G = gamma([float(c) for c in point])
         v = [float(c) for c in vel]
-        d = len(v)
-        A = [[-sum(vi * float(Gki[j]) for vi, Gki in zip(v, Gk))
-              for j in range(d)] for Gk in G]
-        cols = list(zip(*X.reshape(d, -1).tolist()))
-        return np.array([[sum(map(mul, row, col)) for col in cols]
-                         for row in A]).ravel()
+        return np.array([[-sum(vi * float(Gki[j]) for vi, Gki in zip(v, Gk))
+                          for j in range(len(v))] for Gk in G])
+    return A
+
+
+def _chebyshev(A, a, b):
+    """Barycentric interpolant of A on [a, b] from its samples at the
+    Chebyshev-Lobatto nodes of the first level of CHEB_LEVELS whose
+    Chebyshev coefficients (the DCT-I of the samples) are below CHEB_TAIL
+    times max(1, max |A|) over their last quarter; each level doubles the
+    one before, so it reuses its samples. None if no level gets there or a
+    sample is not finite."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    F = None
+    for n in CHEB_LEVELS:
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        t = mid + half * x
+        t[0], t[-1] = b, a
+        if F is None:
+            F = np.array([A(s) for s in t])
+        else:
+            odd = np.array([A(s) for s in t[1::2]])
+            F = np.insert(odd, range(len(F)), F, axis=0)
+        if not np.all(np.isfinite(F)):
+            return None
+        c = np.abs(dct(F.reshape(n + 1, -1), type=1, axis=0)) / n
+        if np.max(c[3 * n // 4:]) <= CHEB_TAIL * max(1.0, np.max(np.abs(F))):
+            break
+    else:
+        return None
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    # a column of ones gives the barycentric denominator in the same product
+    shape = F.shape[1:]
+    F = np.hstack([F.reshape(n + 1, -1), np.ones((n + 1, 1))])
+    node = {u: j for j, u in enumerate(x.tolist())}
+
+    def interpolant(s):
+        u = (s - mid) / half
+        if u in node:
+            return F[node[u], :-1].reshape(shape)
+        v = w / (u - x) @ F
+        return (v[:-1] / v[-1]).reshape(shape)
+    return interpolant
+
+
+def _transport_rhs(gamma, path, a, b):
+    """Right-hand side of the transport on the piece [a, b] of ``path``, one
+    copy per column of X: A(t) X with A read from its Chebyshev sample, or
+    from gamma at every call where the sample does not converge."""
+    A = _coefficient(gamma, path)
+    A = _chebyshev(A, a, b) or A
+
+    def rhs(t, X):
+        At = A(t)
+        return (At @ X.reshape(len(At), -1)).ravel()
     return rhs
 
 
@@ -73,7 +135,8 @@ def transport_matrix(gamma, path, dim, tol=1e-10):
     knots = [path.t_start] + pieces + [path.t_end]
     for a, b in zip(knots[:-1], knots[1:]):
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
-        rhs = _transport_rhs(gamma, lambda t: path(min(max(t, lo), hi)))
+        rhs = _transport_rhs(gamma, lambda t: path(min(max(t, lo), hi)),
+                             a, b)
         X = integrate_ode(rhs, a, X.ravel(), b, tol).end_state
         X = X.reshape(dim, dim)
     return X
@@ -265,7 +328,7 @@ def axis_transport(gamma, points, axis, lo, hi, tol=1e-12, method="DOP853",
     def on(q, s):
         return [s if i == axis else c for i, c in enumerate(q)]
 
-    legs = [(q, _transport_rhs(gamma, lambda s, q=q: (on(q, s), vel)))
+    legs = [(q, _transport_rhs(gamma, lambda s, q=q: (on(q, s), vel), lo, hi))
             for q in points]
     y0 = np.eye(d).ravel()
     if carry is not None:

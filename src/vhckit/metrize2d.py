@@ -285,7 +285,11 @@ class ParallelFrame:
     leg is tr(G K), K = [[F0, F1/2], [F1/2, F2]], for the metric G at its
     start. A periodic first axis is the generator, solved once around by
     ``cylinder_integrals`` (DOP853, 1e-12): without F for the holonomy and
-    the verdict's reads, and with F, the first time D_C or P_C is read."""
+    the verdict's reads, and with F, the first time D_C or P_C is read.
+    Each leg and the generator read the connection from a Chebyshev sample
+    of it along the leg (``holonomy.axis_transport``), or from Gamma at
+    every step where that sample does not converge; F's integrand is
+    evaluated at every step."""
 
     NODES = 256       # generator nodes per period of the interpolated legs
 

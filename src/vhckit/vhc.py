@@ -99,7 +99,8 @@ def reduction_matrix(sys, par, theta, columns):
         return linalg.solve(A, rhs)
     except linalg.SingularMatrixError as e:
         raise RegularityError(
-            f"(Bperp D dphi) singular at theta={[real(t) for t in theta]}") from e
+            f"(Bperp D dphi) singular at theta="
+            f"{[float(real(t)) for t in theta]}") from e
 
 
 def _connection_columns(sys, par, theta, x, dphi, pairs):

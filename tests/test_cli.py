@@ -423,16 +423,59 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
      "--count"),
     (["simulate", "--model", "circle", "--t-final", "-1", "--out", "s.json"],
      "--t-final"),
+    (["simulate", "--model", "circle", "--theta0", "abc", "--out", "s.json"],
+     "--theta0: 'abc' is not a number"),
+    (["simulate", "--model", "dpc-b", "--thdot0", "1,x", "--out", "s.json"],
+     "--thdot0: 'x' is not a number"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
         "grid-0", "tol-0", "tol-negative", "samples-0", "samples-not-csv",
         "count-0",
-        "count-negative", "t-final-negative"])
+        "count-negative", "t-final-negative", "theta0-not-a-number",
+        "thdot0-not-a-number"])
 def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--model", "sphere", "--t-final", "1"],
+     "theta0=[0.0, 0.0], thdot0=[0.0, 0.0]: RegularityError: (Bperp D dphi) "
+     "singular at theta=[0.0, 0.0]"),
+    (["simulate", "--model", "circle", "--theta0", "nan"],
+     "theta0=[nan], thdot0=[0.0]: IntegrationError: right-hand side is not "
+     "finite at t = 0"),
+    (["portrait", "--config", "pole-twin", "--count", "1"],
+     "theta0=[0.0, "),
+], ids=["sphere-pole", "nan-start", "portrait-midpoint-on-pole"])
+def test_simulation_start_errors_name_the_start(argv, named, tmp_path,
+                                                capsys):
+    # a singular or non-finite start is a CliError, not the catch-all's
+    # "error: RegularityError: ..."; the sphere twin on theta1 in (-1, 1)
+    # has its chart midpoint on the pole
+    if "pole-twin" in argv:
+        cfg = _sphere_twin(reduced={"dim": 2, "periodic": [False, False],
+                                    "bounds": [[-1.0, 1.0],
+                                               [-math.pi, math.pi]]})
+        path = _write_config(tmp_path, cfg)
+        argv = [path if a == "pole-twin" else a for a in argv]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot simulate from ")
+    assert named in captured.err
+    assert not captured.out
+
+
+def test_sphere_portrait_starts_on_the_chart_midpoint(capsys):
+    # the non-drawn coordinate starts at its chart midpoint theta1 = pi/2,
+    # not on the pole theta1 = 0
+    assert main(["portrait", "--model", "sphere", "--count", "2",
+                 "--t-final", "2"]) == EXIT_OK
+    orbits = json.loads(capsys.readouterr().out)["orbits"]
+    assert [o["theta0"][0] for o in orbits] == [math.pi / 2] * 2
+    assert all(o["kind"] in ("rocking", "rotating") for o in orbits)
 
 
 def _sphere_twin(**fields):

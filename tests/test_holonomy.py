@@ -2,11 +2,15 @@
 one-dimensional metrizability decision."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vhckit import holonomy
 from vhckit.calculus import CurveSampler, line_segment, quad
+from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, eps, real
 from vhckit.holonomy import (LoopDescriptor, PeriodicAntiderivative,
                              SmoothFromDerivative, WindowAntiderivative,
@@ -18,6 +22,7 @@ from vhckit.models import _coordinate_loop, get_model
 from vhckit.vhc import induced_connection
 
 TWO_PI = 2.0 * math.pi
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
 
 def _flat_chart():
@@ -211,3 +216,97 @@ def test_coordinate_loop_descriptor():
     assert p0 == pytest.approx([0.0, 0.5])
     assert p1[1] == pytest.approx(0.5 + TWO_PI)
     assert v0 == pytest.approx([0.0, 1.0])
+
+
+def _polyline(points):
+    """One CurveSampler through ``points``, a unit of t per segment."""
+    k = len(points) - 1
+
+    def fn(t):
+        i = min(int(t), k - 1)
+        p, q = points[i], points[i + 1]
+        return ([a + (t - i) * (c - a) for a, c in zip(p, q)],
+                [c - a for a, c in zip(p, q)])
+
+    return CurveSampler(fn, 0.0, float(k), tuple(float(i) for i in range(1, k)))
+
+
+# a box inside each chart, off its bounds
+_SAMPLED_CASES = {
+    "circle": ({"alpha": 0.3}, [(0.0, TWO_PI)]),
+    "sphere": ({}, [(0.5, 2.6), (-2.0, 2.0)]),
+    "dpc-b": ({}, [(-1.5, 1.5), (0.0, TWO_PI)]),
+}
+
+
+@pytest.mark.parametrize("built", ["builtin", "config"])
+@pytest.mark.parametrize("name", sorted(_SAMPLED_CASES))
+def test_sampled_transport_matches_direct_gamma(name, built, monkeypatch):
+    params, box = _SAMPLED_CASES[name]
+    if built == "builtin":
+        b = get_model(name, **params)
+    else:
+        cfg = runpy.run_path(str(CONFIGS_PY))["CONFIGS"][name]
+        b = bundle_from_config(cfg, overrides=params)
+    gamma = induced_connection(b.system, b.parametrization).gammaC
+    d = len(box)
+    rng = np.random.default_rng(7)
+    paths = []
+    for _ in range(3):
+        pts = [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(4)]
+        paths += [line_segment(pts[0], pts[1]), _polyline(pts)]
+    sampled = [transport_matrix(gamma, p, d) for p in paths]
+    monkeypatch.setattr(holonomy, "_chebyshev", lambda A, a, b: None)
+    for p, M in zip(paths, sampled):
+        direct = transport_matrix(gamma, p, d)
+        assert np.max(np.abs(M - direct)) < 1e-9
+
+
+def test_kinked_connection_is_transported_on_gamma(monkeypatch):
+    # |x - 0.2| and |y + 0.1| kink the coefficient inside the pieces, so
+    # its Chebyshev coefficients never converge and each piece falls back
+    # to gamma at every step. RK45's error estimate misses most of a kink:
+    # at the default tol 1e-10 these laws hold to about 1.3e-7 (1.1e-7
+    # before the sample existed), at 1e-11 to 2.4e-9.
+    def coeffs(x):
+        g = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+        g[0][0][1] = g[0][1][0] = 0.3 * abs(x[0] - 0.2) + 0.1
+        g[1][1][1] = 0.4 * abs(x[1] + 0.1)
+        g[1][0][0] = 0.2 * x[1]
+        return g
+
+    gamma = ConnectionCoeffs(_flat_chart(), coeffs)
+    made = []
+    chebyshev = holonomy._chebyshev
+    monkeypatch.setattr(holonomy, "_chebyshev",
+                        lambda A, a, b: made.append(chebyshev(A, a, b)) or
+                        made[-1])
+    points = [[-0.5, -0.6], [0.8, 0.5], [0.1, 0.9], [-0.5, -0.6]]
+    segs = [line_segment(p, q) for p, q in zip(points[:-1], points[1:])]
+    whole = _polyline(points)
+    M, R = np.eye(2), np.eye(2)
+    for s in segs:
+        M = transport_matrix(gamma, s, 2, tol=1e-11) @ M
+        R = R @ transport_matrix(gamma, reverse_path(s), 2, tol=1e-11)
+    W = transport_matrix(gamma, whole, 2, tol=1e-11)
+    B = transport_matrix(gamma, reverse_path(whole), 2, tol=1e-11)
+    assert len(made) == 12 and all(m is None for m in made)
+    assert np.max(np.abs(W - M)) < 1e-8
+    for back, forth in ((B, M), (R, M), (R, W), (B, W)):
+        assert np.max(np.abs(back @ forth - np.eye(2))) < 1e-8
+
+
+def test_cylinder_integrals_samples_the_connection_once():
+    # the dpc-b generator converges at the last level, 257 nodes; on gamma
+    # at every step the solve took about 1,750 evaluations
+    b = get_model("dpc-b")
+    conn = induced_connection(b.system, b.parametrization)
+    calls = [0]
+
+    def gamma(x):
+        calls[0] += 1
+        return conn.gammaC(x)
+
+    traj = cylinder_integrals(gamma, [0.0, 0.0], 1)
+    assert calls[0] <= 257
+    assert np.max(np.abs(traj.end_state - np.eye(2).ravel())) < 1e-9
