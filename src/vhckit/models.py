@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import dual as dm
-from .calculus import CurveSampler, partial
+from .calculus import CurveSampler
 from .holonomy import LoopDescriptor
 from .manifold import Chart
 from .vhc import ConstraintParametrization, LagrangianControlSystem
@@ -222,7 +222,12 @@ def rho_prime(q2):
 
 
 def rho_second(q2):
-    return partial(lambda q: rho_prime(q[0]), [q2], 0)
+    """Closed form of rho'' (sympy derives it from ``rho``)."""
+    r2 = math.sqrt(2.0)
+    c = dm.cos(q2)
+    w = (1.0 + r2) * c - 2.0 - r2
+    return (((10.0 + 7.0 * r2) - (4.0 + 3.0 * r2) * c) * dm.sin(q2)
+            / ((2.0 + r2 - r2 * c) * w * w))
 
 
 def double_pendulum_cart(case="a", gravity=9.81):

@@ -1,7 +1,10 @@
 """Simulation of the reduced constrained dynamics and of the full closed
 loop, phase portraits and CSV export. Simulations step by accuracy (DOP853,
 no cap unless ``max_step`` is given) and keep no interpolant, so readers see
-the solver's nodes, where it controls the error, or the ``t_eval`` times."""
+the solver's nodes, where it controls the error, or the ``t_eval`` times.
+Right-hand sides and readers take the solver's states as Python float lists
+(``tolist()``), never as numpy scalars, which make every dual operation on
+them slower."""
 
 from __future__ import annotations
 
@@ -48,8 +51,8 @@ def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
     state0 = list(theta0) + list(thdot0)
 
     def rhs(t, s):
-        acc = constrained_rhs(sys, par, list(s))
-        return list(s[d:]) + [float(real(a)) for a in acc]
+        s = s.tolist()
+        return s[d:] + constrained_rhs(sys, par, s)
 
     traj = _solve(rhs, state0, t_span, tol, max_step, t_eval)
     try:
@@ -57,7 +60,7 @@ def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,
     except ValueError:
         return traj
     energy = [reduced_energy(metric, potential, s[:d], s[d:])
-              for s in traj.states]
+              for s in traj.states.tolist()]
     traj.diagnostics["energy0"] = energy[0]
     traj.diagnostics["energy_drift"] = max(abs(e - energy[0]) for e in energy)
     return traj
@@ -83,19 +86,19 @@ def simulate_full(sys, par, theta0, thdot0, t_span, gains=(100.0, 20.0),
         qd0 = [a + b for a, b in zip(qd0, dqd)]
 
     def rhs(t, s):
-        q, qd = list(s[:n]), list(s[n:])
-        _, qdd = stabilizing_feedback(sys, q, qd, gains=gains)
-        return list(qd) + [float(v) for v in qdd]
+        s = s.tolist()
+        qd = s[n:]
+        return qd + stabilizing_feedback(sys, s[:n], qd, gains=gains)[1]
 
     traj = _solve(rhs, q0 + qd0, t_span, tol, max_step, t_eval)
     worst_h = worst_hd = 0.0
     if sys.h is not None:
-        for s in traj.states:
-            q, qd = list(s[:n]), list(s[n:])
-            dh = [[float(real(v)) for v in row] for row in jacobian(sys.h, q)]
-            worst_h = max([worst_h] + [abs(float(real(v))) for v in sys.h(q)])
+        for s in traj.states.tolist():
+            q, qd = s[:n], s[n:]
+            worst_h = max([worst_h] + [abs(v) for v in sys.h(q)])
             worst_hd = max([worst_hd] + [
-                abs(sum(r[i] * qd[i] for i in range(n))) for r in dh])
+                abs(sum(r[i] * qd[i] for i in range(n)))
+                for r in jacobian(sys.h, q)])
     traj.diagnostics["max_h"] = worst_h
     traj.diagnostics["max_hdot"] = worst_hd
     return traj

@@ -231,39 +231,40 @@ def psi_functions(sys, par, theta):
 def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     """Input-output linearizing feedback for the output e = h(q).
 
-    Returns (tau, qdd): tau solves  hdd = -Kp h - Kd hd  along the closed
-    loop  D qdd = B tau - gradP - Gamma1(qd, qd)  (Gamma1 the first-kind
-    Christoffels of D), and qdd is the full system's acceleration under tau,
-    from one stacked solve D^{-1} [B | gradP + Gamma1(qd, qd)]. With gains
-    (0, 0) and an on-constraint state tau is the unique feedback rendering
-    the constraint manifold invariant.
+    Returns (tau, qdd) as lists: tau solves  hdd = -Kp h - Kd hd  along the
+    closed loop  D qdd = B tau - gradP - Gamma1(qd, qd)  (Gamma1 the first-
+    kind Christoffels of D), and qdd is the full system's acceleration under
+    tau. Both come from two ``linalg.solve`` calls: one stacked solve
+    D^{-1} [B | gradP + Gamma1(qd, qd)] (n x (m+1)) and one of the m x m
+    decoupling matrix dh D^{-1} B. With gains (0, 0) and an on-constraint
+    state tau is the unique feedback rendering the constraint manifold
+    invariant.
     """
     if sys.h is None:
         raise ValueError("system has no constraint function h")
     q, qdot = list(q), list(qdot)
     m = sys.m
     kp, kd = gains
-    dh = np.asarray(jacobian(sys.h, q), dtype=float)     # m x n
-    D = np.asarray(sys.D(q), dtype=float)
-    f = np.array(sys.gradP(q), dtype=float)
+    dh = jacobian(sys.h, q)                             # m x n
+    f = list(sys.gradP(q))
     for l, v in first_kind(sys.metric_grad(q), [(qdot, qdot)])[0].items():
-        f[l] += v
-    Dinv_Bf = np.linalg.solve(D, np.column_stack(
-        [np.asarray(sys.B(q), dtype=float), f]))
-    DinvB = Dinv_Bf[:, :m]
-    b = dh @ DinvB                                      # m x m
+        f[l] = f[l] + v
+    X = linalg.solve(sys.D(q), [list(row) + [fl]
+                                for row, fl in zip(sys.B(q), f)])
+    DinvB = [row[:m] for row in X]
+    drift = [-row[m] for row in X]
+    b = linalg.mat_mul(dh, DinvB)                       # m x m
     if abs(np.linalg.det(b)) < 1e-12:
         raise RegularityError("decoupling matrix dh D^{-1} B singular")
-    drift = -Dinv_Bf[:, m]
     # qdot^T hess(h_r) qdot is the second derivative of s -> h_r(q + s qdot)
     # at s = 0: one directional second_partial for every component
     qHq = second_partial(
         lambda s: sys.h([qi + s[0] * vi for qi, vi in zip(q, qdot)]),
         [0.0], 0, 0)
-    rhs = (-kp * np.asarray(sys.h(q), dtype=float) - kd * (dh @ qdot)
-           - np.asarray(qHq, dtype=float) - dh @ drift)
-    tau = np.linalg.solve(b, rhs)
-    return tau, drift + DinvB @ tau
+    rhs = [[-kp * e - kd * de - c - dd] for e, de, c, dd in zip(
+        sys.h(q), linalg.mat_vec(dh, qdot), qHq, linalg.mat_vec(dh, drift))]
+    tau = [row[0] for row in linalg.solve(b, rhs)]
+    return tau, [a + v for a, v in zip(drift, linalg.mat_vec(DinvB, tau))]
 
 
 def orthogonality_check(sys, par, grid=None, tol=ORTHOGONALITY_TOL):

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vhckit.calculus import matrix_partial
+from vhckit.calculus import matrix_partial, partial, second_partial
 from vhckit.cli import bundle_from_config
-from vhckit.models import MODEL_BUILDERS, get_model, rho
+from vhckit.dual import Dual
+from vhckit.models import (MODEL_BUILDERS, get_model, rho, rho_prime,
+                           rho_second)
 from vhckit.vhc import ConstraintParametrization
 
 CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
@@ -52,6 +54,29 @@ def test_rho_periodic_odd():
         assert float(rho(-t)) == pytest.approx(-float(rho(t)), abs=1e-12)
         assert float(rho(t + 2.0 * math.pi)) == pytest.approx(float(rho(t)),
                                                               abs=1e-12)
+
+
+def test_rho_second_closed_form():
+    # against a dual partial of rho' and a sympy second derivative of rho,
+    # at 64 points over [0, 2 pi) and at a dual argument
+    sp = pytest.importorskip("sympy")
+    q = sp.symbols("q")
+    r2 = sp.sqrt(2)
+    rho_sym = -2 * sp.atan(r2 * sp.sin(q) / (2 + r2 - r2 * sp.cos(q)))
+    d2, d3 = (sp.lambdify(q, sp.diff(rho_sym, q, k), "math") for k in (2, 3))
+    for k in range(64):
+        t = 2.0 * math.pi * k / 64
+        got = rho_second(t)
+        assert type(got) is float
+        assert got == pytest.approx(
+            partial(lambda x: rho_prime(x[0]), [t], 0), abs=1e-12)
+        assert got == pytest.approx(d2(t), abs=1e-12)
+    t = 1.3
+    got = rho_second(Dual(t, 1.0))
+    assert got.val == pytest.approx(d2(t), abs=1e-12)
+    assert got.eps == pytest.approx(d3(t), abs=1e-12)
+    assert got.eps == pytest.approx(
+        second_partial(lambda x: rho_prime(x[0]), [t], 0, 0), abs=1e-12)
 
 
 def test_sphere_expected_self_consistent():

@@ -94,6 +94,30 @@ def test_full_simulation_evaluates_D_once_per_rhs_call(monkeypatch):
     assert counts["D"] == counts["feedback"]
 
 
+def test_simulation_kernels_see_plain_floats(monkeypatch):
+    # scipy's state reaches the reduced and closed-loop kernels as Python
+    # floats, not numpy scalars
+    seen = {"reduced": set(), "full": set()}
+
+    def recording(fn, key, slots):
+        def wrapper(*args, **kwargs):
+            for k in slots:
+                seen[key].update(type(v) for v in args[k])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vhckit.sim, "constrained_rhs", recording(
+        vhckit.sim.constrained_rhs, "reduced", (2,)))
+    monkeypatch.setattr(vhckit.sim, "stabilizing_feedback", recording(
+        vhckit.sim.stabilizing_feedback, "full", (1, 2)))
+    b = get_model("dpc-b")
+    simulate_constrained(b.system, b.parametrization, [0.1, 1.0], [0.3, 0.8],
+                         (0.0, 0.5))
+    simulate_full(b.system, b.parametrization, [0.1, 1.0], [0.3, 0.8],
+                  (0.0, 0.5), gains=(16.0, 8.0))
+    assert seen == {"reduced": {float}, "full": {float}}
+
+
 def test_full_simulation_matches_reduced_on_constraint():
     b = get_model("dpc-b")
     theta0, thdot0 = [0.1, 1.0], [0.3, 0.8]

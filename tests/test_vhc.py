@@ -1,6 +1,7 @@
 """Induced connection, reduced potential, regularity, and the invariance
 feedback, validated on the bundled models and by structural identities."""
 
+import dataclasses
 import math
 import runpy
 from pathlib import Path
@@ -14,7 +15,8 @@ from vhckit.calculus import jacobian, second_partial
 from vhckit.cli import bundle_from_config
 from vhckit.manifold import first_kind
 from vhckit.models import get_model
-from vhckit.vhc import (ConstraintParametrization, check_regularity,
+from vhckit.vhc import (ConstraintParametrization, RegularityError,
+                        check_regularity,
                         constrained_rhs, induced_christoffels,
                         induced_connection, orthogonality_check,
                         psi_functions, reduced_potential, reduction_matrix,
@@ -220,6 +222,30 @@ def test_feedback_matches_hessian_reference(name, monkeypatch):
         assert len(calls) == k + 1
 
 
+@pytest.mark.parametrize("factor, singular", [(0.99, True), (1.01, False)],
+                         ids=["below", "above"])
+def test_singular_decoupling_matrix_raises(factor, singular):
+    # dh D^{-1} B scales with h: scale dpc-b's h so that it sits just below
+    # or just above the 1e-12 threshold
+    b = get_model("dpc-b")
+    sys = b.system
+    q = [float(v) for v in b.parametrization.phi([0.3, 1.2])]
+    qd = [0.2, 0.5, -0.3]
+    dh = np.asarray(jacobian(sys.h, q), dtype=float)
+    DinvB = np.linalg.solve(np.asarray(sys.D(q), dtype=float),
+                            np.asarray(sys.B(q), dtype=float))
+    c = factor * 1e-12 / abs(float((dh @ DinvB)[0, 0]))
+    scaled = dataclasses.replace(sys, h=lambda x: [c * v for v in sys.h(x)])
+    if singular:
+        with pytest.raises(RegularityError, match="decoupling matrix"):
+            stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
+    else:
+        # the output dynamics are linear in h: scaling it moves neither input
+        _, qdd = stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
+        _, ref = stabilizing_feedback(sys, q, qd, gains=(16.0, 8.0))
+        np.testing.assert_allclose(qdd, ref, rtol=1e-9, atol=1e-12)
+
+
 def test_induced_connection_bundle():
     b = get_model("sphere")
     conn = induced_connection(b.system, b.parametrization)
@@ -315,3 +341,20 @@ def test_dpc_b_dynamics_invert_no_matrix(monkeypatch):
     q = [float(v) for v in par.phi([-0.2, 2.5])]
     stabilizing_feedback(sys, q, [0.4, -0.3, 0.8], gains=(16.0, 8.0))
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["dpc-a", "dpc-b-config"])
+def test_feedback_makes_no_numpy_solve(name, monkeypatch):
+    # the closed-loop solves run on the toolkit's own linalg, in floats
+    b = _dpc_bundle(name)
+    sys, par = b.system, b.parametrization
+    q = [float(v) for v in par.phi([-0.2, 2.5])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    tau, qdd = stabilizing_feedback(sys, q, [0.4, -0.3, 0.8],
+                                    gains=(16.0, 8.0))
+    assert len(tau) == sys.m and len(qdd) == sys.n
+    assert all(type(v) is float for v in tau + qdd)
