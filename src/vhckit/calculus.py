@@ -2,18 +2,25 @@
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
 numbers; fields must accept dual arguments (see ``vhckit.dual``). Every
-ODE is solved by ``integrate_ode``, the one call to scipy's ``solve_ivp``."""
+ODE is solved by ``integrate_ode``, one embedded Runge-Kutta stepper, and
+every definite integral by ``quad``, adaptive Gauss-Kronrod; both are
+written here, so importing the package loads no scipy."""
 
 from __future__ import annotations
 
+import heapq
+import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad, solve_ivp
 
 from .dual import Dual, eps, seed
 
 DEFAULT_QUAD_TOL = 1e-10
+QUAD_LIMIT = 200
+_EPS = sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -82,14 +89,76 @@ def matrix_partial(f, x, i):
     return _peel(f(seed(x, i)), eps)
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the Kronrod abscissae
+# from 1 down to 0 and their weights; abscissae 1, 3, ..., 9 are the nodes of
+# the 10-point Gauss rule, whose weights are _WG.
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
+
+
+def _gauss_kronrod(f, a, b):
+    """(K21 value, error estimate, resasc) on [a, b], as QUADPACK's qk21:
+    the error is |K21 - G10|, scaled by resasc (the K21 integral of
+    |f - mean|) and floored at 50 eps times the integral of |f|."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(mid)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [None] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        dx = half * _XGK[j]
+        f1, f2 = f(mid - dx), f(mid + dx)
+        fv[j] = (f1, f2)
+        if j % 2:
+            resg += _WG[j // 2] * (f1 + f2)
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = 0.5 * resk
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j, (f1, f2) in enumerate(fv):
+        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs, resasc = resabs * abs(half), resasc * abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > sys.float_info.min / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * half, err, resasc
+
+
 def quad(f, a, b, tol=DEFAULT_QUAD_TOL):
-    """Adaptive quadrature of ``f`` over [a, b] with absolute tolerance tol."""
+    """Integral of ``f`` over [a, b] by adaptive Gauss-Kronrod (G10K21): the
+    interval with the largest error estimate is bisected until the
+    estimates sum to at most max(tol, tol |value|), or there are
+    ``QUAD_LIMIT`` intervals. An estimate left above both
+    max(100 tol, 1e-8 |value|) and 1e-7 raises ``IntegrationError``."""
     if a == b:
         return 0.0
-    val, err = _scipy_quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
+    val, err, resasc = _gauss_kronrod(f, a, b)
+    # an estimate equal to resasc is saturated: it says nothing yet
+    if err != 0.0 and (err > max(tol, tol * abs(val)) or err == resasc):
+        parts = [(-err, a, b, val)]
+        while len(parts) < QUAD_LIMIT:
+            _, lo, hi, _ = heapq.heappop(parts)
+            mid = 0.5 * (lo + hi)
+            for x, y in ((lo, mid), (mid, hi)):
+                v, e, _ = _gauss_kronrod(f, x, y)
+                heapq.heappush(parts, (-e, x, y, v))
+            val = math.fsum(p[3] for p in parts)
+            err = -math.fsum(p[0] for p in parts)
+            if err <= max(tol, tol * abs(val)):
+                break
     if err > max(100.0 * tol, 1e-8 * abs(val)) and err > 1e-7:
         raise IntegrationError(f"quadrature did not converge: err={err:g}")
-    return val
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -120,13 +189,15 @@ def line_segment(p, q, t_start=0.0, t_end=1.0):
 
 
 class Trajectory:
-    """ODE solution at the solver's nodes or at requested times, with
-    interpolation at arbitrary times when dense output was kept."""
+    """ODE solution at the solver's nodes or at requested times. With dense
+    output kept, ``at`` evaluates the local polynomial of the step that
+    holds t (the earlier step at a node)."""
 
-    def __init__(self, times, states, interpolant=None, diagnostics=None):
+    def __init__(self, times, states, steps=None, diagnostics=None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._interp = interpolant
+        # (direction * node times, one polynomial per step, direction)
+        self._steps = steps
         self.diagnostics = diagnostics if diagnostics is not None else {}
 
     @property
@@ -134,35 +205,304 @@ class Trajectory:
         return self.states[-1].copy()
 
     def at(self, t):
-        if self._interp is None:
+        if self._steps is None:
             raise ValueError("trajectory kept no dense output to interpolate")
-        return np.asarray(self._interp(t), dtype=float)
+        keys, polys, direction = self._steps
+        k = bisect_left(keys, direction * t) - 1
+        return polys[min(max(k, 0), len(polys) - 1)](t)
+
+
+# -- embedded Runge-Kutta pairs ----------------------------------------------
+#
+# A port of scipy 1.17.1's integrate/_ivp (rk.py, common.py,
+# dop853_coefficients.py) for the two pairs vhckit uses, with its tableaux,
+# error norms, step controller, initial step and dense output, so that steps,
+# right-hand-side calls and states are scipy's. Hairer, Norsett & Wanner,
+# Solving ODEs I, 2nd ed. (1993), II.4-5 and II.6 (dense output).
+
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(x):
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+class _Pair:
+    """Tableau of an explicit embedded pair: stage rows ``A`` (row s holds
+    the s weights of the earlier stages) at nodes ``C``, solution weights
+    ``B``, and the order of the error estimate."""
+
+    def __init__(self, error_order, C, A, B):
+        self.exponent = -1.0 / (error_order + 1)
+        self.stages = len(B)
+        self.rows = [(s, np.array(a, dtype=float), c)
+                     for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1)]
+        self.B = np.array(B, dtype=float)
+
+
+class _RK45(_Pair):
+    """Dormand-Prince 5(4), with Shampine's quartic dense output."""
+
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    extended = 7
+
+    def __init__(self):
+        super().__init__(4, [0, 1/5, 3/10, 4/5, 8/9, 1], [
+            [], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+            [19372/6561, -25360/2187, 64448/6561, -212/729],
+            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]],
+            [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+
+    def error_norm(self, K, h, scale):
+        return _rms(np.dot(K.T, self.E) * h / scale)
+
+    def dense(self, rhs, K, t_old, h, y_old, y, f):
+        Q = K.T.dot(self.P)
+
+        def poly(t):
+            x = (t - t_old) / h
+            p = [x]
+            for _ in range(3):
+                p.append(p[-1] * x)
+            return h * np.dot(Q, p) + y_old
+        return poly
+
+
+class _DOP853(_Pair):
+    """Dormand-Prince 8(5,3) (Hairer's DOP853), with its degree-7 dense
+    output from three more stages."""
+
+    E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+                   1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                   -0.1521609496625161, 0.20136540080403034,
+                   0.02265179219836082, 0])
+    E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+                   -0.4957589496572502, 1.6643771824549864,
+                   -0.35032884874997366, 0.3341791187130175,
+                   0.08192320648511571, -0.022355307863886294, 0])
+    D = np.array([
+        [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+         -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+         -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+         -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+         -4.436036387594894],
+        [10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
+         165.20045171727028, -374.5467547226902, -22.113666853125306,
+         7.733432668472264, -30.674084731089398, -9.332130526430229,
+         15.697238121770845, -31.139403219565178, -9.35292435884448,
+         35.81684148639408],
+        [19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+         -189.17813819516758, 527.8081592054236, -11.57390253995963,
+         6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+         -2.778205752353508, -60.19669523126412, 84.32040550667716,
+         11.99229113618279],
+        [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
+         -231.5293791760455, 357.6391179106141, 93.40532418362432,
+         -37.45832313645163, 104.0996495089623, 29.8402934266605,
+         -43.53345659001114, 96.32455395918828, -39.17726167561544,
+         -149.72683625798564]])
+    extended = 16
+    C = [0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+         0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+         0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+         0.7777777777777778]
+    A = [
+        [],
+        [0.05260015195876773],
+        [0.0197250569845379, 0.0591751709536137],
+        [0.02958758547680685, 0, 0.08876275643042054],
+        [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+        [0.037037037037037035, 0, 0, 0.17082860872947386,
+         0.12546768756682242],
+        [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+         -0.017578125],
+        [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023],
+        [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996],
+        [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486,
+         -0.020331201708508627],
+        [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505,
+         2.4936055526796523, -3.0467644718982196],
+        [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+         -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+        [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+         1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+         -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+        [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+         -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+         0.00820105229563469, 0.007567897660545699, -0.008298],
+        [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+         0.053541988307438566, -0.05492374857139099, 0, 0,
+         -0.00010834732869724932, 0.0003825710908356584,
+         -0.00034046500868740456, 0.1413124436746325],
+        [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
+         7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
+         -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]]
+
+    def __init__(self):
+        super().__init__(7, self.C[:12], self.A[:12], self.A[12])
+        self.extra = [(s, np.array(self.A[s]), self.C[s])
+                      for s in range(13, 16)]
+
+    def error_norm(self, K, h, scale):
+        err5 = np.dot(K.T, self.E5) / scale
+        err3 = np.dot(K.T, self.E3) / scale
+        # squared norms as scipy takes them, root then square, so that the
+        # step sizes match its bit for bit
+        err5_2, err3_2 = np.sqrt(err5.dot(err5)) ** 2, \
+            np.sqrt(err3.dot(err3)) ** 2
+        if err5_2 == 0 and err3_2 == 0:
+            return 0.0
+        return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2)
+                                            * len(scale))
+
+    def dense(self, rhs, K, t_old, h, y_old, y, f):
+        for s, a, c in self.extra:
+            K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
+        dy = y - y_old
+        F = np.empty((7, len(y)))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2 * dy - h * (f + K[0])
+        F[3:] = h * np.dot(self.D, K)
+        F = F[::-1]
+
+        def poly(t):
+            x = (t - t_old) / h
+            z = np.zeros_like(y_old)
+            for i, row in enumerate(F):
+                z += row
+                z *= x if i % 2 == 0 else 1 - x
+            return z + y_old
+        return poly
+
+
+_PAIRS = {"RK45": _RK45(), "DOP853": _DOP853()}
+
+
+def _initial_step(rhs, t0, y0, f0, t1, direction, max_step, exponent, tol,
+                  rtol):
+    """Hairer, Norsett & Wanner's starting step (II.4), as scipy's
+    ``select_initial_step``: one explicit Euler probe."""
+    span = abs(t1 - t0)
+    scale = tol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.asarray(rhs(t0 + h0 * direction, y0 + h0 * direction * f0),
+                    dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -exponent
+    return min(100 * h0, h1, span, max_step)
 
 
 def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
                   first_step=None, dense=True, t_eval=None):
     """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with an
-    adaptive scipy solver at rtol = atol = ``tol``, keeping the nodes (or the
-    states at ``t_eval``) and, if ``dense``, the interpolant.
+    embedded Runge-Kutta pair ("RK45" or "DOP853") at rtol = atol = ``tol``,
+    keeping the nodes (or the states at ``t_eval``, sorted in the direction
+    of integration) and, if ``dense``, each step's interpolating polynomial.
+    ``rhs`` gets the state as a float ndarray and may return a list.
 
     This is the package's one ODE primitive. Each caller keeps the method
-    that makes the fewest counted RHS calls on its work: parallel transport
-    uses RK45 (DOP853 once around a generator), on a Chebyshev sample of
-    the connection where that converges (see ``holonomy``), and the
-    simulations and the antiderivatives of ``holonomy`` use DOP853. Only
-    the simulations drop the interpolant, which costs DOP853 three more RHS
-    calls per step. A right-hand side that is not finite at the start
-    raises ``IntegrationError``; scipy would take a NaN first step and
-    never leave its step loop.
+    that makes the fewest RHS calls on its work: parallel transport uses
+    RK45 (DOP853 once around a generator), on a Chebyshev sample of the
+    connection where that converges (see ``holonomy``), and the simulations
+    and the antiderivatives of ``holonomy`` use DOP853. DOP853's dense
+    output costs three more RHS calls on each step that keeps it: every
+    step when ``dense``, else only the steps that hold a ``t_eval`` time.
+    A right-hand side that is not finite at the start, or a step that must
+    shrink below the spacing of floats (a pole, a NaN on the way), raises
+    ``IntegrationError``.
     """
-    x0 = np.asarray(x0, dtype=float)
+    t0, t1 = float(t0), float(t1)
+    y = np.asarray(x0, dtype=float)
     if t1 == t0:
-        return Trajectory([t0], [x0], interpolant=lambda t: x0)
-    if not np.all(np.isfinite(np.asarray(rhs(t0, x0), dtype=float))):
+        return Trajectory([t0], [y], ([t0], [lambda t: y.copy()], 1.0))
+    pair = _PAIRS[method]
+    f = np.asarray(rhs(t0, y), dtype=float)
+    if not np.all(np.isfinite(f)):
         raise IntegrationError(f"right-hand side is not finite at t = {t0:g}")
-    sol = solve_ivp(rhs, (t0, t1), x0, method=method, rtol=tol, atol=tol,
-                    max_step=max_step, first_step=first_step,
-                    dense_output=dense, t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return Trajectory(sol.t, sol.y.T, interpolant=sol.sol)
+    direction = 1.0 if t1 > t0 else -1.0
+    rtol = max(tol, 100 * _EPS)
+    h_abs = first_step or _initial_step(rhs, t0, y, f, t1, direction,
+                                        max_step, pair.exponent, tol, rtol)
+    K = np.empty((pair.extended, y.size))
+    Kerr = K[:pair.stages + 1]
+    rows = [(s, K[:s].T, a, c) for s, a, c in pair.rows]
+    KB = K[:pair.stages].T
+    t, nodes, states = t0, [t0], [y]
+    if t_eval is not None:
+        times, states, done = [], [], 0
+        keys = [direction * float(s) for s in t_eval]
+    polys = [] if dense else None
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"step size {h_abs:.3g} fell below the spacing of "
+                    f"floats at t = {t:.15g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, Ks, a, c in rows:
+                K[s] = rhs(t + c * h, y + np.dot(Ks, a) * h)
+            y_new = y + h * np.dot(KB, pair.B)
+            f_new = K[pair.stages] = np.asarray(rhs(t + h, y_new),
+                                                dtype=float)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = pair.error_norm(Kerr, h, scale)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * err ** pair.exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** pair.exponent)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        nodes.append(t)
+        poly = pair.dense(rhs, K, t_old, h, y_old, y, f) if dense else None
+        if dense:
+            polys.append(poly)
+        if t_eval is None:
+            states.append(y)
+            continue
+        stop = bisect_right(keys, direction * t, done)
+        if stop > done:
+            poly = poly or pair.dense(rhs, K, t_old, h, y_old, y, f)
+            times.extend(t_eval[done:stop])
+            states.extend(poly(s) for s in t_eval[done:stop])
+            done = stop
+    steps = ([direction * s for s in nodes], polys, direction) \
+        if dense else None
+    return Trajectory(nodes if t_eval is None else times, states, steps)

@@ -11,7 +11,8 @@ A(t) = -Gamma(p(t))(v(t)) of each path piece (each leg of
 once at nested Chebyshev-Lobatto nodes and the solver integrates its
 barycentric interpolant. A piece whose Chebyshev coefficients do not
 converge by the last level of ``CHEB_LEVELS`` (a kink, a near-singular
-chart edge) is integrated on Gamma at every right-hand side instead."""
+chart edge) is integrated on Gamma at every right-hand side instead. The
+coefficients are a DCT-I, taken with numpy's FFT."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .calculus import CurveSampler, integrate_ode
 from .dual import Dual, real
@@ -65,6 +65,12 @@ def _coefficient(gamma, path):
     return A
 
 
+def _dct1(G):
+    """DCT-I of the rows of G (scipy.fft.dct(G, type=1, axis=0)): the real
+    FFT of the even extension G_0, ..., G_n, G_(n-1), ..., G_1."""
+    return np.fft.rfft(np.vstack([G, G[-2:0:-1]]), axis=0).real
+
+
 def _chebyshev(A, a, b):
     """Barycentric interpolant of A on [a, b] from its samples at the
     Chebyshev-Lobatto nodes of the first level of CHEB_LEVELS whose
@@ -85,7 +91,7 @@ def _chebyshev(A, a, b):
             F = np.insert(odd, range(len(F)), F, axis=0)
         if not np.all(np.isfinite(F)):
             return None
-        c = np.abs(dct(F.reshape(n + 1, -1), type=1, axis=0)) / n
+        c = np.abs(_dct1(F.reshape(n + 1, -1))) / n
         if np.max(c[3 * n // 4:]) <= CHEB_TAIL * max(1.0, np.max(np.abs(F))):
             break
     else:
@@ -137,7 +143,7 @@ def transport_matrix(gamma, path, dim, tol=1e-10):
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
         rhs = _transport_rhs(gamma, lambda t: path(min(max(t, lo), hi)),
                              a, b)
-        X = integrate_ode(rhs, a, X.ravel(), b, tol).end_state
+        X = integrate_ode(rhs, a, X.ravel(), b, tol, dense=False).end_state
         X = X.reshape(dim, dim)
     return X
 

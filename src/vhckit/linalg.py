@@ -29,15 +29,14 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def solve(A, B):
-    """Solve A X = B for a matrix B (list of rows)."""
-    n = len(A)
-    # rows of rhs are replaced, never changed in place: a shallow copy will do
-    rhs = list(B)
-    a = [list(row) for row in A]
-    invs = [None] * n
+def _eliminate(a, rhs):
+    """Forward elimination with partial pivoting (the first row of largest
+    |real| part), in place on the rows of ``a`` and ``rhs``: returns the
+    reciprocal pivots and the number of row swaps."""
+    n = len(a)
+    invs, swaps = [None] * n, 0
     for col in range(n):
-        piv = col           # partial pivoting: first row of largest |real|
+        piv = col
         for r in range(col + 1, n):
             if abs(real(a[r][col])) > abs(real(a[piv][col])):
                 piv = r
@@ -46,6 +45,7 @@ def solve(A, B):
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             rhs[col], rhs[piv] = rhs[piv], rhs[col]
+            swaps += 1
         prow, prhs = a[col], rhs[col]
         inv = invs[col] = 1.0 / prow[col]
         for r in range(col + 1, n):
@@ -56,6 +56,16 @@ def solve(A, B):
             for c in range(col + 1, n):
                 row[c] = row[c] - f * prow[c]
             rhs[r] = [v - f * w for v, w in zip(rhs[r], prhs)]
+    return invs, swaps
+
+
+def solve(A, B):
+    """Solve A X = B for a matrix B (list of rows)."""
+    n = len(A)
+    # rows of rhs are replaced, never changed in place: a shallow copy will do
+    rhs = list(B)
+    a = [list(row) for row in A]
+    invs, _ = _eliminate(a, rhs)
     x = [None] * n
     for r in range(n - 1, -1, -1):
         row, s, inv = a[r], rhs[r], invs[r]
@@ -64,6 +74,20 @@ def solve(A, B):
             s = [u - ark * w for u, w in zip(s, x[k])]
         x[r] = [u * inv for u in s]
     return x
+
+
+def det(A):
+    """Determinant: the product of the pivots of ``solve``'s elimination,
+    negated once per row swap; 0.0 where a pivot vanishes."""
+    a = [list(row) for row in A]
+    try:
+        _, swaps = _eliminate(a, [[] for _ in a])
+    except SingularMatrixError:
+        return 0.0
+    d = -1.0 if swaps % 2 else 1.0
+    for i, row in enumerate(a):
+        d = d * row[i]
+    return d
 
 
 def inverse(A):

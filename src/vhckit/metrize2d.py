@@ -1,5 +1,7 @@
 """Metrizability of two-dimensional connections: Ricci recurrence for curved
-ones, and parallel metrics from transport for flat ones."""
+ones, and parallel metrics from transport for flat ones. The closedness
+stage of a flat connection solves a linear program with scipy's
+``linprog``, imported on first use: the one use of scipy in the package."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import dual as dm
 from .calculus import quad, vector_partial
@@ -467,6 +468,10 @@ def _minimax_linear(p, q):
     """min over y of max_i |p_i + (q y)_i|, with one column of q per unknown
     (or a vector for one unknown): (y, the minimum), from the linear
     program min t subject to -t <= p + q y <= t."""
+    # imported here, so that only a flat 2-D verdict pays for loading
+    # scipy.optimize
+    from scipy.optimize import linprog
+
     p = np.asarray(p, dtype=float)
     Q = np.asarray(q, dtype=float).reshape(len(p), -1)
     k, one = Q.shape[1], np.ones((len(p), 1))

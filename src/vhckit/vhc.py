@@ -254,7 +254,7 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     DinvB = [row[:m] for row in X]
     drift = [-row[m] for row in X]
     b = linalg.mat_mul(dh, DinvB)                       # m x m
-    if abs(np.linalg.det(b)) < 1e-12:
+    if abs(linalg.det(b)) < 1e-12:
         raise RegularityError("decoupling matrix dh D^{-1} B singular")
     # qdot^T hess(h_r) qdot is the second derivative of s -> h_r(q + s qdot)
     # at s = 0: one directional second_partial for every component

@@ -1,10 +1,12 @@
 """Derivative, quadrature, and ODE utilities against independent oracles."""
 
+import ast
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad, solve_ivp
 
 from vhckit import calculus, dual as dm
 from vhckit.calculus import (IntegrationError, Trajectory, gradient,
@@ -116,7 +118,8 @@ def test_integrate_ode_exponential_decay(method):
 
 @pytest.mark.parametrize("method", ["RK45", "DOP853"])
 def test_integrate_ode_rejects_non_finite_start(method):
-    # scipy takes a NaN first step from a NaN derivative and never returns
+    # a NaN derivative makes a NaN first step, which no step-size test
+    # rejects: the loop would never end
     calls = []
 
     def rhs(t, x):
@@ -128,11 +131,107 @@ def test_integrate_ode_rejects_non_finite_start(method):
     assert calls == [0.5]
 
 
-def test_solve_ivp_is_called_only_in_calculus():
-    src = Path(calculus.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py")
-                   if "solve_ivp" in p.read_text())
-    assert users == ["calculus.py"]
+def test_scipy_is_imported_only_for_linprog():
+    # the stepper, the quadrature and the DCT are the package's own; the one
+    # scipy import left is linprog's, inside the function that calls it
+    imports = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [a.name for a in node.names]
+            imports.extend((path.name, scope, m) for m in mods
+                           if m and m.split(".")[0] == "scipy")
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(Path(calculus.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert imports == [("metrize2d.py", "_minimax_linear", "scipy.optimize")]
+
+
+def _vdp(t, y):
+    return [y[1], 2.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
+
+
+def _forced(t, y):
+    return np.array([-y[0] + math.sin(3.0 * t), y[0] - 0.5 * y[1] * y[1]])
+
+
+@pytest.mark.parametrize("option", [None, "max_step", "first_step",
+                                    "t_eval"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "nodes"])
+@pytest.mark.parametrize("case", [(_vdp, 0.0, [2.0, 0.0], 7.0),
+                                  (_forced, 1.0, [0.3, -0.2], -4.0)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_integrate_ode_matches_solve_ivp(method, case, dense, option):
+    # scipy's solve_ivp is the oracle of the port: the same nodes and RHS
+    # calls, and the same states and interpolants to roundoff
+    fn, t0, y0, t1 = case
+    kw = {"max_step": {"max_step": 0.37},
+          "first_step": {"first_step": 0.125 * abs(t1 - t0)},
+          "t_eval": {"t_eval": np.linspace(t0, t1, 13)}}.get(option, {})
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return fn(t, y)
+
+    ref = solve_ivp(fn, (t0, t1), y0, method=method, rtol=1e-10,
+                    atol=1e-10, dense_output=dense, **kw)
+    ours = integrate_ode(rhs, t0, y0, t1, 1e-10, method=method, dense=dense,
+                         **kw)
+    assert ref.success
+    assert np.array_equal(ours.times, ref.t)
+    assert calls[0] == ref.nfev
+    scale = np.maximum(1.0, np.abs(ref.y.T))
+    assert np.max(np.abs(ours.states - ref.y.T) / scale) <= 1e-14
+    if not dense:
+        return
+    nodes = ref.sol.ts
+    for t in np.concatenate([0.5 * (nodes[1:] + nodes[:-1]), nodes]):
+        want = ref.sol(t)
+        assert np.max(np.abs(ours.at(t) - want)
+                      / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_nan_mid_solve_is_an_integration_error(method):
+    # past t = 1 every stage is NaN: the step shrinks to the spacing of
+    # floats, where scipy gives up too, after the same RHS calls
+    def fn(t, y):
+        return [-y[0] if t <= 1.0 else math.nan]
+
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return fn(t, y)
+
+    ref = solve_ivp(fn, (0.0, 2.0), [1.0], method=method, rtol=1e-10,
+                    atol=1e-10, dense_output=True)
+    assert not ref.success
+    with pytest.raises(IntegrationError,
+                       match=r"fell below the spacing of floats at t = ") as e:
+        integrate_ode(rhs, 0.0, [1.0], 2.0, 1e-10, method=method)
+    t = float(str(e.value).rsplit("= ", 1)[1])
+    assert 1.0 - 1e-12 < t <= 1.0
+    assert "step size " in str(e.value)
+    assert calls[0] == ref.nfev
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda t: math.exp(math.sin(t)) * math.cos(3.0 * t) + 0.1,
+     0.0, 2.0 * math.pi),
+    (lambda t: t ** 7 - 3.0 * t ** 2 + 1.0, -1.0, 2.0),
+    (lambda t: 1.0 / (1e-3 + t) ** 1.5, 0.0, 1.0),
+], ids=["periodic", "polynomial", "endpoint-peaked"])
+def test_quad_matches_scipy_quad(f, a, b):
+    want = scipy_quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+    assert quad(f, a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_integrate_ode_harmonic_oscillator_dense():

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, report schema, golden files, config
 models, and output plumbing."""
 
+import ast
 import json
 import math
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -707,3 +710,44 @@ def test_portrait_orbit_kinds_are_pinned(model, kinds, capsys):
         orbits = json.loads(capsys.readouterr().out)["orbits"]
         assert "".join("O" if o["kind"] == "rotating" else "-"
                        for o in orbits) == want
+
+
+
+# What a fresh process loads of scipy: the package's own stepper, quadrature
+# and DCT keep it off every path but the flat 2-D solver's LP.
+def _scipy_after(code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules " \
+            "if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def _run_main(argv):
+    return ("import contextlib, io, vhckit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    vhckit.cli.main({argv!r})")
+
+
+@pytest.mark.parametrize("code", [
+    "import vhckit.cli",
+    _run_main(["analyze", "--model", "circle"]),
+    _run_main(["analyze", "--model", "sphere"]),
+    _run_main(["simulate", "--model", "dpc-b", "--full", "--t-final", "0.2"]),
+], ids=["import", "analyze-circle", "analyze-sphere", "simulate-full"])
+def test_no_scipy_is_loaded(code):
+    assert _scipy_after(code) == []
+
+
+def test_flat_verdict_loads_only_the_lp_solver():
+    # scipy.optimize brings scipy.fft along (through scipy.linalg's
+    # interpolative module): the verdict loads no scipy module that the
+    # import of linprog alone does not, and never scipy.integrate
+    loaded = _scipy_after(_run_main(["analyze", "--model", "dpc-b"]))
+    assert "scipy.optimize" in loaded
+    assert set(loaded) <= set(_scipy_after(
+        "from scipy.optimize import linprog"))
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy",
+                                                          "integrate"]]

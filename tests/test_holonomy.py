@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from vhckit import holonomy
 from vhckit.calculus import CurveSampler, line_segment, quad
@@ -294,6 +295,24 @@ def test_kinked_connection_is_transported_on_gamma(monkeypatch):
     assert np.max(np.abs(W - M)) < 1e-8
     for back, forth in ((B, M), (R, M), (R, W), (B, W)):
         assert np.max(np.abs(back @ forth - np.eye(2))) < 1e-8
+
+
+def test_chebyshev_coefficients_match_scipy_dct():
+    # the DCT-I behind each Chebyshev sample is numpy's FFT of the even
+    # extension; scipy's dct is its oracle, on random samples and on the
+    # dpc-b generator's coefficient at every level
+    rng = np.random.default_rng(3)
+    samples = [rng.normal(size=(33, 4))]
+    conn = induced_connection(get_model("dpc-b").system,
+                              get_model("dpc-b").parametrization)
+    A = holonomy._coefficient(conn.gammaC, lambda t: ([0.0, t], [0.0, 1.0]))
+    for n in holonomy.CHEB_LEVELS:
+        x = math.pi + math.pi * np.cos(np.pi * np.arange(n + 1) / n)
+        samples.append(np.array([A(t) for t in x]).reshape(n + 1, -1))
+    for G in samples:
+        want = dct(G, type=1, axis=0)
+        assert np.max(np.abs(holonomy._dct1(G) - want)) <= \
+            1e-14 * np.max(np.abs(want))
 
 
 def test_cylinder_integrals_samples_the_connection_once():

@@ -145,3 +145,15 @@ def test_solve_pinned_bits_dual():
     got = [(x.val.hex(), x.eps.hex()) for x, in linalg.solve(A, B)]
     assert got == [("0x1.d1745d1745d18p-1", "0x1.745d1745d1745p-3"),
                    ("-0x1.a2e8ba2e8ba2fp-1", "-0x1.3333333333334p-2")]
+
+
+def test_det_matches_numpy_with_row_swaps():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            A = rng.normal(size=(n, n))
+            assert linalg.det(A.tolist()) == pytest.approx(
+                np.linalg.det(A), rel=1e-12, abs=1e-15)
+    # a pivot swap flips the sign; a zero column makes it 0
+    assert linalg.det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
+    assert linalg.det([[0.0, 1.0], [0.0, 2.0]]) == 0.0

@@ -345,15 +345,17 @@ def test_dpc_b_dynamics_invert_no_matrix(monkeypatch):
 
 @pytest.mark.parametrize("name", ["dpc-a", "dpc-b-config"])
 def test_feedback_makes_no_numpy_solve(name, monkeypatch):
-    # the closed-loop solves run on the toolkit's own linalg, in floats
+    # the closed-loop solves and the decoupling determinant run on the
+    # toolkit's own linalg, in floats
     b = _dpc_bundle(name)
     sys, par = b.system, b.parametrization
     q = [float(v) for v in par.phi([-0.2, 2.5])]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg.solve called")
+        raise AssertionError("numpy.linalg called")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
     tau, qdd = stabilizing_feedback(sys, q, [0.4, -0.3, 0.8],
                                     gains=(16.0, 8.0))
     assert len(tau) == sys.m and len(qdd) == sys.n
