@@ -2,8 +2,8 @@
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
 numbers; fields must accept dual arguments (see ``vhckit.dual``). Every
-ODE is solved by ``integrate_ode``, one embedded Runge-Kutta stepper, and
-every definite integral by ``quad``, adaptive Gauss-Kronrod; both are
+ODE is solved by ``integrate_ode``, the embedded Runge-Kutta pair DOP853,
+and every definite integral by ``quad``, adaptive Gauss-Kronrod; both are
 written here, so importing the package loads no scipy."""
 
 from __future__ import annotations
@@ -212,193 +212,133 @@ class Trajectory:
         return polys[min(max(k, 0), len(polys) - 1)](t)
 
 
-# -- embedded Runge-Kutta pairs ----------------------------------------------
+# -- DOP853 ------------------------------------------------------------------
 #
 # A port of scipy 1.17.1's integrate/_ivp (rk.py, common.py,
-# dop853_coefficients.py) for the two pairs vhckit uses, with its tableaux,
-# error norms, step controller, initial step and dense output, so that steps,
-# right-hand-side calls and states are scipy's. Hairer, Norsett & Wanner,
-# Solving ODEs I, 2nd ed. (1993), II.4-5 and II.6 (dense output).
+# dop853_coefficients.py) for Dormand-Prince 8(5,3) (Hairer's DOP853), with
+# its tableau, error norm, step controller, initial step and degree-7 dense
+# output from three more stages, so that steps, right-hand-side calls and
+# states are scipy's. Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.
+# (1993), II.4-5 and II.6 (dense output).
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8       # -1 / (error order + 1)
+
+_C = [0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778]
+_A = [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386,
+     0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]]
+_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034,
+                0.02265179219836082, 0])
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864,
+                -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294, 0])
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]])
+
+# stage s (1 to 15) is the sum of the earlier stages with weights _A[s], at
+# t + _C[s] h; stages 1 to 11 make the step, whose solution weights are
+# _A[12], and 13 to 15 the dense output
+_STAGES = [(s, np.array(_A[s], dtype=float), _C[s]) for s in range(1, 16)]
+_B = np.array(_A[12])
 
 
 def _rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-class _Pair:
-    """Tableau of an explicit embedded pair: stage rows ``A`` (row s holds
-    the s weights of the earlier stages) at nodes ``C``, solution weights
-    ``B``, and the order of the error estimate."""
-
-    def __init__(self, error_order, C, A, B):
-        self.exponent = -1.0 / (error_order + 1)
-        self.stages = len(B)
-        self.rows = [(s, np.array(a, dtype=float), c)
-                     for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1)]
-        self.B = np.array(B, dtype=float)
+def _error_norm(K, h, scale):
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    # squared norms as scipy takes them, root then square, so that the step
+    # sizes match its bit for bit
+    err5_2, err3_2 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
-class _RK45(_Pair):
-    """Dormand-Prince 5(4), with Shampine's quartic dense output."""
+def _dense(rhs, K, t_old, h, y_old, y, f):
+    """The step's degree-7 interpolant, after three more stages."""
+    for s, a, c in _STAGES[12:]:
+        K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
+    dy = y - y_old
+    F = np.empty((7, len(y)))
+    F[0] = dy
+    F[1] = h * K[0] - dy
+    F[2] = 2 * dy - h * (f + K[0])
+    F[3:] = h * np.dot(_D, K)
+    F = F[::-1]
 
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-    extended = 7
-
-    def __init__(self):
-        super().__init__(4, [0, 1/5, 3/10, 4/5, 8/9, 1], [
-            [], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
-            [19372/6561, -25360/2187, 64448/6561, -212/729],
-            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]],
-            [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-
-    def error_norm(self, K, h, scale):
-        return _rms(np.dot(K.T, self.E) * h / scale)
-
-    def dense(self, rhs, K, t_old, h, y_old, y, f):
-        Q = K.T.dot(self.P)
-
-        def poly(t):
-            x = (t - t_old) / h
-            p = [x]
-            for _ in range(3):
-                p.append(p[-1] * x)
-            return h * np.dot(Q, p) + y_old
-        return poly
+    def poly(t):
+        x = (t - t_old) / h
+        z = np.zeros_like(y_old)
+        for i, row in enumerate(F):
+            z += row
+            z *= x if i % 2 == 0 else 1 - x
+        return z + y_old
+    return poly
 
 
-class _DOP853(_Pair):
-    """Dormand-Prince 8(5,3) (Hairer's DOP853), with its degree-7 dense
-    output from three more stages."""
-
-    E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
-                   1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-                   -0.1521609496625161, 0.20136540080403034,
-                   0.02265179219836082, 0])
-    E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
-                   -0.4957589496572502, 1.6643771824549864,
-                   -0.35032884874997366, 0.3341791187130175,
-                   0.08192320648511571, -0.022355307863886294, 0])
-    D = np.array([
-        [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
-         -3.0689499459498917, 2.38466765651207, 2.117034582445028,
-         -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-         -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-         -4.436036387594894],
-        [10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
-         165.20045171727028, -374.5467547226902, -22.113666853125306,
-         7.733432668472264, -30.674084731089398, -9.332130526430229,
-         15.697238121770845, -31.139403219565178, -9.35292435884448,
-         35.81684148639408],
-        [19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
-         -189.17813819516758, 527.8081592054236, -11.57390253995963,
-         6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-         -2.778205752353508, -60.19669523126412, 84.32040550667716,
-         11.99229113618279],
-        [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
-         -231.5293791760455, 357.6391179106141, 93.40532418362432,
-         -37.45832313645163, 104.0996495089623, 29.8402934266605,
-         -43.53345659001114, 96.32455395918828, -39.17726167561544,
-         -149.72683625798564]])
-    extended = 16
-    C = [0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-         0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-         0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-         0.7777777777777778]
-    A = [
-        [],
-        [0.05260015195876773],
-        [0.0197250569845379, 0.0591751709536137],
-        [0.02958758547680685, 0, 0.08876275643042054],
-        [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
-        [0.037037037037037035, 0, 0, 0.17082860872947386,
-         0.12546768756682242],
-        [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
-         -0.017578125],
-        [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-         -0.015319437748624402, 0.008273789163814023],
-        [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
-         27.59209969944671, 20.154067550477894, -43.48988418106996],
-        [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
-         21.230051448181193, 15.279233632882423, -33.28821096898486,
-         -0.020331201708508627],
-        [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
-         -8.149787010746927, -18.52006565999696, 22.739487099350505,
-         2.4936055526796523, -3.0467644718982196],
-        [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
-         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-         -8.87285693353063, 12.360567175794303, 0.6433927460157636],
-        [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
-         1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-         -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
-        [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
-         -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-         0.00820105229563469, 0.007567897660545699, -0.008298],
-        [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
-         0.053541988307438566, -0.05492374857139099, 0, 0,
-         -0.00010834732869724932, 0.0003825710908356584,
-         -0.00034046500868740456, 0.1413124436746325],
-        [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
-         7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
-         -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]]
-
-    def __init__(self):
-        super().__init__(7, self.C[:12], self.A[:12], self.A[12])
-        self.extra = [(s, np.array(self.A[s]), self.C[s])
-                      for s in range(13, 16)]
-
-    def error_norm(self, K, h, scale):
-        err5 = np.dot(K.T, self.E5) / scale
-        err3 = np.dot(K.T, self.E3) / scale
-        # squared norms as scipy takes them, root then square, so that the
-        # step sizes match its bit for bit
-        err5_2, err3_2 = np.sqrt(err5.dot(err5)) ** 2, \
-            np.sqrt(err3.dot(err3)) ** 2
-        if err5_2 == 0 and err3_2 == 0:
-            return 0.0
-        return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2)
-                                            * len(scale))
-
-    def dense(self, rhs, K, t_old, h, y_old, y, f):
-        for s, a, c in self.extra:
-            K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
-        dy = y - y_old
-        F = np.empty((7, len(y)))
-        F[0] = dy
-        F[1] = h * K[0] - dy
-        F[2] = 2 * dy - h * (f + K[0])
-        F[3:] = h * np.dot(self.D, K)
-        F = F[::-1]
-
-        def poly(t):
-            x = (t - t_old) / h
-            z = np.zeros_like(y_old)
-            for i, row in enumerate(F):
-                z += row
-                z *= x if i % 2 == 0 else 1 - x
-            return z + y_old
-        return poly
-
-
-_PAIRS = {"RK45": _RK45(), "DOP853": _DOP853()}
-
-
-def _initial_step(rhs, t0, y0, f0, t1, direction, max_step, exponent, tol,
-                  rtol):
+def _initial_step(rhs, t0, y0, f0, t1, direction, max_step, tol, rtol):
     """Hairer, Norsett & Wanner's starting step (II.4), as scipy's
     ``select_initial_step``: one explicit Euler probe."""
     span = abs(t1 - t0)
@@ -412,45 +352,45 @@ def _initial_step(rhs, t0, y0, f0, t1, direction, max_step, exponent, tol,
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -exponent
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     return min(100 * h0, h1, span, max_step)
 
 
-def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
-                  first_step=None, dense=True, t_eval=None):
-    """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with an
-    embedded Runge-Kutta pair ("RK45" or "DOP853") at rtol = atol = ``tol``,
-    keeping the nodes (or the states at ``t_eval``, sorted in the direction
-    of integration) and, if ``dense``, each step's interpolating polynomial.
-    ``rhs`` gets the state as a float ndarray and may return a list.
+# A pole overflows the error norm to inf or nan, which rejects the step (by
+# _MIN_FACTOR) until it collapses: that ends as an IntegrationError, with no
+# numpy warning on the way.
+@np.errstate(over="ignore", invalid="ignore")
+def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, first_step=None,
+                  dense=True, t_eval=None):
+    """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with
+    DOP853 at rtol = atol = ``tol``, keeping the nodes (or the states at
+    ``t_eval``, sorted in the direction of integration) and, if ``dense``,
+    each step's interpolating polynomial. ``rhs`` gets the state as a float
+    ndarray and may return a list.
 
-    This is the package's one ODE primitive. Each caller keeps the method
-    that makes the fewest RHS calls on its work: parallel transport uses
-    RK45 (DOP853 once around a generator), on a Chebyshev sample of the
-    connection where that converges (see ``holonomy``), and the simulations
-    and the antiderivatives of ``holonomy`` use DOP853. DOP853's dense
-    output costs three more RHS calls on each step that keeps it: every
-    step when ``dense``, else only the steps that hold a ``t_eval`` time.
-    A right-hand side that is not finite at the start, or a step that must
-    shrink below the spacing of floats (a pole, a NaN on the way), raises
-    ``IntegrationError``.
+    This is the package's one ODE primitive: the simulations, parallel
+    transport (on a Chebyshev sample of the connection where that
+    converges, see ``holonomy``) and the antiderivatives of ``holonomy`` all
+    run it. The dense output costs three more RHS calls on each step that
+    keeps it: every step when ``dense``, else only the steps that hold a
+    ``t_eval`` time. A right-hand side that is not finite at the start, or
+    a step that must shrink below the spacing of floats (a pole, a NaN on
+    the way), raises ``IntegrationError``.
     """
     t0, t1 = float(t0), float(t1)
     y = np.asarray(x0, dtype=float)
     if t1 == t0:
         return Trajectory([t0], [y], ([t0], [lambda t: y.copy()], 1.0))
-    pair = _PAIRS[method]
     f = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise IntegrationError(f"right-hand side is not finite at t = {t0:g}")
     direction = 1.0 if t1 > t0 else -1.0
     rtol = max(tol, 100 * _EPS)
     h_abs = first_step or _initial_step(rhs, t0, y, f, t1, direction,
-                                        max_step, pair.exponent, tol, rtol)
-    K = np.empty((pair.extended, y.size))
-    Kerr = K[:pair.stages + 1]
-    rows = [(s, K[:s].T, a, c) for s, a, c in pair.rows]
-    KB = K[:pair.stages].T
+                                        max_step, tol, rtol)
+    K = np.empty((len(_STAGES) + 1, y.size))
+    rows = [(s, K[:s].T, a, c) for s, a, c in _STAGES[:11]]
+    KB, Kerr = K[:12].T, K[:13]
     t, nodes, states = t0, [t0], [y]
     if t_eval is not None:
         times, states, done = [], [], 0
@@ -476,22 +416,21 @@ def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
             K[0] = f
             for s, Ks, a, c in rows:
                 K[s] = rhs(t + c * h, y + np.dot(Ks, a) * h)
-            y_new = y + h * np.dot(KB, pair.B)
-            f_new = K[pair.stages] = np.asarray(rhs(t + h, y_new),
-                                                dtype=float)
+            y_new = y + h * np.dot(KB, _B)
+            f_new = K[12] = np.asarray(rhs(t + h, y_new), dtype=float)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = pair.error_norm(Kerr, h, scale)
+            err = _error_norm(Kerr, h, scale)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else \
-                    min(_MAX_FACTOR, _SAFETY * err ** pair.exponent)
+                    min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** pair.exponent)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         nodes.append(t)
-        poly = pair.dense(rhs, K, t_old, h, y_old, y, f) if dense else None
+        poly = _dense(rhs, K, t_old, h, y_old, y, f) if dense else None
         if dense:
             polys.append(poly)
         if t_eval is None:
@@ -499,7 +438,7 @@ def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, method="RK45",
             continue
         stop = bisect_right(keys, direction * t, done)
         if stop > done:
-            poly = poly or pair.dense(rhs, K, t_old, h, y_old, y, f)
+            poly = poly or _dense(rhs, K, t_old, h, y_old, y, f)
             times.extend(t_eval[done:stop])
             states.extend(poly(s) for s in t_eval[done:stop])
             done = stop

@@ -2,10 +2,10 @@
 for one-dimensional constraint manifolds.
 
 Transport and the antiderivatives all solve their ODEs with
-``calculus.integrate_ode``: ``transport_matrix`` with RK45, one solve per
-path piece, and the dense solves (``WindowAntiderivative``,
-``PeriodicAntiderivative`` and, unless told otherwise, ``axis_transport``)
-with DOP853. Transport reads the connection from a sample: the coefficient
+``calculus.integrate_ode`` (DOP853). ``transport_matrix`` makes one solve
+per path piece and keeps no interpolant; ``WindowAntiderivative``,
+``PeriodicAntiderivative`` and ``axis_transport`` keep dense output.
+Transport reads the connection from a sample: the coefficient
 A(t) = -Gamma(p(t))(v(t)) of each path piece (each leg of
 ``axis_transport``) is analytic on every model's pieces, so it is sampled
 once at nested Chebyshev-Lobatto nodes and the solver integrates its
@@ -219,7 +219,6 @@ class WindowAntiderivative:
                 new = max(x, new) if up else min(x, new)
             traj = integrate_ode(lambda t, y: [self.f(t)], edge,
                                  [self._at(edge)], new, self.tol,
-                                 method="DOP853",
                                  first_step=0.125 * abs(new - edge))
             self._sols.append((min(edge, new), max(edge, new), traj.at))
             if up:
@@ -320,8 +319,8 @@ def lagrangian_1d(psi1, psi2, topology, tol=1e-10, decision_tol=1e-9):
     return report
 
 
-def axis_transport(gamma, points, axis, lo, hi, tol=1e-12, method="DOP853",
-                   first_step=None, carry=None):
+def axis_transport(gamma, points, axis, lo, hi, tol=1e-12, first_step=None,
+                   carry=None):
     """Dense transport of the basis along coordinate ``axis``, from s = lo
     to hi, through each of ``points`` in one solve: a Trajectory whose state
     holds, per point, the flattened Y(s) with Y(lo) = I, followed by the
@@ -349,7 +348,7 @@ def axis_transport(gamma, points, axis, lo, hi, tol=1e-12, method="DOP853",
         return np.concatenate(out)
 
     return integrate_ode(rhs, lo, np.tile(y0, len(points)), hi, tol,
-                         method=method, first_step=first_step)
+                         first_step=first_step)
 
 
 def cylinder_integrals(gamma, point, axis, tol=1e-12, carry=None):

@@ -20,6 +20,7 @@ from .manifold import (Tensor02Field, christoffel_from_metric, ricci,
                        total_cov_derivative_02)
 
 TWO_PI = 2.0 * math.pi
+METRIC_CHECK_TOL = 1e-6   # on |nabla g| and |Gamma(g) - Gamma|
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +195,11 @@ class MetricReport:
         return self.ok
 
 
-def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
-                      check_tol=1e-6, tol=1e-10):
+def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None):
     """Candidate metric g = sign * exp(-f + b) * Ric with df = omega and
     f(ref) = 0, that is f = 1/2 log(det Ric / det Ric(ref)) - int_ref^x
-    trGamma; verified by parallelism of g and agreement of its Levi-Civita
-    connection with gamma."""
+    trGamma; verified, to METRIC_CHECK_TOL, by parallelism of g and
+    agreement of its Levi-Civita connection with gamma."""
     if not rec.recurrent or rec.definite == 0:
         return MetricReport(False, message="Ricci not definite and recurrent")
     sign = rec.definite
@@ -216,7 +216,7 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
                              "recurrence one-form is undefined there")
         return dm.log(det)
 
-    t = LineIntegralField(trace, gamma.chart, ref, tol=tol)
+    t = LineIntegralField(trace, gamma.chart, ref)
     log_det_ref = log_det(ref, rec.ric(ref))
 
     def g_fn(x):
@@ -235,7 +235,7 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None,
                - np.asarray(gamma(p), dtype=float))
         max_ng = max(max_ng, float(np.max(np.abs(ng))))
         max_dev = max(max_dev, float(np.max(np.abs(dev))))
-    ok = max_ng < check_tol and max_dev < check_tol
+    ok = max_ng < METRIC_CHECK_TOL and max_dev < METRIC_CHECK_TOL
     return MetricReport(ok, g=g, sign=sign, b=b,
                         max_nabla_g=max_ng, max_gamma_dev=max_dev,
                         message="" if ok else "verification residual too large")
@@ -280,11 +280,12 @@ class ParallelFrame:
     ``LineIntegralField`` (the periodic axis first), read at x mod 2 pi on a
     periodic axis: single-valued for every form the holonomy preserves.
 
-    Each piece of the path is a dense leg from base[axis] (``legs``) that
-    also carries the integrals F of (Y^{-T} E Y^{-1} lambda)_axis for the
-    basis forms E, Y the transport: the potential of mu = g lambda along a
-    leg is tr(G K), K = [[F0, F1/2], [F1/2, F2]], for the metric G at its
-    start. A periodic first axis is the generator, solved once around by
+    Each piece of the path is a dense leg from base[axis] (``legs``, DOP853
+    at 1e-10) that also carries the integrals F of
+    (Y^{-T} E Y^{-1} lambda)_axis for the basis forms E, Y the transport:
+    the potential of mu = g lambda along a leg is tr(G K),
+    K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start. A
+    periodic first axis is the generator, solved once around by
     ``cylinder_integrals`` (DOP853, 1e-12): without F for the holonomy and
     the verdict's reads, and with F, the first time D_C or P_C is read.
     Each leg and the generator read the connection from a Chebyshev sample
@@ -356,8 +357,7 @@ class ParallelFrame:
                                     carry=carry).at \
                 if self.chart.periodic[axis] else \
                 axis_transport(self.conn.gammaC, points, axis, b, end, 1e-10,
-                               method="RK45", first_step=abs(end - b),
-                               carry=carry).at
+                               first_step=abs(end - b), carry=carry).at
             self.cache[key] = at
         return at(s).reshape(len(points), -1)
 

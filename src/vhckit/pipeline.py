@@ -21,6 +21,10 @@ VERDICT_LAGRANGIAN = "lagrangian"
 VERDICT_NOT_LAGRANGIAN = "not-lagrangian"
 VERDICT_UNSUPPORTED = "unsupported"
 
+GRID_MARGIN = 1e-2   # the decision grids stay this far inside the chart
+FLAT_TOL = 1e-8      # max |curvature| on the grid below which it is flat
+ODE_TOL = 1e-10      # tol of the 1-D decision's antiderivatives
+
 
 @dataclass
 class AnalysisResult:
@@ -41,8 +45,7 @@ def _decided(result, verdict, reason):
     return result
 
 
-def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
-            decision_tol=1e-9, ode_tol=1e-10, gauge_b=None):
+def analyze(bundle, grid_n=7, decision_tol=1e-9):
     """Full decision pipeline for a ModelBundle.
 
     Verdicts: "lagrangian" (with reconstructed structure in artifacts),
@@ -61,7 +64,7 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
     det = result.details
     det["reduced_dim"] = d
 
-    grid = chart.grid(grid_n, grid_margin)
+    grid = chart.grid(grid_n, GRID_MARGIN)
     reg = check_regularity(sys, par, grid=grid)
     det["regular"] = bool(reg)
     det["min_singular_value"] = reg.min_singular_value
@@ -73,10 +76,9 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
 
     try:
         if d == 1:
-            return _analyze_1d(bundle, result, decision_tol, ode_tol)
+            return _analyze_1d(bundle, result, decision_tol)
         if d == 2:
-            return _analyze_2d(bundle, result, grid, grid_margin, flat_tol,
-                               decision_tol, gauge_b)
+            return _analyze_2d(bundle, result, grid, decision_tol)
     except (RegularityError, IntegrationError) as e:
         # a field that is singular between grid points, or an ODE that
         # cannot pass it: outside what the grid certified
@@ -86,14 +88,14 @@ def analyze(bundle, grid_n=7, grid_margin=1e-2, flat_tol=1e-8,
                     f"reduced dimension {d} not supported (need 1 or 2)")
 
 
-def _analyze_1d(bundle, result, decision_tol, ode_tol):
+def _analyze_1d(bundle, result, decision_tol):
     from .vhc import psi_functions
     sys, par = bundle.system, bundle.parametrization
     topology = "S1" if par.chart.periodic[0] else "R"
     # one solve gives Psi1 and Psi2, which are read at many of the same points
     psi = lru_cache(maxsize=256)(lambda t: psi_functions(sys, par, [t]))
     report = lagrangian_1d(lambda t: psi(t)[0], lambda t: psi(t)[1],
-                           topology, tol=ode_tol, decision_tol=decision_tol)
+                           topology, tol=ODE_TOL, decision_tol=decision_tol)
     det = result.details
     det["topology"] = topology
     det["int_psi2"] = report.int_psi2
@@ -110,17 +112,15 @@ def _analyze_1d(bundle, result, decision_tol, ode_tol):
     return result
 
 
-def _analyze_2d(bundle, result, grid, grid_margin, flat_tol, decision_tol,
-                gauge_b):
+def _analyze_2d(bundle, result, grid, decision_tol):
     conn = induced_connection(bundle.system, bundle.parametrization)
     max_R = max_curvature_on_grid(conn.gammaC, grid)
     result.details["max_curvature"] = max_R
-    if max_R < flat_tol:
+    if max_R < FLAT_TOL:
         result.details["curvature_class"] = "flat"
         return _analyze_2d_flat(conn, result, grid, decision_tol)
     result.details["curvature_class"] = "curved"
-    return _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
-                              decision_tol, gauge_b)
+    return _analyze_2d_curved(bundle, conn, result, grid, decision_tol)
 
 
 def _analyze_2d_flat(conn, result, grid, decision_tol):
@@ -148,8 +148,7 @@ def _analyze_2d_flat(conn, result, grid, decision_tol):
     return result
 
 
-def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
-                       decision_tol, gauge_b):
+def _analyze_2d_curved(bundle, conn, result, grid, decision_tol):
     chart = conn.chart
     det = result.details
     if any(chart.periodic):
@@ -168,13 +167,12 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
                         "the recurrence test needs it definite")
     # no periodic coordinate, so no loop integral: closed is exact
     exact, det["omega_curl_max"] = exactness_check(
-        rec, chart.grid(5, grid_margin))
+        rec, chart.grid(5, GRID_MARGIN))
     det["omega_loop_max"] = 0.0
     if not exact:
         return _decided(result, VERDICT_NOT_LAGRANGIAN,
                         "recurrence one-form is not exact")
-    if gauge_b is None:
-        gauge_b = bundle.expected.get("gauge_b", 0.0)
+    gauge_b = bundle.expected.get("gauge_b", 0.0)
     ref = bundle.expected.get(
         "gauge_ref", tuple(0.5 * (lo + hi) for lo, hi in chart.bounds))
     metric = metric_from_ricci(conn.gammaC, rec, ref, b=gauge_b,
@@ -193,7 +191,7 @@ def _analyze_2d_curved(bundle, conn, result, grid, grid_margin,
         lam = conn.lam(x)
         return [sum(g[i][j] * lam[j] for j in range(2)) for i in range(2)]
 
-    check_grid = chart.grid(5, grid_margin)
+    check_grid = chart.grid(5, GRID_MARGIN)
     det["max_lambda"] = max(abs(float(real(v)))
                             for p in check_grid for v in conn.lam(p))
     if det["max_lambda"] < decision_tol:

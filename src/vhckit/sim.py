@@ -35,8 +35,7 @@ def reduced_energy(metric, potential, theta, thdot):
 
 def _solve(rhs, state0, t_span, tol, max_step, t_eval):
     return integrate_ode(rhs, float(t_span[0]), state0, float(t_span[1]),
-                         tol, max_step=max_step, method="DOP853", dense=False,
-                         t_eval=t_eval)
+                         tol, max_step=max_step, dense=False, t_eval=t_eval)
 
 
 def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,

@@ -238,8 +238,7 @@ def _closedness_residual_at(conn, a, grid_n=256):
         g1, g2 = g(t)
         return [-g2, g1 * math.exp(y[0])]
 
-    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, 1e-12,
-                         method="DOP853")
+    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, 1e-12)
     worst = 0.0
     for t in np.linspace(0.0, TWO_PI, grid_n, endpoint=False):
         t = float(t)

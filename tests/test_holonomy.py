@@ -187,7 +187,8 @@ def test_cylinder_integrals_dpc_loops_close():
     conn = induced_connection(b.system, b.parametrization)
     traj = cylinder_integrals(conn.gammaC, [0.0, 0.0], 1)
     assert np.max(np.abs(traj.end_state - np.eye(2).ravel())) < 1e-9
-    # the dense transport agrees with an independent RK45 transport
+    # the dense transport agrees with transport along the segment, an
+    # independent solve on its own Chebyshev sample
     Y = traj.at(1.3).reshape(2, 2)
     M = transport_matrix(conn.gammaC, line_segment([0.0, 0.0], [0.0, 1.3]), 2)
     assert np.max(np.abs(Y - M)) < 1e-8
@@ -266,9 +267,9 @@ def test_sampled_transport_matches_direct_gamma(name, built, monkeypatch):
 def test_kinked_connection_is_transported_on_gamma(monkeypatch):
     # |x - 0.2| and |y + 0.1| kink the coefficient inside the pieces, so
     # its Chebyshev coefficients never converge and each piece falls back
-    # to gamma at every step. RK45's error estimate misses most of a kink:
-    # at the default tol 1e-10 these laws hold to about 1.3e-7 (1.1e-7
-    # before the sample existed), at 1e-11 to 2.4e-9.
+    # to gamma at every step. The error estimate misses most of a kink: at
+    # the default tol 1e-10 these laws hold to about 4e-8, at 1e-11 to
+    # 1.2e-10.
     def coeffs(x):
         g = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
         g[0][0][1] = g[0][1][0] = 0.3 * abs(x[0] - 0.2) + 0.1
