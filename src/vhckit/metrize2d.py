@@ -1,7 +1,8 @@
 """Metrizability of two-dimensional connections: Ricci recurrence for curved
 ones, and parallel metrics from transport for flat ones. The closedness
-stage of a flat connection solves a linear program with scipy's
-``linprog``, imported on first use: the one use of scipy in the package."""
+stage of a flat connection is a discrete Chebyshev fit, solved exactly by
+Stiefel's exchange method: the simplex method on the dual linear program,
+after Barrodale & Phillips (ACM TOMS 1 (1975) 264-270)."""
 
 from __future__ import annotations
 
@@ -466,19 +467,56 @@ class LagrangianReport:
 
 def _minimax_linear(p, q):
     """min over y of max_i |p_i + (q y)_i|, with one column of q per unknown
-    (or a vector for one unknown): (y, the minimum), from the linear
-    program min t subject to -t <= p + q y <= t."""
-    # imported here, so that only a flat 2-D verdict pays for loading
-    # scipy.optimize
-    from scipy.optimize import linprog
+    (or a vector for one unknown): (y, the minimum).
 
+    The linear program min t subject to -t <= p + q y <= t has the dual
+    max p.(u - v) subject to q^T (u - v) = 0, sum(u + v) = 1 and u, v >= 0,
+    with k + 1 rows and 2N columns for k unknowns and N rows of q. The
+    revised simplex method solves the dual exactly, and Bland's rule (the
+    first improving column enters; the first basic column leaves among tied
+    ratios) keeps it finite. y is minus the multipliers of the q rows. This
+    is Stiefel's exchange method for the discrete Chebyshev fit (Numer.
+    Math. 1 (1959) 1-28), in the linear-programming form of Barrodale &
+    Phillips (ACM TOMS 1 (1975) 264-270, Algorithm 495). The unknown of a
+    column that depends on the others stays 0; with no unknowns left, the
+    minimum is max |p| and no program is solved."""
     p = np.asarray(p, dtype=float)
     Q = np.asarray(q, dtype=float).reshape(len(p), -1)
-    k, one = Q.shape[1], np.ones((len(p), 1))
-    res = linprog(np.r_[np.zeros(k), 1.0], A_ub=np.block([[Q, -one], [-Q, -one]]),
-                  b_ub=np.r_[-p, p], bounds=[(None, None)] * k + [(0, None)],
-                  method="highs")
-    y = res.x[:k]
+    y = np.zeros(Q.shape[1])
+    # a nonsingular block Q[rows, cols], by complete pivoting. The first
+    # basis is u and v on rows[0] and u on the other rows, at u = v = 1/2 on
+    # rows[0]: feasible, and nonsingular since the block is
+    R, rows, cols = Q.copy(), [], []
+    for _ in range(Q.shape[1]):
+        i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+        if abs(R[i, j]) <= 1e-12 * np.max(np.abs(Q)):
+            break
+        rows.append(i)
+        cols.append(j)
+        R -= np.outer(R[:, j] / R[i, j], R[i])
+    if cols:
+        n, k = len(p), len(cols)
+        A = np.vstack([np.hstack([Q[:, cols].T, -Q[:, cols].T]), np.ones(2 * n)])
+        c, scale = np.r_[p, -p], np.max(np.abs(A), axis=1)
+        basis = [rows[0], rows[0] + n] + rows[1:]
+        while True:
+            inv = np.linalg.inv(A[:, basis])
+            pi = c[basis] @ inv
+            d = c - pi @ A
+            d[basis] = 0.0
+            # improving columns: reduced costs above the rounding of d
+            enter = np.flatnonzero(
+                d > 1e-14 * (np.max(np.abs(p)) + np.abs(pi) @ scale))
+            if not enter.size:
+                break
+            # the basic solution z = inv e_k, at 0 where it rounds below so
+            # that degenerate rows tie, and the entering column's direction w
+            z, w = np.maximum(inv[:, k], 0.0), inv @ A[:, enter[0]]
+            rs = np.flatnonzero(w > 1e-12 * np.max(np.abs(w)))
+            ratio = z[rs] / w[rs]
+            basis[min(rs[ratio == ratio.min()], key=basis.__getitem__)] = \
+                enter[0]
+        y[cols] = -pi[:k]
     return (float(y[0]) if np.ndim(q) == 1 else y), float(np.max(np.abs(p + Q @ y)))
 
 

@@ -142,25 +142,21 @@ def test_integrate_ode_rejects_non_finite_start(method):
     assert not ref.success and ref.nfev > 100
 
 
-def test_scipy_is_imported_only_for_linprog():
-    # the stepper, the quadrature and the DCT are the package's own; the one
-    # scipy import left is linprog's, inside the function that calls it
+def test_no_module_imports_scipy():
+    # the stepper, the quadrature, the DCT and the minimax solver are the
+    # package's own: scipy is an oracle of the tests only
     imports = []
-
-    def visit(node, path, scope):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            mods = [node.module] if isinstance(node, ast.ImportFrom) else \
-                [a.name for a in node.names]
-            imports.extend((path.name, scope, m) for m in mods
-                           if m and m.split(".")[0] == "scipy")
-        if isinstance(node, ast.FunctionDef):
-            scope = node.name
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, scope)
-
     for path in sorted(Path(calculus.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path, None)
-    assert imports == [("metrize2d.py", "_minimax_linear", "scipy.optimize")]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            imports.extend((path.name, m) for m in mods
+                           if m.split(".")[0] == "scipy")
+    assert imports == []
 
 
 def _vdp(t, y):

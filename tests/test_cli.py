@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vhckit import metrize2d
 from vhckit.cli import (EXIT_ERROR, EXIT_NOT_LAGRANGIAN, EXIT_OK,
                         EXIT_UNSUPPORTED, SCHEMA, bundle_from_config, main)
 from vhckit.models import get_model
 from vhckit.pipeline import analyze
 from vhckit.vhc import induced_connection
+
+from oracles import minimax_by_linprog
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
@@ -713,14 +716,16 @@ def test_portrait_orbit_kinds_are_pinned(model, kinds, capsys):
 
 
 
-# What a fresh process loads of scipy: the package's own stepper, quadrature
-# and DCT keep it off every path but the flat 2-D solver's LP.
-def _scipy_after(code):
+# What a fresh process loads of scipy: nothing, as the stepper, the
+# quadrature, the DCT and the minimax solver are the package's own. The
+# config case reads the model.json that _write_config leaves in the
+# process's working directory.
+def _scipy_after(code, cwd=None):
     src = Path(__file__).resolve().parent.parent / "src"
     code += "\nimport sys\nprint(sorted(m for m in sys.modules " \
             "if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+                         text=True, check=True, cwd=cwd,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
@@ -735,19 +740,33 @@ def _run_main(argv):
     "import vhckit.cli",
     _run_main(["analyze", "--model", "circle"]),
     _run_main(["analyze", "--model", "sphere"]),
+    _run_main(["analyze", "--model", "dpc-a"]),
+    _run_main(["analyze", "--model", "dpc-b"]),
+    _run_main(["analyze", "--config", "model.json"]),
     _run_main(["simulate", "--model", "dpc-b", "--full", "--t-final", "0.2"]),
-], ids=["import", "analyze-circle", "analyze-sphere", "simulate-full"])
-def test_no_scipy_is_loaded(code):
-    assert _scipy_after(code) == []
+], ids=["import", "analyze-circle", "analyze-sphere", "analyze-dpc-a",
+        "analyze-dpc-b", "analyze-flat-config", "simulate-full"])
+def test_no_scipy_is_loaded(code, tmp_path):
+    _write_config(tmp_path, FLAT_CASES["cone-sqrt3"][0])
+    assert _scipy_after(code, cwd=tmp_path) == []
 
 
-def test_flat_verdict_loads_only_the_lp_solver():
-    # scipy.optimize brings scipy.fft along (through scipy.linalg's
-    # interpolative module): the verdict loads no scipy module that the
-    # import of linprog alone does not, and never scipy.integrate
-    loaded = _scipy_after(_run_main(["analyze", "--model", "dpc-b"]))
-    assert "scipy.optimize" in loaded
-    assert set(loaded) <= set(_scipy_after(
-        "from scipy.optimize import linprog"))
-    assert not [m for m in loaded if m.split(".")[:2] == ["scipy",
-                                                          "integrate"]]
+def test_flat_solver_problems_match_linprog(monkeypatch):
+    # every minimax problem that the closedness stage poses on the dpc models
+    # and the flat configs, against HiGHS
+    solve, posed = metrize2d._minimax_linear, []
+
+    def record(p, q):
+        posed.append((np.asarray(p, dtype=float),
+                      np.asarray(q, dtype=float).reshape(len(p), -1)))
+        return solve(p, q)
+
+    monkeypatch.setattr(metrize2d, "_minimax_linear", record)
+    for bundle in [get_model("dpc-a"), get_model("dpc-b")] + [
+            bundle_from_config(cfg) for cfg, _ in FLAT_CASES.values()]:
+        analyze(bundle)
+    assert sorted({Q.shape[1] for _, Q in posed}) == [0, 1, 2]
+    for p, Q in posed:
+        res = solve(p, Q)[1]
+        scale = max(np.max(np.abs(p)), np.max(np.abs(Q), initial=0.0))
+        assert res <= minimax_by_linprog(p, Q) + 1e-12 * scale

@@ -22,7 +22,7 @@ from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
 from vhckit.vhc import InducedConnection, induced_connection
 
-from oracles import connection_from_metric
+from oracles import connection_from_metric, minimax_by_linprog
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,6 +271,43 @@ def test_minimax_linear_against_brute_force():
         brute = min(np.max(np.abs(p[None, :] + g * q[None, :]))
                     for g in grid)
         assert res <= brute + 1e-9
+
+
+def _minimax_data(kind, k, n, rng):
+    p, Q = rng.normal(size=n), rng.normal(size=(n, k))
+    if kind == "zero-column":
+        Q[:, -1] = 0.0
+    elif kind == "duplicated-rows":
+        rows = np.repeat(np.arange(n), 2)[:n]
+        p, Q = p[rows], Q[rows]
+    elif kind == "ties":
+        p, Q = np.round(p, 1), np.round(Q, 1)
+    elif kind.startswith("scaled-"):
+        s = float(kind[len("scaled-"):])
+        p, Q = s * p, s * Q
+    return p, Q
+
+
+@pytest.mark.parametrize("k, kind", [
+    (k, kind) for k in (0, 1, 2)
+    for kind in ("random", "zero-column", "duplicated-rows", "ties",
+                 "scaled-1e6", "scaled-1e-6")
+    if (k, kind) != (0, "zero-column")])
+def test_minimax_linear_matches_linprog(k, kind):
+    # HiGHS is the oracle, at the sizes of the problems the tests pose: 256
+    # generator samples, grids of 3 x 3 to 11 x 11 points, and the 40 rows
+    # of the brute-force test above
+    rng = np.random.default_rng(7)
+    for n in (9, 25, 40, 49, 81, 121, 256):
+        for _ in range(3):
+            p, Q = _minimax_data(kind, k, n, rng)
+            y, res = _minimax_linear(p, Q)
+            assert y.shape == (k,)
+            assert res == np.max(np.abs(p + Q @ y))
+            scale = max(np.max(np.abs(p)), np.max(np.abs(Q), initial=0.0))
+            assert res <= minimax_by_linprog(p, Q) + 1e-12 * scale
+            if k == 0:
+                assert res == np.max(np.abs(p))
 
 
 def test_cylinder_search_dpc_b():
