@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -67,9 +68,13 @@ def _parse_param(text):
     key, raw = text.split("=", 1)
     for cast in (int, float):
         try:
-            return key, cast(raw)
+            value = cast(raw)
         except ValueError:
-            pass
+            continue
+        if not math.isfinite(float(raw)):
+            raise CliError(f"--param {key}: expected a finite number, "
+                           f"got {raw!r}")
+        return key, value
     return key, raw
 
 
@@ -114,6 +119,13 @@ def _load_bundle(args):
     if args.model not in MODEL_BUILDERS:
         raise CliError(f"unknown model {args.model!r}; "
                        f"have {sorted(MODEL_BUILDERS)}")
+    known = inspect.signature(MODEL_BUILDERS[args.model]).parameters
+    for key, value in params.items():
+        if key not in known:
+            raise CliError(f"--param {key}: model {args.model!r} has no such "
+                           f"parameter; it takes {sorted(known) or 'none'}")
+        if isinstance(value, str):
+            raise CliError(f"--param {key}: {value!r} is not a number")
     return get_model(args.model, **params)
 
 

@@ -2,11 +2,12 @@
 
 Expressions are parsed with ``ast`` and checked against a whitelist of
 arithmetic operations and dual-aware math functions. Each compiled field
-(one expression, or a vector or matrix of them) is one straight-line
-program over a register list: the variables, the constants, then one
-register per operation. Structurally equal subexpressions share a register,
-so each is evaluated once per call, and subexpressions that read no
-variable are folded to constants at compile time.
+(one expression, or a vector or matrix of them) is one generated Python
+function with one statement per operation. Structurally equal
+subexpressions share a register, so each is evaluated once per call, and
+subexpressions that read no variable are folded to constants at compile
+time. No text of the expressions enters the generated source; its code is
+compiled once per distinct source and shared by every load that emits it.
 
 Partial derivatives are taken once, at load, by the chain rule on the same
 registers (``compile_vector_derivatives``, ``compile_matrix_gradient``): a
@@ -20,9 +21,9 @@ dual arguments, so higher derivatives can still be taken through them.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
-from operator import itemgetter
 
 from . import dual as dm
 
@@ -51,7 +52,7 @@ _FUNCS = {
 
 _CONSTS = {"pi": math.pi, "e": math.e}
 
-# the operations a program runs besides _FUNCS, by register name
+# the operations besides _FUNCS, by register name, as constants fold them
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "**": operator.pow, "neg": operator.neg,
         "abs'": _abs_tangent}
@@ -307,85 +308,60 @@ class _Program:
 
     # -- emission -------------------------------------------------------------
     def program(self, outputs):
-        """Callable ``values -> outputs``, where ``outputs`` is a register or
-        nested lists of them, that runs only the operations they need."""
-        need, stack = set(), list(_leaves(outputs))
+        """Function ``values -> outputs``, where ``outputs`` is a register or
+        nested lists of them, generated as Python source with one statement
+        per operation they need, in register order. Register k is the name
+        ``rk``: a local for a variable or an operation, and for a constant a
+        name bound in the function's namespace, as each function is. No text
+        of the expressions enters the source."""
+        leaves = []
+        result = _display(outputs, leaves)
+        need, stack = set(), leaves
         while stack:
             k = stack.pop()
             if k not in need:
                 need.add(k)
                 stack.extend(self._operands(k))
         n = len(self.index)
-        regs = sorted(k for k in need if k >= n)
-        consts = [k for k in regs if k in self.value]
-        ops = [k for k in regs if k not in self.value]
-        slot = {k: k for k in range(n)}
-        for k in consts + ops:
-            slot[k] = len(slot)
-        code = []
-        for k in ops:
-            name, a, b = self.nodes[k]
-            code.append((self.fns[name], slot[a], -1 if b is None else slot[b]))
-        return _runner(n, [self.value[k] for k in consts], code,
-                       _gather(outputs, slot))
+        lines = ["def run(values):"]
+        lines += [f" r{k} = values[{k}]" for k in range(n)]
+        scope = {"__builtins__": {}}
+        for k in sorted(need):
+            if k in self.value:
+                scope[f"r{k}"] = self.value[k]
+            elif k >= n:
+                op, a, b = self.nodes[k]
+                line, fn = _EMIT[op]
+                if fn:
+                    scope[fn] = self.fns[op]
+                lines.append(line % ((k, a) if b is None else (k, a, b)))
+        lines.append(" return " + result)
+        exec(_code("\n".join(lines)), scope)
+        return scope["run"]
 
 
-def _leaves(outputs):
+# the statement of each operation, and the name it binds its function to
+_EMIT = {op: (f" r%d = r%d {op} r%d", None) for op in ("+", "-", "*", "/",
+                                                       "**")}
+_EMIT["neg"] = (" r%d = -r%d", None)
+_EMIT["abs'"] = (" r%d = f_abs_t(r%d, r%d)", "f_abs_t")
+_EMIT.update({op: (f" r%d = f_{op}(r%d)", f"f_{op}") for op in _FUNCS})
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source):
+    """The compiled source of a program, shared by every load that emits
+    the same text."""
+    return compile(source, "<expr program>", "exec")
+
+
+def _display(outputs, leaves):
+    """Python display of ``outputs``, a register or nested lists of them,
+    whose registers are appended to ``leaves``."""
     if isinstance(outputs, int):
-        yield outputs
-    else:
-        for o in outputs:
-            yield from _leaves(o)
-
-
-def _rows(rows):
-    """Function r -> [[r[k] for k in row] for row in rows], with one C-level
-    itemgetter call per row when the rows have one width of at least 2."""
-    widths = {len(row) for row in rows}
-    if len(widths) != 1 or min(widths) < 2:
-        return lambda r: [[r[k] for k in row] for row in rows]
-    gets = [itemgetter(*row) for row in rows]
-    return lambda r: [list(g(r)) for g in gets]
-
-
-def _gather(outputs, slot):
-    """Function of the register list that returns ``outputs``' shape: a
-    register, or a vector, matrix or rank-3 array of them."""
-    def remap(o):
-        return slot[o] if isinstance(o, int) else [remap(x) for x in o]
-
-    ks, depth, probe = remap(outputs), 0, outputs
-    while isinstance(probe, list) and probe:
-        depth, probe = depth + 1, probe[0]
-    if depth == 0:
-        return itemgetter(ks) if isinstance(ks, int) else (lambda r: [])
-    if depth == 1:
-        rows = _rows([ks])
-        return lambda r: rows(r)[0]
-    if depth == 2:
-        return _rows(ks)
-    rows, w = _rows([row for mat in ks for row in mat]), len(ks[0])
-    starts = range(0, w * len(ks), w)
-
-    def gather(r):
-        flat = rows(r)
-        return [flat[i:i + w] for i in starts]
-
-    return gather
-
-
-def _runner(n, consts, code, gather):
-    def run(values):
-        r = list(values)
-        if len(r) != n:
-            r = [values[i] for i in range(n)]
-        r += consts
-        append = r.append
-        for f, a, b in code:
-            append(f(r[a]) if b < 0 else f(r[a], r[b]))
-        return gather(r)
-
-    return run
+        leaves.append(outputs)
+        return f"r{outputs}"
+    return f"[{', '.join([_display(o, leaves) for o in outputs])}]"
 
 
 def compile_expression(src, variables, constants=None):

@@ -3,6 +3,7 @@ sphere, and a double pendulum on a cart with two actuation choices."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -307,6 +308,6 @@ def get_model(name, **params):
 MODEL_BUILDERS = {
     "circle": circle_particle,
     "sphere": sphere_mass,
-    "dpc-a": lambda **kw: double_pendulum_cart(case="a", **kw),
-    "dpc-b": lambda **kw: double_pendulum_cart(case="b", **kw),
+    "dpc-a": functools.partial(double_pendulum_cart, "a"),
+    "dpc-b": functools.partial(double_pendulum_cart, "b"),
 }

@@ -241,6 +241,24 @@ def test_bundle_from_config_overrides():
     assert bundle.chart.dim == 1
 
 
+def test_reloaded_config_shares_code_not_constants():
+    # two loads of one config emit the same programs, compiled once; each
+    # load binds its own constants
+    cfg = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["dpc-b"]
+    loads = [bundle_from_config(cfg, overrides={"gravity": g})
+             for g in (9.81, 4.0)]
+    fields = [(b.system.P, b.system.D, b.system.dD, b.system.B,
+               b.system.Bperp, b.system.h, b.parametrization.phi,
+               b.parametrization.dphi, b.parametrization.d2phi)
+              for b in loads]
+    for first, second in zip(*fields):
+        assert first.__code__ is second.__code__
+        assert first.__globals__ is not second.__globals__
+    q = [0.2, 0.7, -0.4]
+    for bundle, g in zip(loads, (9.81, 4.0)):
+        assert bundle.system.P(q) == (2 * math.cos(0.7) + math.cos(-0.4)) * g
+
+
 def test_out_file_atomic_write(tmp_path):
     out = tmp_path / "sub" / "report.json"
     code = main(["analyze", "--model", "circle", "--param", "alpha=0.0",
@@ -444,6 +462,33 @@ def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("model, param, named", [
+    ("circle", "alpha=inf", "expected a finite number, got 'inf'"),
+    ("circle", "alpha=-Infinity", "expected a finite number"),
+    ("circle", "alpha=1" + "0" * 400, "expected a finite number"),
+    ("dpc-b", "gravity=nan", "expected a finite number, got 'nan'"),
+    ("circle", "foo=1", "model 'circle' has no such parameter; it takes "
+                        "['alpha']"),
+    ("dpc-a", "case=b", "it takes ['gravity']"),
+    ("sphere", "alpha=0.1", "it takes none"),
+    ("circle", "alpha=abc", "'abc' is not a number"),
+    ("config", "alpha=nan", "expected a finite number"),
+], ids=["inf", "minus-infinity", "beyond-float", "nan", "unknown-key",
+        "fixed-case", "no-parameters", "not-a-number", "config-nan"])
+def test_bad_param_exits_1(model, param, named, tmp_path, monkeypatch,
+                           capsys):
+    # a --param value is a finite number, and a built-in model takes only
+    # the parameters its builder names; each other value is a CliError,
+    # not the catch-all's "error: ValueError: ..." or a verdict
+    monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
+    source = (["--config", _write_config(tmp_path, CIRCLE_CONFIG)]
+              if model == "config" else ["--model", model])
+    assert main(["analyze", *source, "--param", param]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --param ") and named in captured.err
+    assert not captured.out
 
 
 @pytest.mark.parametrize("argv, named", [

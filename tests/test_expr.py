@@ -5,6 +5,7 @@ dual numbers."""
 
 import ast
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,3 +326,49 @@ def test_program_size_is_bounded():
     compile_expression(small, ["x"])
     with pytest.raises(ExpressionError, match="operations"):
         compile_vector_derivatives([small], ["x"])
+
+
+# -- the generated source against names from the expressions -----------------
+
+_GENERATED = re.compile(r"r\d+|f_[a-z]+|f_abs_t")
+
+
+def _generated_names_only(fn):
+    """Whether ``fn`` reads only generated names bound in its namespace and
+    holds no constant of the expressions as a literal."""
+    code = fn.__code__
+    return (set(code.co_names) <= set(fn.__globals__) - {"__builtins__"}
+            and all(_GENERATED.fullmatch(name) for name in code.co_names)
+            and all(type(v) is int or v is None for v in code.co_consts)
+            and fn.__globals__["__builtins__"] == {})
+
+
+@pytest.mark.parametrize("names", [("r1", "values", "f_sin"),
+                                   ("run", "r0", "__builtins__")])
+@settings(max_examples=100, deadline=None)
+@given(src=st.recursive(_LEAF, _extend, max_leaves=8), x=_finite, y=_finite,
+       c=st.sampled_from([2, 1.5, -0.75]))
+def test_names_like_generated_ones_evaluate_as_the_tree_walk(names, src, x,
+                                                             y, c):
+    # x, y and c renamed to identifiers the generated source uses itself
+    rename = dict(zip("xyc", names))
+    hostile = re.sub(r"\b[xyc]\b", lambda m: rename[m.group()], src)
+    f = compile_expression(hostile, list(names[:2]), {names[2]: c})
+    assert _generated_names_only(f), hostile
+    tree = ast.parse(src, mode="eval").body
+    for values in ([x, y], [Dual(x, 1.0), Dual(y, -0.5)]):
+        env = {"c": c, "x": values[0], "y": values[1]}
+        got = _outcome(lambda: f(values))
+        want = _outcome(lambda: _reference(tree, env))
+        assert _same(got, want), (hostile, values, got, want)
+
+
+def test_every_program_reads_only_generated_names():
+    sources = [["x*g + sin(y)", "abs(x - y)", "exp(-x)*g"], ["x", "y", "g"]]
+    programs = [*compile_vector_derivatives(sources[0], ["x", "y"], {"g": 3.5}),
+                *compile_matrix_gradient(sources, ["x", "y"], {"g": 3.5}),
+                compile_vector(sources[1], ["x", "y"], {"g": 3.5})]
+    for program in programs:
+        assert _generated_names_only(program)
+        assert 3.5 not in program.__code__.co_consts
+
