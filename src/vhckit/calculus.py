@@ -50,6 +50,29 @@ def _eps2(v):
     return eps(eps(v))
 
 
+def _lift(v, d):
+    """Dual(v, d) entrywise over nested lists."""
+    if isinstance(v, _NESTED):
+        return [_lift(vi, di) for vi, di in zip(v, d)]
+    return Dual(v, d)
+
+
+def from_slope(value, slope):
+    """The field f with f(x) = value(x) at float points and slope(a, b) its
+    derivative at a along b, for x a number or a list of coordinates. A
+    dual argument x = a + b eps is peeled one level, f(x) = f(a) +
+    slope(a, b) eps entrywise; a and b may be duals themselves, so ``slope``
+    must accept them, and derivatives of any order go through."""
+    def field(x):
+        if isinstance(x, Dual):
+            return _lift(field(x.val), slope(x.val, x.eps))
+        if isinstance(x, _NESTED) and any(isinstance(c, Dual) for c in x):
+            a = [c.val if isinstance(c, Dual) else c for c in x]
+            return _lift(field(a), slope(a, [eps(c) for c in x]))
+        return value(x)
+    return field
+
+
 def partial(f, x, i):
     """First partial derivative of a scalar-valued field at x."""
     if i >= len(x):

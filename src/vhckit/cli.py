@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__
 from .calculus import IntegrationError, gradient
-from .expr import (compile_expression, compile_matrix, compile_matrix_gradient,
-                   compile_vector, compile_vector_derivatives)
+from .expr import (ExpressionError, compile_expression, compile_matrix,
+                   compile_matrix_gradient, compile_vector,
+                   compile_vector_derivatives, names_read)
 from .holonomy import loop_transport
 from .manifold import Chart
 from .models import MODEL_BUILDERS, ModelBundle, get_model
@@ -112,20 +113,27 @@ def _load_bundle(args):
     params = dict(_parse_param(p) for p in (args.param or []))
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        return bundle_from_config(cfg, overrides=params)
-    if not args.model:
+            try:
+                cfg = json.load(fh)
+            except ValueError as e:
+                raise CliError(f"config {args.config}: invalid JSON: {e}")
+    elif not args.model:
         raise CliError("one of --model or --config is required")
-    if args.model not in MODEL_BUILDERS:
+    elif args.model not in MODEL_BUILDERS:
         raise CliError(f"unknown model {args.model!r}; "
                        f"have {sorted(MODEL_BUILDERS)}")
-    known = inspect.signature(MODEL_BUILDERS[args.model]).parameters
+    else:
+        known = inspect.signature(MODEL_BUILDERS[args.model]).parameters
+        for key in params:
+            if key not in known:
+                raise CliError(f"--param {key}: model {args.model!r} has no "
+                               f"such parameter; it takes "
+                               f"{sorted(known) or 'none'}")
     for key, value in params.items():
-        if key not in known:
-            raise CliError(f"--param {key}: model {args.model!r} has no such "
-                           f"parameter; it takes {sorted(known) or 'none'}")
         if isinstance(value, str):
             raise CliError(f"--param {key}: {value!r} is not a number")
+    if args.config:
+        return bundle_from_config(cfg, overrides=params)
     return get_model(args.model, **params)
 
 
@@ -169,15 +177,26 @@ def _strings_of(cfg, key, rows, cols=None):
     return value
 
 
+def _constants_read(cfg, qv, tv):
+    """The names that the config's expressions read as constants."""
+    ambient = [cfg.get("P", "0"), *cfg.get("h", []),
+               *sum(cfg["D"] + cfg["B"] + cfg["Bperp"], [])]
+    return (names_read(ambient) - set(qv)) | (names_read(cfg["phi"]) - set(tv))
+
+
 def bundle_from_config(cfg, overrides=None):
     """ModelBundle from a JSON dict with expression-string entries. Shapes
     are checked against the charts and ``m`` before anything is compiled;
-    phi and D are parsed once each, with dphi, d2phi and dD."""
-    constants = cfg.get("constants", {})
-    if not isinstance(constants, dict):
+    phi and D are parsed once each, with dphi, d2phi and dD. An expression
+    that does not compile, and an override that names no constant of the
+    config and that no expression reads, are ``CliError``s."""
+    if not isinstance(cfg, dict):
+        raise CliError("config: expected a JSON object")
+    declared = cfg.get("constants", {})
+    if not isinstance(declared, dict):
         raise CliError("config key 'constants': expected an object of "
                        "name: number")
-    constants = {**constants, **(overrides or {})}
+    constants = {**declared, **(overrides or {})}
     q_chart = _chart_from_config(cfg, "ambient")
     chart = _chart_from_config(cfg, "reduced")
     n, d = q_chart.dim, chart.dim
@@ -195,15 +214,24 @@ def bundle_from_config(cfg, overrides=None):
     if not isinstance(cfg.get("P", ""), str):
         raise CliError("config key 'P': expected a string")
 
-    P = compile_expression(cfg.get("P", "0"), qv, constants)
-    phi, dphi, d2phi = compile_vector_derivatives(phi, tv, constants)
-    D, dD = compile_matrix_gradient(D, qv, constants)
+    try:
+        P = compile_expression(cfg.get("P", "0"), qv, constants)
+        phi, dphi, d2phi = compile_vector_derivatives(phi, tv, constants)
+        D, dD = compile_matrix_gradient(D, qv, constants)
+        B, Bperp = (compile_matrix(B, qv, constants),
+                    compile_matrix(Bperp, qv, constants))
+        h = None if h is None else compile_vector(h, qv, constants)
+    except ExpressionError as e:
+        raise CliError(f"config expression: ExpressionError: {e}") from e
+    for key in overrides or {}:
+        if key not in declared and key not in _constants_read(cfg, qv, tv):
+            raise CliError(f"--param {key}: the config has no constant "
+                           f"{key!r} and no expression reads it; its "
+                           f"constants are {sorted(declared) or 'none'}")
     system = LagrangianControlSystem(
         chart=q_chart, D=D, P=P,
         gradP=lambda q: gradient(P, list(q)),
-        B=compile_matrix(B, qv, constants),
-        Bperp=compile_matrix(Bperp, qv, constants), m=m,
-        h=None if h is None else compile_vector(h, qv, constants), dD=dD)
+        B=B, Bperp=Bperp, m=m, h=h, dD=dD)
     par = ConstraintParametrization(chart, phi=phi, dphi=dphi, d2phi=d2phi)
     return ModelBundle(cfg.get("name", "custom"), system, par,
                        params=constants)
@@ -320,19 +348,17 @@ def cmd_holonomy(args):
 
 
 def cmd_portrait(args):
-    """Orbits from seeded draws of the first periodic coordinate (else the
-    last) and its velocity; every other coordinate starts at 0 if periodic,
-    else at its chart midpoint, off the chart's bounds."""
+    """Orbits from seeded draws of the chart's portrait axis (the first
+    periodic coordinate, else the last) and its velocity; every other
+    coordinate starts at the chart's base point, off its bounds."""
     bundle = _load_bundle(args)
     chart = bundle.chart
-    d = chart.dim
-    i = next((k for k in range(d) if chart.periodic[k]), d - 1)
+    i = chart.portrait_axis
     rng = np.random.default_rng(args.seed)
     orbits = []
     for _ in range(args.count):
-        theta0 = [0.0 if p else 0.5 * (lo + hi)
-                  for p, (lo, hi) in zip(chart.periodic, chart.bounds)]
-        thdot0 = [0.0] * d
+        theta0 = list(chart.base_point)
+        thdot0 = [0.0] * chart.dim
         theta0[i] = float(rng.uniform(0.0, 2.0 * math.pi))
         thdot0[i] = float(rng.uniform(-3.0, 3.0))
         with _simulation_from(theta0, thdot0):

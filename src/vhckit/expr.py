@@ -364,6 +364,18 @@ def _display(outputs, leaves):
     return f"[{', '.join([_display(o, leaves) for o in outputs])}]"
 
 
+def names_read(sources):
+    """The names that the expression strings ``sources`` read as values:
+    variables and constants, not the functions they call."""
+    read = set()
+    for src in sources:
+        nodes = list(ast.walk(ast.parse(src, mode="eval")))
+        called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        read |= {n.id for n in nodes
+                 if isinstance(n, ast.Name) and id(n) not in called}
+    return read
+
+
 def compile_expression(src, variables, constants=None):
     """Callable(values) -> value for a validated expression string.
 

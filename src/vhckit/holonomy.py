@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import CurveSampler, integrate_ode
-from .dual import Dual, real
+from .calculus import CurveSampler, from_slope, integrate_ode
+from .dual import real
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,24 +169,6 @@ def reverse_path(path):
     return CurveSampler(fn, t0, t1, bps)
 
 
-class SmoothFromDerivative:
-    """Scalar function with a known derivative field, dual-differentiable.
-
-    Values come from ``value_fn`` (typically a dense ODE solution); duals are
-    peeled one level at a time using ``deriv_fn`` via the chain rule, so the
-    object can sit inside any differentiation pipeline.
-    """
-
-    def __init__(self, value_fn, deriv_fn):
-        self.value_fn = value_fn
-        self.deriv_fn = deriv_fn
-
-    def __call__(self, x):
-        if isinstance(x, Dual):
-            return Dual(self(x.val), self.deriv_fn(x.val) * x.eps)
-        return self.value_fn(float(x))
-
-
 class WindowAntiderivative:
     """F(x) = int_x0^x f(z) dz on the real line, dense over a growing window."""
 
@@ -283,16 +265,12 @@ def _one_dim_fields(psi1, psi2, topology, tol):
     p1 = lambda x: float(real(psi1_lift(x)))
     J = (PeriodicAntiderivative(p2, tol=tol) if topology == "S1" else
          WindowAntiderivative(p2, tol=tol))
-    M_hat = SmoothFromDerivative(
-        lambda x: math.exp(-2.0 * J(x)),
-        lambda x: -2.0 * psi2_lift(x) * M_hat(x) if isinstance(x, Dual)
-        else -2.0 * p2(x) * math.exp(-2.0 * J(x)))
+    M_hat = from_slope(lambda x: math.exp(-2.0 * J(x)),
+                       lambda a, b: -2.0 * psi2_lift(a) * M_hat(a) * b)
     # P_hat need not be periodic even when psi1 is, so always use the lift
     ph_rate = lambda x: -p1(x) * math.exp(-2.0 * J(x))
-    PH = WindowAntiderivative(ph_rate, tol=tol)
-    P_hat = SmoothFromDerivative(
-        lambda x: PH(x),
-        lambda x: -psi1_lift(x) * M_hat(x))
+    P_hat = from_slope(WindowAntiderivative(ph_rate, tol=tol),
+                       lambda a, b: -psi1_lift(a) * M_hat(a) * b)
     return J, M_hat, P_hat
 
 

@@ -13,27 +13,48 @@ from .calculus import matrix_partial
 from .dual import Dual, real
 
 TWO_PI = 2.0 * math.pi
+GRID_MARGIN = 1e-2   # the decision grids stay this far inside the chart
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate chart: per-coordinate topology flags and domain box."""
+    """Coordinate chart: per-coordinate topology flags and domain box, and
+    the canonical base point, path, grid span and portrait axis."""
 
     dim: int
     periodic: tuple
     bounds: tuple  # per-coordinate (lo, hi); (0, 2*pi) for periodic coords
 
+    @property
+    def base_point(self):
+        """0 on a periodic axis, else the midpoint of the bounds."""
+        return tuple(0.0 if p else 0.5 * (lo + hi)
+                     for p, (lo, hi) in zip(self.periodic, self.bounds))
+
+    @property
+    def path_order(self):
+        """Axis order of the canonical path from the base point: periodic
+        axes first, then the rest, in coordinate order."""
+        return sorted(range(self.dim), key=lambda i: not self.periodic[i])
+
+    @property
+    def portrait_axis(self):
+        """The first periodic axis, else the last."""
+        return next((i for i, p in enumerate(self.periodic) if p),
+                    self.dim - 1)
+
+    def span(self, margin=1e-3):
+        """Per axis, the (lo, hi) the grids span: (0, 2 pi) on a periodic
+        axis (2 pi left out), else the bounds less margin * max(1, hi - lo)."""
+        out = []
+        for p, (lo, hi) in zip(self.periodic, self.bounds):
+            pad = margin * max(1.0, hi - lo)
+            out.append((0.0, TWO_PI) if p else (lo + pad, hi - pad))
+        return out
+
     def grid_axes(self, n=17, margin=1e-3):
-        axes = []
-        for i in range(self.dim):
-            lo, hi = self.bounds[i]
-            if self.periodic[i]:
-                axes.append(np.linspace(0.0, TWO_PI, n, endpoint=False))
-            else:
-                span = hi - lo
-                axes.append(np.linspace(lo + margin * max(1.0, span),
-                                        hi - margin * max(1.0, span), n))
-        return axes
+        return [np.linspace(lo, hi, n, endpoint=not p)
+                for p, (lo, hi) in zip(self.periodic, self.span(margin))]
 
     def grid(self, n=17, margin=1e-3):
         """List of grid points (lists) over the domain box."""

@@ -14,11 +14,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import dual as dm
-from .calculus import quad, vector_partial
-from .dual import Dual, real
+from .calculus import from_slope, quad, vector_partial
+from .dual import real
 from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
-from .manifold import (Tensor02Field, christoffel_from_metric, ricci,
-                       total_cov_derivative_02)
+from .manifold import (GRID_MARGIN, Tensor02Field, christoffel_from_metric,
+                       ricci, total_cov_derivative_02)
 
 TWO_PI = 2.0 * math.pi
 METRIC_CHECK_TOL = 1e-6   # on |nabla g| and |Gamma(g) - Gamma|
@@ -118,11 +118,11 @@ def exactness_check(rec, grid, tol=1e-6):
 
 
 class LineIntegralField:
-    """Potential f(x) = int_ref^x omega along the canonical axis-aligned path
-    (periodic coordinates first). Dense quadratures are cached per leg, and
-    dual arguments are peeled with f'(x)[b] = omega(x) . b. The leg cache is
-    cleared when it reaches ``_MAX_LEGS``: each distinct non-periodic
-    coordinate value adds a leg of dense output (tens of KB)."""
+    """Potential f(x) = int_ref^x omega along axis-aligned legs in the
+    chart's ``path_order``, with slope omega(x) . b along b (``from_slope``).
+    Dense quadratures are cached per leg, and the cache is cleared when it
+    reaches ``_MAX_LEGS``: each distinct non-periodic coordinate value adds
+    a leg of dense output (tens of KB)."""
 
     _MAX_LEGS = 64
 
@@ -131,23 +131,18 @@ class LineIntegralField:
         self.chart = chart
         self.ref = [float(c) for c in ref]
         self.tol = tol
-        self.order = [i for i in range(chart.dim) if chart.periodic[i]] + \
-                     [i for i in range(chart.dim) if not chart.periodic[i]]
         self._legs = {}
+        self._field = from_slope(self._value, lambda a, b: sum(
+            wi * bi for wi, bi in zip(omega(a), b)))
 
     def __call__(self, x):
-        if any(isinstance(c, Dual) for c in x):
-            a = [c.val if isinstance(c, Dual) else c for c in x]
-            b = [c.eps if isinstance(c, Dual) else 0.0 for c in x]
-            w = self.omega(a)
-            slope = sum(wi * bi for wi, bi in zip(w, b))
-            return Dual(self(a), slope)
-        return self._value([float(c) for c in x])
+        return self._field(x)
 
     def _value(self, x):
+        x = [float(c) for c in x]
         total = 0.0
         cur = list(self.ref)
-        for leg_pos, i in enumerate(self.order):
+        for leg_pos, i in enumerate(self.chart.path_order):
             if x[i] != cur[i]:
                 total += self._leg(leg_pos, i, cur)(x[i])
                 cur[i] = x[i]
@@ -277,9 +272,9 @@ def _lagrange(u, n):
 
 class ParallelFrame:
     """Transport P of a flat connection on a 2-D chart with at most one
-    periodic coordinate, from ``base`` along the canonical path of
-    ``LineIntegralField`` (the periodic axis first), read at x mod 2 pi on a
-    periodic axis: single-valued for every form the holonomy preserves.
+    periodic coordinate, from the chart's ``base_point`` along its canonical
+    path (``path_order``), read at x mod 2 pi on a periodic axis:
+    single-valued for every form the holonomy preserves.
 
     Each piece of the path is a dense leg from base[axis] (``legs``, DOP853
     at 1e-10) that also carries the integrals F of
@@ -298,35 +293,28 @@ class ParallelFrame:
 
     def __init__(self, conn):
         self.conn, self.chart, self.cache = conn, conn.chart, {}
-        per = self.chart.periodic
-        self.order = sorted(range(2), key=lambda i: not per[i])
-        self.base = [0.0 if p else 0.5 * (lo + hi)
-                     for p, (lo, hi) in zip(per, self.chart.bounds)]
-        # the grid's span on each coordinate
-        self.span = [(0.0, TWO_PI) if p else (lo + 1e-2 * max(1.0, hi - lo),
-                                              hi - 1e-2 * max(1.0, hi - lo))
-                     for p, (lo, hi) in zip(per, self.chart.bounds)]
-        i0 = self.order[0]
+        base = self.chart.base_point
+        i0 = self.chart.path_order[0]
         self.nodes = [[k * TWO_PI / self.NODES if i == i0 else c
-                       for i, c in enumerate(self.base)]
+                       for i, c in enumerate(base)]
                       for k in range(self.NODES)]
         self.holonomy = None
-        if per[i0]:
-            self.generator = cylinder_integrals(conn.gammaC, self.base, i0).at
+        if self.chart.periodic[i0]:
+            self.generator = cylinder_integrals(conn.gammaC, base, i0).at
             self.holonomy = self.generator(TWO_PI).reshape(2, 2)
 
     def reduce(self, x):
         x = [float(c) for c in x]
         if self.holonomy is not None:
-            x[self.order[0]] %= TWO_PI
+            x[self.chart.path_order[0]] %= TWO_PI
         return x
 
     def inverse(self, x):
         """P(x)^{-1} at a float point."""
         x = self.reduce(x)
-        i0, i1 = self.order
+        i0, i1 = self.chart.path_order
         y0 = self.generator(x[i0]) if self.holonomy is not None else \
-            self.legs(i0, [self.base], x[i0])[0]
+            self.legs(i0, [self.chart.base_point], x[i0])[0]
         return _inv2(y0) @ _inv2(self.legs(i1, [x], x[i1])[0])
 
     def legs(self, axis, points, s):
@@ -336,8 +324,8 @@ class ParallelFrame:
         grid's edge on the side of s, or to s beyond it; so a state depends
         on s and the line alone. Beyond 64 single legs off the first axis,
         those are dropped."""
-        lo, hi = self.span[axis]
-        b = self.base[axis]
+        lo, hi = self.chart.span(GRID_MARGIN)[axis]
+        b = self.chart.base_point[axis]
         end = TWO_PI if self.chart.periodic[axis] else \
             hi if b < s <= hi else lo if lo <= s < b else s
         key = (axis, end, tuple(round(p[1 - axis], 12) for p in points))
@@ -348,7 +336,8 @@ class ParallelFrame:
         if at is None:
             if len(self.cache) > 64 + self.NODES // 4:
                 self.cache = {k: v for k, v in self.cache.items()
-                              if k[0] == self.order[0] or len(k[2]) > 1}
+                              if k[0] == self.chart.path_order[0]
+                              or len(k[2]) > 1}
 
             def carry(p, Y):
                 lam = [float(real(v)) for v in self.conn.lam(p)]
@@ -368,8 +357,8 @@ class ParallelFrame:
         nodes (solved in blocks of 8) interpolated at degree 9 in the
         generator coordinate, where that is within 1e-8 (relative) of
         degree 8."""
-        i0, i1 = self.order
-        lo, hi = self.span[i1]
+        i0, i1 = self.chart.path_order
+        lo, hi = self.chart.span(GRID_MARGIN)[i1]
         if self.holonomy is not None and lo <= x[i1] <= hi:
             u = x[i0] * self.NODES / TWO_PI
             k = np.arange(math.floor(u) - 4, math.floor(u) + 6)
@@ -385,11 +374,11 @@ class ParallelFrame:
 
     def fields(self, S):
         """(D_C, P_C) for the base form S: g = P^{-T} S P^{-1}, and the
-        potential of mu = g lambda from the base point. Duals are peeled
-        with nabla g = 0, d_i g_jk = Gamma^m_ij g_mk + Gamma^m_ik g_jm, and
-        with d P_C = mu."""
+        potential of mu = g lambda from the base point, with the slopes
+        (``from_slope``) of nabla g = 0, d_i g_jk = Gamma^m_ij g_mk +
+        Gamma^m_ik g_jm, and of d P_C = mu."""
         S = np.asarray(S, dtype=float)
-        i0, last = self.order[0], {}
+        i0, base, last = self.chart.path_order[0], self.chart.base_point, {}
 
         def K(z):
             return np.array([[z[4], z[5] / 2], [z[5] / 2, z[6]]])
@@ -399,40 +388,31 @@ class ParallelFrame:
             key = tuple(float(c) for c in x)
             if last.get("x") != key:
                 r = self.reduce(key)
-                z0 = self.legs(i0, [self.base], r[i0])[0]
+                z0 = self.legs(i0, [base], r[i0])[0]
                 K0 = K(z0)
                 if self.holonomy is not None and key[i0] // TWO_PI:
                     K0 = K0 + key[i0] // TWO_PI * K(
-                        self.legs(i0, [self.base], TWO_PI)[0])
+                        self.legs(i0, [base], TWO_PI)[0])
                 W0, z = _inv2(z0), self.off_axis(r)
                 G, W = W0.T @ S @ W0, _inv2(z)
                 last.update(x=key, g=(W.T @ G @ W).tolist(),
                             P=float(np.sum(S * K0) + np.sum(G * K(z))))
             return last
 
-        def peel(x):
-            return ([c.val if isinstance(c, Dual) else c for c in x],
-                    [c.eps if isinstance(c, Dual) else 0.0 for c in x])
-
-        def D_C(x):
-            if not any(isinstance(c, Dual) for c in x):
-                return evaluate(x)["g"]
-            a, b = peel(x)
+        def dD_C(a, b):
             G, Gam = D_C(a), self.conn.gammaC(a)
-            return [[Dual(G[j][k], sum(
+            return [[sum(
                 b[i] * (Gam[m][i][j] * G[m][k] + Gam[m][i][k] * G[j][m])
-                for i in range(2) for m in range(2)))
+                for i in range(2) for m in range(2))
                 for k in range(2)] for j in range(2)]
 
-        def P_C(x):
-            if not any(isinstance(c, Dual) for c in x):
-                return evaluate(x)["P"]
-            a, b = peel(x)
+        def dP_C(a, b):
             G, lam = D_C(a), self.conn.lam(a)
-            return Dual(P_C(a), sum(b[i] * G[i][j] * lam[j]
-                                    for i in range(2) for j in range(2)))
+            return sum(b[i] * G[i][j] * lam[j]
+                       for i in range(2) for j in range(2))
 
-        return D_C, P_C
+        D_C = from_slope(lambda x: evaluate(x)["g"], dD_C)
+        return D_C, from_slope(lambda x: evaluate(x)["P"], dP_C)
 
 
 def _form_rows(conn, frame, points, axis):
@@ -542,8 +522,8 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
     is checked again; a failure that may turn on such a value is not
     supported.
     """
-    frame = ParallelFrame(conn)
-    i0, periodic = frame.order[0], frame.holonomy is not None
+    frame, chart = ParallelFrame(conn), conn.chart
+    i0, periodic = chart.path_order[0], frame.holonomy is not None
     x, free = np.array([1.0, 0.0, 0.0]), [False, True, True]
     report = LagrangianReport(False)
 
@@ -562,7 +542,7 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
         return np.array([1.0, a, a * a + 1.0 if free[2] else x[2]])
 
     def on_generator(t):
-        return [t if i == i0 else c for i, c in enumerate(frame.base)]
+        return [t if i == i0 else c for i, c in enumerate(chart.base_point)]
 
     if periodic:
         H = frame.holonomy

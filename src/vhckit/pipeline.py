@@ -11,7 +11,7 @@ from functools import lru_cache
 from .calculus import IntegrationError, vector_partial
 from .dual import real
 from .holonomy import lagrangian_1d
-from .manifold import max_curvature_on_grid
+from .manifold import GRID_MARGIN, max_curvature_on_grid
 from .metrize2d import (LineIntegralField, cylinder_lagrangian_search,
                         exactness_check, metric_from_ricci, recurrence_solve)
 from .vhc import (ORTHOGONALITY_TOL, RegularityError, check_regularity,
@@ -21,7 +21,6 @@ VERDICT_LAGRANGIAN = "lagrangian"
 VERDICT_NOT_LAGRANGIAN = "not-lagrangian"
 VERDICT_UNSUPPORTED = "unsupported"
 
-GRID_MARGIN = 1e-2   # the decision grids stay this far inside the chart
 FLAT_TOL = 1e-8      # max |curvature| on the grid below which it is flat
 ODE_TOL = 1e-10      # tol of the 1-D decision's antiderivatives
 
@@ -173,8 +172,7 @@ def _analyze_2d_curved(bundle, conn, result, grid, decision_tol):
         return _decided(result, VERDICT_NOT_LAGRANGIAN,
                         "recurrence one-form is not exact")
     gauge_b = bundle.expected.get("gauge_b", 0.0)
-    ref = bundle.expected.get(
-        "gauge_ref", tuple(0.5 * (lo + hi) for lo, hi in chart.bounds))
+    ref = bundle.expected.get("gauge_ref", chart.base_point)
     metric = metric_from_ricci(conn.gammaC, rec, ref, b=gauge_b,
                                check_grid=chart.grid(3, 0.2))
     det["gauge_b"] = gauge_b

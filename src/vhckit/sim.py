@@ -125,10 +125,9 @@ def classify_orbit(traj, coord):
 def phase_portrait(sys, par, initial_conditions, t_final=20.0, coord=None,
                    tol=DEFAULT_SIM_TOL, max_step=np.inf):
     """Simulate a family of reduced initial conditions and classify each
-    orbit of the (periodic) portrait coordinate."""
+    orbit by ``coord``, by default the chart's ``portrait_axis``."""
     if coord is None:
-        periodic = [i for i, p in enumerate(par.chart.periodic) if p]
-        coord = periodic[0] if periodic else par.chart.dim - 1
+        coord = par.chart.portrait_axis
     orbits = []
     for theta0, thdot0 in initial_conditions:
         traj = simulate_constrained(sys, par, theta0, thdot0,

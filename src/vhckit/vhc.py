@@ -268,7 +268,10 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
 
 
 def orthogonality_check(sys, par, grid=None, tol=ORTHOGONALITY_TOL):
-    """True iff dphi^T B vanishes on the grid (control forces orthogonal to C)."""
+    """(ok, worst): ok iff dphi^T B vanishes on the grid (control forces
+    orthogonal to C). The sweep stops at the first grid point where
+    max |dphi^T B| reaches tol, and worst is that first violation; with
+    none, it is the largest value on the grid."""
     if grid is None:
         grid = par.chart.grid()
     worst = 0.0
@@ -276,8 +279,11 @@ def orthogonality_check(sys, par, grid=None, tol=ORTHOGONALITY_TOL):
         x = par.phi(list(th))
         B = np.asarray(sys.B(x), dtype=float)
         dphi = np.asarray(par.dphi(list(th)), dtype=float)
-        worst = max(worst, float(np.max(np.abs(dphi.T @ B))))
-    return worst < tol, worst
+        v = float(np.max(np.abs(dphi.T @ B)))
+        if v >= tol:
+            return False, v
+        worst = max(worst, v)
+    return True, worst
 
 
 def restricted_structure(sys, par, grid=None):

@@ -10,10 +10,11 @@ import pytest
 from scipy.integrate import quad as scipy_quad, solve_ivp
 
 from vhckit import calculus, dual as dm
-from vhckit.calculus import (IntegrationError, Trajectory, gradient,
-                             integrate_ode, jacobian, line_segment,
+from vhckit.calculus import (IntegrationError, Trajectory, from_slope,
+                             gradient, integrate_ode, jacobian, line_segment,
                              matrix_partial, partial, quad, second_partial,
                              vector_partial)
+from vhckit.dual import Dual, eps, real
 
 
 def simpson_doubling(f, a, b, tol=1e-12, max_iter=22):
@@ -41,6 +42,32 @@ def test_partial_and_gradient_closed_form():
                                              rel=1e-12)
     g = gradient(f, x)
     assert g[0] == pytest.approx(math.cos(0.7) * 1.2, rel=1e-12)
+
+
+def test_from_slope_peels_each_dual_level():
+    # a scalar field on the line, given by its value sin and its slope cos
+    f = from_slope(math.sin, lambda a, b: dm.cos(a) * b)
+    assert f(0.7) == math.sin(0.7)
+    d = f(Dual(0.7, 2.0))
+    assert real(d) == math.sin(0.7) and eps(d) == math.cos(0.7) * 2.0
+    # depth 2: the slope is peeled again at a dual point
+    assert second_partial(lambda x: f(x[0]), [0.7], 0, 0) == \
+        pytest.approx(-math.sin(0.7), abs=1e-14)
+    # a matrix field of two coordinates, with a matrix-valued slope
+    g = from_slope(
+        lambda x: [[x[0] * x[1], x[0] ** 2], [math.sin(x[1]), 1.0]],
+        lambda a, b: [[a[1] * b[0] + a[0] * b[1], 2.0 * a[0] * b[0]],
+                      [dm.cos(a[1]) * b[1], 0.0]])
+    x = [0.7, 1.3]
+    assert g(x) == [[0.7 * 1.3, 0.7 ** 2], [math.sin(1.3), 1.0]]
+    assert matrix_partial(g, x, 0) == [[1.3, 1.4], [0.0, 0.0]]
+    assert matrix_partial(g, x, 1) == [[0.7, 0.0], [math.cos(1.3), 0.0]]
+    want = {(0, 0): [[0.0, 2.0], [0.0, 0.0]],
+            (0, 1): [[1.0, 0.0], [0.0, 0.0]],
+            (1, 1): [[0.0, 0.0], [-math.sin(1.3), 0.0]]}
+    for (i, j), second in want.items():
+        for got in (second_partial(g, x, i, j), second_partial(g, x, j, i)):
+            assert np.allclose(got, second, rtol=0.0, atol=1e-14)
 
 
 def test_second_partial_mixed_and_diagonal():

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vhckit import metrize2d
+from vhckit import cli, metrize2d
 from vhckit.cli import (EXIT_ERROR, EXIT_NOT_LAGRANGIAN, EXIT_OK,
-                        EXIT_UNSUPPORTED, SCHEMA, bundle_from_config, main)
+                        EXIT_UNSUPPORTED, SCHEMA, CliError,
+                        bundle_from_config, main)
 from vhckit.models import get_model
 from vhckit.pipeline import analyze
 from vhckit.vhc import induced_connection
@@ -235,10 +236,22 @@ def test_analyze_config_unsupported_dimension(tmp_path, capsys):
 
 
 def test_bundle_from_config_overrides():
-    cfg = dict(CIRCLE_CONFIG)
+    cfg = dict(CIRCLE_CONFIG, constants={"k": 1.0})
     bundle = bundle_from_config(cfg, overrides={"k": 2.0})
     assert bundle.params["k"] == 2.0
     assert bundle.chart.dim == 1
+
+
+def test_param_may_set_a_name_only_an_expression_reads():
+    # an undeclared --param key is taken when an expression reads it as a
+    # constant; a function name that is only called, and a variable, whose
+    # name hides a constant's, are not read as one
+    cfg = dict(CIRCLE_CONFIG, P="k*sin(q1)")
+    bundle = bundle_from_config(cfg, overrides={"k": 2.0})
+    assert bundle.system.P([0.5, 0.0]) == 2.0 * math.sin(0.5)
+    for key in ("sin", "q1", "t"):
+        with pytest.raises(CliError, match=f"--param {key}: the config has "):
+            bundle_from_config(cfg, overrides={"k": 2.0, key: 2.0})
 
 
 def test_reloaded_config_shares_code_not_constants():
@@ -475,8 +488,11 @@ def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     ("sphere", "alpha=0.1", "it takes none"),
     ("circle", "alpha=abc", "'abc' is not a number"),
     ("config", "alpha=nan", "expected a finite number"),
+    ("config", "gravty=4", "the config has no constant 'gravty' and no "
+                           "expression reads it"),
 ], ids=["inf", "minus-infinity", "beyond-float", "nan", "unknown-key",
-        "fixed-case", "no-parameters", "not-a-number", "config-nan"])
+        "fixed-case", "no-parameters", "not-a-number", "config-nan",
+        "config-unknown-key"])
 def test_bad_param_exits_1(model, param, named, tmp_path, monkeypatch,
                            capsys):
     # a --param value is a finite number, and a built-in model takes only
@@ -489,6 +505,44 @@ def test_bad_param_exits_1(model, param, named, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --param ") and named in captured.err
     assert not captured.out
+
+
+class _NeverRaised(Exception):
+    """Stands in for ``Exception`` in ``vhckit.cli``: main's last-resort
+    handler then catches nothing."""
+
+
+def _cases(test):
+    """The argument values of ``test``'s parametrize mark."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+def test_bad_input_never_reaches_the_catch_all(tmp_path, monkeypatch,
+                                               capsys):
+    # every bad input above, a config that is not JSON and one that calls
+    # __import__ end as a CliError, not in the catch-all's
+    # "error: <ExceptionType>: ...", which is made to catch nothing here
+    monkeypatch.setattr(cli, "Exception", _NeverRaised, raising=False)
+    monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
+    configs = [CIRCLE_CONFIG, dict(CIRCLE_CONFIG, P="__import__(1)")] + [
+        dict(CIRCLE_CONFIG, **fields)
+        for fields in _cases(test_hostile_expression_exits_1_at_load)]
+    paths = []
+    for k, cfg in enumerate(configs):
+        paths.append(tmp_path / f"model{k}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(CIRCLE_CONFIG)[:40])
+    runs = [argv for argv, _ in _cases(test_bad_input_exits_1)]
+    runs += [["analyze", *(["--config", str(paths[0])] if model == "config"
+                           else ["--model", model]), "--param", param]
+             for model, param, _ in _cases(test_bad_param_exits_1)]
+    runs += [["simulate", "--config", str(p)] for p in paths[1:] + [truncated]]
+    for argv in runs:
+        assert main(argv) == EXIT_ERROR, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out, argv
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -14,10 +14,9 @@ from vhckit.calculus import CurveSampler, line_segment, quad
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, eps, real
 from vhckit.holonomy import (LoopDescriptor, PeriodicAntiderivative,
-                             SmoothFromDerivative, WindowAntiderivative,
-                             axis_transport, circle_mod, cylinder_integrals,
-                             lagrangian_1d, loop_transport, reverse_path,
-                             transport_matrix)
+                             WindowAntiderivative, axis_transport, circle_mod,
+                             cylinder_integrals, lagrangian_1d, loop_transport,
+                             reverse_path, transport_matrix)
 from vhckit.manifold import Chart, ConnectionCoeffs
 from vhckit.models import _coordinate_loop, get_model
 from vhckit.vhc import induced_connection
@@ -127,13 +126,6 @@ def test_window_antiderivative_vs_quad_and_bounds():
                              initial_window=(0.0, 0.0), bounds=(-5.0, 5.0))
     for x in [0.5, -1.2, 4.5, -4.8]:
         assert F(x) == pytest.approx(math.atan(x), abs=1e-10)
-
-
-def test_smooth_from_derivative_dual_peel():
-    F = SmoothFromDerivative(math.sin, math.cos)
-    d = F(Dual(0.7, 2.0))
-    assert real(d) == pytest.approx(math.sin(0.7))
-    assert eps(d) == pytest.approx(2.0 * math.cos(0.7), rel=1e-12)
 
 
 def test_circle_mod_preserves_duals():
