@@ -89,16 +89,19 @@ def _out_path(path):
 def _atomic_write(path, text):
     path = _out_path(path)
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise CliError(f"--out {path}: {e}") from e
 
 
 def _emit(report, out):
@@ -112,11 +115,13 @@ def _emit(report, out):
 def _load_bundle(args):
     params = dict(_parse_param(p) for p in (args.param or []))
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 cfg = json.load(fh)
-            except ValueError as e:
-                raise CliError(f"config {args.config}: invalid JSON: {e}")
+        except OSError as e:
+            raise CliError(f"config {args.config}: {e.strerror or e}") from e
+        except ValueError as e:
+            raise CliError(f"config {args.config}: invalid JSON: {e}")
     elif not args.model:
         raise CliError("one of --model or --config is required")
     elif args.model not in MODEL_BUILDERS:
@@ -433,9 +438,6 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # pragma: no cover - defensive

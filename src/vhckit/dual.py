@@ -65,18 +65,25 @@ class Dual:
             if n == 0:
                 return Dual(1.0, 0.0)
             if n < 0:
-                return 1.0 / (self ** (-n))
-            # square-and-multiply: log2(n) products, and the same products
-            # as repeated multiplication for n <= 3
-            out, base = None, self
-            while True:
-                if n & 1:
-                    out = base if out is None else base * out
-                n >>= 1
-                if not n:
-                    return out
-                base = base * base
+                return 1.0 / self._power(-n)
+            out = self._power(n)
+            # a finite float whose power overflows raises, and so does its dual
+            if math.isinf(real(out)) and math.isfinite(real(self)):
+                raise OverflowError("dual power exceeds the float range")
+            return out
         return exp(n * log(self))
+
+    def _power(self, n):
+        # square-and-multiply for n > 0: log2(n) products, and the same
+        # products as repeated multiplication for n <= 3
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else base * out
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __rpow__(self, base):
         # base ** x for a plain base: exp(x log base), as in __pow__

@@ -5,13 +5,14 @@ Transport and the antiderivatives all solve their ODEs with
 ``calculus.integrate_ode`` (DOP853). ``transport_matrix`` makes one solve
 per path piece and keeps no interpolant; ``WindowAntiderivative``,
 ``PeriodicAntiderivative`` and ``axis_transport`` keep dense output.
-Transport reads the connection from a sample: the coefficient
+Both read their right-hand side from a sample: the transport coefficient
 A(t) = -Gamma(p(t))(v(t)) of each path piece (each leg of
-``axis_transport``) is analytic on every model's pieces, so it is sampled
-once at nested Chebyshev-Lobatto nodes and the solver integrates its
-barycentric interpolant. A piece whose Chebyshev coefficients do not
-converge by the last level of ``CHEB_LEVELS`` (a kink, a near-singular
-chart edge) is integrated on Gamma at every right-hand side instead. The
+``axis_transport``), and an antiderivative's integrand on each new window,
+is analytic on every model's pieces, so it is sampled once at nested
+Chebyshev-Lobatto nodes and the solver integrates its barycentric
+interpolant. Where the Chebyshev coefficients do not converge by the last
+level of ``CHEB_LEVELS`` (a kink, a near-singular chart edge), or a sample
+is not finite, the solver reads Gamma or the integrand itself. The
 coefficients are a DCT-I, taken with numpy's FFT."""
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def reverse_path(path):
 
 
 class WindowAntiderivative:
-    """F(x) = int_x0^x f(z) dz on the real line, dense over a growing window."""
+    """F(x) = int_x0^x f(z) dz on the real line, dense over a growing
+    window; each new window integrates f's Chebyshev sample on it."""
 
     def __init__(self, f, tol=1e-12, x0=0.0, initial_window=None,
                  bounds=(-math.inf, math.inf)):
@@ -199,7 +201,8 @@ class WindowAntiderivative:
             if (new > bound) if up else (new < bound):
                 new = bound - 0.05 * (bound - edge)
                 new = max(x, new) if up else min(x, new)
-            traj = integrate_ode(lambda t, y: [self.f(t)], edge,
+            f = _chebyshev(self.f, edge, new) or self.f
+            traj = integrate_ode(lambda t, y: [f(t)], edge,
                                  [self._at(edge)], new, self.tol,
                                  first_step=0.125 * abs(new - edge))
             self._sols.append((min(edge, new), max(edge, new), traj.at))

@@ -1,9 +1,11 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from vhckit.dual import Dual
 from vhckit.models import get_model
 
 _CRITERIA = {}
@@ -32,6 +34,47 @@ def dpc_a():
 @pytest.fixture(scope="session")
 def dpc_b():
     return get_model("dpc-b")
+
+
+def _depth(c):
+    return 1 + max(_depth(c.val), _depth(c.eps)) if isinstance(c, Dual) else 0
+
+
+def _exact(c):
+    """A hashable copy of a nested dual, with every float as it is."""
+    return (_exact(c.val), _exact(c.eps)) if isinstance(c, Dual) else float(c)
+
+
+class CallCounter:
+    """A field's ``fn`` (of a point or a number), wrapped to count its
+    calls by the dual depth of their argument (``by_depth``) and each dual
+    argument's calls, exactly (``dual_points``)."""
+
+    def __init__(self, fn):
+        self.fn, self.by_depth, self.dual_points = fn, Counter(), Counter()
+
+    def __call__(self, x):
+        coords = x if isinstance(x, (list, tuple)) else [x]
+        depth = max(map(_depth, coords), default=0)
+        self.by_depth[depth] += 1
+        if depth:
+            self.dual_points[tuple(map(_exact, coords))] += 1
+        return self.fn(x)
+
+    @property
+    def calls(self):
+        return sum(self.by_depth.values())
+
+    @property
+    def repeated(self):
+        """Dual arguments met more than once."""
+        return [p for p, n in self.dual_points.items() if n > 1]
+
+
+@pytest.fixture
+def count_calls():
+    """CallCounter, the wrapper that counts a field function's calls."""
+    return CallCounter
 
 
 def pytest_runtest_logreport(report):

@@ -464,11 +464,16 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
      "--theta0: 'abc' is not a number"),
     (["simulate", "--model", "dpc-b", "--thdot0", "1,x", "--out", "s.json"],
      "--thdot0: 'x' is not a number"),
+    (["analyze", "--config", "."], "config .: Is a directory"),
+    (["analyze", "--model", "circle", "--out",
+      os.path.join(__file__, "sub", "r.json")],
+     "r.json: [Errno 20] Not a directory"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
         "grid-0", "tol-0", "tol-negative", "samples-0", "samples-not-csv",
         "count-0",
         "count-negative", "t-final-negative", "theta0-not-a-number",
-        "thdot0-not-a-number"])
+        "thdot0-not-a-number", "config-is-a-directory",
+        "out-under-a-file"])
 def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
     assert main(argv) == EXIT_ERROR

@@ -34,6 +34,16 @@ def test_arithmetic_values():
     assert real(a ** 3) == 8.0
 
 
+def test_int_power_overflows_as_float_power_does():
+    # 1e200 ** 2 raises OverflowError for a float, so it does for a dual;
+    # an infinite base and an underflowing negative power do not raise
+    for x in (1e200, Dual(1e200, 1.0)):
+        with pytest.raises(OverflowError):
+            Dual(x, 1.0) ** 2
+    assert real(Dual(math.inf, 1.0) ** 2) == math.inf
+    assert real(Dual(1e200, 1.0) ** -2) == 0.0
+
+
 def test_constant_base_power():
     # c ** x = exp(x log c), the non-int branch of __pow__ seen from the base
     d = 2 ** Dual(0.7, 1.0)

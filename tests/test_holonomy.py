@@ -128,6 +128,47 @@ def test_window_antiderivative_vs_quad_and_bounds():
         assert F(x) == pytest.approx(math.atan(x), abs=1e-10)
 
 
+def _smooth(t):
+    return math.exp(math.sin(t)) * math.cos(3.0 * t) + 1.0
+
+
+def test_window_antiderivative_samples_a_smooth_integrand(count_calls):
+    # each window integrates the Chebyshev sample of f: at most 257 calls
+    f = count_calls(_smooth)
+    F = WindowAntiderivative(f, tol=1e-13)
+    for x in [0.5, 5.0, -2.0, 9.0, -7.5, 14.0]:
+        assert F(x) == pytest.approx(quad(_smooth, 0.0, x, tol=1e-14),
+                                     abs=1e-12)
+    assert len(F._sols) >= 4 and f.calls <= 257 * len(F._sols)
+
+
+@pytest.mark.parametrize("kind", ["kinked", "non-finite"])
+def test_window_antiderivative_falls_back_to_the_integrand(kind,
+                                                           count_calls):
+    # no Chebyshev sample of |t - 1.3| converges, and a sample with a NaN
+    # (here the first) is not used: the window integrates f itself, to the
+    # accuracy DOP853 reaches across a kink, or to 1e-12
+    spoiled = []
+
+    def f(t):
+        if kind == "kinked":
+            return abs(t - 1.3)
+        if not spoiled:
+            spoiled.append(t)
+            return math.nan
+        return _smooth(t)
+
+    counted = count_calls(f)
+    F = WindowAntiderivative(counted, tol=1e-13)
+    assert counted.calls > {"kinked": 257, "non-finite": 17}[kind]
+    for x in [0.5, 1.3, 2.0, 5.0, TWO_PI]:
+        if kind == "kinked":
+            want, tol = 0.5 * (abs(x - 1.3) * (x - 1.3) + 1.3 * 1.3), 1e-10
+        else:
+            want, tol = quad(_smooth, 0.0, x, tol=1e-14), 1e-12
+        assert F(x) == pytest.approx(want, abs=tol)
+
+
 def test_circle_mod_preserves_duals():
     d = circle_mod(Dual(TWO_PI + 0.3, 1.0))
     assert real(d) == pytest.approx(0.3)

@@ -1,0 +1,147 @@
+"""The field memo: float points by value, and dual points of depth <= 2
+built from memoized partials, checked against direct evaluation."""
+
+import dataclasses
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vhckit import pipeline
+from vhckit.calculus import second_partial
+from vhckit.cli import bundle_from_config
+from vhckit.dual import Dual, seed
+from vhckit.holonomy import WindowAntiderivative
+from vhckit.manifold import ConnectionCoeffs, Tensor02Field, ricci
+from vhckit.models import get_model
+from vhckit.vhc import induced_connection
+
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
+POINTS = ([1.1, 0.4], [2.0, -1.3])
+
+
+def _coeffs(v, depth):
+    """The 2**depth dual coefficients of every entry of a nested value,
+    entry by entry (a plain number has zero dual parts)."""
+    if isinstance(v, (list, tuple)):
+        return [c for e in v for c in _coeffs(e, depth)]
+    if depth == 0:
+        return [float(v)]
+    val, e = (v.val, v.eps) if isinstance(v, Dual) else (v, 0.0)
+    return _coeffs(val, depth - 1) + _coeffs(e, depth - 1)
+
+
+def _close(got, want, depth):
+    # rtol 1e-13; an entry that cancels to rounding (a zero of the exact
+    # field) is held to 1e-13 of the largest coefficient instead
+    got, want = _coeffs(got, depth), _coeffs(want, depth)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module", params=["builtin", "config"])
+def gamma_fn(request):
+    """The sphere's Gamma_C function, hand-written or from its config."""
+    bundle = get_model("sphere") if request.param == "builtin" else \
+        bundle_from_config(runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"])
+    conn = induced_connection(bundle.system, bundle.parametrization)
+    return conn.chart, conn.gammaC.fn
+
+
+@pytest.mark.parametrize("p", POINTS)
+def test_unit_seed_is_the_direct_evaluation_bit_for_bit(gamma_fn, p):
+    chart, fn = gamma_fn
+    memo = ConnectionCoeffs(chart, fn)
+    for i in range(2):
+        assert repr(memo(seed(p, i))) == repr(fn(seed(p, i)))
+        assert repr(memo(seed(p, i))) == repr(fn(seed(p, i)))   # from memo
+
+
+@pytest.mark.parametrize("p", POINTS)
+def test_seeded_depth_2_in_both_orders_matches_direct(gamma_fn, p):
+    chart, fn = gamma_fn
+    memo = ConnectionCoeffs(chart, fn)
+    for i in range(2):
+        for j in range(2):
+            x = seed(seed(p, i), j)
+            _close(memo(x), fn(x), 2)
+
+
+@pytest.mark.parametrize("p", POINTS)
+def test_general_directions_match_direct(gamma_fn, p):
+    # directions that are not unit vectors, at depth 1 and with a nonzero
+    # e1 e2 part at depth 2
+    chart, fn = gamma_fn
+    memo = ConnectionCoeffs(chart, fn)
+    u, v, w = [0.3, -1.7], [2.5, 0.6], [-0.8, 1.9]
+    x1 = [Dual(a, b) for a, b in zip(p, v)]
+    _close(memo(x1), fn(x1), 1)
+    x2 = [Dual(Dual(a, ui), Dual(vi, wi)) for a, ui, vi, wi in zip(p, u, v, w)]
+    _close(memo(x2), fn(x2), 2)
+
+
+def test_zero_direction_components_evaluate_nothing(count_calls):
+    def fn(x):
+        s, c = x[0] * x[0], x[0] * x[1]
+        return [[s, c], [c, x[1] * s]]
+
+    p = [0.7, -1.1]
+    counted = count_calls(fn)
+    memo = Tensor02Field(None, counted)
+    memo([Dual(p[0], 0.7), Dual(p[1], 0.0)])
+    assert counted.by_depth == {0: 1, 1: 1}      # F and d_0 F
+    x = [Dual(Dual(p[0], 0.3), 0.0), Dual(Dual(p[1], 0.0), -1.2)]
+    got = memo(x)
+    assert counted.by_depth == {0: 1, 1: 2, 2: 1}   # d_1 F, d_0 d_1 F
+    _close(got, fn(x), 2)
+    assert _coeffs(got, 2)[7] == pytest.approx(
+        0.3 * -1.2 * second_partial(fn, p, 0, 1)[0][1], rel=1e-15)
+
+
+def test_depth_3_goes_to_fn(gamma_fn, count_calls):
+    chart, fn = gamma_fn
+    counted = count_calls(fn)
+    memo = ConnectionCoeffs(chart, counted)
+    x = seed(seed(seed(POINTS[0], 0), 1), 0)
+    got = memo(x)
+    assert counted.by_depth == {3: 1}
+    assert repr(got) == repr(fn(x))
+
+
+def test_ricci_field_at_depth_2_matches_direct():
+    # Ric at a depth-2 point reads Gamma at depth 3, which goes to fn
+    bundle = get_model("sphere")
+    conn = induced_connection(bundle.system, bundle.parametrization)
+    direct = lambda x: ricci(conn.gammaC, x)
+    ric = Tensor02Field(conn.chart, direct)
+    x = seed(seed(POINTS[0], 0), 1)
+    _close(ric(x), direct(x), 2)
+
+
+def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
+                                                       count_calls):
+    # Gamma_C at depth 2: 147 in the recurrence stage (3 unordered pairs at
+    # each of 49 points) and 27 in the metric check; each trace-Gamma leg
+    # samples its integrand once per window
+    gammas, integrands = [], []
+
+    def counted_connection(system, par):
+        conn = induced_connection(system, par)
+        gammas.append(count_calls(conn.gammaC.fn))
+        return dataclasses.replace(
+            conn, gammaC=ConnectionCoeffs(conn.chart, gammas[-1]))
+
+    def counted_window(f, **kw):
+        integrands.append(count_calls(f))
+        return WindowAntiderivative(integrands[-1], **kw)
+
+    monkeypatch.setattr(pipeline, "induced_connection", counted_connection)
+    monkeypatch.setattr("vhckit.metrize2d.WindowAntiderivative",
+                        counted_window)
+    result = pipeline.analyze(get_model("sphere"))
+    assert result.verdict == "lagrangian"
+    (gamma,) = gammas
+    assert gamma.by_depth[2] <= 174
+    assert not gamma.repeated
+    assert integrands and sum(c.calls for c in integrands) <= 400
