@@ -83,13 +83,7 @@ def partial(f, x, i):
 def second_partial(f, x, i, j):
     """Second partial derivative d_i d_j of a field at x; the field may be
     scalar-, vector-, matrix- or rank-3-valued."""
-    xs = [Dual(Dual(c, 0.0), 0.0) for c in x]
-    if i == j:
-        xs[i] = Dual(Dual(x[i], 1.0), 1.0)
-    else:
-        xs[i] = Dual(Dual(x[i], 1.0), 0.0)
-        xs[j] = Dual(Dual(x[j], 0.0), 1.0)
-    return _peel(f(xs), _eps2)
+    return _peel(f(seed(seed(x, i), j)), _eps2)
 
 
 def gradient(f, x):

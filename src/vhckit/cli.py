@@ -342,7 +342,11 @@ def cmd_holonomy(args):
     report = _base_report("holonomy", bundle, args)
     report["transports"] = []
     for loop in bundle.generators:
-        tm = loop_transport(conn.gammaC, loop, tol=args.tol)
+        try:
+            tm = loop_transport(conn.gammaC, loop, tol=args.tol)
+        except IntegrationError as e:
+            raise CliError(f"holonomy of loop {loop.tag!r} is not resolved "
+                           f"at --tol {args.tol:g}: {e}") from e
         report["transports"].append({
             "tag": loop.tag,
             "base_point": [float(v) for v in loop.base_point],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import CurveSampler, from_slope, integrate_ode
+from .calculus import CurveSampler, IntegrationError, from_slope, integrate_ode
 from .dual import real
 
 TWO_PI = 2.0 * math.pi
@@ -51,7 +51,7 @@ class TransportMap:
 
     def __post_init__(self):
         if abs(np.linalg.det(self.matrix)) < 1e-12:
-            raise ValueError("transport map must be invertible")
+            raise IntegrationError("transport map must be invertible")
 
 
 def _coefficient(gamma, path):

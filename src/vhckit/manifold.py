@@ -1,17 +1,20 @@
-"""Differential geometry in a single chart: Christoffels, curvature, Ricci."""
+"""Differential geometry in a single chart: Christoffels, curvature, Ricci.
+
+The coefficient fields memoize their values at float points and at the
+seeded dual points that the ``calculus`` operators query."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import linalg
-from .calculus import _eps2, _peel, matrix_partial
-from .dual import Dual, eps, real, seed
+from .calculus import _peel, matrix_partial
+from .dual import Dual, real, seed
 
 TWO_PI = 2.0 * math.pi
 GRID_MARGIN = 1e-2   # the decision grids stay this far inside the chart
@@ -63,22 +66,31 @@ class Chart:
         return [list(p) for p in itertools.product(*axes)]
 
 
-def _split(x):
-    """The values and the dual parts of a point's coordinates."""
-    return ([c.val if isinstance(c, Dual) else c for c in x],
-            [c.eps if isinstance(c, Dual) else 0.0 for c in x])
+def _swap(v):
+    """F + e1 A + e2 B + e1 e2 C as F + e1 B + e2 A + e1 e2 C."""
+    if not isinstance(v, Dual):
+        return v
+    (f, a), (b, c) = [(p.val, p.eps) if isinstance(p, Dual) else (p, 0.0)
+                      for p in (v.val, v.eps)]
+    return Dual(Dual(f, b), Dual(a, c))
 
 
+@dataclass(frozen=True)
 class _FloatMemo:
-    """Memoized evaluation of F = ``fn``: by value at a float point, and at
-    a dual point a + e1 u + e2 v + e1 e2 w over floats (depth <= 2) as
-    F + e1 d_u F + e2 d_v F + e1 e2 (d_u d_v F + d_w F), from one evaluation
-    at seed(a, i) per d_i F and one at seed(seed(a, i), j), i <= j, per
-    d_i d_j F, memoized at a. Those seeded points get their evaluation as
-    it is, and a zero direction component evaluates nothing. Deeper points
-    go to ``fn``."""
+    """A field F = ``fn`` on ``chart``, memoized at the points that the
+    ``calculus`` operators query: a float point, by value; seed(a, i); and
+    seed(seed(a, i), j), evaluated once per unordered pair i <= j, the
+    order i > j read off the (j, i) evaluation with e1 and e2 exchanged.
+    Every other point goes to ``fn`` as it is."""
+
+    chart: Chart
+    fn: callable
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     _MAX = 4096
+
+    def __call__(self, x):
+        return self._eval(x)
 
     def _eval(self, x):
         if any(isinstance(c, Dual) for c in x):
@@ -92,66 +104,31 @@ class _FloatMemo:
             self._cache[key] = hit
         return hit
 
-    def _seeded(self, a, *ij):
-        """fn at a seeded in turn along each index of ij, memoized."""
-        key = (tuple(a),) + ij
+    def _dual(self, x):
+        a, ij = x, ()
+        while any(isinstance(c, Dual) for c in a):
+            d = [c.eps if isinstance(c, Dual) else None for c in a]
+            if len(ij) == 2 or d.count(0.0) != len(d) - 1 or 1.0 not in d:
+                return self.fn(x)
+            ij, a = (d.index(1.0),) + ij, [c.val for c in a]
+        key = (tuple(a),) + tuple(sorted(ij))
         hit = self._cache.get(key)
         if hit is None:
             if len(self._cache) >= self._MAX:
                 self._cache.clear()
-            hit = self._cache[key] = self.fn(functools.reduce(seed, ij, a))
-        return hit
-
-    def _dual(self, x):
-        a, v = _split(x)
-        u = w = []
-        if any(isinstance(c, Dual) for c in a + v):
-            (a, u), (v, w) = _split(a), _split(v)
-            if any(isinstance(c, Dual) for c in a + u + v + w):
-                return self.fn(x)
-        seeds = [d.index(1.0) for d in (u, v)
-                 if d and sorted(d) == [0.0] * (len(d) - 1) + [1.0]]
-        if len(seeds) == 1 + bool(u) and seeds == sorted(seeds) \
-                and not any(w):
-            return self._seeded(a, *seeds)
-        F = np.asarray(self._eval(a))
-
-        def along(c, part):   # sum_k c_k part(k) over the nonzero c_k
-            return sum((ck * part(k) for k, ck in enumerate(c) if ck),
-                       np.zeros_like(F))
-
-        def d(*kl):           # d_k F, or d_k d_l F
-            return np.asarray(_peel(self._seeded(a, *sorted(kl)),
-                                    _eps2 if len(kl) > 1 else eps))
-
-        parts = [F, along(v, d)] if not u else [
-            F, along(u, d), along(v, d),
-            along(w, d) + along(u, lambda k: along(v, lambda l: d(k, l)))]
-        entries = [Dual(*p) if not u else Dual(Dual(*p[:2]), Dual(*p[2:]))
-                   for p in zip(*(q.ravel().tolist() for q in parts))]
-        return np.array(entries, dtype=object).reshape(F.shape).tolist()
+            hit = self._cache[key] = self.fn(reduce(seed, key[1:], a))
+        return hit if key[1:] == ij else _peel(hit, _swap)
 
 
-@dataclass(frozen=True)
 class ConnectionCoeffs(_FloatMemo):
     """Christoffel coefficient field x -> Gamma[k][i][j]."""
 
-    chart: Chart
-    fn: callable
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __call__(self, x):
+    def __call__(self, x):     # its own: perfbench/tracer.py wraps it here
         return self._eval(x)
 
 
-@dataclass(frozen=True)
 class Tensor02Field(_FloatMemo):
-    chart: Chart
-    fn: callable
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __call__(self, x):
-        return self._eval(x)
+    """A (0,2)-tensor field x -> T[i][j]."""
 
 
 def christoffel_from_metric(D, x):

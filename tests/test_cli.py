@@ -468,12 +468,17 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
     (["analyze", "--model", "circle", "--out",
       os.path.join(__file__, "sub", "r.json")],
      "r.json: [Errno 20] Not a directory"),
+    # exp(-2 pi tan alpha) ~ 1e-38 is below the solver's tolerance: the
+    # computed transport map is noise, and singular
+    (["holonomy", "--model", "circle", "--param",
+      "alpha=1.5118719298245613"],
+     "holonomy of loop 's1' is not resolved at --tol 1e-09"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
         "grid-0", "tol-0", "tol-negative", "samples-0", "samples-not-csv",
         "count-0",
         "count-negative", "t-final-negative", "theta0-not-a-number",
         "thdot0-not-a-number", "config-is-a-directory",
-        "out-under-a-file"])
+        "out-under-a-file", "holonomy-unresolved"])
 def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
     assert main(argv) == EXIT_ERROR

@@ -1,5 +1,6 @@
-"""The field memo: float points by value, and dual points of depth <= 2
-built from memoized partials, checked against direct evaluation."""
+"""The field memo, checked against direct evaluation: float points by
+value, seed(a, i), and seed(seed(a, i), j) once per unordered pair; every
+other dual point goes to the field's function as it is."""
 
 import dataclasses
 import runpy
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from vhckit import pipeline
-from vhckit.calculus import second_partial
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, seed
 from vhckit.holonomy import WindowAntiderivative
@@ -59,44 +59,40 @@ def test_unit_seed_is_the_direct_evaluation_bit_for_bit(gamma_fn, p):
 
 
 @pytest.mark.parametrize("p", POINTS)
-def test_seeded_depth_2_in_both_orders_matches_direct(gamma_fn, p):
+def test_seeded_depth_2_in_both_orders_matches_direct(gamma_fn, p,
+                                                      count_calls):
+    # (1, 0) is read off the stored (0, 1) evaluation, with no call
     chart, fn = gamma_fn
-    memo = ConnectionCoeffs(chart, fn)
-    for i in range(2):
-        for j in range(2):
-            x = seed(seed(p, i), j)
-            _close(memo(x), fn(x), 2)
+    counted = count_calls(fn)
+    memo = ConnectionCoeffs(chart, counted)
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        calls = counted.calls
+        x = seed(seed(p, i), j)
+        _close(memo(x), fn(x), 2)
+        assert counted.calls == calls + (i <= j)
 
 
 @pytest.mark.parametrize("p", POINTS)
-def test_general_directions_match_direct(gamma_fn, p):
+def test_general_directions_match_direct(gamma_fn, p, count_calls):
     # directions that are not unit vectors, at depth 1 and with a nonzero
-    # e1 e2 part at depth 2
+    # e1 e2 part at depth 2, zero directions, and points that mix floats
+    # and depths: each is one call of fn, as it is
     chart, fn = gamma_fn
-    memo = ConnectionCoeffs(chart, fn)
     u, v, w = [0.3, -1.7], [2.5, 0.6], [-0.8, 1.9]
-    x1 = [Dual(a, b) for a, b in zip(p, v)]
-    _close(memo(x1), fn(x1), 1)
-    x2 = [Dual(Dual(a, ui), Dual(vi, wi)) for a, ui, vi, wi in zip(p, u, v, w)]
-    _close(memo(x2), fn(x2), 2)
-
-
-def test_zero_direction_components_evaluate_nothing(count_calls):
-    def fn(x):
-        s, c = x[0] * x[0], x[0] * x[1]
-        return [[s, c], [c, x[1] * s]]
-
-    p = [0.7, -1.1]
-    counted = count_calls(fn)
-    memo = Tensor02Field(None, counted)
-    memo([Dual(p[0], 0.7), Dual(p[1], 0.0)])
-    assert counted.by_depth == {0: 1, 1: 1}      # F and d_0 F
-    x = [Dual(Dual(p[0], 0.3), 0.0), Dual(Dual(p[1], 0.0), -1.2)]
-    got = memo(x)
-    assert counted.by_depth == {0: 1, 1: 2, 2: 1}   # d_1 F, d_0 d_1 F
-    _close(got, fn(x), 2)
-    assert _coeffs(got, 2)[7] == pytest.approx(
-        0.3 * -1.2 * second_partial(fn, p, 0, 1)[0][1], rel=1e-15)
+    s01 = seed(seed(p, 0), 1)
+    for x in ([Dual(a, b) for a, b in zip(p, v)],
+              [Dual(Dual(a, ui), Dual(vi, wi))
+               for a, ui, vi, wi in zip(p, u, v, w)],
+              [s01[0], Dual(s01[1].val, Dual(1.0, 0.5))],
+              [Dual(p[0], 0.7), Dual(p[1], 0.0)],
+              [Dual(Dual(p[0], 0.3), 0.0), Dual(Dual(p[1], 0.0), -1.2)],
+              [Dual(a, 0.0) for a in p],
+              [Dual(p[0], 1.0), p[1]],
+              [s01[0], Dual(p[1], 1.0)]):
+        counted = count_calls(fn)
+        memo = ConnectionCoeffs(chart, counted)
+        assert repr(memo(x)) == repr(fn(x))
+        assert counted.calls == 1
 
 
 def test_depth_3_goes_to_fn(gamma_fn, count_calls):
@@ -123,7 +119,8 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
                                                        count_calls):
     # Gamma_C at depth 2: 147 in the recurrence stage (3 unordered pairs at
     # each of 49 points) and 27 in the metric check; each trace-Gamma leg
-    # samples its integrand once per window
+    # samples its integrand once per window. The sphere is built in, then
+    # from its config
     gammas, integrands = [], []
 
     def counted_connection(system, par):
@@ -139,9 +136,12 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
     monkeypatch.setattr(pipeline, "induced_connection", counted_connection)
     monkeypatch.setattr("vhckit.metrize2d.WindowAntiderivative",
                         counted_window)
-    result = pipeline.analyze(get_model("sphere"))
-    assert result.verdict == "lagrangian"
-    (gamma,) = gammas
-    assert gamma.by_depth[2] <= 174
-    assert not gamma.repeated
-    assert integrands and sum(c.calls for c in integrands) <= 400
+    config = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"]
+    for bundle in (get_model("sphere"), bundle_from_config(config)):
+        gammas.clear()
+        integrands.clear()
+        assert pipeline.analyze(bundle).verdict == "lagrangian"
+        (gamma,) = gammas
+        assert gamma.by_depth[2] <= 174
+        assert not gamma.repeated
+        assert integrands and sum(c.calls for c in integrands) <= 400
