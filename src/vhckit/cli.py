@@ -254,7 +254,10 @@ def _base_report(command, bundle, args):
 
 def cmd_analyze(args):
     bundle = _load_bundle(args)
-    result = analyze(bundle, grid_n=args.grid, decision_tol=args.tol)
+    try:
+        result = analyze(bundle, grid_n=args.grid, decision_tol=args.tol)
+    except RegularityError as e:    # a singular D in the regularity check
+        raise CliError(f"{type(e).__name__}: {e}") from e
     report = _base_report("analyze", bundle, args)
     report.update(result.to_dict())
     _emit(report, args.out)

@@ -50,8 +50,11 @@ class TransportMap:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if abs(np.linalg.det(self.matrix)) < 1e-12:
-            raise IntegrationError("transport map must be invertible")
+        # a determinant not above the solve's tolerance has no correct digit
+        det = abs(np.linalg.det(self.matrix))
+        if not det > self.tol:
+            raise IntegrationError(f"transport map |det| {det:.3g} is not "
+                                   f"above its tolerance {self.tol:g}")
 
 
 def _coefficient(gamma, path):

@@ -1,10 +1,15 @@
 """Control-theoretic core: regularity, projection, induced connection,
-constrained dynamics, and constraint-enforcing feedback."""
+constrained dynamics, and constraint-enforcing feedback.
+
+The projection ``reduction_matrix`` and the column of ``constrained_rhs``
+run as straight-line Python functions, generated once per shape on first
+use, whose sums add in ``sum``'s order, as loops over nested lists do."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -80,27 +85,109 @@ def reduction_matrix(sys, par, theta, columns):
     the one projection of ambient data onto the reduced chart. ``columns(x,
     dphi)`` lists a pair (c_k, f_k) per column of X, an ambient vector and an
     ambient covector, either of which may be None. x, dphi, D and Bperp are
-    evaluated once, and A is solved once."""
+    evaluated once, A and the right-hand side come from the projection
+    generated for their shape, and A is solved once."""
     theta = list(theta)
     x = par.phi(theta)
     dphi = par.dphi(theta)
     cols = columns(x, dphi)
-    D_cols = list(zip(*sys.D(x)))
-    dphi_cols = list(zip(*dphi))
-    A, rhs = [], []
-    for bp in sys.Bperp(x):
-        bpd = [sum(map(mul, bp, col)) for col in D_cols]
-        A.append([sum(map(mul, bpd, col)) for col in dphi_cols])
-        rhs.append([sum(map(mul, bp, f)) if c is None
-                    else sum(map(mul, bpd, c)) if f is None
-                    else sum(map(mul, bpd, c)) + sum(map(mul, bp, f))
-                    for c, f in cols])
+    D, Bp = sys.D(x), sys.Bperp(x)
+    kinds = tuple([(c is not None, f is not None) for c, f in cols])
+    A, rhs = _projection(len(x), len(Bp), len(theta), kinds)(D, Bp, dphi, cols)
     try:
         return linalg.solve(A, rhs)
     except linalg.SingularMatrixError as e:
         raise RegularityError(
-            f"(Bperp D dphi) singular at theta="
-            f"{[float(real(t)) for t in theta]}") from e
+            f"(Bperp D dphi) singular at theta={_floats(theta)}") from e
+
+
+def _floats(point):
+    return [float(real(t)) for t in point]
+
+
+# -- straight-line kernels ----------------------------------------------------
+# Generated once per shape, on first use. Each sum is written as ``0 + a + b
+# ...``, the additions of ``sum(map(mul, ...))`` in its order, so Duals, and
+# floats up to CPython 3.11 (3.12's float ``sum`` compensates), get the
+# values of loops over nested lists bit for bit.
+
+def _tup(items):
+    return "(" + "".join(f"{s}, " for s in items) + ")"
+
+
+def _list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _sum(terms):
+    return " + ".join(["0", *terms])
+
+
+def _function(lines, name):
+    scope = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
+    return scope["run"]
+
+
+@functools.lru_cache(maxsize=None)
+def _projection(n, r, d, kinds):
+    """(D, Bperp, dphi, columns) -> (A, rhs) of reduction_matrix for n
+    ambient and d reduced coordinates, r rows of Bperp and kinds[k] =
+    (c_k given, f_k given): E = Bperp D, A = E dphi and rhs = E c + Bperp f."""
+    N, R = range(n), range(d)
+    lines = [
+        "def run(D, Bp, dphi, cols):",
+        f" {_tup(_tup(f'D{i}_{k}' for k in N) for i in N)} = D",
+        f" {_tup(_tup(f'B{s}_{i}' for i in N) for s in range(r))} = Bp",
+        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
+        f" {_tup(f'(C{p}, F{p})' for p in range(len(kinds)))} = cols"]
+    for p, (c, f) in enumerate(kinds):
+        lines += [f" {_tup(f'{v}{p}_{i}' for i in N)} = {v}{p}"
+                  for v, given in (("C", c), ("F", f)) if given]
+    A, rhs = [], []
+    for s in range(r):
+        lines += [f" E{s}_{k} = " + _sum(f"B{s}_{i} * D{i}_{k}" for i in N)
+                  for k in N]
+        A.append(_list(_sum(f"E{s}_{k} * P{k}_{a}" for k in N) for a in R))
+        row = []
+        for p, (c, f) in enumerate(kinds):
+            ec = _sum(f"E{s}_{i} * C{p}_{i}" for i in N)
+            bf = _sum(f"B{s}_{i} * F{p}_{i}" for i in N)
+            row.append(bf if not c else ec if not f else f"{ec} + ({bf})")
+        rhs.append(_list(row))
+    lines.append(f" return {_list(A)}, {_list(rhs)}")
+    return _function(lines, "reduction_matrix")
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_column(n, d):
+    """(dphi, d2phi, thdot, gradP, dD) -> (c, f) of constrained_rhs, with
+    c = d2phi[thdot, thdot] and f = gradP + Gamma1(u, u), u = dphi thdot, for
+    n ambient and d reduced coordinates. Gamma1's terms are first_kind's, in
+    its scan order, and skip the plain-zero entries of dD as it does."""
+    N, R = range(n), range(d)
+    lines = [
+        "def run(dphi, d2phi, thd, gradP, dD):",
+        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
+        f" {_tup(_tup(_tup(f'H{k}_{i}_{j}' for j in R) for i in R) for k in N)}"
+        " = d2phi",
+        f" {_tup(f'T{a}' for a in R)} = thd",
+        f" {_tup(f'G{l}' for l in N)} = gradP",
+        f" {_tup(_tup(_tup(f'g{i}_{j}_{l}' for l in N) for j in N) for i in N)}"
+        " = dD"]
+    lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
+    lines.append(" " + " = ".join(f"F{l}" for l in N) + " = None")
+    for i, j, l in itertools.product(N, N, N):
+        lines += [f" if g{i}_{j}_{l}:",
+                  f"  h = 0.5 * g{i}_{j}_{l}",
+                  f"  t = h * (U{i} * U{j} + U{j} * U{i})",
+                  f"  F{l} = t if F{l} is None else F{l} + t",
+                  f"  t = h * U{j} * U{l}",
+                  f"  F{i} = -t if F{i} is None else F{i} - t"]
+    c = [_sum(f"H{k}_{i}_{j} * T{i} * T{j}" for i in R for j in R) for k in N]
+    f = [f"G{l} if F{l} is None else G{l} + F{l}" for l in N]
+    lines.append(f" return {_list(c)}, {_list(f)}")
+    return _function(lines, "constrained_rhs")
 
 
 def _connection_columns(sys, par, theta, x, dphi, pairs):
@@ -140,7 +227,12 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
         D = np.asarray(sys.D(x), dtype=float)
         B = np.asarray(sys.B(x), dtype=float)
         dphi = np.asarray(par.dphi(list(th)), dtype=float)
-        M = np.hstack([dphi, np.linalg.solve(D, B)])
+        try:
+            DinvB = np.linalg.solve(D, B)
+        except np.linalg.LinAlgError as e:
+            raise RegularityError(f"inertia matrix D singular at theta="
+                                  f"{_floats(th)}, q={_floats(x)}") from e
+        M = np.hstack([dphi, DinvB])
         if M.shape[0] != M.shape[1]:
             raise ValueError("dimension mismatch: need k = m = n - dim(theta)")
         sv = np.linalg.svd(M, compute_uv=False)
@@ -204,14 +296,8 @@ def constrained_rhs(sys, par, state):
     theta, thdot = list(state[:d]), list(state[d:])
 
     def columns(x, dphi):
-        u = linalg.mat_vec(dphi, thdot)
-        c = [sum(h[i][j] * thdot[i] * thdot[j]
-                 for i in range(d) for j in range(d))
-             for h in par.d2phi(theta)]
-        f = list(sys.gradP(x))
-        for l, v in first_kind(sys.metric_grad(x), [(u, u)])[0].items():
-            f[l] = f[l] + v
-        return [(c, f)]
+        return [_rhs_column(len(x), d)(dphi, par.d2phi(theta), thdot,
+                                       sys.gradP(x), sys.metric_grad(x))]
 
     return [-row[0] for row in reduction_matrix(sys, par, theta, columns)]
 
@@ -249,8 +335,12 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     f = list(sys.gradP(q))
     for l, v in first_kind(sys.metric_grad(q), [(qdot, qdot)])[0].items():
         f[l] = f[l] + v
-    X = linalg.solve(sys.D(q), [list(row) + [fl]
-                                for row, fl in zip(sys.B(q), f)])
+    try:
+        X = linalg.solve(sys.D(q), [list(row) + [fl]
+                                    for row, fl in zip(sys.B(q), f)])
+    except linalg.SingularMatrixError as e:
+        raise RegularityError(
+            f"inertia matrix D singular at q={_floats(q)}") from e
     DinvB = [row[:m] for row in X]
     drift = [-row[m] for row in X]
     b = linalg.mat_mul(dh, DinvB)                       # m x m

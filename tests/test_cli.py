@@ -155,6 +155,20 @@ FLAT_CASES = {
 }
 
 
+# an argument that _with_config replaces by the path of this config (the
+# circle with a singular inertia matrix), written where the test says
+SINGULAR_D = "<singular-D config>"
+
+
+def _with_config(argv, folder):
+    if SINGULAR_D not in argv:
+        return argv
+    path = folder / "singular-D.json"
+    path.write_text(json.dumps(dict(CIRCLE_CONFIG,
+                                    D=[["1", "0"], ["0", "0"]])))
+    return [str(path) if a == SINGULAR_D else a for a in argv]
+
+
 def _write_config(tmp_path, cfg):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cfg))
@@ -473,14 +487,28 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
     (["holonomy", "--model", "circle", "--param",
       "alpha=1.5118719298245613"],
      "holonomy of loop 's1' is not resolved at --tol 1e-09"),
+    # exp(-2 pi tan alpha) is 3.3e-39 and 6.4e-132: a map below --tol has no
+    # correct digit (the solver returns 2.97e-10 and -2.55e-10)
+    (["holonomy", "--model", "circle", "--param", "alpha=1.5"],
+     "transport map |det| 2.97e-10 is not above its tolerance 1e-09"),
+    (["holonomy", "--model", "circle", "--param", "alpha=1.55"],
+     "holonomy of loop 's1' is not resolved at --tol 1e-09"),
+    (["analyze", "--config", SINGULAR_D],
+     "RegularityError: inertia matrix D singular at theta=[0.0], "
+     "q=[1.0, 0.0]"),
+    (["simulate", "--full", "--config", SINGULAR_D],
+     "RegularityError: inertia matrix D singular at q=[1.0, 0.0]"),
 ], ids=["no-command", "unknown-command", "unknown-option", "grid-not-int",
         "grid-0", "tol-0", "tol-negative", "samples-0", "samples-not-csv",
         "count-0",
         "count-negative", "t-final-negative", "theta0-not-a-number",
         "thdot0-not-a-number", "config-is-a-directory",
-        "out-under-a-file", "holonomy-unresolved"])
-def test_bad_input_exits_1(argv, named, tmp_path, monkeypatch, capsys):
+        "out-under-a-file", "holonomy-unresolved", "holonomy-below-tol",
+        "holonomy-negative", "analyze-singular-D", "simulate-singular-D"])
+def test_bad_input_exits_1(argv, named, tmp_path, tmp_path_factory,
+                           monkeypatch, capsys):
     monkeypatch.setenv("VHCKIT_OUT_DIR", str(tmp_path))
+    argv = _with_config(argv, tmp_path_factory.mktemp("configs"))
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
@@ -544,7 +572,8 @@ def test_bad_input_never_reaches_the_catch_all(tmp_path, monkeypatch,
         paths[-1].write_text(json.dumps(cfg))
     truncated = tmp_path / "truncated.json"
     truncated.write_text(json.dumps(CIRCLE_CONFIG)[:40])
-    runs = [argv for argv, _ in _cases(test_bad_input_exits_1)]
+    runs = [_with_config(argv, tmp_path)
+            for argv, _ in _cases(test_bad_input_exits_1)]
     runs += [["analyze", *(["--config", str(paths[0])] if model == "config"
                            else ["--model", model]), "--param", param]
              for model, param, _ in _cases(test_bad_param_exits_1)]

@@ -1,0 +1,173 @@
+"""The generated reduction kernels against the loops they replace: the
+projection of ``reduction_matrix`` and the column of ``constrained_rhs``
+must give the loops' values bit for bit (``repr``), with the same dual
+operations, on floats and on seeded duals, for every shape and column kind
+the package builds."""
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from test_cli import UNSUPPORTED_CONFIG
+from vhckit import dual as dm
+from vhckit import vhc
+from vhckit.cli import bundle_from_config
+from vhckit.dual import Dual, seed
+from vhckit.manifold import Chart
+from vhckit.models import get_model
+from vhckit.sim import phase_portrait
+from vhckit.vhc import (ConstraintParametrization, LagrangianControlSystem,
+                        RegularityError, _connection_columns,
+                        constrained_rhs, reduction_matrix)
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = runpy.run_path(str(ROOT / "perfbench" / "configs.py"))["CONFIGS"]
+MODELS = ["circle", "sphere", "dpc-a", "dpc-b"]
+
+
+def _bare_system():
+    # n = 4, d = 3 from bare callables: dD, dphi and d2phi are left to the
+    # generic matrix_partial, jacobian and second_partial
+    chart = Chart(4, (False,) * 4, ((-2.0, 2.0),) * 4)
+
+    def D(q):
+        c = dm.cos(q[0] - q[2])
+        return [[2.0 + q[3] * q[3], c, 0.0, 0.1 * q[1]],
+                [c, 3.0, 0.5 * dm.sin(q[2]), 0.0],
+                [0.0, 0.5 * dm.sin(q[2]), 1.5, 0.0],
+                [0.1 * q[1], 0.0, 0.0, 1.0 + q[0] * q[0]]]
+
+    def P(q):
+        return dm.cos(q[0]) + q[1] * q[3]
+
+    system = LagrangianControlSystem(
+        chart=chart, D=D, P=P,
+        gradP=lambda q: [-dm.sin(q[0]), q[3], 0.0, q[1]],
+        B=lambda q: [[0.0], [0.0], [0.2 * q[0]], [1.0]],
+        Bperp=lambda q: [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, -0.2 * q[0]]],
+        m=1)
+    par = ConstraintParametrization(
+        Chart(3, (False,) * 3, ((-1.0, 1.0),) * 3),
+        phi=lambda th: [th[0], th[1] + 0.3 * th[0] * th[0], th[2],
+                        dm.sin(th[1]) * th[2]])
+    return system, par
+
+
+def _bundle(name):
+    if name == "bare":
+        return _bare_system()
+    if name == "three-dof":
+        b = bundle_from_config(UNSUPPORTED_CONFIG)
+    elif name.endswith("-config"):
+        b = bundle_from_config(CONFIGS[name[:-len("-config")]])
+    else:
+        b = get_model(name)
+    return b.system, b.parametrization
+
+
+def _points(par, rng, count):
+    """Float, depth-1 and depth-2 seeded points inside par's chart."""
+    d = par.chart.dim
+    for k in range(count):
+        th = [float(rng.uniform(lo + 0.1, hi - 0.1))
+              for lo, hi in par.chart.bounds]
+        i, j = k % d, (k // d) % d
+        yield th
+        yield seed(th, i)
+        yield seed(seed(th, i), j)
+
+
+def _column_sets(sys_, par, theta):
+    """Every kind of column list the package projects: the connection pairs
+    (plus, in 1-D, psi_functions' potential column) and the potential."""
+    d = len(theta)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    yield lambda x, dphi: _connection_columns(sys_, par, theta, x, dphi,
+                                              pairs)
+    yield lambda x, dphi: [(None, sys_.gradP(x))]
+    if d == 1:
+        yield lambda x, dphi: [(None, sys_.gradP(x))] + _connection_columns(
+            sys_, par, theta, x, dphi, [(0, 0)])
+    yield lambda x, dphi: [(list(col), None) for col in zip(*dphi)]
+
+
+@pytest.mark.parametrize("name", MODELS + [m + "-config" for m in MODELS]
+                         + ["three-dof", "bare"])
+def test_compiled_reduction_matches_loops(name, monkeypatch):
+    # the same values and the same dual operations: every Dual the loops
+    # construct (plain-zero entries of dD skipped), and no other
+    built = [0]
+    init = Dual.__init__
+
+    def counted(obj, val, eps=0.0):
+        built[0] += 1
+        init(obj, val, eps)
+
+    monkeypatch.setattr(Dual, "__init__", counted)
+
+    def run(fn, *args):
+        built[0] = 0
+        return repr(fn(*args)), built[0]
+
+    sys_, par = _bundle(name)
+    rng = np.random.default_rng(43)
+    d = par.chart.dim
+    for theta in _points(par, rng, 6):
+        for columns in _column_sets(sys_, par, theta):
+            args = (sys_, par, theta, columns)
+            assert (run(reduction_matrix, *args)
+                    == run(oracles.reduction_matrix, *args))
+        state = list(theta) + [float(v) for v in rng.normal(size=d)]
+        assert (run(constrained_rhs, sys_, par, state)
+                == run(oracles.constrained_rhs, sys_, par, state))
+
+
+def test_compiled_kernel_shapes():
+    # (n, d) = (2, 1), (3, 2) and (4, 3) each get their own kernels
+    vhc._rhs_column.cache_clear()
+    for name in ("circle", "dpc-a", "three-dof"):
+        sys_, par = _bundle(name)
+        d = par.chart.dim
+        constrained_rhs(sys_, par, [0.1] * d + [0.2] * d)
+    assert vhc._rhs_column.cache_info().currsize == 3
+
+
+def test_singular_projection_names_theta():
+    # the sphere's Bperp D dphi is singular at its pole theta1 = 0
+    b = get_model("sphere")
+    with pytest.raises(RegularityError,
+                       match=r"\(Bperp D dphi\) singular at "
+                             r"theta=\[0.0, 0.5\]"):
+        constrained_rhs(b.system, b.parametrization, [0.0, 0.5, 0.1, 0.2])
+
+
+def test_each_shape_compiles_once_in_a_portrait():
+    vhc._projection.cache_clear()
+    vhc._rhs_column.cache_clear()
+    b = get_model("dpc-a")
+    orbits = phase_portrait(b.system, b.parametrization,
+                            [([0.0, 0.5], [0.0, 1.0]),
+                             ([0.2, 3.0], [0.1, -2.0])],
+                            t_final=1.0, coord=1)
+    assert len(orbits) == 2
+    proj, col = vhc._projection.cache_info(), vhc._rhs_column.cache_info()
+    assert (proj.misses, proj.currsize) == (1, 1) and proj.hits > 100
+    assert (col.misses, col.currsize) == (1, 1) and col.hits > 100
+
+
+def test_cli_import_compiles_no_kernel():
+    code = ("import vhckit.cli, vhckit.vhc as v; "
+            "print(v._projection.cache_info().currsize, "
+            "v._rhs_column.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+                         ).stdout
+    assert out.split() == ["0", "0"]
