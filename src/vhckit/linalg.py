@@ -1,12 +1,19 @@
 """Small dense linear algebra on nested lists.
 
 Entries may be floats or :class:`~vhckit.dual.Dual` numbers, which is why we
-cannot defer to numpy here. Matrices in this toolkit are at most 3x3, so
-Gaussian elimination with partial pivoting is plenty.
+cannot defer to numpy here. Matrices in this toolkit are small (the reduced
+dynamics solve 1x1 to 3x3 systems, and the tests go to 4x4), so Gaussian
+elimination with partial pivoting is plenty. ``solve`` and ``det`` run it as
+one straight-line Python function per shape, generated on first use and
+kept: the pivot is the first row of largest |real| part, plain-zero
+multipliers are skipped, and the operations come in the order of the row
+loops it replaces, so values, on floats and on nested duals, and the duals
+built are those of the loops.
 """
 
 from __future__ import annotations
 
+import functools
 from operator import mul
 
 from .dual import Dual, real
@@ -29,65 +36,83 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _eliminate(a, rhs):
-    """Forward elimination with partial pivoting (the first row of largest
-    |real| part), in place on the rows of ``a`` and ``rhs``: returns the
-    reciprocal pivots and the number of row swaps."""
-    n = len(a)
-    invs, swaps = [None] * n, 0
-    for col in range(n):
-        piv = col
-        for r in range(col + 1, n):
-            if abs(real(a[r][col])) > abs(real(a[piv][col])):
-                piv = r
-        if real(a[piv][col]) == 0.0:
-            raise SingularMatrixError("singular matrix in solve()")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            swaps += 1
-        prow, prhs = a[col], rhs[col]
-        inv = invs[col] = 1.0 / prow[col]
-        for r in range(col + 1, n):
-            row = a[r]
-            f = row[col] * inv
-            if not isinstance(f, Dual) and f == 0.0:
-                continue
-            for c in range(col + 1, n):
-                row[c] = row[c] - f * prow[c]
-            rhs[r] = [v - f * w for v, w in zip(rhs[r], prhs)]
-    return invs, swaps
+# -- straight-line kernels: shared by this module and ``vhc`` ------------------
+
+def _tup(items):
+    return "(" + "".join(f"{s}, " for s in items) + ")"
+
+
+def _list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _function(lines, name, **names):
+    """The function ``run`` that ``lines`` define, compiled in a scope with
+    no builtins beyond ``names``."""
+    scope = {"__builtins__": {}, **names}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
+    return scope["run"]
+
+
+@functools.lru_cache(maxsize=None)
+def _elimination(n, k):
+    """(A, B) -> X with A X = B, for an n x n A and k columns of B; for
+    k = None, A -> det A, the product of the pivots negated once per row
+    swap. Forward elimination swaps the pivot row's live entries (and its
+    right-hand side) into place, and back substitution subtracts in column
+    order before it scales by the reciprocal pivot."""
+    N, K = range(n), range(k or 0)
+    rows = [[f"a{i}_{j}" for j in N] + [f"b{i}_{j}" for j in K] for i in N]
+    lines = ["def run(A, B):", f" {_tup(_tup(r[:n]) for r in rows)} = A"]
+    if k is not None:
+        lines.append(f" {_tup(_tup(r[n:]) for r in rows)} = B")
+    lines.append(" sg = 1.0")
+    for c in N:
+        lines.append(f" p = {c}; m = abs(real(a{c}_{c}))")
+        for r in range(c + 1, n):
+            lines += [f" v = abs(real(a{r}_{c}))",
+                      f" if v > m: p = {r}; m = v"]
+        lines.append(" if m == 0.0: raise SingularMatrixError("
+                     "'singular matrix in solve()')")
+        live = [*range(c, n), *range(n, len(rows[c]))]
+        for r in range(c + 1, n):
+            mine, theirs = ([rows[s][j] for j in live] for s in (c, r))
+            lines += [f" {'el' if r > c + 1 else ''}if p == {r}:",
+                      f"  {_tup(mine)}, {_tup(theirs)} = "
+                      f"{_tup(theirs)}, {_tup(mine)}", "  sg = -sg"]
+        lines.append(f" i{c} = 1.0 / a{c}_{c}")
+        for r in range(c + 1, n):
+            lines += [f" f = a{r}_{c} * i{c}",
+                      " if isinstance(f, Dual) or not f == 0.0:"]
+            lines += [f"  {rows[r][j]} = {rows[r][j]} - f * {rows[c][j]}"
+                      for j in range(c + 1, len(rows[c]))]
+    if k is None:
+        lines.append(" return " + " * ".join(["sg"] + [f"a{i}_{i}" for i in N]))
+    else:
+        for r in reversed(N):
+            lines += [f" x{r}_{j} = (b{r}_{j}" + "".join(
+                f" - a{r}_{s} * x{s}_{j}" for s in range(r + 1, n))
+                + f") * i{r}" for j in K]
+        lines.append(" return "
+                     + _list(_list(f"x{i}_{j}" for j in K) for i in N))
+    return _function(lines, f"det{n}" if k is None else f"solve{n}x{k}",
+                     real=real, abs=abs, isinstance=isinstance, Dual=Dual,
+                     SingularMatrixError=SingularMatrixError)
 
 
 def solve(A, B):
     """Solve A X = B for a matrix B (list of rows)."""
     n = len(A)
-    # rows of rhs are replaced, never changed in place: a shallow copy will do
-    rhs = list(B)
-    a = [list(row) for row in A]
-    invs, _ = _eliminate(a, rhs)
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        row, s, inv = a[r], rhs[r], invs[r]
-        for k in range(r + 1, n):
-            ark = row[k]
-            s = [u - ark * w for u, w in zip(s, x[k])]
-        x[r] = [u * inv for u in s]
-    return x
+    return _elimination(n, len(B[0]) if n else 0)(A, B)
 
 
 def det(A):
     """Determinant: the product of the pivots of ``solve``'s elimination,
     negated once per row swap; 0.0 where a pivot vanishes."""
-    a = [list(row) for row in A]
     try:
-        _, swaps = _eliminate(a, [[] for _ in a])
+        return _elimination(len(A), None)(A, None)
     except SingularMatrixError:
         return 0.0
-    d = -1.0 if swaps % 2 else 1.0
-    for i, row in enumerate(a):
-        d = d * row[i]
-    return d
 
 
 def inverse(A):

@@ -76,6 +76,7 @@ def circle_particle(alpha=0.0):
         m=1,
         h=lambda q: [0.5 * (q[0] * q[0] + q[1] * q[1] - 1.0)],
         dD=_zero_gradient(2),
+        dh=lambda q: [[q[0], q[1]]],
     )
     chart = Chart(1, (True,), ((0.0, TWO_PI),))
     par = ConstraintParametrization(
@@ -165,6 +166,7 @@ def sphere_mass():
         B=B, Bperp=Bperp, m=1,
         h=lambda q: [0.5 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] - 1.0)],
         dD=_zero_gradient(3),
+        dh=lambda q: [[q[0], q[1], q[2]]],
     )
     chart = Chart(2, (False, False), ((0.0, math.pi), (-math.pi, math.pi)))
     def dphi(th):
@@ -275,6 +277,7 @@ def double_pendulum_cart(case="a", gravity=9.81):
     system = LagrangianControlSystem(
         chart=q_chart, D=D, P=P, gradP=gradP, B=B, Bperp=Bperp, m=1,
         h=lambda q: [q[2] - rho(q[1])], dD=dD,
+        dh=lambda q: [[0.0, -rho_prime(q[1]), 1.0]],
     )
     chart = Chart(2, (False, True), ((-2.0, 2.0), (0.0, TWO_PI)))
     par = ConstraintParametrization(

@@ -1,9 +1,10 @@
 """Control-theoretic core: regularity, projection, induced connection,
 constrained dynamics, and constraint-enforcing feedback.
 
-The projection ``reduction_matrix`` and the column of ``constrained_rhs``
-run as straight-line Python functions, generated once per shape on first
-use, whose sums add in ``sum``'s order, as loops over nested lists do."""
+The projection ``reduction_matrix``, the column of ``constrained_rhs`` and
+the force gradP + Gamma1(qd, qd) of ``stabilizing_feedback`` run as
+straight-line Python functions, generated once per shape on first use,
+whose sums add in ``sum``'s order, as loops over nested lists do."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 from . import linalg
 from .calculus import jacobian, matrix_partial, second_partial
 from .dual import real
+from .linalg import _function, _list, _tup
 from .manifold import Chart, ConnectionCoeffs, first_kind
 
 
@@ -40,6 +42,7 @@ class LagrangianControlSystem:
     m: int
     h: callable = None          # optional constraint function, m components
     dD: callable = None         # optional analytic metric gradient [d_l D]
+    dh: callable = None         # optional analytic Jacobian of h, m x n
 
     @property
     def n(self):
@@ -50,6 +53,12 @@ class LagrangianControlSystem:
         if self.dD is not None:
             return self.dD(x)
         return [matrix_partial(self.D, x, l) for l in range(self.n)]
+
+    def h_jacobian(self, x):
+        """dh at x: the analytic dh, else the dual jacobian of h."""
+        if self.dh is not None:
+            return self.dh(x)
+        return jacobian(self.h, x)
 
 
 @dataclass(frozen=True)
@@ -111,22 +120,8 @@ def _floats(point):
 # floats up to CPython 3.11 (3.12's float ``sum`` compensates), get the
 # values of loops over nested lists bit for bit.
 
-def _tup(items):
-    return "(" + "".join(f"{s}, " for s in items) + ")"
-
-
-def _list(items):
-    return "[" + ", ".join(items) + "]"
-
-
 def _sum(terms):
     return " + ".join(["0", *terms])
-
-
-def _function(lines, name):
-    scope = {"__builtins__": {}}
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
-    return scope["run"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,24 +154,16 @@ def _projection(n, r, d, kinds):
     return _function(lines, "reduction_matrix")
 
 
-@functools.lru_cache(maxsize=None)
-def _rhs_column(n, d):
-    """(dphi, d2phi, thdot, gradP, dD) -> (c, f) of constrained_rhs, with
-    c = d2phi[thdot, thdot] and f = gradP + Gamma1(u, u), u = dphi thdot, for
-    n ambient and d reduced coordinates. Gamma1's terms are first_kind's, in
-    its scan order, and skip the plain-zero entries of dD as it does."""
-    N, R = range(n), range(d)
+def _force_lines(n):
+    """Lines that unpack gradP and dD and set F0, F1, ... to gradP +
+    Gamma1(U, U) from U0, U1, ...: first_kind's terms, in its scan order,
+    skipping the plain-zero entries of dD as it does."""
+    N = range(n)
     lines = [
-        "def run(dphi, d2phi, thd, gradP, dD):",
-        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
-        f" {_tup(_tup(_tup(f'H{k}_{i}_{j}' for j in R) for i in R) for k in N)}"
-        " = d2phi",
-        f" {_tup(f'T{a}' for a in R)} = thd",
         f" {_tup(f'G{l}' for l in N)} = gradP",
         f" {_tup(_tup(_tup(f'g{i}_{j}_{l}' for l in N) for j in N) for i in N)}"
-        " = dD"]
-    lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
-    lines.append(" " + " = ".join(f"F{l}" for l in N) + " = None")
+        " = dD",
+        " " + " = ".join(f"F{l}" for l in N) + " = None"]
     for i, j, l in itertools.product(N, N, N):
         lines += [f" if g{i}_{j}_{l}:",
                   f"  h = 0.5 * g{i}_{j}_{l}",
@@ -184,10 +171,37 @@ def _rhs_column(n, d):
                   f"  F{l} = t if F{l} is None else F{l} + t",
                   f"  t = h * U{j} * U{l}",
                   f"  F{i} = -t if F{i} is None else F{i} - t"]
+    return lines + [f" F{l} = G{l} if F{l} is None else G{l} + F{l}"
+                    for l in N]
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_column(n, d):
+    """(dphi, d2phi, thdot, gradP, dD) -> (c, f) of constrained_rhs, with
+    c = d2phi[thdot, thdot] and f = gradP + Gamma1(u, u), u = dphi thdot, for
+    n ambient and d reduced coordinates."""
+    N, R = range(n), range(d)
+    lines = [
+        "def run(dphi, d2phi, thd, gradP, dD):",
+        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
+        f" {_tup(_tup(_tup(f'H{k}_{i}_{j}' for j in R) for i in R) for k in N)}"
+        " = d2phi",
+        f" {_tup(f'T{a}' for a in R)} = thd"]
+    lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
+    lines += _force_lines(n)
     c = [_sum(f"H{k}_{i}_{j} * T{i} * T{j}" for i in R for j in R) for k in N]
-    f = [f"G{l} if F{l} is None else G{l} + F{l}" for l in N]
-    lines.append(f" return {_list(c)}, {_list(f)}")
+    lines.append(f" return {_list(c)}, {_list(f'F{l}' for l in N)}")
     return _function(lines, "constrained_rhs")
+
+
+@functools.lru_cache(maxsize=None)
+def _force(n):
+    """(qdot, gradP, dD) -> gradP + Gamma1(qdot, qdot) of
+    stabilizing_feedback, for n coordinates."""
+    lines = ["def run(qd, gradP, dD):",
+             f" {_tup(f'U{i}' for i in range(n))} = qd", *_force_lines(n),
+             f" return {_list(f'F{l}' for l in range(n))}"]
+    return _function(lines, "stabilizing_feedback")
 
 
 def _connection_columns(sys, par, theta, x, dphi, pairs):
@@ -320,21 +334,21 @@ def stabilizing_feedback(sys, q, qdot, gains=(0.0, 0.0)):
     Returns (tau, qdd) as lists: tau solves  hdd = -Kp h - Kd hd  along the
     closed loop  D qdd = B tau - gradP - Gamma1(qd, qd)  (Gamma1 the first-
     kind Christoffels of D), and qdd is the full system's acceleration under
-    tau. Both come from two ``linalg.solve`` calls: one stacked solve
-    D^{-1} [B | gradP + Gamma1(qd, qd)] (n x (m+1)) and one of the m x m
-    decoupling matrix dh D^{-1} B. With gains (0, 0) and an on-constraint
-    state tau is the unique feedback rendering the constraint manifold
-    invariant.
+    tau. dh is the system's ``h_jacobian``, gradP + Gamma1(qd, qd) comes
+    from the force code generated for constrained_rhs's column, and qd^T
+    hess(h) qd from one directional second_partial. Both outputs come from
+    two ``linalg.solve`` calls: one stacked solve D^{-1} [B | gradP +
+    Gamma1(qd, qd)] (n x (m+1)) and one of the m x m decoupling matrix
+    dh D^{-1} B. With gains (0, 0) and an on-constraint state tau is the
+    unique feedback rendering the constraint manifold invariant.
     """
     if sys.h is None:
         raise ValueError("system has no constraint function h")
     q, qdot = list(q), list(qdot)
     m = sys.m
     kp, kd = gains
-    dh = jacobian(sys.h, q)                             # m x n
-    f = list(sys.gradP(q))
-    for l, v in first_kind(sys.metric_grad(q), [(qdot, qdot)])[0].items():
-        f[l] = f[l] + v
+    dh = sys.h_jacobian(q)                              # m x n
+    f = _force(len(q))(qdot, sys.gradP(q), sys.metric_grad(q))
     try:
         X = linalg.solve(sys.D(q), [list(row) + [fl]
                                     for row, fl in zip(sys.B(q), f)])

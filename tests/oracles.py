@@ -6,7 +6,7 @@ from operator import mul
 import numpy as np
 
 from vhckit import linalg
-from vhckit.dual import real
+from vhckit.dual import Dual, real
 from vhckit.manifold import (ConnectionCoeffs, christoffel_from_metric,
                              first_kind)
 from vhckit.vhc import RegularityError
@@ -31,6 +31,66 @@ def minimax_by_linprog(p, Q):
     return float(np.max(np.abs(p + Q @ res.x[:k])))
 
 
+def _eliminate(a, rhs):
+    """Forward elimination with partial pivoting (the first row of largest
+    |real| part), in place on the rows of ``a`` and ``rhs``: returns the
+    reciprocal pivots and the number of row swaps."""
+    n = len(a)
+    invs, swaps = [None] * n, 0
+    for col in range(n):
+        piv = col
+        for r in range(col + 1, n):
+            if abs(real(a[r][col])) > abs(real(a[piv][col])):
+                piv = r
+        if real(a[piv][col]) == 0.0:
+            raise linalg.SingularMatrixError("singular matrix in solve()")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+            swaps += 1
+        prow, prhs = a[col], rhs[col]
+        inv = invs[col] = 1.0 / prow[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col] * inv
+            if not isinstance(f, Dual) and f == 0.0:
+                continue
+            for c in range(col + 1, n):
+                row[c] = row[c] - f * prow[c]
+            rhs[r] = [v - f * w for v, w in zip(rhs[r], prhs)]
+    return invs, swaps
+
+
+def solve(A, B):
+    """vhckit.linalg.solve as loops over the rows: the oracle of its
+    generated elimination, which must agree bit for bit."""
+    n = len(A)
+    rhs = list(B)
+    a = [list(row) for row in A]
+    invs, _ = _eliminate(a, rhs)
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        row, s, inv = a[r], rhs[r], invs[r]
+        for k in range(r + 1, n):
+            ark = row[k]
+            s = [u - ark * w for u, w in zip(s, x[k])]
+        x[r] = [u * inv for u in s]
+    return x
+
+
+def det(A):
+    """vhckit.linalg.det from the loops' pivots and row swaps."""
+    a = [list(row) for row in A]
+    try:
+        _, swaps = _eliminate(a, [[] for _ in a])
+    except linalg.SingularMatrixError:
+        return 0.0
+    d = -1.0 if swaps % 2 else 1.0
+    for i, row in enumerate(a):
+        d = d * row[i]
+    return d
+
+
 def reduction_matrix(sys, par, theta, columns):
     """vhckit.vhc.reduction_matrix as loops over nested lists: the oracle of
     its generated projection, which must agree bit for bit."""
@@ -49,7 +109,7 @@ def reduction_matrix(sys, par, theta, columns):
                     else sum(map(mul, bpd, c)) + sum(map(mul, bp, f))
                     for c, f in cols])
     try:
-        return linalg.solve(A, rhs)
+        return solve(A, rhs)
     except linalg.SingularMatrixError as e:
         raise RegularityError(
             f"(Bperp D dphi) singular at theta="

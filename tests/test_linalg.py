@@ -1,11 +1,13 @@
-"""Pure-python small linear algebra against numpy, including dual entries."""
+"""Pure-python small linear algebra against numpy, including dual entries,
+and its generated elimination against the loops of ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from vhckit import linalg
-from vhckit.dual import Dual, eps, real
+from vhckit.dual import Dual, eps, real, seed
 
 entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False,
                     allow_infinity=False)
@@ -157,3 +159,80 @@ def test_det_matches_numpy_with_row_swaps():
     # a pivot swap flips the sign; a zero column makes it 0
     assert linalg.det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
     assert linalg.det([[0.0, 1.0], [0.0, 2.0]]) == 0.0
+
+
+def _square(n, kind, rng):
+    """An n x n matrix of one kind: random normal entries (row swaps), a
+    first column of entries equal in magnitude (ties: the first such row
+    is the pivot), an upper triangle (every multiplier a plain zero), a
+    pivot that vanishes after one elimination step, a column of zeros, or
+    NaN entries (one in the first column)."""
+    A = rng.normal(size=(n, n))
+    if kind == "ties":
+        A[:, 0] = [(-1.0) ** i * 2.0 for i in range(n)]
+        A[n // 2:, -1] = -3.0
+    elif kind == "zero-multipliers":
+        A = np.triu(A) + 3.0 * np.eye(n)
+    elif kind == "late-zero-pivot" and n > 1:
+        # row 1 = 2 row 0, and the multiplier 16 / 32 is exact
+        A[0, 0] = 16.0
+        A[1, :] = 2.0 * A[0, :]
+    elif kind == "zero-column":
+        A[:, n - 1] = 0.0
+    elif kind == "nan":
+        A[n - 1, 0] = np.nan
+        A[0, n - 1] = np.nan
+    return A.tolist()
+
+
+def _lift(M, depth, rng):
+    """M along a seeded dual parameter s of the given depth, whose real
+    part is 0: about half the entries become m + s w, with m's real part,
+    and the rest, plain zeros among them, stay floats."""
+    if depth == 0:
+        return M
+    s = [0.0]
+    for _ in range(depth):
+        s = seed(s, 0)
+    return [[v if v == 0.0 or rng.random() < 0.5
+             else v + s[0] * float(rng.normal()) for v in row] for row in M]
+
+
+def _run_counted(monkeypatch, fn, *args):
+    """(repr of fn(*args), or its error, and the number of Duals built)."""
+    built = [0]
+    init = Dual.__init__
+
+    def counted(obj, val, eps=0.0):
+        built[0] += 1
+        init(obj, val, eps)
+
+    with monkeypatch.context() as m:
+        m.setattr(Dual, "__init__", counted)
+        try:
+            out = repr(fn(*args))
+        except linalg.SingularMatrixError as e:
+            out = f"SingularMatrixError({e})"
+    return out, built[0]
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "zero-multipliers",
+                                  "late-zero-pivot", "zero-column", "nan"])
+def test_compiled_solve_matches_loops(kind, monkeypatch):
+    # the same values (repr), the same error and the same dual operations
+    # as the row loops, for n = 1..4 and k = 1..3 right-hand-side columns,
+    # on floats and on depth-1 and depth-2 duals
+    rng = np.random.default_rng(29)
+    for n in range(1, 5):
+        for depth in range(3):
+            A = _lift(_square(n, kind, rng), depth, rng)
+            assert (_run_counted(monkeypatch, linalg.det, A)
+                    == _run_counted(monkeypatch, oracles.det, A))
+            for k in range(1, 4):
+                B = _lift(rng.normal(size=(n, k)).tolist(), depth, rng)
+                got = _run_counted(monkeypatch, linalg.solve, A, B)
+                assert got == _run_counted(monkeypatch, oracles.solve, A, B)
+                # the singular kinds raise, and the others solve
+                assert got[0].startswith("SingularMatrixError(singular") == (
+                    kind == "zero-column"
+                    or kind == "late-zero-pivot" and n > 1)

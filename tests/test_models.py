@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vhckit.calculus import matrix_partial, partial, second_partial
+from vhckit.calculus import (jacobian, matrix_partial, partial,
+                              second_partial)
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual
 from vhckit.models import (MODEL_BUILDERS, get_model, rho, rho_prime,
@@ -129,6 +130,11 @@ def test_generic_phi_derivatives_match_hand_written(name):
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(generic.d2phi(th), par.d2phi(th),
                                    rtol=0.0, atol=1e-12)
+    # and the constraint's hand-written Jacobian against the dual one
+    sys_ = b.system
+    for q in _seeded_points(sys_.chart, 20, seed=7):
+        np.testing.assert_allclose(sys_.dh(q), jacobian(sys_.h, q),
+                                   rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["circle", "sphere", "dpc-a", "dpc-b"])

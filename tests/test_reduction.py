@@ -2,7 +2,8 @@
 projection of ``reduction_matrix`` and the column of ``constrained_rhs``
 must give the loops' values bit for bit (``repr``), with the same dual
 operations, on floats and on seeded duals, for every shape and column kind
-the package builds."""
+the package builds; and every generated kernel, the closed loop's and
+``linalg``'s too, is compiled once per shape, on first use."""
 
 import os
 import runpy
@@ -16,12 +17,12 @@ import pytest
 import oracles
 from test_cli import UNSUPPORTED_CONFIG
 from vhckit import dual as dm
-from vhckit import vhc
+from vhckit import linalg, vhc
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, seed
 from vhckit.manifold import Chart
 from vhckit.models import get_model
-from vhckit.sim import phase_portrait
+from vhckit.sim import phase_portrait, simulate_full
 from vhckit.vhc import (ConstraintParametrization, LagrangianControlSystem,
                         RegularityError, _connection_columns,
                         constrained_rhs, reduction_matrix)
@@ -162,12 +163,29 @@ def test_each_shape_compiles_once_in_a_portrait():
     assert (col.misses, col.currsize) == (1, 1) and col.hits > 100
 
 
+def test_each_shape_compiles_once_in_a_full_simulation():
+    # the closed loop's force, its stacked 3 x 2 solve, the 1 x 1
+    # decoupling determinant and the 1 x 1 solve for tau
+    vhc._force.cache_clear()
+    linalg._elimination.cache_clear()
+    b = get_model("dpc-b")
+    traj = simulate_full(b.system, b.parametrization, [0.0, 2.5], [0.2, 0.5],
+                         (0.0, 0.5))
+    assert traj.diagnostics["max_h"] < 1e-6
+    force, elim = vhc._force.cache_info(), linalg._elimination.cache_info()
+    assert (force.misses, force.currsize) == (1, 1) and force.hits > 100
+    assert (elim.misses, elim.currsize) == (3, 3) and elim.hits > 300
+    assert {n: linalg._elimination(*n).__code__.co_filename
+            for n in [(3, 2), (1, None), (1, 1)]} == {
+        (3, 2): "<solve3x2>", (1, None): "<det1>", (1, 1): "<solve1x1>"}
+
+
 def test_cli_import_compiles_no_kernel():
-    code = ("import vhckit.cli, vhckit.vhc as v; "
-            "print(v._projection.cache_info().currsize, "
-            "v._rhs_column.cache_info().currsize)")
+    code = ("import vhckit.cli, vhckit.linalg as la, vhckit.vhc as v; "
+            "print(*[f.cache_info().currsize for f in "
+            "(v._projection, v._rhs_column, v._force, la._elimination)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]

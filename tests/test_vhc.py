@@ -226,7 +226,8 @@ def test_feedback_matches_hessian_reference(name, monkeypatch):
                          ids=["below", "above"])
 def test_singular_decoupling_matrix_raises(factor, singular):
     # dh D^{-1} B scales with h: scale dpc-b's h so that it sits just below
-    # or just above the 1e-12 threshold
+    # or just above the 1e-12 threshold, with the hand-written dh scaled
+    # alike and with no dh (the dual jacobian of the scaled h)
     b = get_model("dpc-b")
     sys = b.system
     q = [float(v) for v in b.parametrization.phi([0.3, 1.2])]
@@ -235,15 +236,24 @@ def test_singular_decoupling_matrix_raises(factor, singular):
     DinvB = np.linalg.solve(np.asarray(sys.D(q), dtype=float),
                             np.asarray(sys.B(q), dtype=float))
     c = factor * 1e-12 / abs(float((dh @ DinvB)[0, 0]))
-    scaled = dataclasses.replace(sys, h=lambda x: [c * v for v in sys.h(x)])
-    if singular:
-        with pytest.raises(RegularityError, match="decoupling matrix"):
-            stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
-    else:
-        # the output dynamics are linear in h: scaling it moves neither input
-        _, qdd = stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
-        _, ref = stabilizing_feedback(sys, q, qd, gains=(16.0, 8.0))
-        np.testing.assert_allclose(qdd, ref, rtol=1e-9, atol=1e-12)
+
+    def h(x):
+        return [c * v for v in sys.h(x)]
+
+    def scaled_dh(x):
+        return [[c * v for v in row] for row in sys.dh(x)]
+
+    for scaled in (dataclasses.replace(sys, h=h, dh=scaled_dh),
+                   dataclasses.replace(sys, h=h, dh=None)):
+        if singular:
+            with pytest.raises(RegularityError, match="decoupling matrix"):
+                stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
+        else:
+            # the output dynamics are linear in h: scaling it moves neither
+            # input
+            _, qdd = stabilizing_feedback(scaled, q, qd, gains=(16.0, 8.0))
+            _, ref = stabilizing_feedback(sys, q, qd, gains=(16.0, 8.0))
+            np.testing.assert_allclose(qdd, ref, rtol=1e-9, atol=1e-12)
 
 
 def test_induced_connection_bundle():
@@ -341,6 +351,35 @@ def test_dpc_b_dynamics_invert_no_matrix(monkeypatch):
     q = [float(v) for v in par.phi([-0.2, 2.5])]
     stabilizing_feedback(sys, q, [0.4, -0.3, 0.8], gains=(16.0, 8.0))
     assert calls == []
+
+
+@pytest.mark.parametrize("name, jacobians", [("dpc-b", 0),
+                                              ("dpc-b-config", 1)])
+def test_feedback_work_per_call(name, jacobians, monkeypatch, count_calls):
+    # the built-in reads dh from its hand-written hook, so h is evaluated
+    # once at the float point and once at the depth-2 dual of the
+    # directional second_partial; the config twin has no dh and adds one
+    # dual jacobian, three depth-1 evaluations of h
+    b = _dpc_bundle(name)
+    h = count_calls(b.system.h)
+    sys = dataclasses.replace(b.system, h=h)
+    calls = {"jacobian": 0, "second_partial": 0}
+
+    def counted(fname):
+        fn = getattr(vhckit.vhc, fname)
+
+        def wrapped(*args):
+            calls[fname] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for fname in calls:
+        monkeypatch.setattr(vhckit.vhc, fname, counted(fname))
+    q = [float(v) for v in b.parametrization.phi([-0.2, 2.5])]
+    stabilizing_feedback(sys, q, [0.4, -0.3, 0.8], gains=(16.0, 8.0))
+    assert calls == {"jacobian": jacobians, "second_partial": 1}
+    assert h.by_depth == ({0: 1, 1: 3, 2: 1} if jacobians else {0: 1, 2: 1})
 
 
 @pytest.mark.parametrize("name", ["dpc-a", "dpc-b-config"])
