@@ -210,12 +210,12 @@ class Trajectory:
     output kept, ``at`` evaluates the local polynomial of the step that
     holds t (the earlier step at a node)."""
 
-    def __init__(self, times, states, steps=None, diagnostics=None):
+    def __init__(self, times, states, steps=None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         # (direction * node times, one polynomial per step, direction)
         self._steps = steps
-        self.diagnostics = diagnostics if diagnostics is not None else {}
+        self.diagnostics = {}
 
     @property
     def end_state(self):

@@ -71,7 +71,12 @@ class Dual:
             if math.isinf(real(out)) and math.isfinite(real(self)):
                 raise OverflowError("dual power exceeds the float range")
             return out
-        return exp(n * log(self))
+        if isinstance(n, Dual):
+            return exp(n * log(self))
+        # a constant exponent: c u^(c-1) du, the rule expr compiles; at the
+        # innermost level math.pow raises ValueError for a negative base
+        # and a non-integral c
+        return Dual(_fpow(self.val, n), n * _fpow(self.val, n - 1) * self.eps)
 
     def _power(self, n):
         # square-and-multiply for n > 0: log2(n) products, and the same
@@ -110,6 +115,10 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
+
+
+def _fpow(x, c):
+    return x ** c if isinstance(x, Dual) else math.pow(x, c)
 
 
 def real(x):

@@ -133,48 +133,18 @@ class Tensor02Field(_FloatMemo):
 
 def christoffel_from_metric(D, x):
     """Christoffels of the Levi-Civita connection of metric field D at x:
-    Gamma[k][i][j] = sum_l g^{kl} Gamma_{l,ij}, the first kind from
-    ``first_kind``."""
+    Gamma[k][i][j] = 1/2 g^{kl} (d_i D_jl + d_j D_il - d_l D_ij)."""
     n = len(x)
     ginv = linalg.inverse(D(x))
-    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    first = first_kind([matrix_partial(D, x, l) for l in range(n)],
-                       [(eye[i], eye[j]) for i, j in pairs])
+    dD = [matrix_partial(D, x, l) for l in range(n)]
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), f in zip(pairs, first):
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        first = [0.5 * (dD[i][j][l] + dD[j][i][l] - dD[l][i][j])
+                 for l in range(n)]
         for k in range(n):
             gamma[k][i][j] = gamma[k][j][i] = sum(
-                (ginv[k][l] * v for l, v in f.items()), 0.0)
+                (g * f for g, f in zip(ginv[k], first)), 0.0)
     return gamma
-
-
-def first_kind(dD, pairs):
-    """First-kind Christoffels of D contracted with each (v, w) in ``pairs``,
-    from the metric gradient dD = [d_i D]:
-
-        Gamma_{l,ij} v^i w^j,  Gamma_{l,ij} = 1/2 (d_i D_jl + d_j D_il - d_l D_ij).
-
-    This is D Gamma(v, w) for the Levi-Civita Christoffels Gamma of D, so no
-    D^{-1} is needed. Returns one {l: value} per pair, over the components
-    that a nonzero entry of dD reaches. dD is scanned once; plain-zero
-    entries add no work (a Dual is always truthy), so a plain-zero gradient
-    gives empty maps.
-    """
-    # g = d_i D_jl enters Gamma_{l,ij}, Gamma_{l,ji} and -Gamma_{i,jl}
-    terms = [(i, j, l, 0.5 * g) for i, dDi in enumerate(dD)
-             for j, row in enumerate(dDi) if any(row)
-             for l, g in enumerate(row) if g]
-    out = []
-    for v, w in pairs:
-        f = {}
-        for i, j, l, h in terms:
-            t = h * (v[i] * w[j] + v[j] * w[i])
-            f[l] = f[l] + t if l in f else t
-            t = h * v[j] * w[l]
-            f[i] = f[i] - t if i in f else -t
-        out.append(f)
-    return out
 
 
 def curvature_coeffs(gamma, x):

@@ -181,8 +181,6 @@ class LineIntegralField:
 class MetricReport:
     ok: bool
     g: object = None                 # Tensor02Field
-    sign: int = 0
-    b: float = 0.0
     max_nabla_g: float = 0.0
     max_gamma_dev: float = 0.0
     message: str = ""
@@ -232,8 +230,7 @@ def metric_from_ricci(gamma, rec, ref, b=0.0, check_grid=None):
         max_ng = max(max_ng, float(np.max(np.abs(ng))))
         max_dev = max(max_dev, float(np.max(np.abs(dev))))
     ok = max_ng < METRIC_CHECK_TOL and max_dev < METRIC_CHECK_TOL
-    return MetricReport(ok, g=g, sign=sign, b=b,
-                        max_nabla_g=max_ng, max_gamma_dev=max_dev,
+    return MetricReport(ok, g=g, max_nabla_g=max_ng, max_gamma_dev=max_dev,
                         message="" if ok else "verification residual too large")
 
 

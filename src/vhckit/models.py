@@ -31,8 +31,8 @@ class ModelBundle:
 
 
 def _zero_gradient(n):
-    """Metric gradient [d_l D] of a constant metric: plain zeros, which
-    ``manifold.first_kind`` skips."""
+    """Metric gradient [d_l D] of a constant metric: plain zeros, which the
+    generated Gamma1 code of ``vhc`` skips."""
     zeros = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     return lambda q: zeros
 

@@ -4,9 +4,10 @@ no cap unless ``max_step`` is given) and keep no interpolant, so readers see
 the solver's nodes, where it controls the error, or the ``t_eval`` times.
 Right-hand sides and readers take the solver's states as Python float lists
 (``tolist()``), never as numpy scalars, which make every dual operation on
-them slower. The reduced right-hand side is ``vhc.constrained_rhs``, whose
-column and projection are generated once per shape, so a portrait compiles
-them on its first call and reuses them for every orbit."""
+them slower. The reduced right-hand side is ``vhc.constrained_rhs``, the
+"accel" column of ``vhc.reduction_matrix``, whose kernel is generated once
+per shape, so a portrait compiles it on its first call and reuses it for
+every orbit."""
 
 from __future__ import annotations
 

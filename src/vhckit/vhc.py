@@ -1,10 +1,11 @@
 """Control-theoretic core: regularity, projection, induced connection,
 constrained dynamics, and constraint-enforcing feedback.
 
-The projection ``reduction_matrix``, the column of ``constrained_rhs`` and
-the force gradP + Gamma1(qd, qd) of ``stabilizing_feedback`` run as
-straight-line Python functions, generated once per shape on first use,
-whose sums add in ``sum``'s order, as loops over nested lists do."""
+The projection ``reduction_matrix``, which takes declared column names,
+and the force gradP + Gamma1(qd, qd) of ``stabilizing_feedback`` run as
+straight-line Python functions, generated once per shape on first use, that
+share one emitter of the first-kind contraction Gamma1 and add each sum
+left to right from 0, as loops over nested lists do."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import linalg
 from .calculus import jacobian, matrix_partial, second_partial
 from .dual import real
 from .linalg import _function, _list, _tup
-from .manifold import Chart, ConnectionCoeffs, first_kind
+from .manifold import Chart, ConnectionCoeffs
 
 
 # max |dphi^T B| below which the inputs count as orthogonal to C
@@ -89,20 +90,27 @@ class ConstraintParametrization:
             object.__setattr__(self, "d2phi", d2phi)
 
 
-def reduction_matrix(sys, par, theta, columns):
-    """X = A^{-1} Bperp (D c_k + f_k), A = Bperp D dphi, at x = phi(theta):
-    the one projection of ambient data onto the reduced chart. ``columns(x,
-    dphi)`` lists a pair (c_k, f_k) per column of X, an ambient vector and an
-    ambient covector, either of which may be None. x, dphi, D and Bperp are
-    evaluated once, A and the right-hand side come from the projection
-    generated for their shape, and A is solved once."""
+def reduction_matrix(sys, par, theta, columns, thdot=None):
+    """X = A^{-1} Bperp (D c + f), A = Bperp D dphi, at x = phi(theta): the
+    one projection of ambient data onto the reduced chart, with a column
+    for each name in the tuple ``columns`` (Gamma1 the first-kind
+    Christoffels of D): "gradP", f = gradP and no c; a pair (i, j),
+    c = d2phi_ij and f = Gamma1(dphi_i, dphi_j), no f where the metric
+    gradient dD is all plain zeros; "accel", c = d2phi[thdot, thdot] and
+    f = gradP + Gamma1(u, u) with u = dphi thdot. Each field is evaluated
+    once, d2phi, gradP and dD only if a column needs them, the kernel
+    generated for the shape and the columns builds A and the right-hand
+    side, and A is solved once."""
     theta = list(theta)
     x = par.phi(theta)
     dphi = par.dphi(theta)
-    cols = columns(x, dphi)
+    lifted = set(columns) != {"gradP"}
+    d2phi = par.d2phi(theta) if lifted else None
+    gradP = sys.gradP(x) if "gradP" in columns or "accel" in columns else None
+    dD = sys.metric_grad(x) if lifted else None
     D, Bp = sys.D(x), sys.Bperp(x)
-    kinds = tuple([(c is not None, f is not None) for c, f in cols])
-    A, rhs = _projection(len(x), len(Bp), len(theta), kinds)(D, Bp, dphi, cols)
+    A, rhs = _reduction(len(x), len(Bp), len(theta), columns)(
+        D, Bp, dphi, d2phi, thdot, gradP, dD)
     try:
         return linalg.solve(A, rhs)
     except linalg.SingularMatrixError as e:
@@ -116,112 +124,108 @@ def _floats(point):
 
 # -- straight-line kernels ----------------------------------------------------
 # Generated once per shape, on first use. Each sum is written as ``0 + a + b
-# ...``, the additions of ``sum(map(mul, ...))`` in its order, so Duals, and
-# floats up to CPython 3.11 (3.12's float ``sum`` compensates), get the
-# values of loops over nested lists bit for bit.
+# ...``, a fold from 0 in the order of the loops over nested lists that the
+# kernels replace, so floats and duals get those loops' values bit for bit.
 
 def _sum(terms):
     return " + ".join(["0", *terms])
 
 
+def _gamma1(n, columns):
+    """Lines that unpack dD and set F{p}_{l}, for each column p of
+    reduction_matrix's ``columns`` with a Gamma1 term, to its f:
+    Gamma1(dphi_i, dphi_j)_l for a pair (i, j), None where no term reaches
+    l, and G{l} + Gamma1(U, U)_l for "accel". Gamma1(v, w)_l =
+    Gamma_{l,ij} v^i w^j, Gamma_{l,ij} = 1/2 (d_i D_jl + d_j D_il - d_l D_ij):
+    dD is scanned once, each entry g = d_i D_jl adding to Gamma_{l,ij} and
+    Gamma_{l,ji} and subtracting from Gamma_{i,jl}, and a plain-zero entry
+    is skipped at run time (a Dual is always truthy)."""
+    N = range(n)
+    vecs = {p: ("U{}".format,) * 2 if c == "accel"
+            else tuple(f"P{{}}_{a}".format for a in c)
+            for p, c in enumerate(columns) if c != "gradP"}
+    lines = [
+        f" {_tup(_tup(_tup(f'g{i}_{j}_{l}' for l in N) for j in N) for i in N)}"
+        " = dD",
+        " " + " = ".join(f"F{p}_{l}" for p in vecs for l in N) + " = None"]
+    for i, j, l in itertools.product(N, N, N):
+        lines += [f" if g{i}_{j}_{l}:", f"  h = 0.5 * g{i}_{j}_{l}"]
+        for p, (v, w) in vecs.items():
+            lines += [f"  t = h * ({v(i)} * {w(j)} + {v(j)} * {w(i)})",
+                      f"  F{p}_{l} = t if F{p}_{l} is None else F{p}_{l} + t",
+                      f"  t = h * {v(j)} * {w(l)}",
+                      f"  F{p}_{i} = -t if F{p}_{i} is None else F{p}_{i} - t"]
+    return lines + [f" F{p}_{l} = G{l} if F{p}_{l} is None else G{l} + F{p}_{l}"
+                    for p, c in enumerate(columns) if c == "accel" for l in N]
+
+
 @functools.lru_cache(maxsize=None)
-def _projection(n, r, d, kinds):
-    """(D, Bperp, dphi, columns) -> (A, rhs) of reduction_matrix for n
-    ambient and d reduced coordinates, r rows of Bperp and kinds[k] =
-    (c_k given, f_k given): E = Bperp D, A = E dphi and rhs = E c + Bperp f."""
+def _reduction(n, r, d, columns):
+    """(D, Bperp, dphi, d2phi, thdot, gradP, dD) -> (A, rhs) of
+    reduction_matrix for n ambient and d reduced coordinates, r rows of
+    Bperp and the declared ``columns``: E = Bperp D, A = E dphi and, per
+    column p, rhs = E C{p} + Bperp F{p}."""
     N, R = range(n), range(d)
     lines = [
-        "def run(D, Bp, dphi, cols):",
+        "def run(D, Bp, dphi, d2phi, thd, gradP, dD):",
         f" {_tup(_tup(f'D{i}_{k}' for k in N) for i in N)} = D",
         f" {_tup(_tup(f'B{s}_{i}' for i in N) for s in range(r))} = Bp",
-        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
-        f" {_tup(f'(C{p}, F{p})' for p in range(len(kinds)))} = cols"]
-    for p, (c, f) in enumerate(kinds):
-        lines += [f" {_tup(f'{v}{p}_{i}' for i in N)} = {v}{p}"
-                  for v, given in (("C", c), ("F", f)) if given]
+        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi"]
+    if "gradP" in columns or "accel" in columns:
+        lines.append(f" {_tup(f'G{l}' for l in N)} = gradP")
+    if "accel" in columns:
+        lines.append(f" {_tup(f'T{a}' for a in R)} = thd")
+        lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
+    if set(columns) != {"gradP"}:
+        H = _tup(_tup(_tup(f"H{k}_{i}_{j}" for j in R) for i in R) for k in N)
+        lines += [f" {H} = d2phi", *_gamma1(n, columns)]
+    pairs = [p for p, col in enumerate(columns) if isinstance(col, tuple)]
+    if pairs:
+        # no term at all: dD is plain zero, and the pairs have no f
+        lines.append(" Z = " + " and ".join(f"F{pairs[0]}_{l} is None"
+                                            for l in N))
+    for p, col in enumerate(columns):
+        if col == "gradP":
+            lines += [f" F{p}_{l} = G{l}" for l in N]
+        elif col == "accel":
+            lines += [f" C{p}_{k} = " + _sum(f"H{k}_{i}_{j} * T{i} * T{j}"
+                                              for i in R for j in R)
+                      for k in N]
+        else:
+            lines += [f" C{p}_{k} = H{k}_{col[0]}_{col[1]}" for k in N]
+            lines += [f" F{p}_{l} = 0.0 if F{p}_{l} is None else F{p}_{l}"
+                      for l in N]
     A, rhs = [], []
     for s in range(r):
         lines += [f" E{s}_{k} = " + _sum(f"B{s}_{i} * D{i}_{k}" for i in N)
                   for k in N]
         A.append(_list(_sum(f"E{s}_{k} * P{k}_{a}" for k in N) for a in R))
         row = []
-        for p, (c, f) in enumerate(kinds):
-            ec = _sum(f"E{s}_{i} * C{p}_{i}" for i in N)
+        for p, col in enumerate(columns):
+            ec = _sum(f"E{s}_{k} * C{p}_{k}" for k in N)
             bf = _sum(f"B{s}_{i} * F{p}_{i}" for i in N)
-            row.append(bf if not c else ec if not f else f"{ec} + ({bf})")
+            row.append(bf if col == "gradP" else f"{ec} + ({bf})"
+                       if col == "accel" else f"{ec} if Z else {ec} + ({bf})")
         rhs.append(_list(row))
     lines.append(f" return {_list(A)}, {_list(rhs)}")
     return _function(lines, "reduction_matrix")
 
 
-def _force_lines(n):
-    """Lines that unpack gradP and dD and set F0, F1, ... to gradP +
-    Gamma1(U, U) from U0, U1, ...: first_kind's terms, in its scan order,
-    skipping the plain-zero entries of dD as it does."""
-    N = range(n)
-    lines = [
-        f" {_tup(f'G{l}' for l in N)} = gradP",
-        f" {_tup(_tup(_tup(f'g{i}_{j}_{l}' for l in N) for j in N) for i in N)}"
-        " = dD",
-        " " + " = ".join(f"F{l}" for l in N) + " = None"]
-    for i, j, l in itertools.product(N, N, N):
-        lines += [f" if g{i}_{j}_{l}:",
-                  f"  h = 0.5 * g{i}_{j}_{l}",
-                  f"  t = h * (U{i} * U{j} + U{j} * U{i})",
-                  f"  F{l} = t if F{l} is None else F{l} + t",
-                  f"  t = h * U{j} * U{l}",
-                  f"  F{i} = -t if F{i} is None else F{i} - t"]
-    return lines + [f" F{l} = G{l} if F{l} is None else G{l} + F{l}"
-                    for l in N]
-
-
-@functools.lru_cache(maxsize=None)
-def _rhs_column(n, d):
-    """(dphi, d2phi, thdot, gradP, dD) -> (c, f) of constrained_rhs, with
-    c = d2phi[thdot, thdot] and f = gradP + Gamma1(u, u), u = dphi thdot, for
-    n ambient and d reduced coordinates."""
-    N, R = range(n), range(d)
-    lines = [
-        "def run(dphi, d2phi, thd, gradP, dD):",
-        f" {_tup(_tup(f'P{i}_{a}' for a in R) for i in N)} = dphi",
-        f" {_tup(_tup(_tup(f'H{k}_{i}_{j}' for j in R) for i in R) for k in N)}"
-        " = d2phi",
-        f" {_tup(f'T{a}' for a in R)} = thd"]
-    lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
-    lines += _force_lines(n)
-    c = [_sum(f"H{k}_{i}_{j} * T{i} * T{j}" for i in R for j in R) for k in N]
-    lines.append(f" return {_list(c)}, {_list(f'F{l}' for l in N)}")
-    return _function(lines, "constrained_rhs")
-
-
 @functools.lru_cache(maxsize=None)
 def _force(n):
     """(qdot, gradP, dD) -> gradP + Gamma1(qdot, qdot) of
-    stabilizing_feedback, for n coordinates."""
-    lines = ["def run(qd, gradP, dD):",
-             f" {_tup(f'U{i}' for i in range(n))} = qd", *_force_lines(n),
-             f" return {_list(f'F{l}' for l in range(n))}"]
+    stabilizing_feedback, for n coordinates: the "accel" column's f."""
+    N = range(n)
+    lines = ["def run(qd, gradP, dD):", f" {_tup(f'U{i}' for i in N)} = qd",
+             f" {_tup(f'G{l}' for l in N)} = gradP", *_gamma1(n, ("accel",)),
+             f" return {_list(f'F0_{l}' for l in N)}"]
     return _function(lines, "stabilizing_feedback")
-
-
-def _connection_columns(sys, par, theta, x, dphi, pairs):
-    """The GammaC columns (d2phi_ij, Gamma1(dphi_i, dphi_j)) for the pairs
-    (i, j); Gamma1 is None for a plain-zero metric gradient."""
-    d2phi = par.d2phi(theta)
-    cols = list(zip(*dphi))
-    forces = first_kind(sys.metric_grad(x),
-                        [(cols[i], cols[j]) for i, j in pairs])
-    return [([a[i][j] for a in d2phi],
-             [f.get(l, 0.0) for l in range(len(x))] if f else None)
-            for (i, j), f in zip(pairs, forces)]
 
 
 @dataclass
 class RegularityReport:
     regular: bool
     min_singular_value: float
-    worst_theta: list
-    tol: float
     max_dphiT_B: float = 0.0     # orthogonality of the inputs to C
 
     def __bool__(self):
@@ -234,7 +238,6 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
     if grid is None:
         grid = par.chart.grid()
     best = np.inf
-    worst = None
     ortho = 0.0
     for th in grid:
         x = par.phi(list(th))
@@ -250,12 +253,9 @@ def check_regularity(sys, par, grid=None, tol=1e-8):
         if M.shape[0] != M.shape[1]:
             raise ValueError("dimension mismatch: need k = m = n - dim(theta)")
         sv = np.linalg.svd(M, compute_uv=False)
-        margin = sv[-1] / sv[0]
-        if margin < best:
-            best = margin
-            worst = list(th)
+        best = min(best, sv[-1] / sv[0])
         ortho = max(ortho, float(np.max(np.abs(dphi.T @ B))))
-    return RegularityReport(bool(best > tol), float(best), worst, tol, ortho)
+    return RegularityReport(bool(best > tol), float(best), ortho)
 
 
 def induced_christoffels(sys, par, theta):
@@ -265,10 +265,8 @@ def induced_christoffels(sys, par, theta):
     A = Bperp D dphi: one reduction_matrix column per pair i <= j.
     """
     d = len(theta)
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    X = reduction_matrix(
-        sys, par, theta,
-        lambda x, dphi: _connection_columns(sys, par, theta, x, dphi, pairs))
+    pairs = tuple((i, j) for i in range(d) for j in range(i, d))
+    X = reduction_matrix(sys, par, theta, pairs)
     out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
     for k in range(d):
         for p, (i, j) in enumerate(pairs):
@@ -278,9 +276,7 @@ def induced_christoffels(sys, par, theta):
 
 def reduced_potential(sys, par, theta):
     """lambda(theta) = (Bperp D dphi)^{-1} Bperp gradP at x = phi(theta)."""
-    X = reduction_matrix(sys, par, theta,
-                         lambda x, dphi: [(None, sys.gradP(x))])
-    return [row[0] for row in X]
+    return [row[0] for row in reduction_matrix(sys, par, theta, ("gradP",))]
 
 
 @dataclass(frozen=True)
@@ -299,21 +295,13 @@ def induced_connection(sys, par):
 
 
 def constrained_rhs(sys, par, state):
-    """Reduced accelerations: thdd^k = -GammaC^k_ij thd^i thd^j - lambda^k.
-
-    Contracted form: thdd = -A^{-1} Bperp (D c + Gamma1(u, u) + gradP), the
-    single reduction_matrix column (c, Gamma1(u, u) + gradP), with u = dphi
-    thd the lifted velocity, c the curvature term d2phi[thd, thd] of the lift
-    and Gamma1 the first-kind Christoffels of D.
-    """
+    """Reduced accelerations: thdd^k = -GammaC^k_ij thd^i thd^j - lambda^k,
+    in contracted form -A^{-1} Bperp (D c + gradP + Gamma1(u, u)): the
+    "accel" column of reduction_matrix, with u = dphi thd the lifted
+    velocity and c = d2phi[thd, thd] the curvature of the lift."""
     d = par.chart.dim
-    theta, thdot = list(state[:d]), list(state[d:])
-
-    def columns(x, dphi):
-        return [_rhs_column(len(x), d)(dphi, par.d2phi(theta), thdot,
-                                       sys.gradP(x), sys.metric_grad(x))]
-
-    return [-row[0] for row in reduction_matrix(sys, par, theta, columns)]
+    X = reduction_matrix(sys, par, state[:d], ("accel",), list(state[d:]))
+    return [-row[0] for row in X]
 
 
 def psi_functions(sys, par, theta):
@@ -321,10 +309,7 @@ def psi_functions(sys, par, theta):
     (-lambda, -GammaC) from one reduction_matrix solve of both columns."""
     if par.chart.dim != 1:
         raise ValueError("psi_functions requires degree of underactuation 1")
-    (lam, gam), = reduction_matrix(
-        sys, par, theta,
-        lambda x, dphi: [(None, sys.gradP(x))] + _connection_columns(
-            sys, par, theta, x, dphi, [(0, 0)]))
+    (lam, gam), = reduction_matrix(sys, par, theta, ("gradP", (0, 0)))
     return (-lam, -gam)
 
 

@@ -1,14 +1,14 @@
 """Reference constructions the tests compare the package against, which the
 package itself does not need."""
 
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
 from vhckit import linalg
 from vhckit.dual import Dual, real
-from vhckit.manifold import (ConnectionCoeffs, christoffel_from_metric,
-                             first_kind)
+from vhckit.manifold import ConnectionCoeffs, christoffel_from_metric
 from vhckit.vhc import RegularityError
 
 
@@ -91,9 +91,17 @@ def det(A):
     return d
 
 
+def _dot(a, b):
+    """sum(map(mul, a, b)) folded left from 0 on every CPython: 3.12's
+    float ``sum`` adds with compensation, the generated kernels do not."""
+    return reduce(add, map(mul, a, b), 0)
+
+
 def reduction_matrix(sys, par, theta, columns):
-    """vhckit.vhc.reduction_matrix as loops over nested lists: the oracle of
-    its generated projection, which must agree bit for bit."""
+    """vhckit.vhc.reduction_matrix as loops over nested lists, with
+    ``columns(x, dphi)`` listing a pair (c, f) per column, an ambient vector
+    and an ambient covector, either of which may be None: the oracle of its
+    generated kernel, which must agree bit for bit."""
     theta = list(theta)
     x = par.phi(theta)
     dphi = par.dphi(theta)
@@ -102,11 +110,11 @@ def reduction_matrix(sys, par, theta, columns):
     dphi_cols = list(zip(*dphi))
     A, rhs = [], []
     for bp in sys.Bperp(x):
-        bpd = [sum(map(mul, bp, col)) for col in D_cols]
-        A.append([sum(map(mul, bpd, col)) for col in dphi_cols])
-        rhs.append([sum(map(mul, bp, f)) if c is None
-                    else sum(map(mul, bpd, c)) if f is None
-                    else sum(map(mul, bpd, c)) + sum(map(mul, bp, f))
+        bpd = [_dot(bp, col) for col in D_cols]
+        A.append([_dot(bpd, col) for col in dphi_cols])
+        rhs.append([_dot(bp, f) if c is None
+                    else _dot(bpd, c) if f is None
+                    else _dot(bpd, c) + _dot(bp, f)
                     for c, f in cols])
     try:
         return solve(A, rhs)
@@ -116,25 +124,78 @@ def reduction_matrix(sys, par, theta, columns):
             f"{[float(real(t)) for t in theta]}") from e
 
 
-def rhs_column(sys, par, theta, thdot, x, dphi):
-    """vhckit.vhc.constrained_rhs's column (c, gradP + Gamma1(u, u)) from
-    first_kind's dict: the oracle of its generated column."""
-    d = len(theta)
-    u = linalg.mat_vec(dphi, thdot)
-    c = [sum(h[i][j] * thdot[i] * thdot[j]
-             for i in range(d) for j in range(d))
-         for h in par.d2phi(theta)]
-    f = list(sys.gradP(x))
-    for l, v in first_kind(sys.metric_grad(x), [(u, u)])[0].items():
-        f[l] = f[l] + v
-    return c, f
+def first_kind(dD, pairs):
+    """First-kind Christoffels of D contracted with each (v, w) in ``pairs``,
+    from the metric gradient dD = [d_i D]:
+
+        Gamma_{l,ij} v^i w^j,  Gamma_{l,ij} = 1/2 (d_i D_jl + d_j D_il - d_l D_ij).
+
+    This is D Gamma(v, w) for the Levi-Civita Christoffels Gamma of D.
+    Returns one {l: value} per pair, over the components that a nonzero
+    entry of dD reaches. dD is scanned once; plain-zero entries add no work
+    (a Dual is always truthy), so a plain-zero gradient gives empty maps:
+    the loop reference of the package's generated Gamma1 code.
+    """
+    # g = d_i D_jl enters Gamma_{l,ij}, Gamma_{l,ji} and -Gamma_{i,jl}
+    terms = [(i, j, l, 0.5 * g) for i, dDi in enumerate(dD)
+             for j, row in enumerate(dDi) if any(row)
+             for l, g in enumerate(row) if g]
+    out = []
+    for v, w in pairs:
+        f = {}
+        for i, j, l, h in terms:
+            t = h * (v[i] * w[j] + v[j] * w[i])
+            f[l] = f[l] + t if l in f else t
+            t = h * v[j] * w[l]
+            f[i] = f[i] - t if i in f else -t
+        out.append(f)
+    return out
+
+
+def declared_columns(sys, par, theta, names, thdot=None):
+    """The ``columns(x, dphi)`` of vhckit.vhc.reduction_matrix's declared
+    column ``names`` ("gradP", a pair (i, j), "accel"), built by first_kind's
+    loops from one evaluation of each field they need."""
+    def columns(x, dphi):
+        lifted = set(names) != {"gradP"}
+        d2phi = par.d2phi(theta) if lifted else None
+        gradP = sys.gradP(x) if "gradP" in names or "accel" in names else None
+        dD = sys.metric_grad(x) if lifted else None
+        vecs, cols = list(zip(*dphi)), []
+        for name in names:
+            if name == "accel":
+                u = [_dot(row, thdot) for row in dphi]
+                cols.append((u, u))
+            elif name != "gradP":
+                cols.append((vecs[name[0]], vecs[name[1]]))
+        forces = iter(first_kind(dD, cols) if cols else ())
+        out = []
+        for name in names:
+            if name == "gradP":
+                out.append((None, gradP))
+            elif name == "accel":
+                c = [reduce(add, (h[i][j] * a * b
+                                  for i, a in enumerate(thdot)
+                                  for j, b in enumerate(thdot)), 0)
+                     for h in d2phi]
+                f = list(gradP)
+                for l, v in next(forces).items():
+                    f[l] = f[l] + v
+                out.append((c, f))
+            else:
+                f = next(forces)
+                out.append(([a[name[0]][name[1]] for a in d2phi],
+                            [f.get(l, 0.0) for l in range(len(x))]
+                            if f else None))
+        return out
+
+    return columns
 
 
 def constrained_rhs(sys, par, state):
     """vhckit.vhc.constrained_rhs on the two oracles above."""
     d = par.chart.dim
     theta, thdot = list(state[:d]), list(state[d:])
-    X = reduction_matrix(
-        sys, par, theta,
-        lambda x, dphi: [rhs_column(sys, par, theta, thdot, x, dphi)])
+    X = reduction_matrix(sys, par, theta, declared_columns(
+        sys, par, theta, ("accel",), thdot))
     return [-row[0] for row in X]

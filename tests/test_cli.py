@@ -665,6 +665,17 @@ def test_constant_base_power_matches_exp_log(tmp_path, capsys):
     assert verdicts[0] == verdicts[1] == (EXIT_OK, "lagrangian")
 
 
+def test_float_power_in_a_potential_matches_the_int_power(tmp_path, capsys):
+    # the gradient of x**2.0 takes the power rule where x < 0, as x**2 does
+    dpc_a = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["dpc-a"]
+    runs = []
+    for power in ("x**2", "x**2.0"):
+        cfg = dict(dpc_a, P=dpc_a["P"] + " + 0.1*" + power)
+        code = main(["analyze", "--config", _write_config(tmp_path, cfg)])
+        runs.append((code, json.loads(capsys.readouterr().out)["verdict"]))
+    assert runs[0] == runs[1] == (EXIT_NOT_LAGRANGIAN, "not-lagrangian")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

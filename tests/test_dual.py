@@ -53,6 +53,23 @@ def test_constant_base_power():
         (-2.0) ** Dual(0.5, 1.0)
 
 
+def test_float_power_is_the_power_rule():
+    # u ** c for a plain float c is c u^(c-1) du, as expr compiles it: a
+    # negative base with an integral c is fine at every nesting level, a
+    # non-integral c still raises, and a dual exponent keeps exp(c log u)
+    d = Dual(Dual(-1.5, 1.0), 1.0) ** 2.0
+    assert (real(d), real(eps(d)), eps(eps(d))) == (2.25, -3.0, 2.0)
+    d = Dual(2.0, 1.0) ** 0.5
+    assert real(d) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert eps(d) == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-15)
+    with pytest.raises(ValueError):
+        Dual(-2.0, 1.0) ** 0.5
+    d = Dual(2.0, 1.0) ** Dual(0.5, 0.0)
+    assert eps(d) == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-15)
+    with pytest.raises(ValueError):
+        Dual(-2.0, 1.0) ** Dual(2.0, 0.0)
+
+
 @given(finite)
 @settings(max_examples=50, deadline=None)
 def test_product_and_chain_rule(x):

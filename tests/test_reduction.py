@@ -1,9 +1,9 @@
-"""The generated reduction kernels against the loops they replace: the
-projection of ``reduction_matrix`` and the column of ``constrained_rhs``
-must give the loops' values bit for bit (``repr``), with the same dual
-operations, on floats and on seeded duals, for every shape and column kind
-the package builds; and every generated kernel, the closed loop's and
-``linalg``'s too, is compiled once per shape, on first use."""
+"""The generated reduction kernel against the loops it replaces:
+``reduction_matrix`` must give the loops' values bit for bit (``repr``),
+with the same dual operations, on floats and on seeded duals, for every
+shape and declared column set the package builds; and every generated
+kernel, the closed loop's and ``linalg``'s too, is compiled once per shape,
+on first use."""
 
 import os
 import runpy
@@ -24,8 +24,7 @@ from vhckit.manifold import Chart
 from vhckit.models import get_model
 from vhckit.sim import phase_portrait, simulate_full
 from vhckit.vhc import (ConstraintParametrization, LagrangianControlSystem,
-                        RegularityError, _connection_columns,
-                        constrained_rhs, reduction_matrix)
+                        RegularityError, constrained_rhs, reduction_matrix)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = runpy.run_path(str(ROOT / "perfbench" / "configs.py"))["CONFIGS"]
@@ -85,18 +84,18 @@ def _points(par, rng, count):
         yield seed(seed(th, i), j)
 
 
-def _column_sets(sys_, par, theta):
-    """Every kind of column list the package projects: the connection pairs
-    (plus, in 1-D, psi_functions' potential column) and the potential."""
-    d = len(theta)
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    yield lambda x, dphi: _connection_columns(sys_, par, theta, x, dphi,
-                                              pairs)
-    yield lambda x, dphi: [(None, sys_.gradP(x))]
+def _column_sets(d):
+    """Every declared column set the package projects: the connection pairs,
+    the potential, psi_functions' pair of both in 1-D and the reduced
+    acceleration; and a mix of every kind, whose Gamma1 terms share one scan
+    of dD."""
+    pairs = tuple((i, j) for i in range(d) for j in range(i, d))
+    yield pairs
+    yield ("gradP",)
     if d == 1:
-        yield lambda x, dphi: [(None, sys_.gradP(x))] + _connection_columns(
-            sys_, par, theta, x, dphi, [(0, 0)])
-    yield lambda x, dphi: [(list(col), None) for col in zip(*dphi)]
+        yield ("gradP", (0, 0))
+    yield ("accel",)
+    yield ("accel", "gradP") + pairs
 
 
 @pytest.mark.parametrize("name", MODELS + [m + "-config" for m in MODELS]
@@ -121,23 +120,24 @@ def test_compiled_reduction_matches_loops(name, monkeypatch):
     rng = np.random.default_rng(43)
     d = par.chart.dim
     for theta in _points(par, rng, 6):
-        for columns in _column_sets(sys_, par, theta):
-            args = (sys_, par, theta, columns)
-            assert (run(reduction_matrix, *args)
-                    == run(oracles.reduction_matrix, *args))
-        state = list(theta) + [float(v) for v in rng.normal(size=d)]
+        thdot = [float(v) for v in rng.normal(size=d)]
+        for columns in _column_sets(d):
+            loops = oracles.declared_columns(sys_, par, theta, columns, thdot)
+            assert (run(reduction_matrix, sys_, par, theta, columns, thdot)
+                    == run(oracles.reduction_matrix, sys_, par, theta, loops))
+        state = list(theta) + thdot
         assert (run(constrained_rhs, sys_, par, state)
                 == run(oracles.constrained_rhs, sys_, par, state))
 
 
 def test_compiled_kernel_shapes():
-    # (n, d) = (2, 1), (3, 2) and (4, 3) each get their own kernels
-    vhc._rhs_column.cache_clear()
+    # (n, d) = (2, 1), (3, 2) and (4, 3) each get their own kernel
+    vhc._reduction.cache_clear()
     for name in ("circle", "dpc-a", "three-dof"):
         sys_, par = _bundle(name)
         d = par.chart.dim
         constrained_rhs(sys_, par, [0.1] * d + [0.2] * d)
-    assert vhc._rhs_column.cache_info().currsize == 3
+    assert vhc._reduction.cache_info().currsize == 3
 
 
 def test_singular_projection_names_theta():
@@ -150,17 +150,15 @@ def test_singular_projection_names_theta():
 
 
 def test_each_shape_compiles_once_in_a_portrait():
-    vhc._projection.cache_clear()
-    vhc._rhs_column.cache_clear()
+    vhc._reduction.cache_clear()
     b = get_model("dpc-a")
     orbits = phase_portrait(b.system, b.parametrization,
                             [([0.0, 0.5], [0.0, 1.0]),
                              ([0.2, 3.0], [0.1, -2.0])],
                             t_final=1.0, coord=1)
     assert len(orbits) == 2
-    proj, col = vhc._projection.cache_info(), vhc._rhs_column.cache_info()
-    assert (proj.misses, proj.currsize) == (1, 1) and proj.hits > 100
-    assert (col.misses, col.currsize) == (1, 1) and col.hits > 100
+    red = vhc._reduction.cache_info()
+    assert (red.misses, red.currsize) == (1, 1) and red.hits > 100
 
 
 def test_each_shape_compiles_once_in_a_full_simulation():
@@ -183,9 +181,9 @@ def test_each_shape_compiles_once_in_a_full_simulation():
 def test_cli_import_compiles_no_kernel():
     code = ("import vhckit.cli, vhckit.linalg as la, vhckit.vhc as v; "
             "print(*[f.cache_info().currsize for f in "
-            "(v._projection, v._rhs_column, v._force, la._elimination)])")
+            "(v._reduction, v._force, la._elimination)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0"]

