@@ -1,25 +1,26 @@
-"""Shared numerical kernels: differentiation, quadrature, ODE integration.
+"""Shared numerical kernels: differentiation, Chebyshev integration and
+the ODE stepper.
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
 numbers; fields must accept dual arguments (see ``vhckit.dual``). Every
-ODE is solved by ``integrate_ode``, the embedded Runge-Kutta pair DOP853,
-and every definite integral by ``quad``, adaptive Gauss-Kronrod; both are
-written here, so importing the package loads no scipy."""
+definite integral, antiderivative and parallel transport is solved on a
+Chebyshev sample of its integrand or coefficient (``quad``,
+``antiderivative``, ``transport``), and the simulations' ODEs by
+``integrate_ode``, the embedded Runge-Kutta pair DOP853; both are written
+here, so importing the package loads no scipy."""
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dual import Dual, eps, seed
 
-DEFAULT_QUAD_TOL = 1e-10
-QUAD_LIMIT = 200
 _EPS = sys.float_info.epsilon
 
 
@@ -106,76 +107,209 @@ def matrix_partial(f, x, i):
     return _peel(f(seed(x, i)), eps)
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the Kronrod abscissae
-# from 1 down to 0 and their weights; abscissae 1, 3, ..., 9 are the nodes of
-# the 10-point Gauss rule, whose weights are _WG.
-_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
-        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
-        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
-        0.14887433898163122, 0.0)
-_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
-        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
-        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
-        0.14773910490133849, 0.1494455540029169)
-_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-       0.26926671930999635, 0.29552422471475287)
+# -- Chebyshev integration ---------------------------------------------------
+#
+# f on [a, b] is sampled at nested Chebyshev-Lobatto nodes until its
+# Chebyshev coefficients converge, on pieces halved where they do not. An
+# antiderivative is then one product with the integration matrix, and
+# transport solves Y = Y(lo) + int A Y on the nodes (Greengard, SIAM J.
+# Numer. Anal. 28 (1991) 1071-1080; Trefethen, ATAP (2013), ch. 19).
+
+CHEB_LEVELS = (16, 32, 64, 128, 256)
+CHEB_TAIL = 1e-14
+SPLIT_LEVELS = CHEB_LEVELS[:3]    # a halved span samples at most 65 nodes
+MIN_PIECE = 2.0 ** -40            # of the span: a narrower piece raises
+BLOCK = 32                        # transport's nodes per block, less one
 
 
-def _gauss_kronrod(f, a, b):
-    """(K21 value, error estimate, resasc) on [a, b], as QUADPACK's qk21:
-    the error is |K21 - G10|, scaled by resasc (the K21 integral of
-    |f - mean|) and floored at 50 eps times the integral of |f|."""
+def _dct1(G):
+    """DCT-I of the rows of G (scipy.fft.dct(G, type=1, axis=0)): the real
+    FFT of the even extension G_0, ..., G_n, G_(n-1), ..., G_1."""
+    return np.fft.rfft(np.vstack([G, G[-2:0:-1]]), axis=0).real
+
+
+def _resolved(F, scale):
+    """Whether the Chebyshev coefficients of the node values F (a row per
+    node) are below CHEB_TAIL times ``scale`` over their last quarter."""
+    n = len(F) - 1
+    c = np.abs(_dct1(F.reshape(n + 1, -1))) / n
+    return np.max(c[3 * n // 4:]) <= CHEB_TAIL * scale
+
+
+@lru_cache(maxsize=None)
+def _nodes(n):
+    """The nodes cos(pi k / n), k = 0, ..., n, and barycentric weights."""
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    return np.cos(np.pi * np.arange(n + 1) / n), w
+
+
+@lru_cache(maxsize=None)
+def _integration_matrix(n):
+    """Q with (Q f)_k the integral from -1 to x_k of the polynomial through
+    the values f at the nodes x of ``_nodes(n)``: the integrals S of the
+    T_j from -1 times f's Chebyshev coefficients C f (a DCT-I), with
+    T_j(x_k) = cos(pi j k / n)."""
+    j, k = np.arange(n + 2)[:, None], np.arange(n + 1)
+    T = np.cos(j * k % (2 * n) * (np.pi / n))
+    S = np.empty((n + 1, n + 1))     # in place: n = 256 takes 0.5 MB each
+    S[0], S[1], m = T[1] + 1.0, 0.25 * (T[2] - 1.0), j[2:n + 1]
+    np.divide(T[3:], 2 * m + 2, out=S[2:])
+    S[2:] -= T[1:n] / (2 * m - 2) + (-1.0) ** m / (m * m - 1)
+    C = np.multiply(T[:n + 1], 2.0 / n, out=T[:n + 1])
+    C[:, [0, n]] *= 0.5
+    C[[0, n]] *= 0.5
+    Q = S.T @ C
+    Q[-1] = 0.0
+    return Q
+
+
+class Piece:
+    """Values at the Chebyshev-Lobatto nodes of [a, b], a row per node from
+    b to a. At a, b and the nodes it returns their rows; elsewhere it
+    interpolates them barycentrically, with a column of ones for the
+    denominator, so that constant data stays exact."""
+
+    def __init__(self, a, b, values):
+        self.a, self.b, self.values = a, b, values
+        self.mid, self.half = 0.5 * (a + b), 0.5 * (b - a)
+        self._aug = None
+
+    def __call__(self, t):
+        if t == self.b:
+            return self.values[0]
+        if t == self.a:
+            return self.values[-1]
+        return self.at(np.array([t]))[0]
+
+    def at(self, t):
+        """Values at each point of the array t."""
+        x, w = _nodes(len(self.values) - 1)
+        if self._aug is None:
+            self._aug = np.c_[self.values.reshape(len(x), -1), np.ones(len(x))]
+        d = np.subtract.outer((t - self.mid) / self.half, x)
+        hit = d == 0.0
+        W = w / np.where(hit, 1.0, d)
+        W[hit.any(axis=1)] = hit[hit.any(axis=1)]
+        v = W @ self._aug
+        return (v[:, :-1] / v[:, -1:]).reshape(t.shape + self.values.shape[1:])
+
+
+class Dense:
+    """A function of t on consecutive pieces from a to b; ``end`` is its
+    value at b."""
+
+    def __init__(self, parts):
+        self.parts, self.end = parts, parts[-1].values[0]
+        self._sign = 1.0 if parts[-1].b > parts[0].a else -1.0
+        self._keys = [self._sign * p.b for p in parts[:-1]]
+
+    def __call__(self, t):
+        return self.parts[bisect_left(self._keys, self._sign * t)](t)
+
+
+def sample(f, a, b, levels=CHEB_LEVELS):
+    """f on [a, b] at the nodes of the first level of ``levels`` whose
+    Chebyshev coefficients are below CHEB_TAIL times max(1, max |f|) over
+    their last quarter, as a Piece; each level doubles the one before, so it
+    reuses its samples. None if no level gets there or a value is not
+    finite."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(mid)
-    resg, resk = 0.0, _WGK[10] * fc
-    resabs = abs(resk)
-    fv = [None] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        dx = half * _XGK[j]
-        f1, f2 = f(mid - dx), f(mid + dx)
-        fv[j] = (f1, f2)
-        if j % 2:
-            resg += _WG[j // 2] * (f1 + f2)
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-    reskh = 0.5 * resk
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j, (f1, f2) in enumerate(fv):
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
-    resabs, resasc = resabs * abs(half), resasc * abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > sys.float_info.min / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return resk * half, err, resasc
+    F = None
+    for n in levels:
+        t = mid + half * _nodes(n)[0]
+        t[0], t[-1] = b, a
+        new = np.array([f(s) for s in (t if F is None else t[1::2]).tolist()],
+                       dtype=float)
+        F = new if F is None else np.insert(new, range(len(F)), F, axis=0)
+        if not np.all(np.isfinite(F)):
+            return None
+        if _resolved(F, max(1.0, float(np.max(np.abs(F))))):
+            return Piece(a, b, F)
+    return None
 
 
-def quad(f, a, b, tol=DEFAULT_QUAD_TOL):
-    """Integral of ``f`` over [a, b] by adaptive Gauss-Kronrod (G10K21): the
-    interval with the largest error estimate is bisected until the
-    estimates sum to at most max(tol, tol |value|), or there are
-    ``QUAD_LIMIT`` intervals. An estimate left above both
-    max(100 tol, 1e-8 |value|) and 1e-7 raises ``IntegrationError``."""
-    if a == b:
-        return 0.0
-    val, err, resasc = _gauss_kronrod(f, a, b)
-    # an estimate equal to resasc is saturated: it says nothing yet
-    if err != 0.0 and (err > max(tol, tol * abs(val)) or err == resasc):
-        parts = [(-err, a, b, val)]
-        while len(parts) < QUAD_LIMIT:
-            _, lo, hi, _ = heapq.heappop(parts)
-            mid = 0.5 * (lo + hi)
-            for x, y in ((lo, mid), (mid, hi)):
-                v, e, _ = _gauss_kronrod(f, x, y)
-                heapq.heappush(parts, (-e, x, y, v))
-            val = math.fsum(p[3] for p in parts)
-            err = -math.fsum(p[0] for p in parts)
-            if err <= max(tol, tol * abs(val)):
-                break
-    if err > max(100.0 * tol, 1e-8 * abs(val)) and err > 1e-7:
-        raise IntegrationError(f"quadrature did not converge: err={err:g}")
-    return float(val)
+def _split(solve, a, b, span):
+    """solve(lo, hi) on consecutive spans from a to b: a span where it
+    gives None is halved, and one narrower than MIN_PIECE of ``span``
+    raises ``IntegrationError``."""
+    out, todo = [], [(a, b)]
+    while todo:
+        lo, hi = todo.pop()
+        r = solve(lo, hi)
+        if r is not None:
+            out.append(r)
+            continue
+        if abs(hi - lo) <= MIN_PIECE * span:
+            raise IntegrationError(f"no Chebyshev sample resolves the span "
+                                   f"between {lo:.17g} and {hi:.17g}")
+        mid = 0.5 * (lo + hi)
+        todo += [(mid, hi), (lo, mid)]
+    return out
+
+
+def pieces(f, a, b):
+    """Samples of f (``sample``) on consecutive pieces from a to b: a span
+    that no level resolves, or where a value is not finite, is halved
+    (``_split``), and a half samples at most 65 nodes."""
+    return _split(lambda lo, hi: sample(
+        f, lo, hi, CHEB_LEVELS if (lo, hi) == (a, b) else SPLIT_LEVELS),
+        a, b, abs(b - a))
+
+
+def antiderivative(f, a, b, F0=0.0):
+    """F(t) = F0 + int_a^t f on [a, b] (either order), as a Dense: on each
+    piece of f, F at the nodes is one product with the integration
+    matrix."""
+    parts = []
+    for p in pieces(f, a, b):
+        F = F0 + p.half * (_integration_matrix(len(p.values) - 1) @ p.values)
+        parts.append(Piece(p.a, p.b, F))
+        F0 = F[0]
+    return Dense(parts)
+
+
+def quad(f, a, b):
+    """Integral of ``f`` over [a, b]: the end of its antiderivative
+    (Clenshaw-Curtis on each piece)."""
+    return float(antiderivative(f, a, b).end)
+
+
+def _fundamental(A, lo, hi):
+    """Phi' = A Phi on [lo, hi], Phi(lo) = I, at the BLOCK + 1 nodes, as a
+    Piece, with A read from its Piece: the collocation system
+    (I - h Q A) Phi = I. None if Phi's Chebyshev tail is not below
+    CHEB_TAIL times its least size over the nodes, so that a decaying
+    solution keeps its relative accuracy."""
+    half = 0.5 * (hi - lo)
+    t = 0.5 * (lo + hi) + half * _nodes(BLOCK)[0]
+    t[0], t[-1] = hi, lo
+    At = A.at(t)
+    m, d = At.shape[:2]
+    M = (-half * _integration_matrix(BLOCK)[:, None, :, None]
+         * At.transpose(1, 0, 2)[None]).reshape(m * d, m * d)
+    M[np.diag_indices(m * d)] += 1.0
+    try:
+        Phi = np.linalg.solve(M, np.tile(np.eye(d), (m, 1))).reshape(m, d, d)
+    except np.linalg.LinAlgError:
+        return None
+    scale = np.min(np.max(np.abs(Phi), axis=(1, 2)))
+    if np.all(np.isfinite(Phi)) and _resolved(Phi, scale):
+        return Piece(lo, hi, Phi)
+    return None
+
+
+def transport(A, a, b, Y0):
+    """Y' = A(t) Y on [a, b] (either order) from Y(a) = Y0, as a Dense:
+    A is sampled once (``pieces``), and each piece solved on blocks
+    (``_fundamental``), halved where they do not resolve."""
+    Y, parts = np.asarray(Y0, dtype=float), []
+    for p in pieces(A, a, b):
+        for block in _split(lambda lo, hi: _fundamental(p, lo, hi),
+                            p.a, p.b, abs(b - a)):
+            parts.append(Piece(block.a, block.b, block.values @ Y))
+            Y = parts[-1].values[0]
+    return Dense(parts)
 
 
 @dataclass(frozen=True)
@@ -206,27 +340,16 @@ def line_segment(p, q, t_start=0.0, t_end=1.0):
 
 
 class Trajectory:
-    """ODE solution at the solver's nodes or at requested times. With dense
-    output kept, ``at`` evaluates the local polynomial of the step that
-    holds t (the earlier step at a node)."""
+    """ODE solution at the solver's nodes or at requested times."""
 
-    def __init__(self, times, states, steps=None):
+    def __init__(self, times, states):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        # (direction * node times, one polynomial per step, direction)
-        self._steps = steps
         self.diagnostics = {}
 
     @property
     def end_state(self):
         return self.states[-1].copy()
-
-    def at(self, t):
-        if self._steps is None:
-            raise ValueError("trajectory kept no dense output to interpolate")
-        keys, polys, direction = self._steps
-        k = bisect_left(keys, direction * t) - 1
-        return polys[min(max(k, 0), len(polys) - 1)](t)
 
 
 # -- DOP853 ------------------------------------------------------------------
@@ -377,42 +500,32 @@ def _initial_step(rhs, t0, y0, f0, t1, direction, max_step, tol, rtol):
 # _MIN_FACTOR) until it collapses: that ends as an IntegrationError, with no
 # numpy warning on the way.
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, first_step=None,
-                  dense=True, t_eval=None):
+def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, t_eval=None):
     """Integrate ``x' = rhs(t, x)`` from t0 to t1 (either direction) with
-    DOP853 at rtol = atol = ``tol``, keeping the nodes (or the states at
-    ``t_eval``, sorted in the direction of integration) and, if ``dense``,
-    each step's interpolating polynomial. ``rhs`` gets the state as a float
-    ndarray and may return a list.
-
-    This is the package's one ODE primitive: the simulations, parallel
-    transport (on a Chebyshev sample of the connection where that
-    converges, see ``holonomy``) and the antiderivatives of ``holonomy`` all
-    run it. The dense output costs three more RHS calls on each step that
-    keeps it: every step when ``dense``, else only the steps that hold a
-    ``t_eval`` time. A right-hand side that is not finite at the start, or
-    a step that must shrink below the spacing of floats (a pole, a NaN on
-    the way), raises ``IntegrationError``.
-    """
+    DOP853 at rtol = atol = ``tol``, for the simulations (``vhckit.sim``):
+    the nodes, or the states at ``t_eval`` (sorted in the direction of
+    integration) from the interpolant of the step that holds them, at three
+    more RHS calls per such step. ``rhs`` gets the state as a float ndarray
+    and may return a list. A right-hand side that is not finite at the
+    start, or a step that must shrink below the spacing of floats (a pole,
+    a NaN on the way), raises ``IntegrationError``."""
     t0, t1 = float(t0), float(t1)
     y = np.asarray(x0, dtype=float)
     if t1 == t0:
-        return Trajectory([t0], [y], ([t0], [lambda t: y.copy()], 1.0))
+        return Trajectory([t0], [y])
     f = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise IntegrationError(f"right-hand side is not finite at t = {t0:g}")
     direction = 1.0 if t1 > t0 else -1.0
     rtol = max(tol, 100 * _EPS)
-    h_abs = first_step or _initial_step(rhs, t0, y, f, t1, direction,
-                                        max_step, tol, rtol)
+    h_abs = _initial_step(rhs, t0, y, f, t1, direction, max_step, tol, rtol)
     K = np.empty((len(_STAGES) + 1, y.size))
     rows = [(s, K[:s].T, a, c) for s, a, c in _STAGES[:11]]
     KB, Kerr = K[:12].T, K[:13]
-    t, nodes, states = t0, [t0], [y]
+    t, times, states = t0, [t0], [y]
     if t_eval is not None:
         times, states, done = [], [], 0
         keys = [direction * float(s) for s in t_eval]
-    polys = [] if dense else None
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
@@ -446,19 +559,14 @@ def integrate_ode(rhs, t0, x0, t1, tol, max_step=np.inf, first_step=None,
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        nodes.append(t)
-        poly = _dense(rhs, K, t_old, h, y_old, y, f) if dense else None
-        if dense:
-            polys.append(poly)
         if t_eval is None:
+            times.append(t)
             states.append(y)
             continue
         stop = bisect_right(keys, direction * t, done)
         if stop > done:
-            poly = poly or _dense(rhs, K, t_old, h, y_old, y, f)
+            poly = _dense(rhs, K, t_old, h, y_old, y, f)
             times.extend(t_eval[done:stop])
             states.extend(poly(s) for s in t_eval[done:stop])
             done = stop
-    steps = ([direction * s for s in nodes], polys, direction) \
-        if dense else None
-    return Trajectory(nodes if t_eval is None else times, states, steps)
+    return Trajectory(times, states)

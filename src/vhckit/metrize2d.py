@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dual as dm
-from .calculus import from_slope, quad, vector_partial
+from .calculus import antiderivative, from_slope, quad, vector_partial
 from .dual import real
 from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
 from .manifold import (GRID_MARGIN, Tensor02Field, christoffel_from_metric,
@@ -120,17 +120,16 @@ def exactness_check(rec, grid, tol=1e-6):
 class LineIntegralField:
     """Potential f(x) = int_ref^x omega along axis-aligned legs in the
     chart's ``path_order``, with slope omega(x) . b along b (``from_slope``).
-    Dense quadratures are cached per leg, and the cache is cleared when it
-    reaches ``_MAX_LEGS``: each distinct non-periodic coordinate value adds
-    a leg of dense output (tens of KB)."""
+    Dense antiderivatives are cached per leg, and the cache is cleared when
+    it reaches ``_MAX_LEGS``: each distinct non-periodic coordinate value
+    adds a leg of node values (a few KB)."""
 
     _MAX_LEGS = 64
 
-    def __init__(self, omega, chart, ref, tol=1e-10):
+    def __init__(self, omega, chart, ref):
         self.omega = omega
         self.chart = chart
         self.ref = [float(c) for c in ref]
-        self.tol = tol
         self._legs = {}
         self._field = from_slope(self._value, lambda a, b: sum(
             wi * bi for wi, bi in zip(omega(a), b)))
@@ -166,7 +165,7 @@ class LineIntegralField:
                 bounds = (-math.inf, math.inf)
             else:
                 bounds = self.chart.bounds[i]
-            leg = WindowAntiderivative(comp, tol=self.tol, x0=cur[i],
+            leg = WindowAntiderivative(comp, x0=cur[i],
                                        initial_window=(cur[i], cur[i]),
                                        bounds=bounds)
             self._legs[key] = leg
@@ -258,47 +257,27 @@ def _inv2(y):
     return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
 
 
-def _lagrange(u, n):
-    """Lagrange weights at u of the nodes 0, ..., n - 1."""
-    d = u - np.arange(n)
-    if not d.all():
-        return (d == 0).astype(float)
-    c = [(-1) ** (n - 1 - j) * math.comb(n - 1, j) for j in range(n)]
-    return np.prod(d) / d * c / math.factorial(n - 1)
-
-
 class ParallelFrame:
     """Transport P of a flat connection on a 2-D chart with at most one
     periodic coordinate, from the chart's ``base_point`` along its canonical
     path (``path_order``), read at x mod 2 pi on a periodic axis:
     single-valued for every form the holonomy preserves.
 
-    Each piece of the path is a dense leg from base[axis] (``legs``, DOP853
-    at 1e-10) that also carries the integrals F of
-    (Y^{-T} E Y^{-1} lambda)_axis for the basis forms E, Y the transport:
-    the potential of mu = g lambda along a leg is tr(G K),
-    K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start. A
-    periodic first axis is the generator, solved once around by
-    ``cylinder_integrals`` (DOP853, 1e-12): without F for the holonomy and
-    the verdict's reads, and with F, the first time D_C or P_C is read.
-    Each leg and the generator read the connection from a Chebyshev sample
-    of it along the leg (``holonomy.axis_transport``), or from Gamma at
-    every step where that sample does not converge; F's integrand is
-    evaluated at every step."""
-
-    NODES = 256       # generator nodes per period of the interpolated legs
+    Each piece of the path is a dense leg from base[axis] through one point
+    (``leg``): the transport Y, by ``holonomy.axis_transport``, or by
+    ``cylinder_integrals`` once around a periodic first axis (the
+    generator). The first time D_C or P_C reads a leg, it adds the
+    antiderivative F of (Y^{-T} E Y^{-1} lambda)_axis for the basis forms
+    E: the potential of mu = g lambda along the leg is tr(G K),
+    K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start."""
 
     def __init__(self, conn):
         self.conn, self.chart, self.cache = conn, conn.chart, {}
-        base = self.chart.base_point
         i0 = self.chart.path_order[0]
-        self.nodes = [[k * TWO_PI / self.NODES if i == i0 else c
-                       for i, c in enumerate(base)]
-                      for k in range(self.NODES)]
         self.holonomy = None
         if self.chart.periodic[i0]:
-            self.generator = cylinder_integrals(conn.gammaC, base, i0).at
-            self.holonomy = self.generator(TWO_PI).reshape(2, 2)
+            self.holonomy = self.leg(i0, self.chart.base_point,
+                                     TWO_PI).reshape(2, 2)
 
     def reduce(self, x):
         x = [float(c) for c in x]
@@ -310,64 +289,41 @@ class ParallelFrame:
         """P(x)^{-1} at a float point."""
         x = self.reduce(x)
         i0, i1 = self.chart.path_order
-        y0 = self.generator(x[i0]) if self.holonomy is not None else \
-            self.legs(i0, [self.chart.base_point], x[i0])[0]
-        return _inv2(y0) @ _inv2(self.legs(i1, [x], x[i1])[0])
+        return _inv2(self.leg(i0, self.chart.base_point, x[i0])) @ \
+            _inv2(self.leg(i1, x, x[i1]))
 
-    def legs(self, axis, points, s):
-        """States at s, a row per point, of the dense legs along ``axis``
-        through ``points`` (in one solve) from base[axis]: Y (flattened),
-        then F. A periodic axis is solved once around, any other to the
-        grid's edge on the side of s, or to s beyond it; so a state depends
-        on s and the line alone. Beyond 64 single legs off the first axis,
-        those are dropped."""
+    def leg(self, axis, point, s, integrals=False):
+        """Y(s), flattened, or with ``integrals`` F(s), on the leg along
+        ``axis`` through ``point`` from base[axis]. A periodic axis is
+        solved once around, any other to the grid's edge on the side of s,
+        or to s beyond it; so a leg depends on s and the line alone. Beyond
+        64 legs, those off the first axis are dropped."""
         lo, hi = self.chart.span(GRID_MARGIN)[axis]
         b = self.chart.base_point[axis]
+        if s == b:
+            return np.zeros(3) if integrals else np.array([1.0, 0, 0, 1.0])
         end = TWO_PI if self.chart.periodic[axis] else \
             hi if b < s <= hi else lo if lo <= s < b else s
-        key = (axis, end, tuple(round(p[1 - axis], 12) for p in points))
-        at = self.cache.get(key)
-        if at is None and s == b:
-            return np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-                           (len(points), 1))
-        if at is None:
-            if len(self.cache) > 64 + self.NODES // 4:
+        key = (axis, end, round(point[1 - axis], 12))
+        leg = self.cache.get(key)
+        if leg is None:
+            if len(self.cache) > 64:
                 self.cache = {k: v for k, v in self.cache.items()
-                              if k[0] == self.chart.path_order[0]
-                              or len(k[2]) > 1}
-
-            def carry(p, Y):
+                              if k[0] == self.chart.path_order[0]}
+            leg = self.cache[key] = [
+                cylinder_integrals(self.conn.gammaC, point, axis)
+                if self.chart.periodic[axis] else
+                axis_transport(self.conn.gammaC, point, axis, b, end), None]
+        if not integrals:
+            return leg[0](s).ravel()
+        if leg[1] is None:
+            def carry(t):
+                p = [t if i == axis else c for i, c in enumerate(point)]
                 lam = [float(real(v)) for v in self.conn.lam(p)]
-                return _forms(_inv2(Y.ravel()))[:, axis] @ lam
+                return _forms(_inv2(leg[0](t).ravel()))[:, axis] @ lam
 
-            at = cylinder_integrals(self.conn.gammaC, points[0], axis,
-                                    carry=carry).at \
-                if self.chart.periodic[axis] else \
-                axis_transport(self.conn.gammaC, points, axis, b, end, 1e-10,
-                               first_step=abs(end - b), carry=carry).at
-            self.cache[key] = at
-        return at(s).reshape(len(points), -1)
-
-    def off_axis(self, x):
-        """State at x of the leg from the first axis. On a cylinder inside
-        the grid's span: the legs through the 10 nearest of 256 generator
-        nodes (solved in blocks of 8) interpolated at degree 9 in the
-        generator coordinate, where that is within 1e-8 (relative) of
-        degree 8."""
-        i0, i1 = self.chart.path_order
-        lo, hi = self.chart.span(GRID_MARGIN)[i1]
-        if self.holonomy is not None and lo <= x[i1] <= hi:
-            u = x[i0] * self.NODES / TWO_PI
-            k = np.arange(math.floor(u) - 4, math.floor(u) + 6)
-            blocks = {j // 8: None for j in k % self.NODES}
-            for q in blocks:
-                blocks[q] = self.legs(i1, self.nodes[8 * q:8 * q + 8], x[i1])
-            Z = np.array([blocks[j // 8][j % 8] for j in k % self.NODES])
-            z = _lagrange(u - k[0], 10) @ Z
-            if np.max(np.abs(z - _lagrange(u - k[0], 9) @ Z[:9])) <= \
-                    1e-8 * max(1.0, float(np.max(np.abs(z)))):
-                return z
-        return self.legs(i1, [x], x[i1])[0]
+            leg[1] = antiderivative(carry, b, end)
+        return leg[1](s)
 
     def fields(self, S):
         """(D_C, P_C) for the base form S: g = P^{-T} S P^{-1}, and the
@@ -375,25 +331,26 @@ class ParallelFrame:
         (``from_slope``) of nabla g = 0, d_i g_jk = Gamma^m_ij g_mk +
         Gamma^m_ik g_jm, and of d P_C = mu."""
         S = np.asarray(S, dtype=float)
-        i0, base, last = self.chart.path_order[0], self.chart.base_point, {}
+        i0, i1 = self.chart.path_order
+        base, last = self.chart.base_point, {}
 
-        def K(z):
-            return np.array([[z[4], z[5] / 2], [z[5] / 2, z[6]]])
+        def K(F):
+            return np.array([[F[0], F[1] / 2], [F[1] / 2, F[2]]])
 
         def evaluate(x):
             # the last point is kept: D_C and P_C are read together
             key = tuple(float(c) for c in x)
             if last.get("x") != key:
                 r = self.reduce(key)
-                z0 = self.legs(i0, [base], r[i0])[0]
-                K0 = K(z0)
+                K0 = K(self.leg(i0, base, r[i0], True))
                 if self.holonomy is not None and key[i0] // TWO_PI:
                     K0 = K0 + key[i0] // TWO_PI * K(
-                        self.legs(i0, [base], TWO_PI)[0])
-                W0, z = _inv2(z0), self.off_axis(r)
-                G, W = W0.T @ S @ W0, _inv2(z)
-                last.update(x=key, g=(W.T @ G @ W).tolist(),
-                            P=float(np.sum(S * K0) + np.sum(G * K(z))))
+                        self.leg(i0, base, TWO_PI, True))
+                W0 = _inv2(self.leg(i0, base, r[i0]))
+                G, W = W0.T @ S @ W0, _inv2(self.leg(i1, r, r[i1]))
+                last.update(x=key, g=(W.T @ G @ W).tolist(), P=float(
+                    np.sum(S * K0) + np.sum(G * K(self.leg(i1, r, r[i1],
+                                                            True)))))
             return last
 
         def dD_C(a, b):
@@ -595,8 +552,8 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
             return _forms(frame.inverse(p))[:, i0] @ lam
 
         x0 = x * [1.0, 1.0, 0.0 if free[2] else 1.0]
-        A = quad(lambda t: mu_row(t) @ x0, 0.0, TWO_PI, tol=1e-10)
-        B = quad(lambda t: mu_row(t)[2], 0.0, TWO_PI, tol=1e-10) \
+        A = quad(lambda t: mu_row(t) @ x0, 0.0, TWO_PI)
+        B = quad(lambda t: mu_row(t)[2], 0.0, TWO_PI) \
             if free[2] else 0.0
         if abs(B) > 1e-8 * max(noise, 1.0):
             pin([2], -A / B)

@@ -22,7 +22,6 @@ VERDICT_NOT_LAGRANGIAN = "not-lagrangian"
 VERDICT_UNSUPPORTED = "unsupported"
 
 FLAT_TOL = 1e-8      # max |curvature| on the grid below which it is flat
-ODE_TOL = 1e-10      # tol of the 1-D decision's antiderivatives
 
 
 @dataclass
@@ -94,7 +93,7 @@ def _analyze_1d(bundle, result, decision_tol):
     # one solve gives Psi1 and Psi2, which are read at many of the same points
     psi = lru_cache(maxsize=256)(lambda t: psi_functions(sys, par, [t]))
     report = lagrangian_1d(lambda t: psi(t)[0], lambda t: psi(t)[1],
-                           topology, tol=ODE_TOL, decision_tol=decision_tol)
+                           topology, decision_tol=decision_tol)
     det = result.details
     det["topology"] = topology
     det["int_psi2"] = report.int_psi2

@@ -1,7 +1,8 @@
 """Simulation of the reduced constrained dynamics and of the full closed
-loop, phase portraits and CSV export. Simulations step by accuracy (DOP853,
-no cap unless ``max_step`` is given) and keep no interpolant, so readers see
-the solver's nodes, where it controls the error, or the ``t_eval`` times.
+loop, phase portraits and CSV export. Simulations step by accuracy
+(``calculus.integrate_ode``, DOP853, which only they run; no cap unless
+``max_step`` is given), so readers see the solver's nodes, where it
+controls the error, or the ``t_eval`` times.
 Right-hand sides and readers take the solver's states as Python float lists
 (``tolist()``), never as numpy scalars, which make every dual operation on
 them slower. The reduced right-hand side is ``vhc.constrained_rhs``, the
@@ -38,7 +39,7 @@ def reduced_energy(metric, potential, theta, thdot):
 
 def _solve(rhs, state0, t_span, tol, max_step, t_eval):
     return integrate_ode(rhs, float(t_span[0]), state0, float(t_span[1]),
-                         tol, max_step=max_step, dense=False, t_eval=t_eval)
+                         tol, max_step=max_step, t_eval=t_eval)
 
 
 def simulate_constrained(sys, par, theta0, thdot0, t_span, tol=DEFAULT_SIM_TOL,

@@ -1,12 +1,14 @@
 """Reference constructions the tests compare the package against, which the
 package itself does not need."""
 
+import math
 from functools import reduce
 from operator import add, mul
 
 import numpy as np
 
 from vhckit import linalg
+from vhckit.calculus import integrate_ode
 from vhckit.dual import Dual, real
 from vhckit.manifold import ConnectionCoeffs, christoffel_from_metric
 from vhckit.vhc import RegularityError
@@ -15,6 +17,30 @@ from vhckit.vhc import RegularityError
 def connection_from_metric(chart, D):
     """The Levi-Civita connection of the metric field D on chart."""
     return ConnectionCoeffs(chart, lambda x: christoffel_from_metric(D, x))
+
+
+def transport_on_gamma(gamma, path, dim, tol=1e-12):
+    """transport_matrix by DOP853 on gamma itself at every step, piece by
+    piece between the path's breakpoints with the same clamp, and the
+    coefficient A^k_j = -Gamma^k_ij v^i summed by loops: the oracle of the
+    Chebyshev transport."""
+    X = np.eye(dim)
+    knots = sorted(b for b in path.breakpoints
+                   if path.t_start < b < path.t_end)
+    knots = [path.t_start] + knots + [path.t_end]
+    for a, b in zip(knots[:-1], knots[1:]):
+        lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+
+        def rhs(t, y):
+            point, v = path(min(max(t, lo), hi))
+            G = gamma([float(c) for c in point])
+            A = np.array([[-sum(vi * float(Gki[j]) for vi, Gki in zip(v, Gk))
+                           for j in range(dim)] for Gk in G])
+            return (A @ y.reshape(dim, dim)).ravel()
+
+        X = integrate_ode(rhs, a, X.ravel(), b, tol).end_state
+        X = X.reshape(dim, dim)
+    return X
 
 
 def minimax_by_linprog(p, Q):

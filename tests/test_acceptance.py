@@ -238,11 +238,10 @@ def _closedness_residual_at(conn, a, grid_n=256):
         g1, g2 = g(t)
         return [-g2, g1 * math.exp(y[0])]
 
-    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, 1e-12)
+    ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    traj = integrate_ode(rhs, 0.0, [0.0, 0.0], TWO_PI, 1e-12, t_eval=ts)
     worst = 0.0
-    for t in np.linspace(0.0, TWO_PI, grid_n, endpoint=False):
-        t = float(t)
-        I1, I2 = traj.at(t)
+    for t, (I1, I2) in zip(ts.tolist(), traj.states.tolist()):
         g1, g2 = g(t)
         lam = [float(real(v)) for v in conn.lam([anchor, t])]
         dlam = [float(real(v)) for v in vector_partial(conn.lam, [anchor, t], 1)]

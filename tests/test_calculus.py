@@ -10,10 +10,10 @@ import pytest
 from scipy.integrate import quad as scipy_quad, solve_ivp
 
 from vhckit import calculus, dual as dm
-from vhckit.calculus import (IntegrationError, Trajectory, from_slope,
-                             gradient, integrate_ode, jacobian, line_segment,
-                             matrix_partial, partial, quad, second_partial,
-                             vector_partial)
+from vhckit.calculus import (IntegrationError, Trajectory, antiderivative,
+                             from_slope, gradient, integrate_ode, jacobian,
+                             line_segment, matrix_partial, partial, pieces,
+                             quad, second_partial, transport, vector_partial)
 from vhckit.dual import Dual, eps, real
 
 
@@ -127,7 +127,7 @@ def test_second_and_matrix_partial_of_nested_fields():
 
 def test_quad_against_simpson_doubling():
     f = lambda t: math.exp(math.sin(3.0 * t)) + t * t
-    ours = quad(f, 0.0, 2.0, tol=1e-12)
+    ours = quad(f, 0.0, 2.0)
     oracle = simpson_doubling(f, 0.0, 2.0)
     assert ours == pytest.approx(oracle, abs=1e-10)
 
@@ -135,6 +135,49 @@ def test_quad_against_simpson_doubling():
 def test_quad_exact_polynomial():
     assert quad(lambda t: 3.0 * t * t, 0.0, 2.0) == pytest.approx(8.0,
                                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("n", calculus.CHEB_LEVELS)
+def test_integration_matrix_is_exact_on_polynomials(n):
+    x = calculus._nodes(n)[0]
+    Q = calculus._integration_matrix(n)
+    for k in (0, 1, 2, 7, n):
+        want = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(Q @ x ** k - want)) <= 1e-14 * n
+
+
+def test_antiderivative_is_dense_in_either_direction():
+    for a, b in ((0.0, 3.0), (3.0, 0.0)):
+        F = antiderivative(math.cos, a, b, F0=0.5)
+        for t in (a, 0.3, 1.7, b):
+            assert F(t) == pytest.approx(0.5 + math.sin(t) - math.sin(a),
+                                         abs=1e-14)
+        assert F.end == F(b)
+
+
+def test_pieces_halve_a_kink_and_raise_at_a_pole():
+    parts = pieces(lambda t: abs(t - 0.3), 0.0, 1.0)
+    assert len(parts) > 2
+    assert [p.a for p in parts[1:]] == [p.b for p in parts[:-1]]
+    assert parts[0].a == 0.0 and parts[-1].b == 1.0
+    assert all(len(p.values) <= 65 for p in parts[1:])
+    with pytest.raises(IntegrationError, match="no Chebyshev sample"):
+        pieces(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
+
+
+def test_transport_matches_the_matrix_exponential():
+    # Y' = A Y with A constant: Y(t) = expm(A t) Y0, here a damped rotation
+    A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
+    Y0 = np.array([[1.0, 0.5], [0.0, 2.0]])
+    Y = transport(lambda t: A, 0.0, 5.0, Y0)
+
+    def expm(t):
+        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+        return math.exp(-0.3 * t) * np.array([[c, s], [-s, c]])
+
+    for t in (0.0, 1.1, 3.7, 5.0):
+        assert np.max(np.abs(Y(t) - expm(t) @ Y0)) <= 1e-14
+    assert np.array_equal(Y.end, Y(5.0))
 
 
 # the solve_ivp method that integrate_ode ports, for scipy as the oracle
@@ -194,8 +237,7 @@ def _forced(t, y):
     return np.array([-y[0] + math.sin(3.0 * t), y[0] - 0.5 * y[1] * y[1]])
 
 
-@pytest.mark.parametrize("option", [None, "max_step", "first_step",
-                                    "t_eval"])
+@pytest.mark.parametrize("option", [None, "max_step", "t_eval"])
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "nodes"])
 @pytest.mark.parametrize("case", [(_vdp, 0.0, [2.0, 0.0], 7.0),
                                   (_forced, 1.0, [0.3, -0.2], -4.0)],
@@ -203,10 +245,10 @@ def _forced(t, y):
 @pytest.mark.parametrize("method", SCIPY_PAIR)
 def test_integrate_ode_matches_solve_ivp(method, case, dense, option):
     # scipy's solve_ivp is the oracle of the port: the same nodes and RHS
-    # calls, and the same states and interpolants to roundoff
+    # calls, and the same states to roundoff; with ``dense``, the step
+    # interpolants too, read through t_eval between and at scipy's nodes
     fn, t0, y0, t1 = case
     kw = {"max_step": {"max_step": 0.37},
-          "first_step": {"first_step": 0.125 * abs(t1 - t0)},
           "t_eval": {"t_eval": np.linspace(t0, t1, 13)}}.get(option, {})
     calls = [0]
 
@@ -215,8 +257,8 @@ def test_integrate_ode_matches_solve_ivp(method, case, dense, option):
         return fn(t, y)
 
     ref = solve_ivp(fn, (t0, t1), y0, method=method, rtol=1e-10,
-                    atol=1e-10, dense_output=dense, **kw)
-    ours = integrate_ode(rhs, t0, y0, t1, 1e-10, dense=dense, **kw)
+                    atol=1e-10, **kw)
+    ours = integrate_ode(rhs, t0, y0, t1, 1e-10, **kw)
     assert ref.success
     assert np.array_equal(ours.times, ref.t)
     assert calls[0] == ref.nfev
@@ -224,11 +266,15 @@ def test_integrate_ode_matches_solve_ivp(method, case, dense, option):
     assert np.max(np.abs(ours.states - ref.y.T) / scale) <= 1e-14
     if not dense:
         return
-    nodes = ref.sol.ts
-    for t in np.concatenate([0.5 * (nodes[1:] + nodes[:-1]), nodes]):
-        want = ref.sol(t)
-        assert np.max(np.abs(ours.at(t) - want)
-                      / np.maximum(1.0, np.abs(want))) <= 1e-14
+    kw.pop("t_eval", None)
+    sol = solve_ivp(fn, (t0, t1), y0, method=method, rtol=1e-10,
+                    atol=1e-10, dense_output=True, **kw).sol
+    ts = np.sort(np.concatenate([0.5 * (sol.ts[1:] + sol.ts[:-1]), sol.ts]))
+    ts = ts if t1 > t0 else ts[::-1]
+    got = integrate_ode(fn, t0, y0, t1, 1e-10, t_eval=ts, **kw).states
+    want = np.array([sol(t) for t in ts])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) \
+        <= 1e-14
 
 
 @pytest.mark.parametrize("method", SCIPY_PAIR)
@@ -245,7 +291,7 @@ def test_nan_mid_solve_is_an_integration_error(method):
         return fn(t, y)
 
     ref = solve_ivp(fn, (0.0, 2.0), [1.0], method=method, rtol=1e-10,
-                    atol=1e-10, dense_output=True)
+                    atol=1e-10, dense_output=False)
     assert not ref.success
     with pytest.raises(IntegrationError,
                        match=r"fell below the spacing of floats at t = ") as e:
@@ -284,7 +330,10 @@ def test_integrate_ode_harmonic_oscillator_dense():
                          2.0 * math.pi, tol=1e-12)
     assert traj.end_state[0] == pytest.approx(1.0, abs=1e-8)
     assert traj.end_state[1] == pytest.approx(0.0, abs=1e-8)
-    mid = traj.at(math.pi / 2.0)
+    # a t_eval state between nodes is read from the step's interpolant
+    mid = integrate_ode(lambda t, x: [x[1], -x[0]], 0.0, [1.0, 0.0],
+                        2.0 * math.pi, tol=1e-12,
+                        t_eval=[math.pi / 2.0]).states[0]
     assert mid[0] == pytest.approx(0.0, abs=1e-7)
     assert mid[1] == pytest.approx(-1.0, abs=1e-7)
     assert isinstance(traj, Trajectory)
@@ -294,11 +343,10 @@ def test_integrate_ode_harmonic_oscillator_dense():
 def test_integrate_ode_without_dense_output_keeps_nodes_only():
     grid = np.linspace(0.0, math.pi, 5)
     traj = integrate_ode(lambda t, x: [x[1], -x[0]], 0.0, [1.0, 0.0],
-                         math.pi, tol=1e-12, dense=False, t_eval=grid)
+                         math.pi, tol=1e-12, t_eval=grid)
     assert np.array_equal(traj.times, grid)
     assert traj.states[2] == pytest.approx([0.0, -1.0], abs=1e-9)
-    with pytest.raises(ValueError, match="no dense output"):
-        traj.at(1.0)
+    assert not hasattr(traj, "at")
 
 
 def test_line_segment_endpoints_and_velocity():

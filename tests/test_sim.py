@@ -192,8 +192,7 @@ def test_export_csv_roundtrip(tmp_path):
 # RHS calls to T = 20 (T = 2 for the closed loop) at the default tol and
 # step policy, DOP853 without a step cap. Each run is pinned to a 1.5x window,
 # which RK45 (57, 1,317 and 2,967 calls) and the old policy, RK45 under a
-# 1e-2 step cap (12,027, 12,009 and 2,967), fall outside. DOP853 with dense
-# output (138, 876 and 1,653) stays inside; ``at`` catches it.
+# 1e-2 step cap (12,027, 12,009 and 2,967), fall outside.
 @pytest.mark.parametrize("name, theta0, thdot0, full, calls", [
     ("circle", [0.0], [0.0], False, 111),
     ("sphere", [1.0, 0.2], [0.0, 0.5], False, 723),
@@ -215,11 +214,8 @@ def test_simulations_step_by_accuracy(name, theta0, thdot0, full, calls,
                         counted(vhckit.sim.stabilizing_feedback))
     b = get_model(name)
     if full:
-        traj = simulate_full(b.system, b.parametrization, theta0, thdot0,
-                             (0.0, 2.0))
+        simulate_full(b.system, b.parametrization, theta0, thdot0, (0.0, 2.0))
     else:
-        traj = simulate_constrained(b.system, b.parametrization, theta0,
-                                    thdot0, (0.0, 20.0))
+        simulate_constrained(b.system, b.parametrization, theta0, thdot0,
+                             (0.0, 20.0))
     assert calls / 1.5 < counts["rhs"] < 1.5 * calls
-    with pytest.raises(ValueError, match="no dense output"):
-        traj.at(1.0)
