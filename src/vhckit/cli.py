@@ -22,7 +22,7 @@ from .calculus import IntegrationError, gradient
 from .expr import (ExpressionError, compile_expression, compile_matrix,
                    compile_matrix_gradient, compile_vector,
                    compile_vector_derivatives, names_read)
-from .holonomy import loop_transport
+from .holonomy import DegenerateTransport, loop_transport
 from .manifold import Chart
 from .models import MODEL_BUILDERS, ModelBundle, get_model
 from .pipeline import (VERDICT_LAGRANGIAN, VERDICT_NOT_LAGRANGIAN, analyze)
@@ -347,6 +347,10 @@ def cmd_holonomy(args):
     for loop in bundle.generators:
         try:
             tm = loop_transport(conn.gammaC, loop, tol=args.tol)
+        except DegenerateTransport as e:
+            raise CliError(f"holonomy of loop {loop.tag!r}: transport map "
+                           f"|det| {e.det:.3g} is not above --tol "
+                           f"{args.tol:g}") from e
         except IntegrationError as e:
             raise CliError(f"holonomy of loop {loop.tag!r} is not resolved "
                            f"at --tol {args.tol:g}: {e}") from e

@@ -31,6 +31,15 @@ class LoopDescriptor:
     tag: str = ""
 
 
+class DegenerateTransport(IntegrationError):
+    """A transport map whose |det| is not above its floor ``tol``."""
+
+    def __init__(self, det, tol):
+        super().__init__(f"transport map |det| {det:.3g} is not above its "
+                         f"tolerance {tol:g}")
+        self.det, self.tol = det, tol
+
+
 @dataclass(frozen=True)
 class TransportMap:
     matrix: np.ndarray
@@ -41,8 +50,7 @@ class TransportMap:
         # the floor that ``vhckit holonomy --tol`` sets
         det = abs(np.linalg.det(self.matrix))
         if not det > self.tol:
-            raise IntegrationError(f"transport map |det| {det:.3g} is not "
-                                   f"above its tolerance {self.tol:g}")
+            raise DegenerateTransport(det, self.tol)
 
 
 def _coefficient(gamma, path):
@@ -77,7 +85,7 @@ def transport_matrix(gamma, path, dim):
 
 def loop_transport(gamma, loop, tol=1e-10):
     """Transport map around a loop; segment maps compose right-to-left. A
-    map whose |det| is not above ``tol`` raises ``IntegrationError``."""
+    map whose |det| is not above ``tol`` raises ``DegenerateTransport``."""
     dim = len(loop.base_point)
     M = np.eye(dim)
     for seg in loop.segments:

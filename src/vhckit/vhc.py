@@ -5,7 +5,10 @@ The projection ``reduction_matrix``, which takes declared column names,
 and the force gradP + Gamma1(qd, qd) of ``stabilizing_feedback`` run as
 straight-line Python functions, generated once per shape on first use, that
 share one emitter of the first-kind contraction Gamma1 and add each sum
-left to right from 0, as loops over nested lists do."""
+left to right from 0, as loops over nested lists do. At a seeded point the
+projection and its solve run on ``linalg.taped_solve``'s float tape for the
+shape, the columns and the inputs' structure: the same values, with no Dual
+built but the output's."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .calculus import jacobian, matrix_partial, second_partial
-from .dual import real
+from .dual import Dual, real
 from .linalg import _function, _list, _tup
 from .manifold import Chart, ConnectionCoeffs
 
@@ -100,7 +103,7 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     f = gradP + Gamma1(u, u) with u = dphi thdot. Each field is evaluated
     once, d2phi, gradP and dD only if a column needs them, the kernel
     generated for the shape and the columns builds A and the right-hand
-    side, and A is solved once."""
+    side, and A is solved once; at a seeded theta, both on a float tape."""
     theta = list(theta)
     x = par.phi(theta)
     dphi = par.dphi(theta)
@@ -109,10 +112,18 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     gradP = sys.gradP(x) if "gradP" in columns or "accel" in columns else None
     dD = sys.metric_grad(x) if lifted else None
     D, Bp = sys.D(x), sys.Bperp(x)
-    A, rhs = _reduction(len(x), len(Bp), len(theta), columns)(
-        D, Bp, dphi, d2phi, thdot, gradP, dD)
+    shape = (len(x), len(Bp), len(theta), columns)
+    kernel = _reduction(*shape)
     try:
-        return linalg.solve(A, rhs)
+        if not isinstance(theta[0], Dual):
+            A, rhs = kernel(D, Bp, dphi, d2phi, thdot, gradP, dD)
+            return linalg.solve(A, rhs)
+        depth, t = 0, theta[0]
+        while isinstance(t, Dual):
+            depth, t = depth + 1, t.val
+        return linalg.taped_solve(("reduction_matrix", *shape, depth),
+                                  kernel,
+                                  (D, Bp, dphi, d2phi, thdot, gradP, dD))
     except linalg.SingularMatrixError as e:
         raise RegularityError(
             f"(Bperp D dphi) singular at theta={_floats(theta)}") from e

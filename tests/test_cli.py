@@ -17,6 +17,7 @@ from vhckit import cli, metrize2d
 from vhckit.cli import (EXIT_ERROR, EXIT_NOT_LAGRANGIAN, EXIT_OK,
                         EXIT_UNSUPPORTED, SCHEMA, CliError,
                         bundle_from_config, main)
+from vhckit.calculus import IntegrationError
 from vhckit.manifold import ConnectionCoeffs
 from vhckit.models import get_model
 from vhckit.pipeline import analyze
@@ -488,11 +489,13 @@ def test_non_exact_force_on_negative_curvature(tmp_path, capsys):
     # refused
     (["holonomy", "--model", "circle", "--param",
       "alpha=1.5118719298245613"],
-     "holonomy of loop 's1' is not resolved at --tol 1e-09"),
+     "holonomy of loop 's1': transport map |det| 5.55e-47 is not above "
+     "--tol 1e-09"),
     (["holonomy", "--model", "circle", "--param", "alpha=1.5"],
-     "is not above its tolerance 1e-09"),
+     "transport map |det| 3.32e-39 is not above --tol 1e-09"),
     (["holonomy", "--model", "circle", "--param", "alpha=1.55"],
-     "holonomy of loop 's1' is not resolved at --tol 1e-09"),
+     "holonomy of loop 's1': transport map |det| 6.39e-132 is not above "
+     "--tol 1e-09"),
     (["analyze", "--config", SINGULAR_D],
      "RegularityError: inertia matrix D singular at theta=[0.0], "
      "q=[1.0, 0.0]"),
@@ -513,6 +516,18 @@ def test_bad_input_exits_1(argv, named, tmp_path, tmp_path_factory,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+def test_an_unresolved_transport_is_not_the_det_floor(monkeypatch, capsys):
+    # an IntegrationError of the transport itself keeps its own wording
+    def unresolved(gamma, loop, tol):
+        raise IntegrationError("no Chebyshev sample resolves the span")
+
+    monkeypatch.setattr(cli, "loop_transport", unresolved)
+    assert main(["holonomy", "--model", "circle"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: holonomy of loop 's1' is not resolved at --tol 1e-09: "
+        "no Chebyshev sample resolves the span\n")
 
 
 @pytest.mark.parametrize("model, param, named", [

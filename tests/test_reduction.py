@@ -1,10 +1,11 @@
-"""The generated reduction kernel against the loops it replaces:
-``reduction_matrix`` must give the loops' values bit for bit (``repr``),
-with the same dual operations, on floats and on seeded duals, for every
-shape and declared column set the package builds; and every generated
-kernel, the closed loop's and ``linalg``'s too, is compiled once per shape,
-on first use."""
+"""The generated reduction kernel and its float tapes against the loops
+they replace: ``reduction_matrix`` must give the loops' values bit for bit
+(``repr``), on floats and on seeded duals, for every shape and declared
+column set the package builds, and a seeded call must build only its
+output's duals; and every generated kernel, the closed loop's and
+``linalg``'s too, is compiled once per shape, on first use."""
 
+import dataclasses
 import os
 import runpy
 import subprocess
@@ -22,6 +23,7 @@ from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, seed
 from vhckit.manifold import Chart
 from vhckit.models import get_model
+from vhckit.pipeline import analyze
 from vhckit.sim import phase_portrait, simulate_full
 from vhckit.vhc import (ConstraintParametrization, LagrangianControlSystem,
                         RegularityError, constrained_rhs, reduction_matrix)
@@ -98,11 +100,193 @@ def _column_sets(d):
     yield ("accel", "gradP") + pairs
 
 
+def _frozen(sys_, par, theta):
+    """sys_ and par with every field that reduction_matrix reads at theta
+    evaluated once, and returned as it is on each call: a call then builds
+    only the projection's Duals."""
+    x = par.phi(list(theta))
+    at = {"D": sys_.D(x), "Bperp": sys_.Bperp(x), "gradP": sys_.gradP(x),
+          "dD": sys_.metric_grad(x), "phi": x, "dphi": par.dphi(list(theta)),
+          "d2phi": par.d2phi(list(theta))}
+    fields = {k: (lambda v: lambda _: v)(v) for k, v in at.items()}
+    return (dataclasses.replace(
+                sys_, **{k: fields[k] for k in ("D", "Bperp", "gradP", "dD")}),
+            dataclasses.replace(
+                par, **{k: fields[k] for k in ("phi", "dphi", "d2phi")}))
+
+
+def _dual_nodes(x):
+    if isinstance(x, Dual):
+        return 1 + _dual_nodes(x.val) + _dual_nodes(x.eps)
+    return sum(map(_dual_nodes, x)) if isinstance(x, list) else 0
+
+
+def _taped_like_the_loops(sys_, par, theta, columns, monkeypatch,
+                          thdot=None):
+    """The call is repr-equal to the loops, and, with its fields frozen, its
+    second run builds only its output's Duals (none at a float point): a
+    tape took a seeded call."""
+    loops = oracles.declared_columns(sys_, par, theta, columns, thdot)
+    got = reduction_matrix(sys_, par, theta, columns, thdot)
+    assert repr(got) == repr(oracles.reduction_matrix(sys_, par, theta, loops))
+    frozen = _frozen(sys_, par, theta)
+    reduction_matrix(*frozen, theta, columns, thdot)
+    built = [0]
+    init = Dual.__init__
+
+    def counted(obj, val, eps=0.0):
+        built[0] += 1
+        init(obj, val, eps)
+
+    with monkeypatch.context() as m:
+        m.setattr(Dual, "__init__", counted)
+        again = reduction_matrix(*frozen, theta, columns, thdot)
+    assert repr(again) == repr(got) and built[0] == _dual_nodes(got)
+
+
 @pytest.mark.parametrize("name", MODELS + [m + "-config" for m in MODELS]
                          + ["three-dof", "bare"])
 def test_compiled_reduction_matches_loops(name, monkeypatch):
-    # the same values and the same dual operations: every Dual the loops
-    # construct (plain-zero entries of dD skipped), and no other
+    sys_, par = _bundle(name)
+    rng = np.random.default_rng(43)
+    d = par.chart.dim
+    for theta in _points(par, rng, 6):
+        thdot = [float(v) for v in rng.normal(size=d)]
+        for columns in _column_sets(d):
+            _taped_like_the_loops(sys_, par, theta, columns, monkeypatch,
+                                  thdot)
+        state = list(theta) + thdot
+        assert (repr(constrained_rhs(sys_, par, state))
+                == repr(oracles.constrained_rhs(sys_, par, state)))
+
+
+def _line_system():
+    # n = 3, d = 2: D_01 is a plain 0.0 where q0 < 0 and a dual beyond, at
+    # every seeded depth, so one depth meets two input structures
+    chart = Chart(3, (False,) * 3, ((-2.0, 2.0),) * 3)
+
+    def D(q):
+        c = 0.0 if dm.real(q[0]) < 0.0 else 0.3 * q[0] * q[0]
+        s = dm.sin(q[1])
+        return [[2.0, c, 0.0], [c, 1.5 + s * s, 0.1 * q[2]],
+                [0.0, 0.1 * q[2], 1.0]]
+
+    system = LagrangianControlSystem(
+        chart=chart, D=D, P=lambda q: dm.cos(q[1]) + q[0] * q[2],
+        gradP=lambda q: [q[2], -dm.sin(q[1]), q[0]],
+        B=lambda q: [[0.0], [0.0], [1.0]],
+        Bperp=lambda q: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], m=1)
+    par = ConstraintParametrization(
+        Chart(2, (False,) * 2, ((-1.0, 1.0),) * 2),
+        phi=lambda th: [th[0], th[1], 0.5 * th[0] * th[1]])
+    return system, par
+
+
+def test_a_plain_entry_on_one_side_of_a_line(monkeypatch):
+    sys_, par = _line_system()
+    for k, t0 in enumerate(np.linspace(-0.5, 0.5, 11)):
+        th = [float(t0), 0.3]
+        for theta in (seed(th, k % 2), seed(seed(th, k % 2), 1)):
+            for columns in (((0, 0), (0, 1), (1, 1)), ("gradP",)):
+                _taped_like_the_loops(sys_, par, theta, columns, monkeypatch)
+
+
+def test_numpy_scalar_seeds_are_not_traced_again(monkeypatch):
+    # a np.float64 leaf gets no tape: the first call of its structure
+    # learns so, and later calls run the Dual kernel with no new trace
+    sys_, par = _line_system()
+    traces = [0]
+    add = linalg._Tape.add
+
+    def counted(tape, kernel, args):
+        traces[0] += 1
+        add(tape, kernel, args)
+
+    monkeypatch.setattr(linalg._Tape, "add", counted)
+    pairs = ((0, 0), (0, 1), (1, 1))
+    for t0 in np.linspace(0.1, 0.5, 5):
+        theta = seed([np.float64(t0), np.float64(0.3)], 0)
+        loops = oracles.declared_columns(sys_, par, theta, pairs)
+        assert (repr(reduction_matrix(sys_, par, theta, pairs))
+                == repr(oracles.reduction_matrix(sys_, par, theta, loops)))
+    assert traces[0] <= 1
+
+
+def test_a_dpc_a_sweep_takes_both_pivots(monkeypatch):
+    b = get_model("dpc-a")
+    sys_, par = b.system, b.parametrization
+    pivots = set()
+    for k, t0 in enumerate(np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)):
+        th = [float(t0), 0.7 * k - 8.0]
+        x = par.phi(th)
+        A = (np.array(sys_.Bperp(x)) @ np.array(sys_.D(x))
+             @ np.array(par.dphi(th)))
+        pivots.add(int(abs(A[1, 0]) > abs(A[0, 0])))
+        for theta in (seed(th, k % 2), seed(seed(th, 0), 1)):
+            for columns in (((0, 0), (0, 1), (1, 1)), ("gradP",)):
+                _taped_like_the_loops(sys_, par, theta, columns, monkeypatch)
+    assert pivots == {0, 1}
+
+
+def test_a_seeded_call_at_the_pole_names_theta():
+    b = get_model("sphere")
+    pairs = ((0, 0), (0, 1), (1, 1))
+    for theta in [seed([0.0, 0.5], 0), seed(seed([0.0, 0.5], 1), 0)] * 2:
+        with pytest.raises(RegularityError,
+                           match=r"\(Bperp D dphi\) singular at "
+                                 r"theta=\[0.0, 0.5\]"):
+            reduction_matrix(b.system, b.parametrization, theta, pairs)
+
+
+def _traced_paths():
+    return sum(len(t.paths) for tapes in linalg._tapes.values()
+               for t in tapes)
+
+
+def test_a_trace_builds_no_dual_and_calls_no_solve(monkeypatch):
+    # tracing is compilation: the call that traces a tape counts the Duals
+    # and solves of any later call
+    monkeypatch.setattr(linalg, "_tapes", {})
+    b = get_model("dpc-a")
+    theta = seed(seed([0.4, 1.5], 0), 1)
+    counts = [0, 0]
+    init, solve = Dual.__init__, linalg.solve
+
+    def counted_init(obj, val, eps=0.0):
+        counts[0] += 1
+        init(obj, val, eps)
+
+    def counted_solve(A, B):
+        counts[1] += 1
+        return solve(A, B)
+
+    monkeypatch.setattr(Dual, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    seen = []
+    for _ in range(2):
+        counts[:] = [0, 0]
+        reduction_matrix(b.system, b.parametrization, theta,
+                         ((0, 0), (0, 1), (1, 1)))
+        seen.append(tuple(counts))
+    assert _traced_paths() == 1 and seen[0] == seen[1]
+    assert seen[0][0] > 0 and seen[0][1] == 0
+
+
+def test_a_second_analyze_traces_no_tape():
+    analyze(get_model("sphere"))
+    traced = _traced_paths()
+    assert traced
+    analyze(get_model("sphere"))
+    assert _traced_paths() == traced
+
+
+# Dual constructions per built-in analyze before the tapes
+UNTAPED_DUALS = {"sphere": 138_892, "dpc-a": 90_696, "dpc-b": 101_378}
+
+
+@pytest.mark.parametrize("name", sorted(UNTAPED_DUALS))
+def test_tapes_halve_the_duals_of_an_analyze(name, monkeypatch):
+    analyze(get_model(name))
     built = [0]
     init = Dual.__init__
 
@@ -111,23 +295,8 @@ def test_compiled_reduction_matches_loops(name, monkeypatch):
         init(obj, val, eps)
 
     monkeypatch.setattr(Dual, "__init__", counted)
-
-    def run(fn, *args):
-        built[0] = 0
-        return repr(fn(*args)), built[0]
-
-    sys_, par = _bundle(name)
-    rng = np.random.default_rng(43)
-    d = par.chart.dim
-    for theta in _points(par, rng, 6):
-        thdot = [float(v) for v in rng.normal(size=d)]
-        for columns in _column_sets(d):
-            loops = oracles.declared_columns(sys_, par, theta, columns, thdot)
-            assert (run(reduction_matrix, sys_, par, theta, columns, thdot)
-                    == run(oracles.reduction_matrix, sys_, par, theta, loops))
-        state = list(theta) + thdot
-        assert (run(constrained_rhs, sys_, par, state)
-                == run(oracles.constrained_rhs, sys_, par, state))
+    analyze(get_model(name))
+    assert 0 < built[0] <= UNTAPED_DUALS[name] // 2
 
 
 def test_compiled_kernel_shapes():
@@ -181,9 +350,9 @@ def test_each_shape_compiles_once_in_a_full_simulation():
 def test_cli_import_compiles_no_kernel():
     code = ("import vhckit.cli, vhckit.linalg as la, vhckit.vhc as v; "
             "print(*[f.cache_info().currsize for f in "
-            "(v._reduction, v._force, la._elimination)])")
+            "(v._reduction, v._force, la._elimination)], len(la._tapes))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
-    assert out.split() == ["0", "0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]
