@@ -207,6 +207,20 @@ class Dense:
     def __call__(self, t):
         return self.parts[bisect_left(self._keys, self._sign * t)](t)
 
+    def at(self, t):
+        """Values at each point of the array t, with one ``Piece.at`` per
+        piece that holds some: the pieces of ``__call__``, and a piece's end
+        rows at its ends."""
+        t = np.asarray(t, dtype=float)
+        k = np.searchsorted(self._keys, self._sign * t)
+        out = np.empty(t.shape + self.end.shape)
+        for j in set(k.tolist()):
+            p, sel = self.parts[j], k == j
+            out[sel] = p.at(t[sel])
+            out[sel & (t == p.b)] = p.values[0]
+            out[sel & (t == p.a)] = p.values[-1]
+        return out
+
 
 def sample(f, a, b, levels=CHEB_LEVELS):
     """f on [a, b] at the nodes of the first level of ``levels`` whose

@@ -1,8 +1,10 @@
 """Metrizability of two-dimensional connections: Ricci recurrence for curved
-ones, and parallel metrics from transport for flat ones. The closedness
-stage of a flat connection is a discrete Chebyshev fit, solved exactly by
-Stiefel's exchange method: the simplex method on the dual linear program,
-after Barrodale & Phillips (ACM TOMS 1 (1975) 264-270)."""
+ones, and parallel metrics from transport for flat ones. A stage of the
+flat solver reads each leg of the transport once, at all of its points,
+and builds its closedness and period rows on the stacked arrays. The
+closedness stage is a discrete Chebyshev fit, solved exactly by Stiefel's
+exchange method: the simplex method on the dual linear program, after
+Barrodale & Phillips (ACM TOMS 1 (1975) 264-270)."""
 
 from __future__ import annotations
 
@@ -246,83 +248,122 @@ _BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]],       # s00, a, b
                    [[0.0, 0.0], [0.0, 1.0]]])
 
 
-def _forms(W):
-    """W^T E W for each basis form E of (1, a, b)."""
-    return np.einsum("ki,ekl,lj->eij", W, _BASIS, W)
+def _pair(W, i, v):
+    """(W e_i)^T E (W v) for each basis form E of (1, a, b): row i of
+    W^T E W applied to v, over any leading axes of W and v."""
+    u, w = W[..., i], np.einsum("...ij,...j->...i", W, v)
+    return np.stack([u[..., 0] * w[..., 0],
+                     u[..., 0] * w[..., 1] + u[..., 1] * w[..., 0],
+                     u[..., 1] * w[..., 1]], axis=-1)
 
 
-def _inv2(y):
-    """Inverse of the 2x2 matrix with rows y[0:2], y[2:4]."""
-    a, b, c, d = y[:4]
-    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+def _inv2(Y):
+    """Inverses of the 2x2 matrices on the last two axes of Y."""
+    a, b, c, d = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
+    adj = np.stack([d, -b, -c, a], axis=-1).reshape(Y.shape)
+    return adj / (a * d - b * c)[..., None, None]
+
+
+def _mu_axis(Y, lam, axis):
+    """(W e_axis)^T E (W lambda) for each basis form E, W = Y^{-1}: the
+    coefficients of (1, a, b) in mu_axis = (W^T S W lambda)_axis on a leg
+    from the base point whose transport is Y."""
+    return _pair(_inv2(Y), axis, lam)
+
+
+def _lam(conn, p):
+    """lambda at a float point, as a float array."""
+    return np.array([float(real(v)) for v in conn.lam(p)])
 
 
 class ParallelFrame:
     """Transport P of a flat connection on a 2-D chart with at most one
     periodic coordinate, from the chart's ``base_point`` along its canonical
     path (``path_order``), read at x mod 2 pi on a periodic axis:
-    single-valued for every form the holonomy preserves.
+    single-valued for every form the holonomy preserves. The base point,
+    path order and leg span are the chart's, read once.
 
     Each piece of the path is a dense leg from base[axis] through one point
     (``leg``): the transport Y, by ``holonomy.axis_transport``, or by
     ``cylinder_integrals`` once around a periodic first axis (the
-    generator). The first time D_C or P_C reads a leg, it adds the
+    generator). ``inverses`` reads each leg once for all the points on it
+    (``Dense.at``). The first time D_C or P_C reads a leg, it adds the
     antiderivative F of (Y^{-T} E Y^{-1} lambda)_axis for the basis forms
-    E: the potential of mu = g lambda along the leg is tr(G K),
-    K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start."""
+    E (``_mu_axis``): the potential of mu = g lambda along the leg is
+    tr(G K), K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start."""
 
     def __init__(self, conn):
-        self.conn, self.chart, self.cache = conn, conn.chart, {}
-        i0 = self.chart.path_order[0]
+        chart = conn.chart
+        self.conn, self.periodic, self.cache = conn, chart.periodic, {}
+        self.base, self.order = chart.base_point, chart.path_order
+        self.span = chart.span(GRID_MARGIN)
+        i0 = self.order[0]
         self.holonomy = None
-        if self.chart.periodic[i0]:
-            self.holonomy = self.leg(i0, self.chart.base_point,
-                                     TWO_PI).reshape(2, 2)
+        if self.periodic[i0]:
+            self.holonomy = self.leg(i0, self.base, TWO_PI)
 
     def reduce(self, x):
         x = [float(c) for c in x]
         if self.holonomy is not None:
-            x[self.chart.path_order[0]] %= TWO_PI
+            x[self.order[0]] %= TWO_PI
         return x
 
-    def inverse(self, x):
-        """P(x)^{-1} at a float point."""
-        x = self.reduce(x)
-        i0, i1 = self.chart.path_order
-        return _inv2(self.leg(i0, self.chart.base_point, x[i0])) @ \
-            _inv2(self.leg(i1, x, x[i1]))
+    def inverses(self, points):
+        """P(x)^{-1} at each float point, as an (N, 2, 2) array."""
+        xs = [self.reduce(p) for p in points]
+        x, (i0, i1) = np.array(xs), self.order
+        return _inv2(self._read(i0, [self.base] * len(xs), x[:, i0])) @ \
+            _inv2(self._read(i1, xs, x[:, i1]))
 
-    def leg(self, axis, point, s, integrals=False):
-        """Y(s), flattened, or with ``integrals`` F(s), on the leg along
-        ``axis`` through ``point`` from base[axis]. A periodic axis is
-        solved once around, any other to the grid's edge on the side of s,
-        or to s beyond it; so a leg depends on s and the line alone. Beyond
-        64 legs, those off the first axis are dropped."""
-        lo, hi = self.chart.span(GRID_MARGIN)[axis]
-        b = self.chart.base_point[axis]
-        if s == b:
-            return np.zeros(3) if integrals else np.array([1.0, 0, 0, 1.0])
-        end = TWO_PI if self.chart.periodic[axis] else \
+    def _read(self, axis, points, s):
+        """Y(s[n]) on the leg along ``axis`` through points[n], an (N, 2, 2)
+        array: the points are grouped by leg, and each leg read once."""
+        Y, legs = np.tile(np.eye(2), (len(s), 1, 1)), {}
+        for n, (p, t) in enumerate(zip(points, s.tolist())):
+            if t != self.base[axis]:
+                leg = self._leg(axis, p, t)
+                legs.setdefault(id(leg), (leg, []))[1].append(n)
+        for leg, ns in legs.values():
+            Y[ns] = leg[0].at(s[ns])
+        return Y
+
+    def _leg(self, axis, point, s):
+        """[Y, F or None, end] of the leg along ``axis`` through ``point``
+        that holds s, for s not base[axis]. A periodic axis is solved once
+        around, any other to the span's edge on the side of s, or to s
+        beyond it; so a leg depends on s and the line alone. Beyond 64
+        legs, those off the first axis are dropped."""
+        lo, hi = self.span[axis]
+        b = self.base[axis]
+        end = TWO_PI if self.periodic[axis] else \
             hi if b < s <= hi else lo if lo <= s < b else s
         key = (axis, end, round(point[1 - axis], 12))
         leg = self.cache.get(key)
         if leg is None:
             if len(self.cache) > 64:
                 self.cache = {k: v for k, v in self.cache.items()
-                              if k[0] == self.chart.path_order[0]}
+                              if k[0] == self.order[0]}
             leg = self.cache[key] = [
                 cylinder_integrals(self.conn.gammaC, point, axis)
-                if self.chart.periodic[axis] else
-                axis_transport(self.conn.gammaC, point, axis, b, end), None]
+                if self.periodic[axis] else
+                axis_transport(self.conn.gammaC, point, axis, b, end),
+                None, end]
+        return leg
+
+    def leg(self, axis, point, s, integrals=False):
+        """Y(s), or with ``integrals`` F(s), on the leg along ``axis``
+        through ``point`` from base[axis]."""
+        if s == self.base[axis]:
+            return np.zeros(3) if integrals else np.eye(2)
+        leg = self._leg(axis, point, s)
         if not integrals:
-            return leg[0](s).ravel()
+            return leg[0](s)
         if leg[1] is None:
             def carry(t):
                 p = [t if i == axis else c for i, c in enumerate(point)]
-                lam = [float(real(v)) for v in self.conn.lam(p)]
-                return _forms(_inv2(leg[0](t).ravel()))[:, axis] @ lam
+                return _mu_axis(leg[0](t), _lam(self.conn, p), axis)
 
-            leg[1] = antiderivative(carry, b, end)
+            leg[1] = antiderivative(carry, self.base[axis], leg[2])
         return leg[1](s)
 
     def fields(self, S):
@@ -331,8 +372,7 @@ class ParallelFrame:
         (``from_slope``) of nabla g = 0, d_i g_jk = Gamma^m_ij g_mk +
         Gamma^m_ik g_jm, and of d P_C = mu."""
         S = np.asarray(S, dtype=float)
-        i0, i1 = self.chart.path_order
-        base, last = self.chart.base_point, {}
+        (i0, i1), base, last = self.order, self.base, {}
 
         def K(F):
             return np.array([[F[0], F[1] / 2], [F[1] / 2, F[2]]])
@@ -372,17 +412,22 @@ class ParallelFrame:
 def _form_rows(conn, frame, points, axis):
     """Coefficients of (1, a, b) at each point in the closedness residual
     (g nabla_1 lambda)_0 - (g nabla_0 lambda)_1 of mu = g lambda, which is
-    d_1 mu_0 - d_0 mu_1 since nabla g = 0, and in mu_axis."""
-    closed, mu = [], []
+    d_1 mu_0 - d_0 mu_1 since nabla g = 0, and in mu_axis. The fields are
+    read point by point; the rows are built on the stacked arrays, with
+    g = W^T S W at W = P^{-1} (``ParallelFrame.inverses``)."""
+    G, lam, dlam = [], [], []
     for p in points:
-        G = np.asarray(conn.gammaC(p), dtype=float)
-        lam = np.array([float(real(v)) for v in conn.lam(p)])
-        nab = [np.array([float(real(d)) for d in vector_partial(conn.lam, p, i)])
-               + G[:, i, :] @ lam for i in range(2)]
-        g = _forms(frame.inverse(p))
-        closed.append(g[:, 0] @ nab[1] - g[:, 1] @ nab[0])
-        mu.append(g[:, axis] @ lam)
-    return np.array(closed), np.array(mu)
+        G.append(conn.gammaC(p))
+        lam.append(_lam(conn, p))
+        dlam.append([[float(real(d)) for d in vector_partial(conn.lam, p, i)]
+                     for i in range(2)])
+    lam = np.array(lam)
+    # nab[n, i] = nabla_i lambda = d_i lambda + Gamma(., e_i) lambda
+    nab = np.array(dlam) + np.einsum("nkij,nj->nik",
+                                     np.array(G, dtype=float), lam)
+    W = frame.inverses(points)
+    return (_pair(W, 0, nab[:, 1]) - _pair(W, 1, nab[:, 0]),
+            _pair(W, axis, lam))
 
 
 @dataclass
@@ -476,8 +521,8 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
     is checked again; a failure that may turn on such a value is not
     supported.
     """
-    frame, chart = ParallelFrame(conn), conn.chart
-    i0, periodic = chart.path_order[0], frame.holonomy is not None
+    frame = ParallelFrame(conn)
+    i0, periodic = frame.order[0], frame.holonomy is not None
     x, free = np.array([1.0, 0.0, 0.0]), [False, True, True]
     report = LagrangianReport(False)
 
@@ -496,7 +541,7 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
         return np.array([1.0, a, a * a + 1.0 if free[2] else x[2]])
 
     def on_generator(t):
-        return [t if i == i0 else c for i, c in enumerate(chart.base_point)]
+        return [t if i == i0 else c for i, c in enumerate(frame.base)]
 
     if periodic:
         H = frame.holonomy
@@ -547,9 +592,8 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
 
         @lru_cache(maxsize=None)
         def mu_row(t):
-            p = on_generator(t)
-            lam = [float(real(v)) for v in conn.lam(p)]
-            return _forms(frame.inverse(p))[:, i0] @ lam
+            return _mu_axis(frame.leg(i0, frame.base, t % TWO_PI),
+                            _lam(conn, on_generator(t)), i0)
 
         x0 = x * [1.0, 1.0, 0.0 if free[2] else 1.0]
         A = quad(lambda t: mu_row(t) @ x0, 0.0, TWO_PI)

@@ -8,9 +8,10 @@ from operator import add, mul
 import numpy as np
 
 from vhckit import linalg
-from vhckit.calculus import integrate_ode
+from vhckit.calculus import integrate_ode, vector_partial
 from vhckit.dual import Dual, real
 from vhckit.manifold import ConnectionCoeffs, christoffel_from_metric
+from vhckit.metrize2d import _BASIS
 from vhckit.vhc import RegularityError
 
 
@@ -225,3 +226,38 @@ def constrained_rhs(sys, par, state):
     X = reduction_matrix(sys, par, theta, declared_columns(
         sys, par, theta, ("accel",), thdot))
     return [-row[0] for row in X]
+
+
+def _inv2(Y):
+    """Inverse of one 2x2 matrix by its adjugate."""
+    a, b, c, d = np.ravel(Y)
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def frame_inverse(frame, x):
+    """vhckit.metrize2d.ParallelFrame.inverses at one float point, with its
+    two legs read at that point alone: the oracle of the stacked reads."""
+    x = frame.reduce(x)
+    i0, i1 = frame.order
+    return _inv2(frame.leg(i0, frame.base, x[i0])) @ \
+        _inv2(frame.leg(i1, x, x[i1]))
+
+
+def forms(W):
+    """W^T E W for each basis form E of (1, a, b)."""
+    return np.einsum("ki,ekl,lj->eij", W, _BASIS, W)
+
+
+def form_rows(conn, frame, points, axis):
+    """vhckit.metrize2d._form_rows point by point, with the forms of
+    frame_inverse: the oracle of its rows on stacked arrays."""
+    closed, mu = [], []
+    for p in points:
+        G = np.asarray(conn.gammaC(p), dtype=float)
+        lam = np.array([float(real(v)) for v in conn.lam(p)])
+        nab = [np.array([float(real(d)) for d in vector_partial(conn.lam, p, i)])
+               + G[:, i, :] @ lam for i in range(2)]
+        g = forms(frame_inverse(frame, p))
+        closed.append(g[:, 0] @ nab[1] - g[:, 1] @ nab[0])
+        mu.append(g[:, axis] @ lam)
+    return np.array(closed), np.array(mu)

@@ -180,6 +180,40 @@ def test_transport_matches_the_matrix_exponential():
     assert np.array_equal(Y.end, Y(5.0))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 6.0), (6.0, -1.0)],
+                         ids=["forward", "backward"])
+def test_dense_at_matches_its_call(a, b):
+    # the stacked read groups points by piece as __call__ does: its nodes
+    # and piece ends are their rows, and elsewhere only the order of the
+    # barycentric sums differs
+    def A(t):
+        return np.array([[0.0, 1.0 + math.sin(3.0 * t)],
+                         [-math.exp(math.cos(t)), 0.1 * t]])
+
+    Y = transport(A, a, b, np.eye(2))
+    assert len(Y.parts) > 2
+    nodes = []
+    for p in Y.parts:
+        x = calculus._nodes(len(p.values) - 1)[0]
+        t = p.mid + p.half * x
+        # the points that Piece.at reads as nodes
+        nodes += [p.a, p.b, *t[(t - p.mid) / p.half == x]]
+    assert len(nodes) > 40
+    assert np.array_equal(Y.at(np.array(nodes)), [Y(t) for t in nodes])
+    t = np.random.default_rng(5).uniform(min(a, b), max(a, b), 500)
+    scale = max(np.max(np.abs(p.values)) for p in Y.parts)
+    assert np.max(np.abs(Y.at(t) - [Y(s) for s in t])) <= 1e-15 * scale
+    assert Y.at(np.array([b]))[0].tolist() == Y.end.tolist()
+    # a jump at the joint, and ends that do not map exactly onto +-1: the
+    # joint is the end of the piece before it, as in __call__
+    s0, s1, s2 = (0.1, 0.7, 1.3) if b > a else (1.3, 0.7, 0.1)
+    J = calculus.Dense([calculus.sample(math.sin, s0, s1),
+                        calculus.sample(math.cos, s1, s2)])
+    ends = np.array([s0, s1, s2])
+    assert J.at(ends).tolist() == [J(s) for s in ends] \
+        == [math.sin(s0), math.sin(s1), math.cos(s2)]
+
+
 # the solve_ivp method that integrate_ode ports, for scipy as the oracle
 SCIPY_PAIR = ["DOP853"]
 

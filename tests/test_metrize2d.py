@@ -4,29 +4,37 @@ reconstruction, and parallel metrics of flat connections."""
 import dataclasses
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vhckit.dual as dm
+from vhckit import calculus, metrize2d
 from vhckit.calculus import partial
+from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, eps, real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
                              ricci)
-from vhckit.metrize2d import (LineIntegralField, _minimax_linear,
-                              _recurrence_at, cylinder_lagrangian_search,
-                              exactness_check, metric_from_ricci,
-                              recurrence_solve)
+from vhckit.metrize2d import (LineIntegralField, ParallelFrame,
+                              _minimax_linear, _recurrence_at,
+                              cylinder_lagrangian_search, exactness_check,
+                              metric_from_ricci, recurrence_solve)
 from vhckit.models import get_model
 from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
 from vhckit.vhc import InducedConnection, induced_connection
 
+import oracles
 from oracles import connection_from_metric, minimax_by_linprog
+from test_cli import FLAT_CASES
 
 TWO_PI = 2.0 * math.pi
 
 A_STAR = (math.sqrt(2.0) - 2.0) / 3.0
+
+CONFIGS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "configs.py"
 
 
 def _sphere_conn():
@@ -412,6 +420,109 @@ def test_cylinder_search_dpc_a_fails_closedness():
     assert not rep.lagrangian
     assert rep.metrizable
     assert rep.closedness_residual > 1.0
+
+
+def _flat_bundle(case):
+    kind, name = case.split(":")
+    if kind == "builtin":
+        return get_model(name)
+    if kind == "config":
+        return bundle_from_config(runpy.run_path(str(CONFIGS_PY))["CONFIGS"][name])
+    return bundle_from_config(FLAT_CASES[name][0])
+
+
+@pytest.mark.parametrize("case", ["builtin:dpc-a", "builtin:dpc-b",
+                                  "config:dpc-a", "config:dpc-b"]
+                         + ["flat:" + c for c in FLAT_CASES])
+def test_stacked_rows_match_the_per_point_oracle(monkeypatch, case):
+    # every closedness stage of an analyze, anchor and grid: the rows built
+    # on stacked arrays against the forms of each point's own inverse, to
+    # the largest entry of either kind of row (the annulus's closedness rows
+    # are rounding)
+    stages, form_rows = [], metrize2d._form_rows
+
+    def recorded(conn, frame, points, axis):
+        rows = form_rows(conn, frame, points, axis)
+        stages.append(rows + oracles.form_rows(conn, frame, points, axis))
+        return rows
+
+    monkeypatch.setattr(metrize2d, "_form_rows", recorded)
+    analyze(_flat_bundle(case))
+    assert stages
+    for R, M, R0, M0 in stages:
+        assert R.shape == R0.shape and M.shape == M0.shape
+        scale = max(np.max(np.abs(R0)), np.max(np.abs(M0)))
+        assert np.max(np.abs(R - R0)) <= 1e-13 * scale
+        assert np.max(np.abs(M - M0)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", ["builtin:dpc-b", "flat:annulus",
+                                  "flat:saddle-exact"])
+def test_inverses_match_the_per_point_oracle(case):
+    # off the grid's span, beyond 2 pi on a periodic axis, and on the base
+    # point's lines, where a leg is the identity
+    bundle = _flat_bundle(case)
+    frame = ParallelFrame(induced_connection(bundle.system,
+                                             bundle.parametrization))
+    i0, i1 = frame.order
+    b0, b1 = frame.base[i0], frame.base[i1]
+    coords = [(b0, b1), (b0, b1 + 0.4), (b0 + 0.3, b1), (b0 - 0.3, b1 - 0.2),
+              (b0 + 0.2, b1 + 0.9), (b0 + 0.2, b1 - 0.9)]
+    if frame.holonomy is not None:
+        coords += [(t, c) for t in (TWO_PI, 7.0, -1.0, 4.0 * math.pi + 0.3)
+                   for c in (b1, b1 + 0.4)]
+    points = [[0.0, 0.0] for _ in coords]
+    for p, (c0, c1) in zip(points, coords):
+        p[i0], p[i1] = c0, c1
+    W = frame.inverses(points)
+    want = np.array([oracles.frame_inverse(frame, p) for p in points])
+    assert W.shape == (len(points), 2, 2)
+    assert np.max(np.abs(W - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(W[0], np.eye(2))
+
+
+@pytest.mark.parametrize("model", ["dpc-a", "dpc-b"])
+def test_anchor_stage_reads_the_generator_once_per_piece(monkeypatch, model):
+    # the 256 anchor points lie on the generator: one Piece.at per piece
+    # that holds some, where a read per point made 244-248
+    reads, stages = [0], []
+    piece_at, form_rows = calculus.Piece.at, metrize2d._form_rows
+
+    def counted(self, t):
+        reads[0] += 1
+        return piece_at(self, t)
+
+    def staged(conn, frame, points, axis):
+        before = reads[0]
+        rows = form_rows(conn, frame, points, axis)
+        generator = frame._leg(frame.order[0], frame.base, 1.0)[0]
+        stages.append((len(points), reads[0] - before, len(generator.parts)))
+        return rows
+
+    monkeypatch.setattr(calculus.Piece, "at", counted)
+    monkeypatch.setattr(metrize2d, "_form_rows", staged)
+    analyze(get_model(model))
+    points, n, pieces = stages[0]
+    assert points == 256
+    assert 0 < n <= pieces
+
+
+@pytest.mark.parametrize("model", ["dpc-a", "dpc-b"])
+def test_period_row_matches_the_oracle_forms(model):
+    # the period's integrand and the carry of D_C and P_C: mu_axis from the
+    # generator's Y(t) against the forms of the oracle inverse
+    b = get_model(model)
+    conn = induced_connection(b.system, b.parametrization)
+    frame = ParallelFrame(conn)
+    i0 = frame.order[0]
+    for t in np.linspace(0.0, TWO_PI, 41):
+        p = [float(t) if i == i0 else c for i, c in enumerate(frame.base)]
+        lam = np.array([float(real(v)) for v in conn.lam(p)])
+        got = metrize2d._mu_axis(frame.leg(i0, frame.base, t % TWO_PI), lam,
+                                 i0)
+        want = oracles.forms(oracles.frame_inverse(frame, p))[:, i0] @ lam
+        assert np.max(np.abs(got - want)) <= \
+            1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_cylinder_search_refuses_nontrivial_holonomy():
