@@ -2,7 +2,8 @@
 the ODE stepper.
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
-numbers; fields must accept dual arguments (see ``vhckit.dual``). Every
+numbers; fields must accept dual arguments and stacked points (see
+``vhckit.dual`` and ``stacked``). Every
 definite integral, antiderivative and parallel transport is solved on a
 Chebyshev sample of its integrand or coefficient (``quad``,
 ``antiderivative``, ``transport``), and the simulations' ODEs by
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import Dual, eps, seed
+from .dual import Dual, eps, real, seed
 
 _EPS = sys.float_info.epsilon
 
@@ -105,6 +106,27 @@ def jacobian(f, x):
 def matrix_partial(f, x, i):
     """Partial derivative of a matrix- or rank-3-valued field: nested lists."""
     return _peel(f(seed(x, i)), eps)
+
+
+def stacked(f, points, i=None):
+    """f, or with i its partial along axis i, at each of the points in one
+    call: an (N, ...) float array, constant entries broadcast. The call
+    reads a stacked point, whose coordinates are arrays with one entry per
+    point (seeded, for the partial), so f runs its arithmetic once for all
+    of them, each entry bit for bit that point's own value
+    (``vhckit.dual``). It raises where the points cannot share one run: a
+    field that branches on a coordinate's value, a solve singular at one
+    point, or a division by zero or invalid operation, which Python raises
+    on a float and numpy flags on an array. Fewer than two points raise
+    ValueError, since an array of one entry converts to a float."""
+    if len(points) < 2:
+        raise ValueError("a stack needs at least two points")
+    x = [np.array(c, dtype=float) for c in zip(*points)]
+    with np.errstate(divide="raise", over="ignore", invalid="raise"):
+        v = f(x) if i is None else _peel(f(seed(x, i)), eps)
+    n = len(points)
+    return np.moveaxis(np.array(_peel(v, lambda c: np.broadcast_to(
+        real(c), (n,))), dtype=float), -1, 0)
 
 
 # -- Chebyshev integration ---------------------------------------------------

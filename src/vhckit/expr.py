@@ -15,7 +15,9 @@ rule reads the registers of the values it needs (the slope of exp(u) reads
 the register of exp(u)), abs has slope +1 at 0 as in ``Dual.__abs__``, and
 terms whose derivative is structurally zero are dropped. A field with its
 derivatives may take at most ``MAX_OPERATIONS`` operations. Programs accept
-dual arguments, so higher derivatives can still be taken through them.
+dual arguments, so higher derivatives can still be taken through them, and
+stacked points (``calculus.stacked``): ``**`` runs as ``dual.power``, and
+abs' takes the sign of each entry.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ MAX_OPERATIONS = 10_000
 
 def _abs_tangent(x, d):
     """The derivative ``d`` of x carried through abs: slope +1 at 0, as in
-    ``Dual.__abs__``."""
-    return -d if x < 0.0 else d
+    ``Dual.__abs__``; at a stacked point, the sign of each entry."""
+    neg = x < 0.0
+    try:
+        return -d if neg else d
+    except ValueError:
+        return dm.where(neg, -d, d)
 
 
 _FUNCS = {
@@ -54,7 +60,7 @@ _CONSTS = {"pi": math.pi, "e": math.e}
 
 # the operations besides _FUNCS, by register name, as constants fold them
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        "/": operator.truediv, "**": operator.pow, "neg": operator.neg,
+        "/": operator.truediv, "**": dm.power, "neg": operator.neg,
         "abs'": _abs_tangent}
 
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -119,7 +125,7 @@ class _Program:
             fn = self.fns[name]
             vals = (value[a],) if b is None else (value[a], value[b])
             # an exact int power this large would take unbounded time
-            if (fn is operator.pow and type(vals[0]) is type(vals[1]) is int
+            if (fn is dm.power and type(vals[0]) is type(vals[1]) is int
                     and vals[1] > 0 and abs(vals[0]) > 1
                     and vals[1] * math.log2(abs(vals[0])) > 1024):
                 raise ExpressionError("integer power exceeds the float range")
@@ -341,8 +347,8 @@ class _Program:
 
 
 # the statement of each operation, and the name it binds its function to
-_EMIT = {op: (f" r%d = r%d {op} r%d", None) for op in ("+", "-", "*", "/",
-                                                       "**")}
+_EMIT = {op: (f" r%d = r%d {op} r%d", None) for op in ("+", "-", "*", "/")}
+_EMIT["**"] = (" r%d = f_pow(r%d, r%d)", "f_pow")
 _EMIT["neg"] = (" r%d = -r%d", None)
 _EMIT["abs'"] = (" r%d = f_abs_t(r%d, r%d)", "f_abs_t")
 _EMIT.update({op: (f" r%d = f_{op}(r%d)", f"f_{op}") for op in _FUNCS})

@@ -8,7 +8,9 @@ one straight-line Python function per shape, generated on first use and
 kept: the pivot is the first row of largest |real| part, plain-zero
 multipliers are skipped, and the operations come in the order of the row
 loops it replaces, so values, on floats and on nested duals, and the duals
-built are those of the loops.
+built are those of the loops. ``stacked_solve`` runs the same elimination at
+every point of a stack (numpy arrays with one entry per point), choosing
+the pivot, the swap and the multiplier skip at each point.
 
 ``taped_solve`` runs a generated kernel of such arithmetic and its solve
 on a float tape: traced once per input structure on twins of Duals with
@@ -25,6 +27,8 @@ import math
 import operator
 from operator import mul
 from types import FunctionType
+
+import numpy as np
 
 from . import dual
 from .dual import Dual, real
@@ -66,13 +70,15 @@ def _function(lines, name, **names):
 
 
 @functools.lru_cache(maxsize=None)
-def _elimination(n, k, traced=False):
+def _elimination(n, k, traced=False, stacked=False):
     """(A, B) -> X with A X = B, for an n x n A and k columns of B; for
     k = None, A -> det A, the product of the pivots negated once per row
     swap. Forward elimination swaps the pivot row's live entries (and its
     right-hand side) into place, and back substitution subtracts in column
     order before it scales by the reciprocal pivot. ``traced`` compiles it
-    for a trace's _TraceDuals."""
+    for a trace's _TraceDuals; ``stacked`` for stacks, where the pivot, the
+    swap and the multiplier skip are chosen at each point (``dual.where``)
+    and a vanishing pivot at any point raises."""
     N, K = range(n), range(k or 0)
     rows = [[f"a{i}_{j}" for j in N] + [f"b{i}_{j}" for j in K] for i in N]
     lines = ["def run(A, B):", f" {_tup(_tup(r[:n]) for r in rows)} = A"]
@@ -82,20 +88,37 @@ def _elimination(n, k, traced=False):
     for c in N:
         lines.append(f" p = {c}; m = abs(real(a{c}_{c}))")
         for r in range(c + 1, n):
-            lines += [f" v = abs(real(a{r}_{c}))",
-                      f" if v > m: p = {r}; m = v"]
-        lines.append(" if m == 0.0: raise SingularMatrixError("
+            lines.append(f" v = abs(real(a{r}_{c}))")
+            lines.append(f" s = v > m; p = where(s, {r}, p); m = where(s, v, m)"
+                         if stacked else f" if v > m: p = {r}; m = v")
+        zero = "anyof(m == 0.0)" if stacked else "m == 0.0"
+        lines.append(f" if {zero}: raise SingularMatrixError("
                      "'singular matrix in solve()')")
         live = [*range(c, n), *range(n, len(rows[c]))]
         for r in range(c + 1, n):
             mine, theirs = ([rows[s][j] for j in live] for s in (c, r))
-            lines += [f" {'el' if r > c + 1 else ''}if p == {r}:",
-                      f"  {_tup(mine)}, {_tup(theirs)} = "
-                      f"{_tup(theirs)}, {_tup(mine)}", "  sg = -sg"]
+            if stacked:
+                lines += [f" w = p == {r}", f" {_tup(mine)}, {_tup(theirs)} = "
+                          + _tup(f"where(w, {t}, {m})" for t, m in
+                                 zip(theirs, mine)) + ", "
+                          + _tup(f"where(w, {m}, {t})" for t, m in
+                                 zip(theirs, mine)),
+                          " sg = where(w, -sg, sg)"]
+            else:
+                lines += [f" {'el' if r > c + 1 else ''}if p == {r}:",
+                          f"  {_tup(mine)}, {_tup(theirs)} = "
+                          f"{_tup(theirs)}, {_tup(mine)}", "  sg = -sg"]
         lines.append(f" i{c} = 1.0 / a{c}_{c}")
         for r in range(c + 1, n):
-            lines += [f" f = a{r}_{c} * i{c}",
-                      " if isinstance(f, Dual) or not f == 0.0:"]
+            lines.append(f" f = a{r}_{c} * i{c}")
+            if stacked:
+                lines += [" s = isinstance(f, Dual) or f != 0.0",
+                          " if anyof(s):"]
+                lines += [f"  {rows[r][j]} = where(s, {rows[r][j]} - f * "
+                          f"{rows[c][j]}, {rows[r][j]})"
+                          for j in range(c + 1, len(rows[c]))]
+                continue
+            lines.append(" if isinstance(f, Dual) or not f == 0.0:")
             lines += [f"  {rows[r][j]} = {rows[r][j]} - f * {rows[c][j]}"
                       for j in range(c + 1, len(rows[c]))]
     if k is None:
@@ -111,13 +134,24 @@ def _elimination(n, k, traced=False):
              else dict(real=real, Dual=Dual))
     return _function(lines, f"det{n}" if k is None else f"solve{n}x{k}",
                      abs=abs, isinstance=isinstance,
-                     SingularMatrixError=SingularMatrixError, **duals)
+                     SingularMatrixError=SingularMatrixError,
+                     where=dual.where, anyof=np.any, **duals)
 
 
 def solve(A, B):
     """Solve A X = B for a matrix B (list of rows)."""
     n = len(A)
     return _elimination(n, len(B[0]) if n else 0)(A, B)
+
+
+def stacked_solve(A, B):
+    """``solve`` at each point of a stack, whose entries are stacks, Duals
+    of them or numbers: each entry of X is, bit for bit, the one that
+    point's own solve gives. SingularMatrixError where a pivot vanishes at
+    any point; TypeError where the points' own eliminations would leave a
+    Dual in an entry at some points and a plain number at others."""
+    n = len(A)
+    return _elimination(n, len(B[0]) if n else 0, stacked=True)(A, B)
 
 
 def det(A):

@@ -81,7 +81,9 @@ class _FloatMemo:
     ``calculus`` operators query: a float point, by value; seed(a, i); and
     seed(seed(a, i), j), evaluated once per unordered pair i <= j, the
     order i > j read off the (j, i) evaluation with e1 and e2 exchanged.
-    Every other point goes to ``fn`` as it is."""
+    Every other point goes to ``fn`` as it is. A stacked read
+    (``calculus.stacked``) calls ``fn`` itself: the memo keys single
+    points."""
 
     chart: Chart
     fn: callable

@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import dual as dm
-from .calculus import antiderivative, from_slope, quad, vector_partial
+from .calculus import (antiderivative, from_slope, quad, stacked,
+                       vector_partial)
 from .dual import real
 from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
 from .manifold import (GRID_MARGIN, Tensor02Field, christoffel_from_metric,
@@ -409,22 +410,39 @@ class ParallelFrame:
         return D_C, from_slope(lambda x: evaluate(x)["P"], dP_C)
 
 
-def _form_rows(conn, frame, points, axis):
-    """Coefficients of (1, a, b) at each point in the closedness residual
-    (g nabla_1 lambda)_0 - (g nabla_0 lambda)_1 of mu = g lambda, which is
-    d_1 mu_0 - d_0 mu_1 since nabla g = 0, and in mu_axis. The fields are
-    read point by point; the rows are built on the stacked arrays, with
-    g = W^T S W at W = P^{-1} (``ParallelFrame.inverses``)."""
+def _fields(conn, points):
+    """Gamma_C, lambda and [d_i lambda] at the points, as (N, 2, 2, 2),
+    (N, 2) and (N, 2, 2) arrays: four stacked reads (``stacked``; Gamma_C's
+    past its memo, which keys single points), or, where one of them
+    raises, the points one by one, so that an error is the one a point
+    raises alone. A warning raised as an error is not read again: no
+    stacked read should warn."""
+    try:
+        return (stacked(conn.gammaC.fn, points), stacked(conn.lam, points),
+                np.stack([stacked(conn.lam, points, i) for i in range(2)], 1))
+    except Warning:
+        raise
+    except Exception:
+        pass
     G, lam, dlam = [], [], []
     for p in points:
         G.append(conn.gammaC(p))
         lam.append(_lam(conn, p))
         dlam.append([[float(real(d)) for d in vector_partial(conn.lam, p, i)]
                      for i in range(2)])
-    lam = np.array(lam)
+    return np.array(G, dtype=float), np.array(lam), np.array(dlam)
+
+
+def _form_rows(conn, frame, points, axis):
+    """Coefficients of (1, a, b) at each point in the closedness residual
+    (g nabla_1 lambda)_0 - (g nabla_0 lambda)_1 of mu = g lambda, which is
+    d_1 mu_0 - d_0 mu_1 since nabla g = 0, and in mu_axis. The fields are
+    read once for all the points (``_fields``), and the rows are built on
+    the stacked arrays, with g = W^T S W at W = P^{-1}
+    (``ParallelFrame.inverses``)."""
+    G, lam, dlam = _fields(conn, points)
     # nab[n, i] = nabla_i lambda = d_i lambda + Gamma(., e_i) lambda
-    nab = np.array(dlam) + np.einsum("nkij,nj->nik",
-                                     np.array(G, dtype=float), lam)
+    nab = dlam + np.einsum("nkij,nj->nik", G, lam)
     W = frame.inverses(points)
     return (_pair(W, 0, nab[:, 1]) - _pair(W, 1, nab[:, 0]),
             _pair(W, axis, lam))

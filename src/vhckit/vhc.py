@@ -8,7 +8,9 @@ share one emitter of the first-kind contraction Gamma1 and add each sum
 left to right from 0, as loops over nested lists do. At a seeded point the
 projection and its solve run on ``linalg.taped_solve``'s float tape for the
 shape, the columns and the inputs' structure: the same values, with no Dual
-built but the output's."""
+built but the output's. At a stacked point (``calculus.stacked``) a variant
+of the kernel, generated alike, and ``linalg.stacked_solve`` run once for
+all the points: each entry is that point's own value, bit for bit."""
 
 from __future__ import annotations
 
@@ -103,7 +105,10 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     f = gradP + Gamma1(u, u) with u = dphi thdot. Each field is evaluated
     once, d2phi, gradP and dD only if a column needs them, the kernel
     generated for the shape and the columns builds A and the right-hand
-    side, and A is solved once; at a seeded theta, both on a float tape."""
+    side, and A is solved once; at a seeded theta, both on a float tape.
+    At a stacked theta (numpy arrays, or Duals of them, ``calculus.stacked``)
+    the stacked kernel and solve run once for all its points, and a
+    singular point raises ``linalg.SingularMatrixError`` itself."""
     theta = list(theta)
     x = par.phi(theta)
     dphi = par.dphi(theta)
@@ -113,14 +118,17 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     dD = sys.metric_grad(x) if lifted else None
     D, Bp = sys.D(x), sys.Bperp(x)
     shape = (len(x), len(Bp), len(theta), columns)
+    depth, t = 0, theta[0]
+    while isinstance(t, Dual):
+        depth, t = depth + 1, t.val
+    if type(t) is np.ndarray:
+        return linalg.stacked_solve(*_reduction(*shape, True)(
+            D, Bp, dphi, d2phi, thdot, gradP, dD))
     kernel = _reduction(*shape)
     try:
-        if not isinstance(theta[0], Dual):
+        if not depth:
             A, rhs = kernel(D, Bp, dphi, d2phi, thdot, gradP, dD)
             return linalg.solve(A, rhs)
-        depth, t = 0, theta[0]
-        while isinstance(t, Dual):
-            depth, t = depth + 1, t.val
         return linalg.taped_solve(("reduction_matrix", *shape, depth),
                                   kernel,
                                   (D, Bp, dphi, d2phi, thdot, gradP, dD))
@@ -142,7 +150,7 @@ def _sum(terms):
     return " + ".join(["0", *terms])
 
 
-def _gamma1(n, columns):
+def _gamma1(n, columns, stacked=False):
     """Lines that unpack dD and set F{p}_{l}, for each column p of
     reduction_matrix's ``columns`` with a Gamma1 term, to its f:
     Gamma1(dphi_i, dphi_j)_l for a pair (i, j), None where no term reaches
@@ -150,7 +158,11 @@ def _gamma1(n, columns):
     Gamma_{l,ij} v^i w^j, Gamma_{l,ij} = 1/2 (d_i D_jl + d_j D_il - d_l D_ij):
     dD is scanned once, each entry g = d_i D_jl adding to Gamma_{l,ij} and
     Gamma_{l,ji} and subtracting from Gamma_{i,jl}, and a plain-zero entry
-    is skipped at run time (a Dual is always truthy)."""
+    is skipped at run time (a Dual is always truthy). With ``stacked`` an
+    entry that is a stack is never skipped: where it is zero, its terms
+    are signed zeros, and every F reaches the right-hand side only through
+    a sum from 0, which they leave as it is, bit for bit; a non-finite
+    factor there is an invalid operation, which a stacked read raises."""
     N = range(n)
     vecs = {p: ("U{}".format,) * 2 if c == "accel"
             else tuple(f"P{{}}_{a}".format for a in c)
@@ -160,7 +172,9 @@ def _gamma1(n, columns):
         " = dD",
         " " + " = ".join(f"F{p}_{l}" for p in vecs for l in N) + " = None"]
     for i, j, l in itertools.product(N, N, N):
-        lines += [f" if g{i}_{j}_{l}:", f"  h = 0.5 * g{i}_{j}_{l}"]
+        g = f"g{i}_{j}_{l}"
+        lines += [f" if type({g}) is Stack or {g}:" if stacked else
+                  f" if {g}:", f"  h = 0.5 * {g}"]
         for p, (v, w) in vecs.items():
             lines += [f"  t = h * ({v(i)} * {w(j)} + {v(j)} * {w(i)})",
                       f"  F{p}_{l} = t if F{p}_{l} is None else F{p}_{l} + t",
@@ -171,11 +185,12 @@ def _gamma1(n, columns):
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction(n, r, d, columns):
+def _reduction(n, r, d, columns, stacked=False):
     """(D, Bperp, dphi, d2phi, thdot, gradP, dD) -> (A, rhs) of
     reduction_matrix for n ambient and d reduced coordinates, r rows of
     Bperp and the declared ``columns``: E = Bperp D, A = E dphi and, per
-    column p, rhs = E C{p} + Bperp F{p}."""
+    column p, rhs = E C{p} + Bperp F{p}. ``stacked`` compiles it for
+    stacks (``_gamma1``)."""
     N, R = range(n), range(d)
     lines = [
         "def run(D, Bp, dphi, d2phi, thd, gradP, dD):",
@@ -189,7 +204,7 @@ def _reduction(n, r, d, columns):
         lines += [f" U{i} = " + _sum(f"P{i}_{a} * T{a}" for a in R) for i in N]
     if set(columns) != {"gradP"}:
         H = _tup(_tup(_tup(f"H{k}_{i}_{j}" for j in R) for i in R) for k in N)
-        lines += [f" {H} = d2phi", *_gamma1(n, columns)]
+        lines += [f" {H} = d2phi", *_gamma1(n, columns, stacked)]
     pairs = [p for p, col in enumerate(columns) if isinstance(col, tuple)]
     if pairs:
         # no term at all: dD is plain zero, and the pairs have no f
@@ -219,7 +234,7 @@ def _reduction(n, r, d, columns):
                        if col == "accel" else f"{ec} if Z else {ec} + ({bf})")
         rhs.append(_list(row))
     lines.append(f" return {_list(A)}, {_list(rhs)}")
-    return _function(lines, "reduction_matrix")
+    return _function(lines, "reduction_matrix", type=type, Stack=np.ndarray)
 
 
 @functools.lru_cache(maxsize=None)

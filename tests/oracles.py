@@ -261,3 +261,29 @@ def form_rows(conn, frame, points, axis):
         closed.append(g[:, 0] @ nab[1] - g[:, 1] @ nab[0])
         mu.append(g[:, axis] @ lam)
     return np.array(closed), np.array(mu)
+
+
+def bits(v, k=None):
+    """The float.hex tree of a value (a number, Dual or nested lists), or
+    with k of point k of a stacked value, whose arrays hold one entry per
+    point and whose plain numbers are the same at every point."""
+    if isinstance(v, Dual):
+        return ("Dual", bits(v.val, k), bits(v.eps, k))
+    if isinstance(v, (list, tuple)):
+        return [bits(c, k) for c in v]
+    if k is not None and isinstance(v, np.ndarray):
+        v = v[k]
+    return float(v).hex()
+
+
+def points_fields(conn, points):
+    """Gamma_C, lambda and [d_i lambda] read point by point, as the flat
+    solver read them before its stacked reads: the oracle of
+    ``metrize2d._fields``."""
+    G, lam, dlam = [], [], []
+    for p in points:
+        G.append(conn.gammaC(p))
+        lam.append([float(real(v)) for v in conn.lam(p)])
+        dlam.append([[float(real(d)) for d in vector_partial(conn.lam, p, i)]
+                     for i in range(2)])
+    return np.array(G, dtype=float), np.array(lam), np.array(dlam)

@@ -4,9 +4,11 @@ oracles, including nesting and the lifted-seeding regression."""
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from vhckit import dual as dm
 from vhckit.dual import Dual, eps, real, seed
 from vhckit.expr import compile_expression
@@ -188,3 +190,118 @@ def test_large_integer_power_is_logarithmic():
     q = Dual(x, 1.0) ** -1000001
     assert real(q) == pytest.approx(math.pow(x, -1000001), rel=1e-9)
     assert eps(q) == pytest.approx(-1000001 * math.pow(x, -1000002), rel=1e-9)
+
+
+# -- stacks: one entry per point, each bit for bit the point's own value ------
+
+def _tree(leaves, depth):
+    """A value of nesting depth 0, 1 or 2 from 1, 2 or 4 leaves."""
+    if depth == 0:
+        return leaves[0]
+    half = len(leaves) // 2
+    return Dual(_tree(leaves[:half], depth - 1), _tree(leaves[half:], depth - 1))
+
+
+@st.composite
+def stacked_pairs(draw):
+    """Two stacked values x, y of one depth (0, 1 or 2) over 2 to 6 points,
+    and the per-point values of each."""
+    depth, n = draw(st.integers(0, 2)), draw(st.integers(2, 6))
+    out = []
+    for _ in range(2):
+        cols = [draw(st.lists(finite | st.sampled_from([0.0, -0.0, 1.0]),
+                              min_size=n, max_size=n))
+                for _ in range(2 ** depth)]
+        out.append((_tree([np.array(c) for c in cols], depth),
+                    [_tree([c[k] for c in cols], depth) for k in range(n)]))
+    return n, out
+
+
+def _positive(x):
+    return x * x + 0.5
+
+
+def _unit(x):
+    return x / (x * x + 4.0)
+
+
+STACK_OPS = {
+    **{name: (lambda f: lambda x, y: f(x))(getattr(dm, name))
+       for name in ("sin", "cos", "tan", "exp", "atan", "tanh", "sinh",
+                    "cosh")},
+    "log": lambda x, y: dm.log(_positive(x)),
+    "sqrt": lambda x, y: dm.sqrt(_positive(x)),
+    "asin": lambda x, y: dm.asin(_unit(x)),
+    "acos": lambda x, y: dm.acos(_unit(x)),
+    "atanh": lambda x, y: dm.atanh(_unit(x)),
+    "abs": lambda x, y: abs(x),
+    "pow-int": lambda x, y: dm.power(x, 3),
+    "pow-negative-int": lambda x, y: dm.power(_positive(x), -2),
+    "pow-float": lambda x, y: dm.power(x, 2.0),
+    "pow-fraction": lambda x, y: dm.power(_positive(x), 0.5),
+    "pow-stack": lambda x, y: dm.power(_positive(x), y),
+    "pow-base": lambda x, y: dm.power(2.0, x),
+    "add": lambda x, y: x + y + 1.5,
+    "sub": lambda x, y: 1.5 - x - y,
+    "mul": lambda x, y: 0.5 * x * y,
+    "div": lambda x, y: x / _positive(y),
+    "rdiv": lambda x, y: 2.0 / _positive(x),
+    "neg": lambda x, y: -x,
+}
+
+
+@pytest.mark.parametrize("op", list(STACK_OPS))
+@given(stacked_pairs())
+@settings(max_examples=40, deadline=None)
+def test_stacked_values_are_the_points_values(op, drawn):
+    # every dual function, abs, ** and the operators on float stacks and
+    # on depth-1 and depth-2 Dual stacks: each entry is the float.hex of
+    # that point's own value
+    n, ((x, xs), (y, ys)) = drawn
+    f = STACK_OPS[op]
+    got = f(x, y)
+    for k in range(n):
+        assert oracles.bits(got, k) == oracles.bits(f(xs[k], ys[k]))
+
+
+@given(stacked_pairs())
+@settings(max_examples=40, deadline=None)
+def test_stacked_dual_powers_and_mixed_operands(drawn):
+    # ``**`` on a Dual stack with int, float and Dual exponents, and a bare
+    # float stack meeting a Dual stack (ndarray op Dual is Dual's reflected
+    # operation)
+    n, ((x, xs), (y, ys)) = drawn
+    if not isinstance(x, Dual):
+        x, xs = Dual(x, 1.0), [Dual(v, 1.0) for v in xs]
+    bare, bares = real(y), [real(v) for v in ys]
+    cases = [lambda u, b: u ** 3, lambda u, b: _positive(u) ** -1,
+             lambda u, b: _positive(u) ** 1.5,
+             lambda u, b: _positive(u) ** Dual(b, 0.25),
+             lambda u, b: b * u, lambda u, b: b - u,
+             lambda u, b: b / _positive(u), lambda u, b: _positive(b) ** u]
+    for f in cases:
+        got = f(x, bare)
+        for k in range(n):
+            assert oracles.bits(got, k) == oracles.bits(f(xs[k], bares[k]))
+
+
+def test_a_stack_keeps_math_s_last_bit():
+    # numpy's own exp differs from math.exp in the last bit at some points;
+    # a stack takes math's
+    x = np.linspace(0.01, 5.0, 2001)
+    assert [float(v).hex() for v in dm.exp(x)] == \
+        [math.exp(v).hex() for v in x.tolist()]
+    assert [float(v).hex() for v in dm.power(x, 2)] == \
+        [(v ** 2).hex() for v in x.tolist()]
+
+
+def test_a_stack_overflow_and_domain_errors_raise_as_a_point_does():
+    x = np.array([1.0, 1e200])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        Dual(x, 1.0) ** 2
+    with pytest.raises(ValueError):
+        dm.log(np.array([1.0, -1.0]))
+    with pytest.raises(TypeError):      # Python's power gives a complex
+        dm.power(np.array([-8.0, 8.0]), 1.0 / 3.0)
+    with pytest.raises(TypeError):      # math's own error, not a stack's
+        dm.sin("x")

@@ -7,11 +7,12 @@ import ast
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vhckit.expr
-from vhckit.calculus import partial, second_partial
+from vhckit.calculus import partial, second_partial, stacked, vector_partial
 from vhckit.dual import Dual, eps, real
 from vhckit.expr import (_CONSTS, _FUNCS, MAX_OPERATIONS, ExpressionError,
                          compile_expression, compile_matrix,
@@ -375,3 +376,49 @@ def test_every_program_reads_only_generated_names():
         assert _generated_names_only(program)
         assert 3.5 not in program.__code__.co_consts
 
+
+
+# -- programs at stacked points ------------------------------------------------
+
+def _flat_floats(fn):
+    """The floats fn returns, flattened in order, or the type of what it
+    raises; a complex entry counts as a TypeError."""
+    return _outcome(lambda: np.array(fn(), dtype=float).ravel().tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=st.recursive(_LEAF, _extend, max_leaves=8),
+       c=st.sampled_from([2, 1.5, -0.75]),
+       points=st.lists(st.tuples(_finite, _finite), min_size=2, max_size=5))
+def test_programs_at_stacked_points_are_the_points_programs(src, c, points):
+    # the value, derivative and second-derivative programs at a float stack,
+    # and the value program's partials at a seeded one: where the stacked
+    # read succeeds, each entry is the float.hex of that point's own value;
+    # where it raises, some point raises or gives a value that is not finite
+    points = [list(p) for p in points]
+    value, df, d2f = compile_vector_derivatives([src], ["x", "y"], {"c": c})
+    reads = [(value, None, value), (df, None, df), (d2f, None, d2f)] + [
+        (value, i, lambda p, i=i: vector_partial(value, p, i))
+        for i in range(2)]
+    for program, i, alone in reads:
+        got = _outcome(lambda: stacked(program, points, i))
+        want = [_flat_floats(lambda: alone(p)) for p in points]
+        if isinstance(got, type):
+            assert any(isinstance(w, type) or not all(map(math.isfinite, w))
+                       for w in want), (src, points)
+            continue
+        for k, w in enumerate(want):
+            assert not isinstance(w, type), (src, points[k], w)
+            assert [v.hex() for v in got[k].ravel().tolist()] == \
+                [v.hex() for v in w], (src, points[k])
+
+
+def test_a_power_at_a_stack_is_python_s_power():
+    # numpy's power differs from Python's in the last bit at some points
+    # (x**2 at 162 and x**3 at 8,214 of 200,000 draws), so a program runs
+    # ** as dual.power at a stack
+    f = compile_expression("x**2 + x**3 + y**x + 2.5**y", ["x", "y"])
+    points = [[0.5 + 0.001 * k, 1.0 + 0.0007 * k] for k in range(2000)]
+    got = stacked(f, points)
+    assert [float(v).hex() for v in got] == \
+        [float(f(p)).hex() for p in points]

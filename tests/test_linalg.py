@@ -236,3 +236,77 @@ def test_compiled_solve_matches_loops(kind, monkeypatch):
                 assert got[0].startswith("SingularMatrixError(singular") == (
                     kind == "zero-column"
                     or kind == "late-zero-pivot" and n > 1)
+
+
+# -- the stacked elimination ---------------------------------------------------
+
+def _stack(per_point):
+    """The stack of per-point values of one nesting (numbers or Duals)."""
+    first = per_point[0]
+    if isinstance(first, Dual):
+        return Dual(_stack([v.val for v in per_point]),
+                    _stack([v.eps for v in per_point]))
+    if isinstance(first, list):
+        return [_stack([v[i] for v in per_point]) for i in range(len(first))]
+    return np.array(per_point)
+
+
+@st.composite
+def stacked_systems(draw):
+    """2 to 5 systems of one shape (n <= 3, k <= 3), each with its rows
+    shuffled so that the pivots differ from point to point, and at some
+    points a first column of entries equal in magnitude (ties: the first
+    such row is the pivot): float entries, some of them 0.0 or -0.0 so
+    that multipliers are skipped at some points only, or Duals in every
+    entry."""
+    n, k, dual = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                  draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entries(M):
+        zero = rng.random(M.shape) < 0.3
+        M[zero] = np.where(rng.random(M.shape) < 0.5, 0.0, -0.0)[zero]
+        return [[Dual(v, float(rng.normal())) if dual else v for v in row]
+                for row in M.tolist()]
+
+    systems = []
+    for _ in range(draw(st.integers(2, 5))):
+        A = rng.normal(size=(n, n))
+        if rng.random() < 0.3:
+            A[:, 0] = [(-1.0) ** i * 2.0 for i in range(n)]
+        A = A[rng.permutation(n)]
+        A = entries(A + 3.0 * np.eye(n) * (rng.random() < 0.5))
+        systems.append((A, entries(rng.normal(size=(n, k)))))
+    return systems
+
+
+@given(stacked_systems())
+@settings(max_examples=150, deadline=None)
+def test_stacked_solve_is_each_point_s_solve(systems):
+    # a system singular at one point raises for the whole stack
+    A, B = (_stack([s[i] for s in systems]) for i in range(2))
+    want = [_run(lambda: oracles.bits(linalg.solve(*s))) for s in systems]
+    if "singular" in want:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.stacked_solve(A, B)
+        return
+    X = linalg.stacked_solve(A, B)
+    assert [oracles.bits(X, k) for k in range(len(systems))] == want
+
+
+def _run(fn):
+    try:
+        return fn()
+    except linalg.SingularMatrixError:
+        return "singular"
+
+
+def test_stacked_solve_with_one_singular_point_raises():
+    systems = [([[2.0, 1.0], [1.0, 3.0]], [[1.0], [2.0]]),
+               ([[1.0, 2.0], [2.0, 4.0]], [[1.0], [2.0]]),
+               ([[0.0, 1.0], [5.0, 1.0]], [[1.0], [2.0]])]
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(*systems[1])
+    A, B = (_stack([s[i] for s in systems]) for i in range(2))
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.stacked_solve(A, B)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import vhckit.dual as dm
 from vhckit import calculus, metrize2d
 from vhckit.calculus import partial
-from vhckit.cli import bundle_from_config
+from vhckit.cli import EXIT_ERROR, bundle_from_config, main
 from vhckit.dual import Dual, eps, real
 from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
                              ricci)
@@ -24,7 +25,10 @@ from vhckit.metrize2d import (LineIntegralField, ParallelFrame,
 from vhckit.models import get_model
 from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
-from vhckit.vhc import InducedConnection, induced_connection
+from vhckit.linalg import SingularMatrixError
+from vhckit.vhc import (ConstraintParametrization, InducedConnection,
+                        LagrangianControlSystem, RegularityError,
+                        induced_connection, reduction_matrix)
 
 import oracles
 from oracles import connection_from_metric, minimax_by_linprog
@@ -621,3 +625,184 @@ def test_dpc_b_structure_is_periodic_in_theta2():
                                                          + TWO_PI])))))
     assert worst_d < 1e-9
     assert worst_p < 1e-6
+
+
+# -- stacked field reads -------------------------------------------------------
+
+def _zero_plane():
+    chart = Chart(2, (False, False), ((-2.0, 2.0), (-2.0, 2.0)))
+    zeros = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
+    return chart, InducedConnection(
+        chart, ConnectionCoeffs(chart, lambda x: zeros), lambda th: [0.0, 0.0])
+
+
+def _cart_spring():
+    b = get_model("dpc-b")
+    sys = b.system
+
+    def gradP(q):
+        g = list(sys.gradP(q))
+        g[0] = g[0] + q[0]
+        return g
+
+    spring = dataclasses.replace(
+        sys, P=lambda q: sys.P(q) + 0.5 * q[0] * q[0], gradP=gradP)
+    return dataclasses.replace(b, system=spring)
+
+
+def _bits(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("case", ["builtin:dpc-a", "builtin:dpc-b",
+                                  "config:dpc-a", "config:dpc-b"]
+                         + ["flat:" + c for c in FLAT_CASES]
+                         + ["bare:zero-plane", "bare:cart-spring"])
+def test_stacked_reads_are_the_point_reads(monkeypatch, case):
+    # every closedness stage: Gamma_C, lambda and d lambda read at the
+    # stacked points, against conn.gammaC(p), conn.lam(p) and
+    # vector_partial point by point, bit for bit; the stacked reads
+    # themselves must not raise
+    stages, form_rows = [], metrize2d._form_rows
+
+    def recorded(conn, frame, points, axis):
+        want = oracles.points_fields(conn, points)
+        direct = (calculus.stacked(conn.gammaC.fn, points),
+                  calculus.stacked(conn.lam, points),
+                  np.stack([calculus.stacked(conn.lam, points, i)
+                            for i in range(2)], 1))
+        for got in (direct, metrize2d._fields(conn, points)):
+            assert [g.shape for g in got] == [w.shape for w in want]
+            assert list(map(_bits, got)) == list(map(_bits, want))
+        stages.append(len(points))
+        return form_rows(conn, frame, points, axis)
+
+    monkeypatch.setattr(metrize2d, "_form_rows", recorded)
+    if case == "bare:zero-plane":
+        chart, conn = _zero_plane()
+        cylinder_lagrangian_search(conn, chart.grid(3))
+    else:
+        analyze(_cart_spring() if case == "bare:cart-spring"
+                else _flat_bundle(case))
+    assert stages
+
+
+def _one_by_one(monkeypatch, run):
+    """run() with the stacked reads failing, so that every stage reads its
+    points one by one, as the flat solver did before the stacked reads."""
+    def fails(f, points, i=None):
+        raise ValueError("no stacked read")
+
+    with monkeypatch.context() as m:
+        m.setattr(metrize2d, "stacked", fails)
+        return run()
+
+
+def _stacked_raises(monkeypatch, run):
+    """run() and what the first stacked read that raised raised, with any
+    warning recorded."""
+    raised, read = [], calculus.stacked
+
+    def recorded(f, points, i=None):
+        try:
+            return read(f, points, i)
+        except Exception as e:
+            raised.append(e)
+            raise
+
+    with monkeypatch.context() as m, warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        m.setattr(metrize2d, "stacked", recorded)
+        out = run()
+    assert not [x for x in w if issubclass(x.category, RuntimeWarning)]
+    return out, raised[0] if raised else None
+
+
+def _report(rep):
+    return (rep.lagrangian, rep.metrizable, rep.supported, rep.message,
+            float(rep.a).hex(), float(rep.b).hex(),
+            float(rep.closedness_residual).hex())
+
+
+def test_a_field_that_branches_reads_its_points_one_by_one(monkeypatch):
+    # lambda branches on th[0] < 0: the stacked read raises, and the stage
+    # reads its points one by one, to the report of the reads point by point
+    chart, conn = _zero_plane()
+    conn = dataclasses.replace(conn, lam=lambda th: [
+        th[1] * th[1], 0.0 * th[0]] if th[0] < 0 else [th[1], th[0]])
+
+    def run():
+        return cylinder_lagrangian_search(conn, chart.grid(5))
+
+    rep, error = _stacked_raises(monkeypatch, run)
+    assert isinstance(error, ValueError)    # the truth of an array
+    assert _report(rep) == _report(_one_by_one(monkeypatch, run))
+    assert not rep.lagrangian and rep.metrizable
+    assert rep.message == "no frame value b closes the force one-form"
+
+
+def test_a_division_by_zero_at_one_anchor_point_is_the_point_s_error(
+        monkeypatch, tmp_path, capsys):
+    # P = 1/q2 on the annulus: lambda divides by q2 = 0 at the anchor point
+    # t = 0 alone. The stacked read raises FloatingPointError, and the
+    # point's own ZeroDivisionError ends the command, with exit code 1
+    cfg = dict(FLAT_CASES["annulus"][0], name="annulus-pole", P="1/q2")
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(cfg))
+
+    def run():
+        code = main(["analyze", "--config", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got, error = _stacked_raises(monkeypatch, run)
+    assert isinstance(error, FloatingPointError)
+    assert got == _one_by_one(monkeypatch, run) == (
+        EXIT_ERROR, "", "error: ZeroDivisionError: float division by zero\n")
+
+
+def test_a_singular_point_in_a_stack_names_its_theta(monkeypatch):
+    # A = Bperp D dphi is singular where theta0 = 0.25: the stacked read
+    # raises SingularMatrixError, and the points read one by one raise the
+    # RegularityError that names the singular point
+    chart = Chart(2, (False, False), ((-1.0, 1.0), (-1.0, 1.0)))
+    system = LagrangianControlSystem(
+        chart=Chart(3, (False,) * 3, ((-2.0, 2.0),) * 3),
+        D=lambda q: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        P=lambda q: 0.5 * (q[0] * q[0] + q[1] * q[1]),
+        gradP=lambda q: [q[0], q[1], 0.0 * q[0]],
+        B=lambda q: [[0.0], [0.0], [1.0]],
+        Bperp=lambda q: [[1.0, 0.0, 0.0], [0.0, q[0] - 0.25, 0.0]], m=1)
+    par = ConstraintParametrization(chart, phi=lambda th: [th[0], th[1], 0.0])
+    conn = induced_connection(system, par)
+    points = [[0.5, 0.1], [0.25, 0.0], [-0.3, 0.2]]
+    with pytest.raises(SingularMatrixError):
+        reduction_matrix(system, par, [np.array(c) for c in zip(*points)],
+                         ("gradP",))
+
+    def run():
+        with pytest.raises(RegularityError) as e:
+            metrize2d._fields(conn, points)
+        return str(e.value)
+
+    message, error = _stacked_raises(monkeypatch, run)
+    assert isinstance(error, SingularMatrixError)
+    assert message == _one_by_one(monkeypatch, run) == \
+        "(Bperp D dphi) singular at theta=[0.25, 0.0]"
+
+
+def test_a_stacked_read_that_warns_is_not_read_again():
+    # under -W error a warning from a stacked read is an error of the run,
+    # not a reason to read the points one by one
+    chart, conn = _zero_plane()
+
+    def lam(th):
+        if isinstance(th[0], np.ndarray):
+            warnings.warn("a stack", RuntimeWarning)
+        return [0.0, 0.0]
+
+    conn = dataclasses.replace(conn, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            metrize2d._fields(conn, [[0.0, 0.0], [0.5, 0.5]])

@@ -356,3 +356,54 @@ def test_cli_import_compiles_no_kernel():
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
     assert out.split() == ["0", "0", "0", "0"]
+
+
+# -- stacked points ------------------------------------------------------------
+
+def _stacked_like_the_points(sys_, par, points, columns, thdots, lift):
+    """reduction_matrix at the stack of the points, lifted by ``lift``
+    (a seeding), is each point's own call, bit for bit."""
+    stack = lift([np.array(c) for c in zip(*points)])
+    with np.errstate(divide="raise", over="ignore", invalid="raise"):
+        X = reduction_matrix(sys_, par, stack, columns,
+                             [np.array(c) for c in zip(*thdots)])
+    for k, (p, thdot) in enumerate(zip(points, thdots)):
+        assert oracles.bits(X, k) == oracles.bits(
+            reduction_matrix(sys_, par, lift(p), columns, thdot))
+
+
+@pytest.mark.parametrize("name", MODELS + [m + "-config" for m in MODELS]
+                         + ["three-dof", "bare"])
+def test_stacked_reduction_is_each_point_s_reduction(name):
+    # every declared column set, at a float stack and at stacks seeded once
+    # and twice
+    sys_, par = _bundle(name)
+    rng = np.random.default_rng(47)
+    d = par.chart.dim
+    points = [[float(rng.uniform(lo + 0.1, hi - 0.1))
+               for lo, hi in par.chart.bounds] for _ in range(6)]
+    thdots = rng.normal(size=(6, d)).tolist()
+    for lift in (list, lambda x: seed(x, 0),
+                 lambda x: seed(seed(x, 0), d - 1)):
+        for columns in _column_sets(d):
+            _stacked_like_the_points(sys_, par, points, columns, thdots, lift)
+
+
+def test_a_dpc_a_anchor_stack_takes_both_pivots():
+    # the generator samples of the flat solver's anchor stage: A's first
+    # column picks its pivot row differently from point to point
+    b = get_model("dpc-a")
+    sys_, par = b.system, b.parametrization
+    points = [[0.0, float(t)]
+              for t in np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)]
+    pivots = set()
+    for th in points:
+        x = par.phi(th)
+        A = (np.array(sys_.Bperp(x)) @ np.array(sys_.D(x))
+             @ np.array(par.dphi(th)))
+        pivots.add(int(abs(A[1, 0]) > abs(A[0, 0])))
+    assert pivots == {0, 1}
+    thdots = [[0.0, 0.0]] * len(points)
+    for lift in (list, lambda x: seed(x, 0), lambda x: seed(x, 1)):
+        for columns in (((0, 0), (0, 1), (1, 1)), ("gradP",)):
+            _stacked_like_the_points(sys_, par, points, columns, thdots, lift)
