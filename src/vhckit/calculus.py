@@ -3,7 +3,7 @@ the ODE stepper.
 
 Every derivative in vhckit is taken by the operators below, by seeding dual
 numbers; fields must accept dual arguments and stacked points (see
-``vhckit.dual`` and ``stacked``). Every
+``vhckit.dual`` and ``at_points``). Every
 definite integral, antiderivative and parallel transport is solved on a
 Chebyshev sample of its integrand or coefficient (``quad``,
 ``antiderivative``, ``transport``), and the simulations' ODEs by
@@ -108,25 +108,48 @@ def matrix_partial(f, x, i):
     return _peel(f(seed(x, i)), eps)
 
 
-def stacked(f, points, i=None):
-    """f, or with i its partial along axis i, at each of the points in one
-    call: an (N, ...) float array, constant entries broadcast. The call
-    reads a stacked point, whose coordinates are arrays with one entry per
-    point (seeded, for the partial), so f runs its arithmetic once for all
-    of them, each entry bit for bit that point's own value
-    (``vhckit.dual``). It raises where the points cannot share one run: a
-    field that branches on a coordinate's value, a solve singular at one
-    point, or a division by zero or invalid operation, which Python raises
-    on a float and numpy flags on an array. Fewer than two points raise
+def stacked(f, points):
+    """f at each of the points in one call: an (N, ...) float array of its
+    real parts, constant entries broadcast. The call reads a stacked point,
+    whose coordinates are arrays with one entry per point, so f runs its
+    arithmetic once for all of them, each entry bit for bit that point's
+    own value (``vhckit.dual``). It raises where the points cannot share
+    one run: a field that branches on a coordinate's value, a solve
+    singular at one point, or a division by zero or invalid operation,
+    which Python raises on a float and numpy flags on an array. f may
+    return a tuple of values, each read alike. Fewer than two points raise
     ValueError, since an array of one entry converts to a float."""
     if len(points) < 2:
         raise ValueError("a stack needs at least two points")
     x = [np.array(c, dtype=float) for c in zip(*points)]
     with np.errstate(divide="raise", over="ignore", invalid="raise"):
-        v = f(x) if i is None else _peel(f(seed(x, i)), eps)
-    n = len(points)
+        return _rows(f(x), len(points))
+
+
+def _rows(v, n):
+    """A value at n points, as (n, ...) float arrays of its real parts."""
+    if type(v) is tuple:
+        return tuple(_rows(c, n) for c in v)
     return np.moveaxis(np.array(_peel(v, lambda c: np.broadcast_to(
         real(c), (n,))), dtype=float), -1, 0)
+
+
+def at_points(f, points):
+    """f at each of the points, as ``stacked`` returns it: one stacked read,
+    or, where that raises and for fewer than two points, f at each point in
+    turn, so that an error is the one a point raises alone. A warning
+    raised as an error is not read again: no stacked read should warn."""
+    if len(points) > 1:
+        try:
+            return stacked(f, points)
+        except Warning:
+            raise
+        except Exception:
+            pass
+    rows = [_rows(f(p), 1) for p in points]
+    if type(rows[0]) is tuple:
+        return tuple(map(np.concatenate, zip(*rows)))
+    return np.concatenate(rows)
 
 
 # -- Chebyshev integration ---------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential geometry in a single chart: Christoffels, curvature, Ricci.
 
 The coefficient fields memoize their values at float points and at the
-seeded dual points that the ``calculus`` operators query."""
+seeded dual points that the ``calculus`` operators query; the curvature of
+a grid is read at all of its points at once, at a stacked point."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .calculus import _peel, matrix_partial
-from .dual import Dual, real, seed
+from .calculus import _peel, at_points, matrix_partial
+from .dual import Dual, seed
 
 TWO_PI = 2.0 * math.pi
 GRID_MARGIN = 1e-2   # the decision grids stay this far inside the chart
@@ -81,9 +82,10 @@ class _FloatMemo:
     ``calculus`` operators query: a float point, by value; seed(a, i); and
     seed(seed(a, i), j), evaluated once per unordered pair i <= j, the
     order i > j read off the (j, i) evaluation with e1 and e2 exchanged.
-    Every other point goes to ``fn`` as it is. A stacked read
-    (``calculus.stacked``) calls ``fn`` itself: the memo keys single
-    points."""
+    Every other point goes to ``fn`` as it is. ``read`` takes stacked
+    points too (``calculus.at_points``), by the same rule and uncached, as
+    their arrays key no entry, so each entry is the value its point reads
+    alone."""
 
     chart: Chart
     fn: callable
@@ -92,41 +94,36 @@ class _FloatMemo:
     _MAX = 4096
 
     def __call__(self, x):
-        return self._eval(x)
+        return self.read(x)
 
-    def _eval(self, x):
-        if any(isinstance(c, Dual) for c in x):
-            return self._dual(x)
-        key = tuple(map(float, x))
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) >= self._MAX:
-                self._cache.clear()
-            hit = self.fn(list(key))
-            self._cache[key] = hit
-        return hit
-
-    def _dual(self, x):
+    def read(self, x):
+        """F at x; the stacked stages read here, past
+        ``ConnectionCoeffs.__call__``, which keys single points."""
         a, ij = x, ()
         while any(isinstance(c, Dual) for c in a):
             d = [c.eps if isinstance(c, Dual) else None for c in a]
             if len(ij) == 2 or d.count(0.0) != len(d) - 1 or 1.0 not in d:
                 return self.fn(x)
             ij, a = (d.index(1.0),) + ij, [c.val for c in a]
-        key = (tuple(a),) + tuple(sorted(ij))
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) >= self._MAX:
-                self._cache.clear()
-            hit = self._cache[key] = self.fn(reduce(seed, key[1:], a))
-        return hit if key[1:] == ij else _peel(hit, _swap)
+        pair = tuple(sorted(ij))
+        if type(a[0]) is np.ndarray:
+            hit = self.fn(reduce(seed, pair, a))
+        else:
+            key = (tuple(a),) + pair if ij else tuple(map(float, x))
+            hit = self._cache.get(key)
+            if hit is None:
+                if len(self._cache) >= self._MAX:
+                    self._cache.clear()
+                hit = self._cache[key] = self.fn(
+                    reduce(seed, pair, a) if ij else list(key))
+        return hit if pair == ij else _peel(hit, _swap)
 
 
 class ConnectionCoeffs(_FloatMemo):
     """Christoffel coefficient field x -> Gamma[k][i][j]."""
 
     def __call__(self, x):     # its own: perfbench/tracer.py wraps it here
-        return self._eval(x)
+        return self.read(x)
 
 
 class Tensor02Field(_FloatMemo):
@@ -200,13 +197,9 @@ def total_cov_derivative_02(gamma, F, x):
 
 
 def max_curvature_on_grid(gamma, grid):
-    """Largest curvature coefficient magnitude over a list of points."""
-    worst = 0.0
-    for p in grid:
-        R = curvature_coeffs(gamma, p)
-        for mat3 in R:
-            for mat2 in mat3:
-                for row in mat2:
-                    for v in row:
-                        worst = max(worst, abs(real(v)))
-    return worst
+    """Largest curvature coefficient magnitude over a list of points, read
+    at them at once (``at_points``)."""
+    R = at_points(lambda x: [v for mat3 in curvature_coeffs(gamma.read, x)
+                             for mat2 in mat3 for row in mat2 for v in row],
+                  grid)
+    return max([0.0, *np.abs(R).ravel().tolist()])

@@ -1,7 +1,9 @@
 """Metrizability of two-dimensional connections: Ricci recurrence for curved
-ones, and parallel metrics from transport for flat ones. A stage of the
-flat solver reads each leg of the transport once, at all of its points,
-and builds its closedness and period rows on the stacked arrays. The
+ones, and parallel metrics from transport for flat ones. The recurrence,
+exactness and closedness stages read their fields at all of their points
+in one call (``calculus.at_points``). A stage of the flat solver reads
+each leg of the transport once, at all of its points, and builds its
+closedness and period rows on the stacked arrays. The
 closedness stage is a discrete Chebyshev fit, solved exactly by Stiefel's
 exchange method: the simplex method on the dual linear program, after
 Barrodale & Phillips (ACM TOMS 1 (1975) 264-270)."""
@@ -16,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dual as dm
-from .calculus import (antiderivative, from_slope, quad, stacked,
+from .calculus import (antiderivative, at_points, from_slope, quad,
                        vector_partial)
 from .dual import real
 from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
@@ -44,25 +46,22 @@ class RecurrenceData:
 
 
 def ricci_field(gamma):
-    return Tensor02Field(gamma.chart, lambda x: ricci(gamma, x))
+    return Tensor02Field(gamma.chart, lambda x: ricci(gamma.read, x))
 
 
-def _recurrence_at(gamma, ric, x):
-    """Ric, nabla Ric and the recurrence one-form omega at x.
+def _omega(R, dR):
+    """The recurrence one-form omega from Ric and nabla Ric at a point.
 
     omega_i = sum_jk (nabla Ric)_ijk Ric_jk / |Ric|^2 is the exact solution of
     nabla Ric = omega (x) Ric whenever the recurrence holds and the
-    least-squares projection otherwise; it is None where Ric vanishes. Dual
-    inputs propagate.
+    least-squares projection otherwise; it is None where Ric vanishes.
     """
-    n = len(x)
-    R = ric(x)
-    dR = total_cov_derivative_02(gamma, ric, x)
+    n = len(R)
     norm2 = sum(R[j][k] * R[j][k] for j in range(n) for k in range(n))
-    if real(norm2) == 0.0:
-        return R, dR, None
-    return R, dR, [sum(dR[i][j][k] * R[j][k] for j in range(n)
-                       for k in range(n)) / norm2 for i in range(n)]
+    if norm2 == 0.0:
+        return None
+    return [sum(dR[i][j][k] * R[j][k] for j in range(n)
+                for k in range(n)) / norm2 for i in range(n)]
 
 
 def recurrence_solve(gamma, grid=None, tol=1e-7):
@@ -71,15 +70,16 @@ def recurrence_solve(gamma, grid=None, tol=1e-7):
     In 2-D every metric has Ric = K g, so an indefinite Ric rules a metric
     out, while a Ric that vanishes or changes sign is a case the recurrence
     test does not decide (``definite`` is 0 and ``indefinite`` False). The
-    residual is taken where Ric is nondegenerate.
+    residual is taken where Ric is nondegenerate. Ric and nabla Ric are
+    read at all the grid points at once (``at_points``).
     """
     if grid is None:
         grid = gamma.chart.grid()
     ric = ricci_field(gamma)
+    Rs, dRs = at_points(lambda x: (ric.read(x), total_cov_derivative_02(
+        gamma.read, ric.read, x)), grid)
     worst, min_norm, indefinite, signs = 0.0, math.inf, False, set()
-    for p in grid:
-        R, dR, w = _recurrence_at(gamma, ric, p)
-        R = np.asarray([[float(real(v)) for v in row] for row in R])
+    for R, dR in zip(Rs, dRs):
         min_norm = min(min_norm, float(np.linalg.norm(R)))
         ev = np.linalg.eigvalsh(0.5 * (R + R.T))
         if ev[0] > 1e-12:
@@ -91,9 +91,9 @@ def recurrence_solve(gamma, grid=None, tol=1e-7):
         else:
             signs.add(0)        # Ric is degenerate here
             continue
-        w = [float(real(v)) for v in w]
-        for i, j, k in itertools.product(range(len(p)), repeat=3):
-            worst = max(worst, abs(float(real(dR[i][j][k])) - w[i] * R[j][k]))
+        w = _omega(R, dR)
+        for i, j, k in itertools.product(range(len(R)), repeat=3):
+            worst = max(worst, abs(float(dR[i][j][k]) - w[i] * R[j][k]))
     definite = signs.pop() if len(signs) == 1 and 0 not in signs else 0
     return RecurrenceData(ric=ric, residual=worst, definite=definite,
                           recurrent=worst < tol, min_ric_norm=min_norm,
@@ -113,10 +113,8 @@ def exactness_check(rec, grid, tol=1e-6):
     """(exact, curl_max): the recurrence one-form is closed on the grid iff
     the Ricci tensor is symmetric there, with curl_max = max |Ric_01 - Ric_10|.
     A curved chart is simply connected here, so closed means exact."""
-    curl_max = 0.0
-    for p in grid:
-        R = rec.ric(p)
-        curl_max = max(curl_max, abs(float(real(R[0][1] - R[1][0]))))
+    R = at_points(rec.ric.read, grid)
+    curl_max = max([0.0, *np.abs(R[:, 0, 1] - R[:, 1, 0]).tolist()])
     return curl_max < tol, curl_max
 
 
@@ -412,25 +410,9 @@ class ParallelFrame:
 
 def _fields(conn, points):
     """Gamma_C, lambda and [d_i lambda] at the points, as (N, 2, 2, 2),
-    (N, 2) and (N, 2, 2) arrays: four stacked reads (``stacked``; Gamma_C's
-    past its memo, which keys single points), or, where one of them
-    raises, the points one by one, so that an error is the one a point
-    raises alone. A warning raised as an error is not read again: no
-    stacked read should warn."""
-    try:
-        return (stacked(conn.gammaC.fn, points), stacked(conn.lam, points),
-                np.stack([stacked(conn.lam, points, i) for i in range(2)], 1))
-    except Warning:
-        raise
-    except Exception:
-        pass
-    G, lam, dlam = [], [], []
-    for p in points:
-        G.append(conn.gammaC(p))
-        lam.append(_lam(conn, p))
-        dlam.append([[float(real(d)) for d in vector_partial(conn.lam, p, i)]
-                     for i in range(2)])
-    return np.array(G, dtype=float), np.array(lam), np.array(dlam)
+    (N, 2) and (N, 2, 2) arrays, read at them at once (``at_points``)."""
+    return at_points(lambda x: (conn.gammaC.read(x), conn.lam(x), [
+        vector_partial(conn.lam, x, i) for i in range(2)]), points)
 
 
 def _form_rows(conn, frame, points, axis):

@@ -5,12 +5,11 @@ The projection ``reduction_matrix``, which takes declared column names,
 and the force gradP + Gamma1(qd, qd) of ``stabilizing_feedback`` run as
 straight-line Python functions, generated once per shape on first use, that
 share one emitter of the first-kind contraction Gamma1 and add each sum
-left to right from 0, as loops over nested lists do. At a seeded point the
-projection and its solve run on ``linalg.taped_solve``'s float tape for the
-shape, the columns and the inputs' structure: the same values, with no Dual
-built but the output's. At a stacked point (``calculus.stacked``) a variant
-of the kernel, generated alike, and ``linalg.stacked_solve`` run once for
-all the points: each entry is that point's own value, bit for bit."""
+left to right from 0, as loops over nested lists do; at a seeded point
+they run on its Duals. At a stacked point (``calculus.at_points``) a
+variant of the kernel, generated alike, and ``linalg.stacked_solve`` run
+once for all the points: each entry is that point's own value, bit for
+bit."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .calculus import jacobian, matrix_partial, second_partial
-from .dual import Dual, real
+from .dual import real
 from .linalg import _function, _list, _tup
 from .manifold import Chart, ConnectionCoeffs
 
@@ -105,8 +104,8 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     f = gradP + Gamma1(u, u) with u = dphi thdot. Each field is evaluated
     once, d2phi, gradP and dD only if a column needs them, the kernel
     generated for the shape and the columns builds A and the right-hand
-    side, and A is solved once; at a seeded theta, both on a float tape.
-    At a stacked theta (numpy arrays, or Duals of them, ``calculus.stacked``)
+    side, and A is solved once, at a float or seeded theta alike. At a
+    stacked theta (numpy arrays, or Duals of them, ``calculus.at_points``)
     the stacked kernel and solve run once for all its points, and a
     singular point raises ``linalg.SingularMatrixError`` itself."""
     theta = list(theta)
@@ -118,20 +117,12 @@ def reduction_matrix(sys, par, theta, columns, thdot=None):
     dD = sys.metric_grad(x) if lifted else None
     D, Bp = sys.D(x), sys.Bperp(x)
     shape = (len(x), len(Bp), len(theta), columns)
-    depth, t = 0, theta[0]
-    while isinstance(t, Dual):
-        depth, t = depth + 1, t.val
-    if type(t) is np.ndarray:
+    if type(real(theta[0])) is np.ndarray:
         return linalg.stacked_solve(*_reduction(*shape, True)(
             D, Bp, dphi, d2phi, thdot, gradP, dD))
-    kernel = _reduction(*shape)
     try:
-        if not depth:
-            A, rhs = kernel(D, Bp, dphi, d2phi, thdot, gradP, dD)
-            return linalg.solve(A, rhs)
-        return linalg.taped_solve(("reduction_matrix", *shape, depth),
-                                  kernel,
-                                  (D, Bp, dphi, d2phi, thdot, gradP, dD))
+        return linalg.solve(*_reduction(*shape)(
+            D, Bp, dphi, d2phi, thdot, gradP, dD))
     except linalg.SingularMatrixError as e:
         raise RegularityError(
             f"(Bperp D dphi) singular at theta={_floats(theta)}") from e

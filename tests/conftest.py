@@ -3,9 +3,10 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from vhckit.dual import Dual
+from vhckit.dual import Dual, real
 from vhckit.models import get_model
 
 _CRITERIA = {}
@@ -47,18 +48,24 @@ def _exact(c):
 
 class CallCounter:
     """A field's ``fn`` (of a point or a number), wrapped to count its
-    calls by the dual depth of their argument (``by_depth``) and each dual
-    argument's calls, exactly (``dual_points``)."""
+    calls by the dual depth of their argument: at single points
+    (``by_depth``), with each dual argument's calls counted exactly
+    (``dual_points``), and at stacked points, whose coordinates are numpy
+    arrays with one entry per point (``stacks``)."""
 
     def __init__(self, fn):
         self.fn, self.by_depth, self.dual_points = fn, Counter(), Counter()
+        self.stacks = Counter()
 
     def __call__(self, x):
         coords = x if isinstance(x, (list, tuple)) else [x]
         depth = max(map(_depth, coords), default=0)
-        self.by_depth[depth] += 1
-        if depth:
-            self.dual_points[tuple(map(_exact, coords))] += 1
+        if any(isinstance(real(c), np.ndarray) for c in coords):
+            self.stacks[depth] += 1
+        else:
+            self.by_depth[depth] += 1
+            if depth:
+                self.dual_points[tuple(map(_exact, coords))] += 1
         return self.fn(x)
 
     @property

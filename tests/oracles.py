@@ -1,6 +1,7 @@
 """Reference constructions the tests compare the package against, which the
 package itself does not need."""
 
+import itertools
 import math
 from functools import reduce
 from operator import add, mul
@@ -10,8 +11,10 @@ import numpy as np
 from vhckit import linalg
 from vhckit.calculus import integrate_ode, vector_partial
 from vhckit.dual import Dual, real
-from vhckit.manifold import ConnectionCoeffs, christoffel_from_metric
-from vhckit.metrize2d import _BASIS
+from vhckit.manifold import (ConnectionCoeffs, Tensor02Field,
+                             christoffel_from_metric, curvature_coeffs, ricci,
+                             total_cov_derivative_02)
+from vhckit.metrize2d import _BASIS, RecurrenceData
 from vhckit.vhc import RegularityError
 
 
@@ -287,3 +290,74 @@ def points_fields(conn, points):
         dlam.append([[float(real(d)) for d in vector_partial(conn.lam, p, i)]
                      for i in range(2)])
     return np.array(G, dtype=float), np.array(lam), np.array(dlam)
+
+
+# -- the curved route's stages, point by point ---------------------------------
+# As they read their grids before their stacked reads: the oracles of
+# manifold.max_curvature_on_grid, metrize2d.recurrence_solve and
+# metrize2d.exactness_check.
+
+def max_curvature_on_grid(gamma, grid):
+    """Largest curvature coefficient magnitude, one point at a time."""
+    worst = 0.0
+    for p in grid:
+        for mat3 in curvature_coeffs(gamma, p):
+            for mat2 in mat3:
+                for row in mat2:
+                    for v in row:
+                        worst = max(worst, abs(real(v)))
+    return worst
+
+
+def ricci_field(gamma):
+    """Ric of gamma, read through gamma's own call."""
+    return Tensor02Field(gamma.chart, lambda x: ricci(gamma, x))
+
+
+def recurrence_at(gamma, ric, x):
+    """Ric, nabla Ric and the recurrence one-form omega at the point x; omega
+    is None where Ric vanishes."""
+    n = len(x)
+    R = ric(x)
+    dR = total_cov_derivative_02(gamma, ric, x)
+    norm2 = sum(R[j][k] * R[j][k] for j in range(n) for k in range(n))
+    if real(norm2) == 0.0:
+        return R, dR, None
+    return R, dR, [sum(dR[i][j][k] * R[j][k] for j in range(n)
+                       for k in range(n)) / norm2 for i in range(n)]
+
+
+def recurrence_solve(gamma, grid, tol=1e-7):
+    """The Ricci recurrence test and the sign of Ric, one point at a time."""
+    ric = ricci_field(gamma)
+    worst, min_norm, indefinite, signs = 0.0, math.inf, False, set()
+    for p in grid:
+        R, dR, w = recurrence_at(gamma, ric, p)
+        R = np.asarray([[float(real(v)) for v in row] for row in R])
+        min_norm = min(min_norm, float(np.linalg.norm(R)))
+        ev = np.linalg.eigvalsh(0.5 * (R + R.T))
+        if ev[0] > 1e-12:
+            signs.add(1)
+        elif ev[-1] < -1e-12:
+            signs.add(-1)
+        elif ev[0] < -1e-12 and ev[-1] > 1e-12:
+            indefinite = True
+        else:
+            signs.add(0)
+            continue
+        w = [float(real(v)) for v in w]
+        for i, j, k in itertools.product(range(len(p)), repeat=3):
+            worst = max(worst, abs(float(real(dR[i][j][k])) - w[i] * R[j][k]))
+    definite = signs.pop() if len(signs) == 1 and 0 not in signs else 0
+    return RecurrenceData(ric=ric, residual=worst, definite=definite,
+                          recurrent=worst < tol, min_ric_norm=min_norm,
+                          indefinite=indefinite)
+
+
+def exactness_check(rec, grid, tol=1e-6):
+    """(exact, max |Ric_01 - Ric_10|), one point at a time."""
+    curl_max = 0.0
+    for p in grid:
+        R = rec.ric(p)
+        curl_max = max(curl_max, abs(float(real(R[0][1] - R[1][0]))))
+    return curl_max < tol, curl_max

@@ -390,3 +390,36 @@ def test_line_segment_endpoints_and_velocity():
     assert p0 == pytest.approx([0.0, 1.0])
     assert p1 == pytest.approx([2.0, -1.0])
     assert v0 == pytest.approx([2.0, -2.0])
+
+
+def test_at_points_reads_a_stack_or_each_point(monkeypatch):
+    # one stacked read of f's tuple of values, or the points one by one
+    # where it raises, to the same rows; a single point is read directly
+    def f(x):
+        return dm.sin(x[0]) * x[1], [vector_partial(
+            lambda y: [y[0] * y[1], dm.exp(y[1])], x, 1), [2.0, x[0]]]
+
+    points = [[0.1, 0.2], [0.3, -0.4], [1.5, 2.0]]
+    want = (np.array([f(p)[0] for p in points]),
+            np.array([[[float(real(v)) for v in f(p)[1][0]], [2.0, p[0]]]
+                      for p in points]))
+    stacks, read = [], calculus.stacked
+
+    def recorded(g, pts, fails=False):
+        stacks.append(len(pts))
+        if fails:
+            raise ValueError("no stacked read")
+        return read(g, pts)
+
+    monkeypatch.setattr(calculus, "stacked", recorded)
+    got = calculus.at_points(f, points)
+    monkeypatch.setattr(calculus, "stacked",
+                        lambda g, pts: recorded(g, pts, True))
+    alone = calculus.at_points(f, points)
+    one = calculus.at_points(f, points[:1])
+    assert stacks == [3, 3]
+    for rows in (got, alone):
+        assert [r.shape for r in rows] == [(3,), (3, 2, 2)]
+        assert [[v.hex() for v in r.ravel().tolist()] for r in rows] == \
+            [[v.hex() for v in w.ravel().tolist()] for w in want]
+    assert [r.tolist() for r in one] == [w[:1].tolist() for w in want]

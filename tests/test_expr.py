@@ -397,12 +397,11 @@ def test_programs_at_stacked_points_are_the_points_programs(src, c, points):
     # where it raises, some point raises or gives a value that is not finite
     points = [list(p) for p in points]
     value, df, d2f = compile_vector_derivatives([src], ["x", "y"], {"c": c})
-    reads = [(value, None, value), (df, None, df), (d2f, None, d2f)] + [
-        (value, i, lambda p, i=i: vector_partial(value, p, i))
-        for i in range(2)]
-    for program, i, alone in reads:
-        got = _outcome(lambda: stacked(program, points, i))
-        want = [_flat_floats(lambda: alone(p)) for p in points]
+    reads = [value, df, d2f] + [
+        lambda p, i=i: vector_partial(value, p, i) for i in range(2)]
+    for read in reads:
+        got = _outcome(lambda: stacked(read, points))
+        want = [_flat_floats(lambda: read(p)) for p in points]
         if isinstance(got, type):
             assert any(isinstance(w, type) or not all(map(math.isfinite, w))
                        for w in want), (src, points)

@@ -4,6 +4,7 @@ other dual point goes to the field's function as it is."""
 
 import dataclasses
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +118,15 @@ def test_ricci_field_at_depth_2_matches_direct():
 
 def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
                                                        count_calls):
-    # Gamma_C at depth 2: 147 in the recurrence stage (3 unordered pairs at
-    # each of 49 points) and 27 in the metric check; each trace-Gamma leg
+    # The curvature, recurrence and exactness stages read Gamma_C at
+    # stacked points, a fixed number of reads each: Gamma_C and one partial
+    # per axis for each Ric, and nabla Ric reads Ric twice and at each
+    # axis's seed, its depth-2 reads one per ordered pair. Then Gamma_C at
+    # depth 2 is read at single points only by the metric check (3
+    # unordered pairs at each of 9 points), each once; each trace-Gamma leg
     # samples its integrand once per window. The sphere is built in, then
     # from its config
-    gammas, integrands = [], []
+    gammas, integrands, stages = [], [], {}
 
     def counted_connection(system, par):
         conn = induced_connection(system, par)
@@ -133,15 +138,32 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
         integrands.append(count_calls(f))
         return WindowAntiderivative(integrands[-1], **kw)
 
+    def staged(name, stage):
+        def run(*args, **kw):
+            before = Counter(gammas[-1].stacks)
+            out = stage(*args, **kw)
+            stages[name] = dict(gammas[-1].stacks - before)
+            return out
+        return run
+
     monkeypatch.setattr(pipeline, "induced_connection", counted_connection)
     monkeypatch.setattr("vhckit.metrize2d.WindowAntiderivative",
                         counted_window)
+    for name in ("max_curvature_on_grid", "recurrence_solve",
+                 "exactness_check"):
+        monkeypatch.setattr(pipeline, name,
+                            staged(name, getattr(pipeline, name)))
     config = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"]
     for bundle in (get_model("sphere"), bundle_from_config(config)):
         gammas.clear()
         integrands.clear()
+        stages.clear()
         assert pipeline.analyze(bundle).verdict == "lagrangian"
         (gamma,) = gammas
-        assert gamma.by_depth[2] <= 174
+        assert stages == {"max_curvature_on_grid": {0: 1, 1: 2},
+                          "recurrence_solve": {0: 3, 1: 6, 2: 4},
+                          "exactness_check": {0: 1, 1: 2}}
+        assert gamma.stacks == {0: 5, 1: 10, 2: 4}
+        assert gamma.by_depth[2] <= 27
         assert not gamma.repeated
         assert integrands and sum(c.calls for c in integrands) <= 400

@@ -12,16 +12,19 @@ import numpy as np
 import pytest
 
 import vhckit.dual as dm
-from vhckit import calculus, metrize2d
-from vhckit.calculus import partial
+from vhckit import calculus, metrize2d, pipeline
+from vhckit.calculus import partial, vector_partial
 from vhckit.cli import EXIT_ERROR, bundle_from_config, main
 from vhckit.dual import Dual, eps, real
-from vhckit.manifold import (Chart, christoffel_from_metric, ConnectionCoeffs,
-                             ricci)
+from vhckit.manifold import (GRID_MARGIN, Chart, christoffel_from_metric,
+                             ConnectionCoeffs, curvature_coeffs,
+                             max_curvature_on_grid, ricci,
+                             total_cov_derivative_02)
 from vhckit.metrize2d import (LineIntegralField, ParallelFrame,
-                              _minimax_linear, _recurrence_at,
+                              _minimax_linear, _omega,
                               cylinder_lagrangian_search, exactness_check,
-                              metric_from_ricci, recurrence_solve)
+                              metric_from_ricci, recurrence_solve,
+                              ricci_field)
 from vhckit.models import get_model
 from vhckit.pipeline import AnalysisResult, _analyze_2d_flat, analyze
 from vhckit.sim import reduced_energy, simulate_constrained
@@ -32,7 +35,8 @@ from vhckit.vhc import (ConstraintParametrization, InducedConnection,
 
 import oracles
 from oracles import connection_from_metric, minimax_by_linprog
-from test_cli import FLAT_CASES
+from test_cli import (EXIT_UNSUPPORTED, FLAT_CASES, NEGATIVE_CONFIG,
+                      SIGN_CHANGE_CONFIG)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,6 +50,11 @@ def _sphere_conn():
     return b, induced_connection(b.system, b.parametrization)
 
 
+def _omega_at(gamma, ric, p):
+    """The recurrence one-form at the point p."""
+    return _omega(ric(p), total_cov_derivative_02(gamma, ric, p))
+
+
 def test_recurrence_sphere_closed_forms():
     b, conn = _sphere_conn()
     grid = b.chart.grid(5, 1e-2)
@@ -55,7 +64,7 @@ def test_recurrence_sphere_closed_forms():
     assert rec.residual < 1e-10
     for p in grid[::6]:
         w = [float(real(v))
-             for v in _recurrence_at(conn.gammaC, rec.ric, p)[2]]
+             for v in _omega_at(conn.gammaC, rec.ric, p)]
         expect = b.expected["omega"](p)
         assert w[0] == pytest.approx(float(expect[0]), abs=1e-9)
         assert w[1] == pytest.approx(float(expect[1]), abs=1e-12)
@@ -73,7 +82,7 @@ def test_omega_is_half_log_det_ricci_minus_trace_on_sphere():
         return dm.log(R[0][0] * R[1][1] - R[0][1] * R[1][0])
 
     for p in grid:
-        w = _recurrence_at(conn.gammaC, rec.ric, p)[2]
+        w = _omega_at(conn.gammaC, rec.ric, p)
         G = conn.gammaC(p)
         for i in range(2):
             expect = (0.5 * partial(log_det, p, i)
@@ -250,7 +259,7 @@ def test_recurrence_sign_changing_curvature_is_undecided():
     assert rec.recurrent and rec.residual < 1e-12
     assert rec.definite == 0 and not rec.indefinite
     assert rec.min_ric_norm == 0.0
-    assert _recurrence_at(gamma, rec.ric, [0.0, 0.1])[2] is None
+    assert _omega_at(gamma, rec.ric, [0.0, 0.1]) is None
     # the metric candidate refuses a point where det Ric = 0
     with pytest.raises(ValueError, match="vanishes"):
         metric_from_ricci(gamma, dataclasses.replace(rec, definite=1),
@@ -669,8 +678,9 @@ def test_stacked_reads_are_the_point_reads(monkeypatch, case):
         want = oracles.points_fields(conn, points)
         direct = (calculus.stacked(conn.gammaC.fn, points),
                   calculus.stacked(conn.lam, points),
-                  np.stack([calculus.stacked(conn.lam, points, i)
-                            for i in range(2)], 1))
+                  np.stack([calculus.stacked(
+                      lambda x: vector_partial(conn.lam, x, i), points)
+                      for i in range(2)], 1))
         for got in (direct, metrize2d._fields(conn, points)):
             assert [g.shape for g in got] == [w.shape for w in want]
             assert list(map(_bits, got)) == list(map(_bits, want))
@@ -690,11 +700,11 @@ def test_stacked_reads_are_the_point_reads(monkeypatch, case):
 def _one_by_one(monkeypatch, run):
     """run() with the stacked reads failing, so that every stage reads its
     points one by one, as the flat solver did before the stacked reads."""
-    def fails(f, points, i=None):
+    def fails(f, points):
         raise ValueError("no stacked read")
 
     with monkeypatch.context() as m:
-        m.setattr(metrize2d, "stacked", fails)
+        m.setattr(calculus, "stacked", fails)
         return run()
 
 
@@ -703,16 +713,16 @@ def _stacked_raises(monkeypatch, run):
     warning recorded."""
     raised, read = [], calculus.stacked
 
-    def recorded(f, points, i=None):
+    def recorded(f, points):
         try:
-            return read(f, points, i)
+            return read(f, points)
         except Exception as e:
             raised.append(e)
             raise
 
     with monkeypatch.context() as m, warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        m.setattr(metrize2d, "stacked", recorded)
+        m.setattr(calculus, "stacked", recorded)
         out = run()
     assert not [x for x in w if issubclass(x.category, RuntimeWarning)]
     return out, raised[0] if raised else None
@@ -806,3 +816,168 @@ def test_a_stacked_read_that_warns_is_not_read_again():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning):
             metrize2d._fields(conn, [[0.0, 0.0], [0.5, 0.5]])
+
+
+# -- the curvature, recurrence and exactness stages at stacked points ----------
+
+STAGE_CASES = (["builtin:" + m for m in ("circle", "sphere", "dpc-a", "dpc-b")]
+               + ["config:" + m for m in ("circle", "sphere", "dpc-a",
+                                           "dpc-b")]
+               + ["flat:" + c for c in FLAT_CASES]
+               + ["curved:negative", "curved:sign-change"])
+
+
+def _stage_bundle(case):
+    kind, name = case.split(":")
+    if kind == "curved":
+        return bundle_from_config(NEGATIVE_CONFIG if name == "negative"
+                                  else SIGN_CHANGE_CONFIG)
+    return _flat_bundle(case)
+
+
+def _stacked_reads(monkeypatch):
+    """The stacked reads of calculus.at_points from now on: (number of
+    points, what the read raised or None) for each."""
+    reads, read = [], calculus.stacked
+
+    def recorded(f, points):
+        try:
+            out = read(f, points)
+        except Exception as e:
+            reads.append((len(points), e))
+            raise
+        reads.append((len(points), None))
+        return out
+
+    monkeypatch.setattr(calculus, "stacked", recorded)
+    return reads
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_stacked_stages_are_the_point_loops(monkeypatch, case):
+    # every curvature coefficient, Ric and nabla Ric at the analysis grid's
+    # stacked point against each point's own, and the three stages against
+    # their loops over the points (tests/oracles.py), bit for bit; no
+    # stacked read of the stages, or of the case's analyze, falls back to
+    # the points
+    bundle = _stage_bundle(case)
+    conn = induced_connection(bundle.system, bundle.parametrization)
+    ref = induced_connection(bundle.system, bundle.parametrization).gammaC
+    gamma, chart = conn.gammaC, conn.chart
+    grid = chart.grid(7, GRID_MARGIN)
+    ric, ref_ric = ricci_field(gamma), oracles.ricci_field(ref)
+    x = [np.array(c) for c in zip(*grid)]
+    with np.errstate(divide="raise", over="ignore", invalid="raise"):
+        R = curvature_coeffs(gamma.read, x)
+        Ric = ric.read(x)
+        dRic = total_cov_derivative_02(gamma.read, ric.read, x)
+    for k, p in enumerate(grid):
+        assert oracles.bits(R, k) == oracles.bits(curvature_coeffs(ref, p))
+        assert oracles.bits(Ric, k) == oracles.bits(ref_ric(p))
+        assert oracles.bits(dRic, k) == oracles.bits(
+            total_cov_derivative_02(ref, ref_ric, p))
+
+    reads, lookups, lookup = _stacked_reads(monkeypatch), [], \
+        ConnectionCoeffs.__call__
+    monkeypatch.setattr(ConnectionCoeffs, "__call__",
+                        lambda g, x: lookups.append(x) or lookup(g, x))
+    assert _hex(max_curvature_on_grid(gamma, grid)) == \
+        _hex(oracles.max_curvature_on_grid(ref, grid))
+    rec, want = recurrence_solve(gamma, grid), oracles.recurrence_solve(ref,
+                                                                        grid)
+    assert (_hex(rec.residual), rec.definite, rec.recurrent,
+            _hex(rec.min_ric_norm), rec.indefinite) == \
+        (_hex(want.residual), want.definite, want.recurrent,
+         _hex(want.min_ric_norm), want.indefinite)
+    if chart.dim == 2:
+        check = chart.grid(5, GRID_MARGIN)
+        exact, curl = exactness_check(rec, check)
+        want_exact, want_curl = oracles.exactness_check(want, check)
+        assert (exact, _hex(curl)) == (want_exact, _hex(want_curl))
+    analyze(bundle)
+    assert reads and not [e for _, e in reads if e is not None]
+    # a stack reads Gamma_C past the memo's call, which keys single points
+    assert not [x for x in lookups if isinstance(real(x[0]), np.ndarray)]
+
+
+def _branching_gamma(monkeypatch):
+    """Make pipeline's Gamma_C branch on a coordinate's value, which a
+    stacked point cannot do: the truth of an array of comparisons raises."""
+    def connection(system, par):
+        conn = induced_connection(system, par)
+        fn = conn.gammaC.fn
+
+        def gamma(th):
+            if th[0] < math.inf:
+                return fn(th)
+            raise AssertionError("a coordinate is not finite")
+
+        return dataclasses.replace(
+            conn, gammaC=ConnectionCoeffs(conn.chart, gamma))
+
+    monkeypatch.setattr(pipeline, "induced_connection", connection)
+
+
+@pytest.mark.parametrize("name", ["sphere", "dpc-b"])
+def test_a_branching_gamma_reads_each_stage_point_by_point(monkeypatch,
+                                                           name):
+    # each stage's stacked read raises, and each stage reads its points one
+    # by one: the report is the one the stacked stages give with a field
+    # that does not branch, and the one the points give read one by one
+    plain = json.dumps(analyze(get_model(name)).to_dict())
+    with monkeypatch.context() as m:
+        _branching_gamma(m)
+        reads = _stacked_reads(m)
+        got = json.dumps(analyze(get_model(name)).to_dict())
+    assert got == plain
+    # sphere: curvature, recurrence and exactness; dpc-b: curvature and the
+    # closedness stages at the generator samples and on the grid
+    assert len(reads) == 3
+    assert all(isinstance(e, ValueError) for _, e in reads)
+    with monkeypatch.context() as m:
+        _branching_gamma(m)
+        assert json.dumps(_one_by_one(
+            m, lambda: analyze(get_model(name))).to_dict()) == plain
+
+
+def test_a_pole_between_grid_points_keeps_its_report(tmp_path, capsys,
+                                                     monkeypatch):
+    # tests/test_cli.py's pole config: the stacked stages read no point at
+    # the pole and do not fall back; the trace-Gamma line integral through
+    # it ends the run as unsupported, with the message, exit code, empty
+    # stderr and report of the points read one by one
+    cfg = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"]
+    cfg = dict(cfg, reduced=dict(cfg["reduced"], bounds=[[-0.5, math.pi],
+                                                         [-math.pi, math.pi]]))
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(cfg))
+
+    def run():
+        code = main(["analyze", "--config", str(path), "--grid", "5"])
+        return (code, *capsys.readouterr())
+
+    with monkeypatch.context() as m:
+        reads = _stacked_reads(m)
+        code, out, err = run()
+    assert reads and not [e for _, e in reads if e is not None]
+    assert (code, err) == (EXIT_UNSUPPORTED, "")
+    assert json.loads(out)["details"]["reason"].startswith(
+        "IntegrationError in a decision stage: no Chebyshev sample resolves "
+        "the span between ")
+    assert _one_by_one(monkeypatch, run) == (code, out, err)
+
+
+@pytest.mark.parametrize("grid_n", [1, 2])
+@pytest.mark.parametrize("name, verdict", [
+    ("circle", "lagrangian"), ("sphere", "lagrangian"),
+    ("dpc-a", "not-lagrangian"), ("dpc-b", "lagrangian")])
+def test_single_point_grids_keep_their_verdicts(monkeypatch, name, verdict,
+                                                grid_n):
+    # a stage of one point reads it directly, and no stacked read raises
+    reads = _stacked_reads(monkeypatch)
+    assert analyze(get_model(name), grid_n=grid_n).verdict == verdict
+    assert all(n > 1 and e is None for n, e in reads)

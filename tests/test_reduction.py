@@ -1,11 +1,10 @@
-"""The generated reduction kernel and its float tapes against the loops
-they replace: ``reduction_matrix`` must give the loops' values bit for bit
-(``repr``), on floats and on seeded duals, for every shape and declared
-column set the package builds, and a seeded call must build only its
-output's duals; and every generated kernel, the closed loop's and
-``linalg``'s too, is compiled once per shape, on first use."""
+"""The generated reduction kernel against the loops it replaces:
+``reduction_matrix`` must give the loops' values bit for bit (``repr``), on
+floats and on seeded duals, for every shape and declared column set the
+package builds, and at a stacked point each point's own values; and every
+generated kernel, the closed loop's and ``linalg``'s too, is compiled once
+per shape, on first use."""
 
-import dataclasses
 import os
 import runpy
 import subprocess
@@ -100,61 +99,23 @@ def _column_sets(d):
     yield ("accel", "gradP") + pairs
 
 
-def _frozen(sys_, par, theta):
-    """sys_ and par with every field that reduction_matrix reads at theta
-    evaluated once, and returned as it is on each call: a call then builds
-    only the projection's Duals."""
-    x = par.phi(list(theta))
-    at = {"D": sys_.D(x), "Bperp": sys_.Bperp(x), "gradP": sys_.gradP(x),
-          "dD": sys_.metric_grad(x), "phi": x, "dphi": par.dphi(list(theta)),
-          "d2phi": par.d2phi(list(theta))}
-    fields = {k: (lambda v: lambda _: v)(v) for k, v in at.items()}
-    return (dataclasses.replace(
-                sys_, **{k: fields[k] for k in ("D", "Bperp", "gradP", "dD")}),
-            dataclasses.replace(
-                par, **{k: fields[k] for k in ("phi", "dphi", "d2phi")}))
-
-
-def _dual_nodes(x):
-    if isinstance(x, Dual):
-        return 1 + _dual_nodes(x.val) + _dual_nodes(x.eps)
-    return sum(map(_dual_nodes, x)) if isinstance(x, list) else 0
-
-
-def _taped_like_the_loops(sys_, par, theta, columns, monkeypatch,
-                          thdot=None):
-    """The call is repr-equal to the loops, and, with its fields frozen, its
-    second run builds only its output's Duals (none at a float point): a
-    tape took a seeded call."""
+def _like_the_loops(sys_, par, theta, columns, thdot=None):
+    """The call is repr-equal to the loops."""
     loops = oracles.declared_columns(sys_, par, theta, columns, thdot)
     got = reduction_matrix(sys_, par, theta, columns, thdot)
     assert repr(got) == repr(oracles.reduction_matrix(sys_, par, theta, loops))
-    frozen = _frozen(sys_, par, theta)
-    reduction_matrix(*frozen, theta, columns, thdot)
-    built = [0]
-    init = Dual.__init__
-
-    def counted(obj, val, eps=0.0):
-        built[0] += 1
-        init(obj, val, eps)
-
-    with monkeypatch.context() as m:
-        m.setattr(Dual, "__init__", counted)
-        again = reduction_matrix(*frozen, theta, columns, thdot)
-    assert repr(again) == repr(got) and built[0] == _dual_nodes(got)
 
 
 @pytest.mark.parametrize("name", MODELS + [m + "-config" for m in MODELS]
                          + ["three-dof", "bare"])
-def test_compiled_reduction_matches_loops(name, monkeypatch):
+def test_compiled_reduction_matches_loops(name):
     sys_, par = _bundle(name)
     rng = np.random.default_rng(43)
     d = par.chart.dim
     for theta in _points(par, rng, 6):
         thdot = [float(v) for v in rng.normal(size=d)]
         for columns in _column_sets(d):
-            _taped_like_the_loops(sys_, par, theta, columns, monkeypatch,
-                                  thdot)
+            _like_the_loops(sys_, par, theta, columns, thdot)
         state = list(theta) + thdot
         assert (repr(constrained_rhs(sys_, par, state))
                 == repr(oracles.constrained_rhs(sys_, par, state)))
@@ -182,37 +143,16 @@ def _line_system():
     return system, par
 
 
-def test_a_plain_entry_on_one_side_of_a_line(monkeypatch):
+def test_a_plain_entry_on_one_side_of_a_line():
     sys_, par = _line_system()
     for k, t0 in enumerate(np.linspace(-0.5, 0.5, 11)):
         th = [float(t0), 0.3]
         for theta in (seed(th, k % 2), seed(seed(th, k % 2), 1)):
             for columns in (((0, 0), (0, 1), (1, 1)), ("gradP",)):
-                _taped_like_the_loops(sys_, par, theta, columns, monkeypatch)
+                _like_the_loops(sys_, par, theta, columns)
 
 
-def test_numpy_scalar_seeds_are_not_traced_again(monkeypatch):
-    # a np.float64 leaf gets no tape: the first call of its structure
-    # learns so, and later calls run the Dual kernel with no new trace
-    sys_, par = _line_system()
-    traces = [0]
-    add = linalg._Tape.add
-
-    def counted(tape, kernel, args):
-        traces[0] += 1
-        add(tape, kernel, args)
-
-    monkeypatch.setattr(linalg._Tape, "add", counted)
-    pairs = ((0, 0), (0, 1), (1, 1))
-    for t0 in np.linspace(0.1, 0.5, 5):
-        theta = seed([np.float64(t0), np.float64(0.3)], 0)
-        loops = oracles.declared_columns(sys_, par, theta, pairs)
-        assert (repr(reduction_matrix(sys_, par, theta, pairs))
-                == repr(oracles.reduction_matrix(sys_, par, theta, loops)))
-    assert traces[0] <= 1
-
-
-def test_a_dpc_a_sweep_takes_both_pivots(monkeypatch):
+def test_a_dpc_a_sweep_takes_both_pivots():
     b = get_model("dpc-a")
     sys_, par = b.system, b.parametrization
     pivots = set()
@@ -224,7 +164,7 @@ def test_a_dpc_a_sweep_takes_both_pivots(monkeypatch):
         pivots.add(int(abs(A[1, 0]) > abs(A[0, 0])))
         for theta in (seed(th, k % 2), seed(seed(th, 0), 1)):
             for columns in (((0, 0), (0, 1), (1, 1)), ("gradP",)):
-                _taped_like_the_loops(sys_, par, theta, columns, monkeypatch)
+                _like_the_loops(sys_, par, theta, columns)
     assert pivots == {0, 1}
 
 
@@ -236,48 +176,6 @@ def test_a_seeded_call_at_the_pole_names_theta():
                            match=r"\(Bperp D dphi\) singular at "
                                  r"theta=\[0.0, 0.5\]"):
             reduction_matrix(b.system, b.parametrization, theta, pairs)
-
-
-def _traced_paths():
-    return sum(len(t.paths) for tapes in linalg._tapes.values()
-               for t in tapes)
-
-
-def test_a_trace_builds_no_dual_and_calls_no_solve(monkeypatch):
-    # tracing is compilation: the call that traces a tape counts the Duals
-    # and solves of any later call
-    monkeypatch.setattr(linalg, "_tapes", {})
-    b = get_model("dpc-a")
-    theta = seed(seed([0.4, 1.5], 0), 1)
-    counts = [0, 0]
-    init, solve = Dual.__init__, linalg.solve
-
-    def counted_init(obj, val, eps=0.0):
-        counts[0] += 1
-        init(obj, val, eps)
-
-    def counted_solve(A, B):
-        counts[1] += 1
-        return solve(A, B)
-
-    monkeypatch.setattr(Dual, "__init__", counted_init)
-    monkeypatch.setattr(linalg, "solve", counted_solve)
-    seen = []
-    for _ in range(2):
-        counts[:] = [0, 0]
-        reduction_matrix(b.system, b.parametrization, theta,
-                         ((0, 0), (0, 1), (1, 1)))
-        seen.append(tuple(counts))
-    assert _traced_paths() == 1 and seen[0] == seen[1]
-    assert seen[0][0] > 0 and seen[0][1] == 0
-
-
-def test_a_second_analyze_traces_no_tape():
-    analyze(get_model("sphere"))
-    traced = _traced_paths()
-    assert traced
-    analyze(get_model("sphere"))
-    assert _traced_paths() == traced
 
 
 # Dual constructions per built-in analyze before the tapes
@@ -350,12 +248,12 @@ def test_each_shape_compiles_once_in_a_full_simulation():
 def test_cli_import_compiles_no_kernel():
     code = ("import vhckit.cli, vhckit.linalg as la, vhckit.vhc as v; "
             "print(*[f.cache_info().currsize for f in "
-            "(v._reduction, v._force, la._elimination)], len(la._tapes))")
+            "(v._reduction, v._force, la._elimination)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 # -- stacked points ------------------------------------------------------------
