@@ -8,7 +8,9 @@ definite integral, antiderivative and parallel transport is solved on a
 Chebyshev sample of its integrand or coefficient (``quad``,
 ``antiderivative``, ``transport``), and the simulations' ODEs by
 ``integrate_ode``, the embedded Runge-Kutta pair DOP853; both are written
-here, so importing the package loads no scipy."""
+here, so importing the package loads no scipy. A sample reads each level
+of its nodes in one call, by the rule of ``at_points``, and many spans
+read their levels together (``transports``)."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -108,20 +111,36 @@ def matrix_partial(f, x, i):
     return _peel(f(seed(x, i)), eps)
 
 
+def vector_partials(f, x):
+    """[vector_partial(f, x, i) for each axis i]. At a stacked point it
+    reads f once, at a stack of one block of the points per axis, block i
+    seeded along axis i: entry by entry the seeded points' own values."""
+    d = len(x)
+    if type(real(x[0])) is not np.ndarray:
+        return [vector_partial(f, x, i) for i in range(d)]
+    n = len(real(x[0]))
+    v = f([Dual(np.tile(c, d), np.repeat(np.eye(d)[i], n))
+           for i, c in enumerate(x)])
+    return [[c[i * n:(i + 1) * n] if type(c) is np.ndarray else c
+             for c in map(eps, v)] for i in range(d)]
+
+
 def stacked(f, points):
     """f at each of the points in one call: an (N, ...) float array of its
-    real parts, constant entries broadcast. The call reads a stacked point,
-    whose coordinates are arrays with one entry per point, so f runs its
-    arithmetic once for all of them, each entry bit for bit that point's
-    own value (``vhckit.dual``). It raises where the points cannot share
-    one run: a field that branches on a coordinate's value, a solve
-    singular at one point, or a division by zero or invalid operation,
-    which Python raises on a float and numpy flags on an array. f may
-    return a tuple of values, each read alike. Fewer than two points raise
-    ValueError, since an array of one entry converts to a float."""
+    real parts. The call reads a stacked point, whose coordinates are
+    arrays with one entry per point, so f runs its arithmetic once for all
+    of them, each entry bit for bit that point's own value
+    (``vhckit.dual``). f's value there is nested lists whose entries are
+    such arrays, or constants, which are broadcast; or an array with one
+    row per point. It raises where the points cannot share one run: a
+    field that branches on a coordinate's value, a solve singular at one
+    point, or a division by zero or invalid operation, which Python raises
+    on a float and numpy flags on an array. f may return a tuple of
+    values, each read alike. Fewer than two points raise ValueError, since
+    an array of one entry converts to a float."""
     if len(points) < 2:
         raise ValueError("a stack needs at least two points")
-    x = [np.array(c, dtype=float) for c in zip(*points)]
+    x = list(np.asarray(points, dtype=float).T.copy())
     with np.errstate(divide="raise", over="ignore", invalid="raise"):
         return _rows(f(x), len(points))
 
@@ -130,26 +149,77 @@ def _rows(v, n):
     """A value at n points, as (n, ...) float arrays of its real parts."""
     if type(v) is tuple:
         return tuple(_rows(c, n) for c in v)
+    if type(v) is np.ndarray and v.ndim:
+        if len(v) != n:
+            raise ValueError(f"{len(v)} rows for {n} points")
+        return v.astype(float, copy=False)
     return np.moveaxis(np.array(_peel(v, lambda c: np.broadcast_to(
         real(c), (n,))), dtype=float), -1, 0)
+
+
+def _row(v):
+    """A value at one point, as (1, ...) float arrays of its real parts."""
+    if type(v) is tuple:
+        return tuple(map(_row, v))
+    return np.array(_peel(v, real), dtype=float)[None]
+
+
+def _reads(f, points, sizes):
+    """f at the points, as ``stacked`` returns it, cut into consecutive
+    groups of ``sizes`` points: one stacked read, or, where that raises and
+    for fewer than two points, each group's points read one by one up to
+    the first that raises, whose error stands for the group. So each row,
+    and each error, is the one its point gives alone. A warning raised as
+    an error is not read again: no stacked read should warn."""
+    if len(points) > 1:
+        try:
+            rows = stacked(f, points)
+        except Warning:
+            raise
+        except Exception:
+            pass
+        else:
+            cuts = [0, *accumulate(sizes)]
+            cut = (lambda a, b: tuple(r[a:b] for r in rows)) \
+                if type(rows) is tuple else (lambda a, b: rows[a:b])
+            return [cut(a, b) for a, b in zip(cuts, cuts[1:])]
+    if type(points) is np.ndarray:
+        points = points.tolist()
+    out, lo = [], 0
+    for m in sizes:
+        try:
+            rows = [_row(f(p)) for p in points[lo:lo + m]]
+            out.append(tuple(map(np.concatenate, zip(*rows)))
+                       if type(rows[0]) is tuple else np.concatenate(rows))
+        except Exception as e:
+            out.append(e)
+        lo += m
+    return out
 
 
 def at_points(f, points):
     """f at each of the points, as ``stacked`` returns it: one stacked read,
     or, where that raises and for fewer than two points, f at each point in
-    turn, so that an error is the one a point raises alone. A warning
-    raised as an error is not read again: no stacked read should warn."""
-    if len(points) > 1:
-        try:
-            return stacked(f, points)
-        except Warning:
-            raise
-        except Exception:
-            pass
-    rows = [_rows(f(p), 1) for p in points]
-    if type(rows[0]) is tuple:
-        return tuple(map(np.concatenate, zip(*rows)))
-    return np.concatenate(rows)
+    turn, so that an error is the one a point raises alone (``_reads``).
+    So f is read at a stacked point or at one point, and must give each
+    point's value alone either way: at a stacked point its arithmetic runs
+    entry by entry, and nothing may mix the entries (a sum or norm over
+    them)."""
+    (rows,) = _reads(f, points, [len(points)])
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
+
+
+def per_node(f):
+    """The integrand f of one float, read node by node: at an array of
+    nodes, the array of f at each, so that a sample of it (``sample``)
+    reads f at floats alone."""
+    def each(t):
+        if type(t) is np.ndarray:
+            return np.array([f(s) for s in t.tolist()], dtype=float)
+        return f(t)
+    return each
 
 
 # -- Chebyshev integration ---------------------------------------------------
@@ -227,17 +297,31 @@ class Piece:
             return self.values[-1]
         return self.at(np.array([t]))[0]
 
-    def at(self, t):
-        """Values at each point of the array t."""
+    def _weights(self, t):
         x, w = _nodes(len(self.values) - 1)
         if self._aug is None:
-            self._aug = np.c_[self.values.reshape(len(x), -1), np.ones(len(x))]
+            self._aug = np.concatenate([self.values.reshape(len(x), -1),
+                                        np.ones((len(x), 1))], axis=1)
         d = np.subtract.outer((t - self.mid) / self.half, x)
         hit = d == 0.0
         W = w / np.where(hit, 1.0, d)
-        W[hit.any(axis=1)] = hit[hit.any(axis=1)]
-        v = W @ self._aug
+        rows = hit.any(axis=1)
+        W[rows] = hit[rows]
+        return W
+
+    def _values(self, v, t):
         return (v[:, :-1] / v[:, -1:]).reshape(t.shape + self.values.shape[1:])
+
+    def at(self, t):
+        """Values at each point of the array t, from one product for all of
+        them; a row may differ from the point's own (``__call__``) in the
+        last bit, as the product may order its sums otherwise."""
+        return self._values(self._weights(t) @ self._aug, t)
+
+    def each(self, t):
+        """Values at each point of the array t, each bit for bit the
+        point's own: one product per point, as ``__call__`` makes."""
+        return self._values((self._weights(t)[:, None] @ self._aug)[:, 0], t)
 
 
 class Dense:
@@ -250,36 +334,40 @@ class Dense:
         self._keys = [self._sign * p.b for p in parts[:-1]]
 
     def __call__(self, t):
+        """The value at t, or at each point of an array t its own value, as
+        at that float (``Piece.each``)."""
+        if type(t) is np.ndarray:
+            return self._read(t, Piece.each)
         return self.parts[bisect_left(self._keys, self._sign * t)](t)
 
     def at(self, t):
-        """Values at each point of the array t, with one ``Piece.at`` per
-        piece that holds some: the pieces of ``__call__``, and a piece's end
-        rows at its ends."""
-        t = np.asarray(t, dtype=float)
+        """Values at each point of the array t, with one product per piece
+        that holds some (``Piece.at``)."""
+        return self._read(np.asarray(t, dtype=float), Piece.at)
+
+    def _read(self, t, read):
+        """read(piece, t) for the points of each piece: the pieces of
+        ``__call__``, and a piece's end rows at its ends."""
         k = np.searchsorted(self._keys, self._sign * t)
         out = np.empty(t.shape + self.end.shape)
         for j in set(k.tolist()):
             p, sel = self.parts[j], k == j
-            out[sel] = p.at(t[sel])
+            out[sel] = read(p, t[sel])
             out[sel & (t == p.b)] = p.values[0]
             out[sel & (t == p.a)] = p.values[-1]
         return out
 
 
-def sample(f, a, b, levels=CHEB_LEVELS):
-    """f on [a, b] at the nodes of the first level of ``levels`` whose
-    Chebyshev coefficients are below CHEB_TAIL times max(1, max |f|) over
-    their last quarter, as a Piece; each level doubles the one before, so it
-    reuses its samples. None if no level gets there or a value is not
-    finite."""
+def _levels(a, b, levels):
+    """The sample of one span (``sample``), as a generator: it yields each
+    level's new nodes, is sent their rows, and returns the Piece of the
+    first level that resolves, or None."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     F = None
     for n in levels:
         t = mid + half * _nodes(n)[0]
         t[0], t[-1] = b, a
-        new = np.array([f(s) for s in (t if F is None else t[1::2]).tolist()],
-                       dtype=float)
+        new = yield t if F is None else t[1::2]
         F = new if F is None else np.insert(new, range(len(F)), F, axis=0)
         if not np.all(np.isfinite(F)):
             return None
@@ -307,13 +395,97 @@ def _split(solve, a, b, span):
     return out
 
 
+def _sample(f, spans, levels):
+    """The samples of f(t, k) on the spans (a, b, k), taken together: their
+    levels advance in lockstep, and each level's new nodes, over all the
+    spans not yet resolved, are one read (``_reads``) of the points (t, k).
+    Per span: its Piece, None, or the error that its nodes raise. A span
+    after the first that raises is read no further, as a run span by span
+    would not reach it."""
+    runs = [_levels(a, b, levels) for a, b, _ in spans]
+    out, todo = [None] * len(spans), [(j, next(r)) for j, r in enumerate(runs)]
+    while todo:
+        sizes, lo = [len(t) for _, t in todo], 0
+        points = np.empty((sum(sizes), 2))
+        for (j, t), m in zip(todo, sizes):
+            points[lo:lo + m, 0], points[lo:lo + m, 1] = t, spans[j][2]
+            lo += m
+        got, nxt = _reads(lambda x: f(*x), points, sizes), []
+        for (j, _), rows in zip(todo, got):
+            if isinstance(rows, Exception):
+                out[j] = rows
+                break
+            try:
+                nxt.append((j, runs[j].send(rows)))
+            except StopIteration as stop:
+                out[j] = stop.value
+        todo = nxt
+    return out
+
+
+def sample(f, a, b, levels=CHEB_LEVELS):
+    """f on [a, b] at the nodes of the first level of ``levels`` whose
+    Chebyshev coefficients are below CHEB_TAIL times max(1, max |f|) over
+    their last quarter, as a Piece; each level doubles the one before, so it
+    reuses its samples. None if no level gets there or a value is not
+    finite.
+
+    f reads each level's new nodes in one call: it gets them as a float
+    array and returns its values with one row per node, as a field does
+    at a stacked point (``stacked``). Where that call raises (f takes only
+    floats, branches on t, or divides by zero), the level is read node by
+    node, so that each value and each error is the one its node gives
+    alone. This is the one-span case of ``_sample``."""
+    (got,) = _sample(lambda t, k: f(t), [(a, b, 0)], levels)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _pieces(f, spans):
+    """The pieces of f(t, k) on each span (a, b, k), as ``pieces`` finds
+    them, sampled together (``_sample``): each span keeps its own halvings,
+    in their order, one piece at a time. Per span: its list of Pieces,
+    which ends with the span's error if it raises one; the list of spans
+    ends at the first that does."""
+    done, todo = [[] for _ in spans], [[(a, b)] for a, b, _ in spans]
+    levels = CHEB_LEVELS
+    while True:
+        live = [j for j, stack in enumerate(todo) if stack]
+        if not live:
+            return done
+        got = _sample(f, [todo[j][-1] + (spans[j][2],) for j in live], levels)
+        levels = SPLIT_LEVELS           # a halved span samples at most 65
+        for j, r in zip(live, got):
+            lo, hi = todo[j].pop()
+            if r is None:
+                a, b, _ = spans[j]
+                if abs(hi - lo) > MIN_PIECE * abs(b - a):
+                    mid = 0.5 * (lo + hi)
+                    todo[j] += [(mid, hi), (lo, mid)]
+                    continue
+                r = IntegrationError(f"no Chebyshev sample resolves the span "
+                                     f"between {lo:.17g} and {hi:.17g}")
+            done[j].append(r)
+            if isinstance(r, Exception):
+                del done[j + 1:], todo[j:]
+                break
+
+
+def _resolved_pieces(parts):
+    """A span's pieces from ``_pieces``, raising the error they end with."""
+    if isinstance(parts[-1], Exception):
+        raise parts[-1]
+    return parts
+
+
 def pieces(f, a, b):
     """Samples of f (``sample``) on consecutive pieces from a to b: a span
-    that no level resolves, or where a value is not finite, is halved
-    (``_split``), and a half samples at most 65 nodes."""
-    return _split(lambda lo, hi: sample(
-        f, lo, hi, CHEB_LEVELS if (lo, hi) == (a, b) else SPLIT_LEVELS),
-        a, b, abs(b - a))
+    that no level resolves, or where a value is not finite, is halved, and a
+    half samples at most 65 nodes; one narrower than MIN_PIECE of the span
+    raises ``IntegrationError``."""
+    (parts,) = _pieces(lambda t, k: f(t), [(a, b, 0)])
+    return _resolved_pieces(parts)
 
 
 def antiderivative(f, a, b, F0=0.0):
@@ -334,6 +506,14 @@ def quad(f, a, b):
     return float(antiderivative(f, a, b).end)
 
 
+@lru_cache(maxsize=None)
+def _identities(m, d):
+    """m identity matrices of size d, stacked as rows (read only)."""
+    I = np.tile(np.eye(d), (m, 1))
+    I.flags.writeable = False
+    return I
+
+
 def _fundamental(A, lo, hi):
     """Phi' = A Phi on [lo, hi], Phi(lo) = I, at the BLOCK + 1 nodes, as a
     Piece, with A read from its Piece: the collocation system
@@ -349,7 +529,7 @@ def _fundamental(A, lo, hi):
          * At.transpose(1, 0, 2)[None]).reshape(m * d, m * d)
     M[np.diag_indices(m * d)] += 1.0
     try:
-        Phi = np.linalg.solve(M, np.tile(np.eye(d), (m, 1))).reshape(m, d, d)
+        Phi = np.linalg.solve(M, _identities(m, d)).reshape(m, d, d)
     except np.linalg.LinAlgError:
         return None
     scale = np.min(np.max(np.abs(Phi), axis=(1, 2)))
@@ -358,17 +538,29 @@ def _fundamental(A, lo, hi):
     return None
 
 
+def transports(A, spans, Y0):
+    """Y' = A(t, k) Y on each span (a, b, k) (either order) from Y(a) = Y0,
+    as a list of Dense: A is sampled on all the spans together
+    (``_pieces``), and each piece solved on blocks (``_fundamental``),
+    halved where they do not resolve. The spans are solved in order, so the
+    error raised is the one the first span that fails raises."""
+    out = []
+    for (a, b, _), parts in zip(spans, _pieces(A, spans)):
+        Y, dense = np.asarray(Y0, dtype=float), []
+        for p in _resolved_pieces(parts):
+            for block in _split(lambda lo, hi: _fundamental(p, lo, hi),
+                                p.a, p.b, abs(b - a)):
+                dense.append(Piece(block.a, block.b, block.values @ Y))
+                Y = dense[-1].values[0]
+        out.append(Dense(dense))
+    return out
+
+
 def transport(A, a, b, Y0):
-    """Y' = A(t) Y on [a, b] (either order) from Y(a) = Y0, as a Dense:
-    A is sampled once (``pieces``), and each piece solved on blocks
-    (``_fundamental``), halved where they do not resolve."""
-    Y, parts = np.asarray(Y0, dtype=float), []
-    for p in pieces(A, a, b):
-        for block in _split(lambda lo, hi: _fundamental(p, lo, hi),
-                            p.a, p.b, abs(b - a)):
-            parts.append(Piece(block.a, block.b, block.values @ Y))
-            Y = parts[-1].values[0]
-    return Dense(parts)
+    """Y' = A(t) Y on [a, b] (either order) from Y(a) = Y0, as a Dense: the
+    one-span case of ``transports``."""
+    (Y,) = transports(lambda t, k: A(t), [(a, b, 0)], Y0)
+    return Y
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,16 @@ Transport and the antiderivatives are solved on Chebyshev samples
 (``calculus.transport`` and ``calculus.antiderivative``) of the transport
 coefficient A(t) = -Gamma(p(t))(v(t)) of each path piece, or of an
 antiderivative's integrand on each new window. ``transport_matrix`` keeps
-the end value; ``axis_transport``, ``cylinder_integrals`` and the
-antiderivatives are dense."""
+the end value; ``axis_transports``, ``cylinder_integrals`` and the
+antiderivatives are dense.
+
+The coefficient of a leg along a coordinate axis reads Gamma at each
+level's nodes in one stacked read, and the legs of ``axis_transports``
+share that read. A general path's coefficient reads Gamma node by node
+through the memo (``calculus.per_node``): its pieces take 17 to 65 nodes a
+level, below where a stacked read of Gamma pays for its fixed cost, and
+the memo answers a loop's reverse pass. The integrands of the 1-D
+decision read node by node too."""
 
 from __future__ import annotations
 
@@ -15,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (CurveSampler, IntegrationError, antiderivative,
-                       from_slope, transport)
+from .calculus import (CurveSampler, IntegrationError, _rows,
+                       antiderivative, from_slope, per_node, transport,
+                       transports)
 from .dual import real
 
 TWO_PI = 2.0 * math.pi
@@ -55,11 +64,35 @@ class TransportMap:
 
 def _coefficient(gamma, path):
     """A(t) with X' = A(t) X the transport along ``path``:
-    A^k_j = -Gamma^k_ij v^i at (point, v) = path(t)."""
+    A^k_j = -Gamma^k_ij v^i at (point, v) = path(t), read node by node
+    through the memo of ``gamma`` (``per_node``)."""
     def A(t):
         point, vel = path(t)
         G = np.array(gamma([float(c) for c in point]), dtype=float)
         return -(np.array(vel, dtype=float) @ G)
+    return per_node(A)
+
+
+def _axis_coefficient(gamma, points, axis):
+    """A(t, k) = -Gamma(x)(e_axis, .) at x = points[k] with x[axis] = t:
+    the coefficient of the transport along coordinate ``axis`` through
+    points[k]. At arrays t and k it reads Gamma once, at their stacked
+    points, past the memo's call (``read``); at floats, through the
+    memo."""
+    P = np.array(points, dtype=float)
+    vel = np.eye(P.shape[1])[axis]
+    read = getattr(gamma, "read", gamma)
+
+    def A(t, k):
+        if type(t) is np.ndarray:
+            x = [np.array(c) for c in P[k.astype(np.intp)].T]
+            x[axis] = t
+            G = _rows(read(x), len(t))
+        else:
+            x = P[int(k)].tolist()
+            x[axis] = t
+            G = np.array(gamma(x), dtype=float)
+        return -(vel @ G)
     return A
 
 
@@ -197,13 +230,13 @@ def _one_dim_fields(psi1, psi2, topology):
     psi1_lift = (lambda x: psi1(lift(x))) if psi1 else (lambda x: 0.0)
     p2 = lambda x: float(real(psi2_lift(x)))
     p1 = lambda x: float(real(psi1_lift(x)))
-    J = (PeriodicAntiderivative(p2) if topology == "S1" else
-         WindowAntiderivative(p2))
+    J = (PeriodicAntiderivative(per_node(p2)) if topology == "S1" else
+         WindowAntiderivative(per_node(p2)))
     M_hat = from_slope(lambda x: math.exp(-2.0 * J(x)),
                        lambda a, b: -2.0 * psi2_lift(a) * M_hat(a) * b)
     # P_hat need not be periodic even when psi1 is, so always use the lift
     ph_rate = lambda x: -p1(x) * math.exp(-2.0 * J(x))
-    P_hat = from_slope(WindowAntiderivative(ph_rate),
+    P_hat = from_slope(WindowAntiderivative(per_node(ph_rate)),
                        lambda a, b: -psi1_lift(a) * M_hat(a) * b)
     return J, M_hat, P_hat
 
@@ -227,16 +260,21 @@ def lagrangian_1d(psi1, psi2, topology, decision_tol=1e-9):
     return report
 
 
+def axis_transports(gamma, axis, legs):
+    """Dense transports of the basis along coordinate ``axis``, one per leg
+    (point, lo, hi) through ``point`` from s = lo to hi: Y(s) with
+    Y(lo) = I. The legs are sampled together (``calculus.transports``):
+    each level of their nodes is one stacked read of Gamma."""
+    A = _axis_coefficient(gamma, [p for p, _, _ in legs], axis)
+    return transports(A, [(lo, hi, k) for k, (_, lo, hi) in enumerate(legs)],
+                      np.eye(len(legs[0][0])))
+
+
 def axis_transport(gamma, point, axis, lo, hi):
     """Dense transport of the basis along coordinate ``axis`` through
-    ``point``, from s = lo to hi: Y(s) with Y(lo) = I."""
-    d = len(point)
-    vel = [1.0 if i == axis else 0.0 for i in range(d)]
-
-    def on(s):
-        return [s if i == axis else c for i, c in enumerate(point)], vel
-
-    return transport(_coefficient(gamma, on), lo, hi, np.eye(d))
+    ``point``, from s = lo to hi: the one-leg ``axis_transports``."""
+    (Y,) = axis_transports(gamma, axis, [(point, lo, hi)])
+    return Y
 
 
 def cylinder_integrals(gamma, point, axis):

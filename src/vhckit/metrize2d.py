@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
 from . import dual as dm
-from .calculus import (antiderivative, at_points, from_slope, quad,
-                       vector_partial)
+from .calculus import (_rows, antiderivative, at_points, from_slope, per_node,
+                       quad, vector_partials)
 from .dual import real
-from .holonomy import WindowAntiderivative, axis_transport, cylinder_integrals
+from .holonomy import (WindowAntiderivative, axis_transports,
+                       cylinder_integrals)
 from .manifold import (GRID_MARGIN, Tensor02Field, christoffel_from_metric,
                        ricci, total_cov_derivative_02)
 
@@ -166,7 +166,7 @@ class LineIntegralField:
                 bounds = (-math.inf, math.inf)
             else:
                 bounds = self.chart.bounds[i]
-            leg = WindowAntiderivative(comp, x0=cur[i],
+            leg = WindowAntiderivative(per_node(comp), x0=cur[i],
                                        initial_window=(cur[i], cur[i]),
                                        bounds=bounds)
             self._legs[key] = leg
@@ -271,8 +271,21 @@ def _mu_axis(Y, lam, axis):
 
 
 def _lam(conn, p):
-    """lambda at a float point, as a float array."""
-    return np.array([float(real(v)) for v in conn.lam(p)])
+    """lambda at a float point, as a float array, or at a stacked point, as
+    an (N, 2) array."""
+    v = conn.lam(p)
+    if type(p[0]) is np.ndarray:
+        return _rows(v, len(p[0]))
+    return np.array([float(real(c)) for c in v])
+
+
+def _on_line(point, axis, t):
+    """``point`` with coordinate ``axis`` at t: at an array t, a stacked
+    point whose other coordinates are constant arrays."""
+    if type(t) is np.ndarray:
+        return [t if i == axis else np.full(len(t), float(c))
+                for i, c in enumerate(point)]
+    return [t if i == axis else c for i, c in enumerate(point)]
 
 
 class ParallelFrame:
@@ -283,12 +296,15 @@ class ParallelFrame:
     path order and leg span are the chart's, read once.
 
     Each piece of the path is a dense leg from base[axis] through one point
-    (``leg``): the transport Y, by ``holonomy.axis_transport``, or by
-    ``cylinder_integrals`` once around a periodic first axis (the
-    generator). ``inverses`` reads each leg once for all the points on it
-    (``Dense.at``). The first time D_C or P_C reads a leg, it adds the
+    (``leg``): the transport Y, by ``cylinder_integrals`` once around a
+    periodic first axis (the generator, ``generator``), else by
+    ``holonomy.axis_transports``. ``inverses`` solves the legs that a
+    stage is missing together, so that each level of their nodes is one
+    stacked read of Gamma_C, and reads each leg once for all the points on
+    it (``Dense.at``). The first time D_C or P_C reads a leg, it adds the
     antiderivative F of (Y^{-T} E Y^{-1} lambda)_axis for the basis forms
-    E (``_mu_axis``): the potential of mu = g lambda along the leg is
+    E (``_mu_axis``), whose sample reads the leg and lambda at each level's
+    nodes at once: the potential of mu = g lambda along the leg is
     tr(G K), K = [[F0, F1/2], [F1/2, F2]], for the metric G at its start."""
 
     def __init__(self, conn):
@@ -297,9 +313,10 @@ class ParallelFrame:
         self.base, self.order = chart.base_point, chart.path_order
         self.span = chart.span(GRID_MARGIN)
         i0 = self.order[0]
-        self.holonomy = None
+        self.holonomy = self.generator = None
         if self.periodic[i0]:
-            self.holonomy = self.leg(i0, self.base, TWO_PI)
+            self.generator = self._leg(i0, self.base, TWO_PI)[0]
+            self.holonomy = self.generator(TWO_PI)
 
     def reduce(self, x):
         x = [float(c) for c in x]
@@ -316,37 +333,52 @@ class ParallelFrame:
 
     def _read(self, axis, points, s):
         """Y(s[n]) on the leg along ``axis`` through points[n], an (N, 2, 2)
-        array: the points are grouped by leg, and each leg read once."""
+        array: the points are grouped by leg, the legs missing from the
+        cache solved together (``_legs``), and each leg read once."""
         Y, legs = np.tile(np.eye(2), (len(s), 1, 1)), {}
         for n, (p, t) in enumerate(zip(points, s.tolist())):
             if t != self.base[axis]:
-                leg = self._leg(axis, p, t)
-                legs.setdefault(id(leg), (leg, []))[1].append(n)
-        for leg, ns in legs.values():
+                legs.setdefault(self._key(axis, p, t), (p, []))[1].append(n)
+        got = self._legs(axis, [(key, p) for key, (p, _) in legs.items()])
+        for leg, (_, ns) in zip(got, legs.values()):
             Y[ns] = leg[0].at(s[ns])
         return Y
 
-    def _leg(self, axis, point, s):
-        """[Y, F or None, end] of the leg along ``axis`` through ``point``
-        that holds s, for s not base[axis]. A periodic axis is solved once
-        around, any other to the span's edge on the side of s, or to s
-        beyond it; so a leg depends on s and the line alone. Beyond 64
-        legs, those off the first axis are dropped."""
+    def _key(self, axis, point, s):
+        """The cache key (axis, end, line) of the leg along ``axis`` through
+        ``point`` that holds s, for s not base[axis]. A periodic axis is
+        solved once around, any other to the span's edge on the side of s,
+        or to s beyond it; so a leg depends on s and the line alone."""
         lo, hi = self.span[axis]
         b = self.base[axis]
         end = TWO_PI if self.periodic[axis] else \
             hi if b < s <= hi else lo if lo <= s < b else s
-        key = (axis, end, round(point[1 - axis], 12))
-        leg = self.cache.get(key)
-        if leg is None:
-            if len(self.cache) > 64:
-                self.cache = {k: v for k, v in self.cache.items()
-                              if k[0] == self.order[0]}
-            leg = self.cache[key] = [
-                cylinder_integrals(self.conn.gammaC, point, axis)
-                if self.periodic[axis] else
-                axis_transport(self.conn.gammaC, point, axis, b, end),
-                None, end]
+        return axis, end, round(point[1 - axis], 12)
+
+    def _legs(self, axis, wanted):
+        """[Y, F or None, end] of the leg of each (key, point) in
+        ``wanted``: from the cache, or, for those missing, solved from
+        base[axis] together (``holonomy.axis_transports``). Beyond 64 legs,
+        those off the first axis are dropped."""
+        out = [self.cache.get(key) for key, _ in wanted]
+        new = [n for n, leg in enumerate(out) if leg is None]
+        if new:
+            gamma, b = self.conn.gammaC, self.base[axis]
+            Ys = [cylinder_integrals(gamma, wanted[n][1], axis) for n in new] \
+                if self.periodic[axis] else axis_transports(gamma, axis, [
+                    (wanted[n][1], b, wanted[n][0][1]) for n in new])
+            for n, Y in zip(new, Ys):
+                if len(self.cache) > 64:
+                    self.cache = {k: v for k, v in self.cache.items()
+                                  if k[0] == self.order[0]}
+                key = wanted[n][0]
+                out[n] = self.cache[key] = [Y, None, key[1]]
+        return out
+
+    def _leg(self, axis, point, s):
+        """[Y, F or None, end] of the leg along ``axis`` through ``point``
+        that holds s (``_key``)."""
+        (leg,) = self._legs(axis, [(self._key(axis, point, s), point)])
         return leg
 
     def leg(self, axis, point, s, integrals=False):
@@ -359,8 +391,8 @@ class ParallelFrame:
             return leg[0](s)
         if leg[1] is None:
             def carry(t):
-                p = [t if i == axis else c for i, c in enumerate(point)]
-                return _mu_axis(leg[0](t), _lam(self.conn, p), axis)
+                return _mu_axis(leg[0](t), _lam(
+                    self.conn, _on_line(point, axis, t)), axis)
 
             leg[1] = antiderivative(carry, self.base[axis], leg[2])
         return leg[1](s)
@@ -410,9 +442,10 @@ class ParallelFrame:
 
 def _fields(conn, points):
     """Gamma_C, lambda and [d_i lambda] at the points, as (N, 2, 2, 2),
-    (N, 2) and (N, 2, 2) arrays, read at them at once (``at_points``)."""
-    return at_points(lambda x: (conn.gammaC.read(x), conn.lam(x), [
-        vector_partial(conn.lam, x, i) for i in range(2)]), points)
+    (N, 2) and (N, 2, 2) arrays, read at them at once (``at_points``);
+    both partials of lambda are one read (``vector_partials``)."""
+    return at_points(lambda x: (conn.gammaC.read(x), conn.lam(x),
+                                vector_partials(conn.lam, x)), points)
 
 
 def _form_rows(conn, frame, points, axis):
@@ -540,9 +573,6 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
         a = 0.0 if free[1] else x[1]
         return np.array([1.0, a, a * a + 1.0 if free[2] else x[2]])
 
-    def on_generator(t):
-        return [t if i == i0 else c for i, c in enumerate(frame.base)]
-
     if periodic:
         H = frame.holonomy
         L = np.array([(H.T @ E @ H - E)[[0, 0, 1], [0, 1, 1]]
@@ -559,7 +589,7 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
 
     # closedness: the generator samples, then the grid for the parameters
     # they leave free (one pass over the grid on a plane)
-    anchor = [on_generator(float(t)) for t in np.linspace(
+    anchor = [_on_line(frame.base, i0, float(t)) for t in np.linspace(
         0.0, TWO_PI, 256, endpoint=False)] if periodic else grid
     residual, noise = 0.0, None
     for stage, points in enumerate([anchor, grid] if periodic else [grid]):
@@ -590,14 +620,23 @@ def cylinder_lagrangian_search(conn, grid, tol=1e-8):
     if periodic:
         pin([1], tie_break()[1])      # a is fixed before the period
 
-        @lru_cache(maxsize=None)
+        # the rows of mu_0 on the generator leg, at t or at each node of a
+        # level; the two period integrals read each level once
+        gen, rows = frame.generator, {}
+
         def mu_row(t):
-            return _mu_axis(frame.leg(i0, frame.base, t % TWO_PI),
-                            _lam(conn, on_generator(t)), i0)
+            key = t.tobytes() if type(t) is np.ndarray else t
+            if key not in rows:
+                s = t % TWO_PI
+                Y = np.where(np.asarray(s == 0.0)[..., None, None], np.eye(2),
+                             gen(s))
+                lam = _lam(conn, _on_line(frame.base, i0, t))
+                rows[key] = _mu_axis(Y, lam, i0)
+            return rows[key]
 
         x0 = x * [1.0, 1.0, 0.0 if free[2] else 1.0]
-        A = quad(lambda t: mu_row(t) @ x0, 0.0, TWO_PI)
-        B = quad(lambda t: mu_row(t)[2], 0.0, TWO_PI) \
+        A = quad(lambda t: (mu_row(t)[..., None, :] @ x0)[..., 0], 0.0, TWO_PI)
+        B = quad(lambda t: mu_row(t)[..., 2], 0.0, TWO_PI) \
             if free[2] else 0.0
         if abs(B) > 1e-8 * max(noise, 1.0):
             pin([2], -A / B)

@@ -9,7 +9,9 @@ from operator import add, mul
 import numpy as np
 
 from vhckit import linalg
-from vhckit.calculus import integrate_ode, vector_partial
+from vhckit.calculus import (CHEB_LEVELS, SPLIT_LEVELS, Dense, Piece,
+                             _fundamental, _integration_matrix, _nodes,
+                             _resolved, _split, integrate_ode, vector_partial)
 from vhckit.dual import Dual, real
 from vhckit.manifold import (ConnectionCoeffs, Tensor02Field,
                              christoffel_from_metric, curvature_coeffs, ricci,
@@ -229,6 +231,76 @@ def constrained_rhs(sys, par, state):
     X = reduction_matrix(sys, par, theta, declared_columns(
         sys, par, theta, ("accel",), thdot))
     return [-row[0] for row in X]
+
+
+# -- the Chebyshev sampler, node by node ---------------------------------------
+# vhckit.calculus's sample, pieces, antiderivative and transport as they read
+# their integrand before a level's nodes were one read: f at each node in
+# turn, and one span at a time. The oracles of the stacked and many-span
+# reads.
+
+def sample(f, a, b, levels=CHEB_LEVELS):
+    """vhckit.calculus.sample, with f read at each node alone."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    F = None
+    for n in levels:
+        t = mid + half * _nodes(n)[0]
+        t[0], t[-1] = b, a
+        new = np.array([f(s) for s in (t if F is None else t[1::2]).tolist()],
+                       dtype=float)
+        F = new if F is None else np.insert(new, range(len(F)), F, axis=0)
+        if not np.all(np.isfinite(F)):
+            return None
+        if _resolved(F, max(1.0, float(np.max(np.abs(F))))):
+            return Piece(a, b, F)
+    return None
+
+
+def pieces(f, a, b):
+    """vhckit.calculus.pieces on ``sample`` above: halved depth first."""
+    return _split(lambda lo, hi: sample(
+        f, lo, hi, CHEB_LEVELS if (lo, hi) == (a, b) else SPLIT_LEVELS),
+        a, b, abs(b - a))
+
+
+def antiderivative(f, a, b, F0=0.0):
+    """vhckit.calculus.antiderivative on ``pieces`` above."""
+    parts = []
+    for p in pieces(f, a, b):
+        F = F0 + p.half * (_integration_matrix(len(p.values) - 1) @ p.values)
+        parts.append(Piece(p.a, p.b, F))
+        F0 = F[0]
+    return Dense(parts)
+
+
+def transport(A, a, b, Y0):
+    """vhckit.calculus.transport on ``pieces`` above."""
+    Y, parts = np.asarray(Y0, dtype=float), []
+    for p in pieces(A, a, b):
+        for block in _split(lambda lo, hi: _fundamental(p, lo, hi),
+                            p.a, p.b, abs(b - a)):
+            parts.append(Piece(block.a, block.b, block.values @ Y))
+            Y = parts[-1].values[0]
+    return Dense(parts)
+
+
+def axis_transport(gamma, point, axis, lo, hi):
+    """vhckit.holonomy.axis_transport on ``transport`` above, with Gamma
+    read at each node alone, through the memo's call."""
+    d = len(point)
+    vel = np.array([1.0 if i == axis else 0.0 for i in range(d)])
+
+    def A(s):
+        x = [s if i == axis else float(c) for i, c in enumerate(point)]
+        return -(vel @ np.array(gamma(x), dtype=float))
+
+    return transport(A, lo, hi, np.eye(d))
+
+
+def dense_bits(Y):
+    """The float.hex tree of a Dense: each piece's ends and node values."""
+    return [(p.a.hex(), p.b.hex(),
+             [v.hex() for v in p.values.ravel().tolist()]) for p in Y.parts]
 
 
 def _inv2(Y):

@@ -423,3 +423,43 @@ def test_at_points_reads_a_stack_or_each_point(monkeypatch):
         assert [[v.hex() for v in r.ravel().tolist()] for r in rows] == \
             [[v.hex() for v in w.ravel().tolist()] for w in want]
     assert [r.tolist() for r in one] == [w[:1].tolist() for w in want]
+
+
+def test_a_level_is_one_read_or_each_node_alone():
+    # an integrand that takes arrays reads each level's new nodes in one
+    # call; one that takes floats only is read node by node; both give the
+    # same Piece, bit for bit
+    levels, seen = [], []
+
+    def f(t):
+        levels.append(np.size(t))
+        return t * t * t - 2.0 * t
+
+    def g(t):
+        t = float(t)            # an array of more than one entry raises
+        seen.append(t)
+        return t * t * t - 2.0 * t
+
+    p, q = calculus.sample(f, 0.0, 3.0), calculus.sample(g, 0.0, 3.0)
+    assert levels == [17]
+    assert len(seen) == len(p.values) and all(type(t) is float for t in seen)
+    assert [v.hex() for v in p.values.tolist()] == \
+        [v.hex() for v in q.values.tolist()]
+
+
+def test_a_level_that_warns_is_not_read_again():
+    # under -W error a warning from a level's read is an error of the run,
+    # not a reason to read its nodes one by one
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if isinstance(t, np.ndarray):
+            warnings.warn("a level", RuntimeWarning)
+        return 0.0 * t
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            pieces(f, 0.0, 1.0)
+    assert len(calls) == 1

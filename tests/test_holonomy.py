@@ -14,13 +14,15 @@ from vhckit.calculus import CurveSampler, line_segment, quad
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, eps, real
 from vhckit.holonomy import (LoopDescriptor, PeriodicAntiderivative,
-                             WindowAntiderivative, axis_transport, circle_mod,
+                             WindowAntiderivative, axis_transport,
+                             axis_transports, circle_mod,
                              cylinder_integrals, lagrangian_1d, loop_transport,
                              reverse_path, transport_matrix)
 from vhckit.manifold import Chart, ConnectionCoeffs
 from vhckit.models import _coordinate_loop, get_model
 from vhckit.vhc import induced_connection
 
+import oracles
 from oracles import transport_on_gamma
 
 TWO_PI = 2.0 * math.pi
@@ -144,13 +146,13 @@ def test_window_antiderivative_samples_a_smooth_integrand(count_calls):
 
 
 @pytest.mark.parametrize("kind", ["kinked", "non-finite"])
-def test_window_antiderivative_falls_back_to_the_integrand(kind,
-                                                           count_calls):
+def test_window_antiderivative_falls_back_to_the_integrand(kind):
     # no Chebyshev sample of |t - 1.3| converges, and a sample with a NaN
     # (here the first) is not used: the window samples f again on halves of
     # its span, to rounding on each side of the kink (DOP853 on f was off
-    # by 2.4e-12), or to 1e-12
-    spoiled = []
+    # by 2.4e-12), or to 1e-12. |t - 1.3| reads a level's nodes at once,
+    # and _smooth each node alone: the count is of nodes either way
+    spoiled, nodes = [], [0]
 
     def f(t):
         if kind == "kinked":
@@ -160,9 +162,12 @@ def test_window_antiderivative_falls_back_to_the_integrand(kind,
             return math.nan
         return _smooth(t)
 
-    counted = count_calls(f)
+    def counted(t):
+        nodes[0] += np.size(t)
+        return f(t)
+
     F = WindowAntiderivative(counted)
-    assert counted.calls > {"kinked": 257, "non-finite": 17}[kind]
+    assert nodes[0] > {"kinked": 257, "non-finite": 17}[kind]
     for x in [0.5, 1.3, 2.0, 5.0, TWO_PI]:
         if kind == "kinked":
             want, tol = 0.5 * (abs(x - 1.3) * (x - 1.3) + 1.3 * 1.3), 1e-13
@@ -368,3 +373,60 @@ def test_cylinder_integrals_samples_the_connection_once():
     Y = cylinder_integrals(gamma, [0.0, 0.0], 1)
     assert calls[0] <= 257
     assert np.max(np.abs(Y.end - np.eye(2))) < 1e-9
+
+
+def _line_connection(fn):
+    """Gamma with Gamma^0_00 = fn(x), Gamma^1_01 = Gamma^1_10 = 0.3 and the
+    rest 0, on the square of side 4."""
+    chart = _flat_chart()
+
+    def coeffs(x):
+        g = [[[0.0 * x[0]] * 2 for _ in range(2)] for _ in range(2)]
+        g[0][0][0] = fn(x)
+        g[1][0][1] = g[1][1][0] = 0.3 + 0.0 * x[1]
+        return g
+
+    return ConnectionCoeffs(chart, coeffs)
+
+
+def test_legs_read_together_are_each_leg_alone():
+    # legs along axis 0 through several lines, one through the kink of
+    # |x0 - x1/2 - 0.1|, read in one stack per level: each leg is bit for
+    # bit the leg alone and the oracle's, which reads each node alone; the
+    # kinked leg is halved
+    gamma = _line_connection(lambda x: abs(x[0] - 0.5 * x[1] - 0.1))
+    legs = [([0.0, y], 0.0, end) for y in (-1.0, 0.4, 1.2)
+            for end in (-1.5, 1.5)]
+    together = axis_transports(gamma, 0, legs)
+    alone = [axis_transport(gamma, p, 0, lo, hi) for p, lo, hi in legs]
+    for Y, Z, (p, lo, hi) in zip(together, alone, legs):
+        assert oracles.dense_bits(Y) == oracles.dense_bits(Z) == \
+            oracles.dense_bits(oracles.axis_transport(gamma, p, 0, lo, hi))
+    assert max(len(Y.parts) for Y in together) > 10
+
+
+@pytest.mark.parametrize("order", ["pole first", "error first"])
+def test_legs_read_together_raise_as_one_leg_at_a_time(order):
+    # a leg through the pole of 1/(x0 - x1) never resolves and halves down
+    # to 2^-40 of its span; a leg on x1 = 1.7 raises at its first node. The
+    # legs read together raise the error of the first leg that fails, with
+    # its message, as the legs one at a time do
+    def fn(x):
+        if np.any(x[1] == 1.7):
+            raise ValueError("a field undefined on x1 = 1.7")
+        return 1.0 / (x[0] - x[1])
+
+    gamma = _line_connection(fn)
+    legs = [([0.0, -1.0], 0.0, 1.5), ([0.0, 0.55], 0.0, 1.5),
+            ([0.0, 1.7], 0.0, 1.5)]
+    legs = [legs[0]] + (legs[1:] if order == "pole first" else legs[:0:-1])
+    errors = []
+    for run in (lambda: axis_transports(gamma, 0, legs),
+                lambda: [axis_transport(gamma, p, 0, lo, hi)
+                         for p, lo, hi in legs]):
+        with pytest.raises(Exception) as e:
+            run()
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (calculus.IntegrationError if order == "pole first"
+                            else ValueError)

@@ -20,6 +20,7 @@ from vhckit.manifold import (GRID_MARGIN, Chart, christoffel_from_metric,
                              ConnectionCoeffs, curvature_coeffs,
                              max_curvature_on_grid, ricci,
                              total_cov_derivative_02)
+from vhckit.holonomy import axis_transport
 from vhckit.metrize2d import (LineIntegralField, ParallelFrame,
                               _minimax_linear, _omega,
                               cylinder_lagrangian_search, exactness_check,
@@ -934,10 +935,15 @@ def test_a_branching_gamma_reads_each_stage_point_by_point(monkeypatch,
         reads = _stacked_reads(m)
         got = json.dumps(analyze(get_model(name)).to_dict())
     assert got == plain
-    # sphere: curvature, recurrence and exactness; dpc-b: curvature and the
-    # closedness stages at the generator samples and on the grid
-    assert len(reads) == 3
-    assert all(isinstance(e, ValueError) for _, e in reads)
+    # the reads that raise, by their number of points. sphere: curvature,
+    # recurrence and exactness; its trace-Gamma legs read node by node and
+    # raise nothing. dpc-b: curvature, the five levels of the generator leg,
+    # the closedness stage at the generator samples, the grid's fields, and
+    # its 14 legs at their first level, one read of 14 x 17 nodes
+    raised = [n for n, e in reads if e is not None]
+    assert raised == {"sphere": [49, 49, 25],
+                      "dpc-b": [49, 17, 16, 32, 64, 128, 256, 49, 238]}[name]
+    assert all(isinstance(e, ValueError) for _, e in reads if e is not None)
     with monkeypatch.context() as m:
         _branching_gamma(m)
         assert json.dumps(_one_by_one(
@@ -981,3 +987,155 @@ def test_single_point_grids_keep_their_verdicts(monkeypatch, name, verdict,
     reads = _stacked_reads(monkeypatch)
     assert analyze(get_model(name), grid_n=grid_n).verdict == verdict
     assert all(n > 1 and e is None for n, e in reads)
+
+
+# -- the legs, periods and carries on stacked Chebyshev nodes ------------------
+
+LEG_CASES = (["builtin:dpc-a", "builtin:dpc-b", "config:dpc-a", "config:dpc-b"]
+             + ["flat:" + c for c in FLAT_CASES])
+
+
+def _recorded_solves(m):
+    """Record every leg (holonomy.axis_transports and cylinder_integrals),
+    antiderivative and quad of the flat solver: (inputs, result)."""
+    legs, integrals, quads = [], [], []
+    many, around = metrize2d.axis_transports, metrize2d.cylinder_integrals
+    anti, quad = metrize2d.antiderivative, metrize2d.quad
+
+    def axis_transports(gamma, axis, wanted):
+        out = many(gamma, axis, wanted)
+        legs.extend((gamma, p, axis, lo, hi, Y)
+                    for (p, lo, hi), Y in zip(wanted, out))
+        return out
+
+    def cylinder_integrals(gamma, point, axis):
+        Y = around(gamma, point, axis)
+        legs.append((gamma, point, axis, 0.0, TWO_PI, Y))
+        return Y
+
+    def antiderivative(f, a, b, F0=0.0):
+        F = anti(f, a, b, F0)
+        integrals.append((f, a, b, F0, F))
+        return F
+
+    def quad_(f, a, b):
+        v = quad(f, a, b)
+        quads.append((f, a, b, v))
+        return v
+
+    m.setattr(metrize2d, "axis_transports", axis_transports)
+    m.setattr(metrize2d, "cylinder_integrals", cylinder_integrals)
+    m.setattr(metrize2d, "antiderivative", antiderivative)
+    m.setattr(metrize2d, "quad", quad_)
+    return legs, integrals, quads
+
+
+@pytest.mark.parametrize("case", LEG_CASES)
+def test_legs_periods_and_carries_are_the_node_by_node_oracle(monkeypatch,
+                                                              case):
+    # every leg of the transport (the generator, the grid's legs read
+    # together), every period integral and every antiderivative of a carry
+    # that D_C and P_C read, against the sampler that reads its integrand
+    # at each node alone and one span at a time (tests/oracles.py), bit for
+    # bit; no stacked read raises
+    bundle = _flat_bundle(case)
+    reads = _stacked_reads(monkeypatch)
+    legs, integrals, quads = _recorded_solves(monkeypatch)
+    res = analyze(bundle)
+    assert legs
+    if res.verdict == "lagrangian":
+        D_C, P_C = res.artifacts["D_C"], res.artifacts["P_C"]
+        for p in bundle.chart.grid(3, 0.1):
+            D_C(p), P_C(p)
+        assert integrals
+    for gamma, p, axis, lo, hi, Y in legs:
+        assert oracles.dense_bits(Y) == oracles.dense_bits(
+            oracles.axis_transport(gamma, p, axis, lo, hi))
+    for f, a, b, F0, F in integrals:
+        assert oracles.dense_bits(F) == oracles.dense_bits(
+            oracles.antiderivative(f, a, b, F0))
+    for f, a, b, v in quads:
+        assert v.hex() == float(oracles.antiderivative(f, a, b).end).hex()
+    assert reads and not [e for _, e in reads if e is not None]
+    if case.endswith("dpc-b"):
+        assert len(quads) == 2 and \
+            res.details["a"] == pytest.approx(A_STAR, abs=1e-16)
+
+
+def _branching_lam(monkeypatch):
+    """Make pipeline's lambda branch on a coordinate's value, as
+    _branching_gamma does Gamma_C."""
+    def connection(system, par):
+        conn = induced_connection(system, par)
+
+        def lam(th):
+            if th[0] < math.inf:
+                return conn.lam(th)
+            raise AssertionError("a coordinate is not finite")
+
+        return dataclasses.replace(conn, lam=lam)
+
+    monkeypatch.setattr(pipeline, "induced_connection", connection)
+
+
+@pytest.mark.parametrize("field", ["gamma", "lambda"])
+def test_a_branching_field_reads_the_legs_and_periods_node_by_node(
+        monkeypatch, field):
+    # dpc-b with Gamma_C (the legs) or lambda (the closedness stages, the
+    # periods and the carries) branching: their stacked reads raise, each
+    # level is read node by node, and the report, D_C and P_C are the ones
+    # the stacked reads give
+    def run():
+        res = analyze(get_model("dpc-b"))
+        D_C, P_C = res.artifacts["D_C"], res.artifacts["P_C"]
+        return json.dumps(res.to_dict()), [
+            oracles.bits(D_C(p)) + [oracles.bits(P_C(p))]
+            for p in ([0.3, 1.1], [-0.4, 5.0])]
+
+    plain = run()
+    with monkeypatch.context() as m:
+        (_branching_gamma if field == "gamma" else _branching_lam)(m)
+        legs, integrals, quads = _recorded_solves(m)
+        reads = _stacked_reads(m)
+        got = run()
+    assert got == plain
+    assert legs and integrals and len(quads) == 2
+    raised = [e for _, e in reads if e is not None]
+    assert raised and all(isinstance(e, ValueError) for e in raised)
+    with monkeypatch.context() as m:
+        (_branching_gamma if field == "gamma" else _branching_lam)(m)
+        assert _one_by_one(m, run) == plain
+
+
+def _one_leg_at_a_time(monkeypatch):
+    """Solve the flat solver's legs one at a time, as before they were
+    sampled together."""
+    def axis_transports(gamma, axis, legs):
+        return [axis_transport(gamma, p, axis, lo, hi) for p, lo, hi in legs]
+
+    monkeypatch.setattr(metrize2d, "axis_transports", axis_transports)
+
+
+def test_legs_through_a_pole_raise_as_one_leg_at_a_time(tmp_path, capsys,
+                                                        monkeypatch):
+    # the annulus with r in (-0.5, 2): the legs along r from the base point
+    # r = 0.75 towards -0.5 cross the pole of Gamma_C at r = 0, between grid
+    # points. The legs read together end the run as unsupported with the
+    # IntegrationError of the first leg to fail, as one leg at a time does
+    cfg = json.loads(json.dumps(FLAT_CASES["annulus"][0]))
+    cfg["reduced"]["bounds"][0] = [-0.5, 2.0]
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(cfg))
+
+    def run():
+        code = main(["analyze", "--config", str(path)])
+        return (code, *capsys.readouterr())
+
+    code, out, err = run()
+    assert (code, err) == (EXIT_UNSUPPORTED, "")
+    assert json.loads(out)["details"]["reason"].startswith(
+        "IntegrationError in a decision stage: no Chebyshev sample resolves "
+        "the span between ")
+    with monkeypatch.context() as m:
+        _one_leg_at_a_time(m)
+        assert run() == (code, out, err)
