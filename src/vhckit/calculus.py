@@ -179,6 +179,8 @@ def _reads(f, points, sizes):
         except Exception:
             pass
         else:
+            if len(sizes) == 1:
+                return [rows]
             cuts = [0, *accumulate(sizes)]
             cut = (lambda a, b: tuple(r[a:b] for r in rows)) \
                 if type(rows) is tuple else (lambda a, b: rows[a:b])
@@ -211,15 +213,25 @@ def at_points(f, points):
     return rows
 
 
-def per_node(f):
-    """The integrand f of one float, read node by node: at an array of
-    nodes, the array of f at each, so that a sample of it (``sample``)
-    reads f at floats alone."""
-    def each(t):
+class per_node:
+    """The integrand f of one float, read node by node: a sample of it
+    (``_sample``) calls f at each node alone, as floats, and makes no
+    stacked read; at an array of nodes, it is the array of f at each. For
+    integrands that take floats only."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, t):
+        f = self.f
         if type(t) is np.ndarray:
             return np.array([f(s) for s in t.tolist()], dtype=float)
         return f(t)
-    return each
+
+
+def _of_t(f):
+    """The integrand f(t) as ``_sample`` reads one: f(t, k), k unread."""
+    return f if type(f) is per_node else (lambda t, k: f(t))
 
 
 # -- Chebyshev integration ---------------------------------------------------
@@ -300,8 +312,7 @@ class Piece:
     def _weights(self, t):
         x, w = _nodes(len(self.values) - 1)
         if self._aug is None:
-            self._aug = np.concatenate([self.values.reshape(len(x), -1),
-                                        np.ones((len(x), 1))], axis=1)
+            self._aug = np.c_[self.values.reshape(len(x), -1), np.ones(len(x))]
         d = np.subtract.outer((t - self.mid) / self.half, x)
         hit = d == 0.0
         W = w / np.where(hit, 1.0, d)
@@ -360,8 +371,8 @@ class Dense:
 
 def _levels(a, b, levels):
     """The sample of one span (``sample``), as a generator: it yields each
-    level's new nodes, is sent their rows, and returns the Piece of the
-    first level that resolves, or None."""
+    level's new nodes, as an array, and is sent their rows; then it yields
+    the Piece of the first level that resolves, or None."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     F = None
     for n in levels:
@@ -370,57 +381,55 @@ def _levels(a, b, levels):
         new = yield t if F is None else t[1::2]
         F = new if F is None else np.insert(new, range(len(F)), F, axis=0)
         if not np.all(np.isfinite(F)):
-            return None
+            break
         if _resolved(F, max(1.0, float(np.max(np.abs(F))))):
-            return Piece(a, b, F)
-    return None
+            yield Piece(a, b, F)
+    yield None
 
 
-def _split(solve, a, b, span):
-    """solve(lo, hi) on consecutive spans from a to b: a span where it
-    gives None is halved, and one narrower than MIN_PIECE of ``span``
-    raises ``IntegrationError``."""
-    out, todo = [], [(a, b)]
-    while todo:
-        lo, hi = todo.pop()
-        r = solve(lo, hi)
-        if r is not None:
-            out.append(r)
-            continue
-        if abs(hi - lo) <= MIN_PIECE * span:
-            raise IntegrationError(f"no Chebyshev sample resolves the span "
-                                   f"between {lo:.17g} and {hi:.17g}")
-        mid = 0.5 * (lo + hi)
-        todo += [(mid, hi), (lo, mid)]
-    return out
-
-
-def _sample(f, spans, levels):
-    """The samples of f(t, k) on the spans (a, b, k), taken together: their
-    levels advance in lockstep, and each level's new nodes, over all the
-    spans not yet resolved, are one read (``_reads``) of the points (t, k).
-    Per span: its Piece, None, or the error that its nodes raise. A span
-    after the first that raises is read no further, as a run span by span
-    would not reach it."""
-    runs = [_levels(a, b, levels) for a, b, _ in spans]
+def _sample(f, spans):
+    """The samples of f(t, k) on the spans (a, b, k, levels), taken
+    together: their levels advance in lockstep, and each level's new nodes,
+    over all the spans not yet resolved, are one read (``_level``). Per
+    span: its Piece, None, or the error that its nodes raise. A span after
+    the first that raises is read no further, as a run span by span would
+    not reach it."""
+    runs = [_levels(a, b, levels) for a, b, _, levels in spans]
     out, todo = [None] * len(spans), [(j, next(r)) for j, r in enumerate(runs)]
     while todo:
-        sizes, lo = [len(t) for _, t in todo], 0
-        points = np.empty((sum(sizes), 2))
-        for (j, t), m in zip(todo, sizes):
-            points[lo:lo + m, 0], points[lo:lo + m, 1] = t, spans[j][2]
-            lo += m
-        got, nxt = _reads(lambda x: f(*x), points, sizes), []
+        got, nxt = _level(f, [(t, spans[j][2]) for j, t in todo]), []
         for (j, _), rows in zip(todo, got):
             if isinstance(rows, Exception):
                 out[j] = rows
                 break
-            try:
-                nxt.append((j, runs[j].send(rows)))
-            except StopIteration as stop:
-                out[j] = stop.value
+            step = runs[j].send(rows)
+            if type(step) is np.ndarray:
+                nxt.append((j, step))
+            else:
+                out[j] = step
         todo = nxt
     return out
+
+
+def _level(f, parts):
+    """f at the nodes t of each span k of parts [(t, k)], one row per node:
+    one read (``_reads``) of all the points (t, k), or, for a ``per_node``
+    f, each node alone. Per part: its rows, or the error of its first node
+    that raises; a ``per_node`` f reads no part after that."""
+    if type(f) is per_node:
+        out = []
+        try:
+            for t, _ in parts:
+                out.append(f(t))
+        except Exception as e:
+            out.append(e)
+        return out
+    sizes, lo = [len(t) for t, _ in parts], 0
+    points = np.empty((2, sum(sizes)))
+    for (t, k), m in zip(parts, sizes):
+        points[0, lo:lo + m], points[1, lo:lo + m] = t, k
+        lo += m
+    return _reads(lambda x: f(*x), points.T, sizes)
 
 
 def sample(f, a, b, levels=CHEB_LEVELS):
@@ -435,32 +444,30 @@ def sample(f, a, b, levels=CHEB_LEVELS):
     at a stacked point (``stacked``). Where that call raises (f takes only
     floats, branches on t, or divides by zero), the level is read node by
     node, so that each value and each error is the one its node gives
-    alone. This is the one-span case of ``_sample``."""
-    (got,) = _sample(lambda t, k: f(t), [(a, b, 0)], levels)
+    alone; a ``per_node`` f is read node by node. This is the one-span
+    case of ``_sample``."""
+    (got,) = _sample(_of_t(f), [(a, b, 0, levels)])
     if isinstance(got, Exception):
         raise got
     return got
 
 
-def _pieces(f, spans):
-    """The pieces of f(t, k) on each span (a, b, k), as ``pieces`` finds
-    them, sampled together (``_sample``): each span keeps its own halvings,
-    in their order, one piece at a time. Per span: its list of Pieces,
-    which ends with the span's error if it raises one; the list of spans
-    ends at the first that does."""
+def _split(solve, spans):
+    """solve on consecutive pieces from a to b of each span (a, b, width),
+    the spans' next pieces taken together: solve gets the list of (lo, hi,
+    j), j the span's index, and gives a result for each. A piece whose
+    result is None is halved, depth first, and one narrower than MIN_PIECE
+    of its span's width gives ``IntegrationError``. Per span: its results
+    in order, which end with the error it meets, if any; the spans after
+    the first that meets one get none, as a run span by span would not
+    reach them."""
     done, todo = [[] for _ in spans], [[(a, b)] for a, b, _ in spans]
-    levels = CHEB_LEVELS
-    while True:
-        live = [j for j, stack in enumerate(todo) if stack]
-        if not live:
-            return done
-        got = _sample(f, [todo[j][-1] + (spans[j][2],) for j in live], levels)
-        levels = SPLIT_LEVELS           # a halved span samples at most 65
-        for j, r in zip(live, got):
+    live = range(len(spans))
+    while live:
+        for j, r in zip(live, solve([todo[j][-1] + (j,) for j in live])):
             lo, hi = todo[j].pop()
             if r is None:
-                a, b, _ = spans[j]
-                if abs(hi - lo) > MIN_PIECE * abs(b - a):
+                if abs(hi - lo) > MIN_PIECE * spans[j][2]:
                     mid = 0.5 * (lo + hi)
                     todo[j] += [(mid, hi), (lo, mid)]
                     continue
@@ -470,22 +477,32 @@ def _pieces(f, spans):
             if isinstance(r, Exception):
                 del done[j + 1:], todo[j:]
                 break
+        live = [j for j, stack in enumerate(todo) if stack]
+    return done
 
 
-def _resolved_pieces(parts):
-    """A span's pieces from ``_pieces``, raising the error they end with."""
-    if isinstance(parts[-1], Exception):
-        raise parts[-1]
-    return parts
+def _checked(results):
+    """A span's results from ``_split``, raising the error they end with."""
+    if isinstance(results[-1], Exception):
+        raise results[-1]
+    return results
+
+
+def _pieces(f, spans):
+    """The pieces of f(t, k) on each span (a, b, k), as ``pieces`` finds
+    them (``_split``), sampled together (``_sample``)."""
+    return _split(lambda todo: _sample(f, [
+        (lo, hi, spans[j][2],
+         CHEB_LEVELS if (lo, hi) == spans[j][:2] else SPLIT_LEVELS)
+        for lo, hi, j in todo]), [(a, b, abs(b - a)) for a, b, _ in spans])
 
 
 def pieces(f, a, b):
     """Samples of f (``sample``) on consecutive pieces from a to b: a span
-    that no level resolves, or where a value is not finite, is halved, and a
-    half samples at most 65 nodes; one narrower than MIN_PIECE of the span
-    raises ``IntegrationError``."""
-    (parts,) = _pieces(lambda t, k: f(t), [(a, b, 0)])
-    return _resolved_pieces(parts)
+    that no level resolves, or where a value is not finite, is halved
+    (``_split``), and a half samples at most 65 nodes."""
+    (parts,) = _pieces(_of_t(f), [(a, b, 0)])
+    return _checked(parts)
 
 
 def antiderivative(f, a, b, F0=0.0):
@@ -506,14 +523,6 @@ def quad(f, a, b):
     return float(antiderivative(f, a, b).end)
 
 
-@lru_cache(maxsize=None)
-def _identities(m, d):
-    """m identity matrices of size d, stacked as rows (read only)."""
-    I = np.tile(np.eye(d), (m, 1))
-    I.flags.writeable = False
-    return I
-
-
 def _fundamental(A, lo, hi):
     """Phi' = A Phi on [lo, hi], Phi(lo) = I, at the BLOCK + 1 nodes, as a
     Piece, with A read from its Piece: the collocation system
@@ -529,7 +538,7 @@ def _fundamental(A, lo, hi):
          * At.transpose(1, 0, 2)[None]).reshape(m * d, m * d)
     M[np.diag_indices(m * d)] += 1.0
     try:
-        Phi = np.linalg.solve(M, _identities(m, d)).reshape(m, d, d)
+        Phi = np.linalg.solve(M, np.tile(np.eye(d), (m, 1))).reshape(m, d, d)
     except np.linalg.LinAlgError:
         return None
     scale = np.min(np.max(np.abs(Phi), axis=(1, 2)))
@@ -542,14 +551,17 @@ def transports(A, spans, Y0):
     """Y' = A(t, k) Y on each span (a, b, k) (either order) from Y(a) = Y0,
     as a list of Dense: A is sampled on all the spans together
     (``_pieces``), and each piece solved on blocks (``_fundamental``),
-    halved where they do not resolve. The spans are solved in order, so the
-    error raised is the one the first span that fails raises."""
+    halved where they do not resolve (``_split``). The spans are solved in
+    order, so the error raised is the one the first span that fails
+    raises."""
     out = []
     for (a, b, _), parts in zip(spans, _pieces(A, spans)):
         Y, dense = np.asarray(Y0, dtype=float), []
-        for p in _resolved_pieces(parts):
-            for block in _split(lambda lo, hi: _fundamental(p, lo, hi),
-                                p.a, p.b, abs(b - a)):
+        for p in _checked(parts):
+            (blocks,) = _split(lambda todo: [_fundamental(p, lo, hi)
+                                             for lo, hi, _ in todo],
+                               [(p.a, p.b, abs(b - a))])
+            for block in _checked(blocks):
                 dense.append(Piece(block.a, block.b, block.values @ Y))
                 Y = dense[-1].values[0]
         out.append(Dense(dense))
@@ -559,7 +571,7 @@ def transports(A, spans, Y0):
 def transport(A, a, b, Y0):
     """Y' = A(t) Y on [a, b] (either order) from Y(a) = Y0, as a Dense: the
     one-span case of ``transports``."""
-    (Y,) = transports(lambda t, k: A(t), [(a, b, 0)], Y0)
+    (Y,) = transports(_of_t(A), [(a, b, 0)], Y0)
     return Y
 
 

@@ -9,9 +9,10 @@ from operator import add, mul
 import numpy as np
 
 from vhckit import linalg
-from vhckit.calculus import (CHEB_LEVELS, SPLIT_LEVELS, Dense, Piece,
-                             _fundamental, _integration_matrix, _nodes,
-                             _resolved, _split, integrate_ode, vector_partial)
+from vhckit.calculus import (CHEB_LEVELS, MIN_PIECE, SPLIT_LEVELS, Dense,
+                             IntegrationError, Piece, _fundamental,
+                             _integration_matrix, _nodes, _resolved,
+                             integrate_ode, vector_partial)
 from vhckit.dual import Dual, real
 from vhckit.manifold import (ConnectionCoeffs, Tensor02Field,
                              christoffel_from_metric, curvature_coeffs, ricci,
@@ -236,8 +237,8 @@ def constrained_rhs(sys, par, state):
 # -- the Chebyshev sampler, node by node ---------------------------------------
 # vhckit.calculus's sample, pieces, antiderivative and transport as they read
 # their integrand before a level's nodes were one read: f at each node in
-# turn, and one span at a time. The oracles of the stacked and many-span
-# reads.
+# turn, and one span at a time, halved by its own loop (``_split``). The
+# oracles of the stacked and many-span reads.
 
 def sample(f, a, b, levels=CHEB_LEVELS):
     """vhckit.calculus.sample, with f read at each node alone."""
@@ -254,6 +255,25 @@ def sample(f, a, b, levels=CHEB_LEVELS):
         if _resolved(F, max(1.0, float(np.max(np.abs(F))))):
             return Piece(a, b, F)
     return None
+
+
+def _split(solve, a, b, span):
+    """solve(lo, hi) on consecutive spans from a to b: a span where it
+    gives None is halved, and one narrower than MIN_PIECE of ``span``
+    raises ``IntegrationError``."""
+    out, todo = [], [(a, b)]
+    while todo:
+        lo, hi = todo.pop()
+        r = solve(lo, hi)
+        if r is not None:
+            out.append(r)
+            continue
+        if abs(hi - lo) <= MIN_PIECE * span:
+            raise IntegrationError(f"no Chebyshev sample resolves the span "
+                                   f"between {lo:.17g} and {hi:.17g}")
+        mid = 0.5 * (lo + hi)
+        todo += [(mid, hi), (lo, mid)]
+    return out
 
 
 def pieces(f, a, b):

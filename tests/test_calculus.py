@@ -463,3 +463,32 @@ def test_a_level_that_warns_is_not_read_again():
         with pytest.raises(RuntimeWarning):
             pieces(f, 0.0, 1.0)
     assert len(calls) == 1
+
+
+def test_a_per_node_integrand_makes_no_stacked_read(monkeypatch):
+    # a per_node integrand is read at each node alone, as floats, with no
+    # stacked read, to the same Piece as an integrand that takes arrays;
+    # its first failing node raises its own error
+    stacks, read = [], calculus.stacked
+
+    def recorded(f, points):
+        stacks.append(len(points))
+        return read(f, points)
+
+    monkeypatch.setattr(calculus, "stacked", recorded)
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return t * t * t - 2.0 * t
+
+    p = calculus.sample(calculus.per_node(g), 0.0, 3.0)
+    assert stacks == [] and all(type(t) is float for t in seen)
+    assert len(seen) == len(p.values)
+    q = calculus.sample(lambda t: t * t * t - 2.0 * t, 0.0, 3.0)
+    assert stacks == [17]
+    assert [v.hex() for v in p.values.tolist()] == \
+        [v.hex() for v in q.values.tolist()]
+    with pytest.raises(ZeroDivisionError):
+        antiderivative(calculus.per_node(lambda t: 1.0 / (t - 1.5)), 0.0, 3.0)
+    assert stacks == [17]

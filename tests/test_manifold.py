@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vhckit import pipeline
+from vhckit.calculus import per_node
 from vhckit.cli import bundle_from_config
 from vhckit.dual import Dual, seed
 from vhckit.holonomy import WindowAntiderivative
@@ -124,9 +125,9 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
     # axis's seed, its depth-2 reads one per ordered pair. Then Gamma_C at
     # depth 2 is read at single points only by the metric check (3
     # unordered pairs at each of 9 points), each once; each trace-Gamma leg
-    # samples its integrand once per window. The sphere is built in, then
-    # from its config
-    gammas, integrands, stages = [], [], {}
+    # samples its integrand once per window, each node once. The sphere is
+    # built in, then from its config
+    gammas, nodes, stages = [], [0], {}
 
     def counted_connection(system, par):
         conn = induced_connection(system, par)
@@ -135,8 +136,10 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
             conn, gammaC=ConnectionCoeffs(conn.chart, gammas[-1]))
 
     def counted_window(f, **kw):
-        integrands.append(count_calls(f))
-        return WindowAntiderivative(integrands[-1], **kw)
+        def counted(t):
+            nodes[0] += np.size(t)
+            return f(t)
+        return WindowAntiderivative(per_node(counted), **kw)
 
     def staged(name, stage):
         def run(*args, **kw):
@@ -156,7 +159,7 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
     config = runpy.run_path(str(CONFIGS_PY))["CONFIGS"]["sphere"]
     for bundle in (get_model("sphere"), bundle_from_config(config)):
         gammas.clear()
-        integrands.clear()
+        nodes[0] = 0
         stages.clear()
         assert pipeline.analyze(bundle).verdict == "lagrangian"
         (gamma,) = gammas
@@ -166,4 +169,4 @@ def test_sphere_analyze_evaluates_each_dual_point_once(monkeypatch,
         assert gamma.stacks == {0: 5, 1: 10, 2: 4}
         assert gamma.by_depth[2] <= 27
         assert not gamma.repeated
-        assert integrands and sum(c.calls for c in integrands) <= 400
+        assert 0 < nodes[0] <= 400
